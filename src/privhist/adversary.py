@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import Dataset, as_point, uniform_in_region
+from .geometry import Dataset, _knn_candidates, as_point, uniform_in_region
 from .rng import substream
 
 RATE_INTERPRETATION = (
@@ -83,22 +83,23 @@ def isolates(q, dataset: Dataset, params: IsolationParams):
 
 def _score_queries(Q: np.ndarray, dataset: Dataset, params: IsolationParams,
                    allowed_victims: np.ndarray) -> np.ndarray:
-    """Victim index per query (-1 when none); vectorized over query blocks."""
+    """Victim index per query (-1 when none), the lowest allowed index that
+    ``isolates`` would accept.
+
+    With d_(t) the t-th smallest distance from q, point j is isolated iff
+    c*d_j < d_(t); for c >= 1 only points nearer than d_(t) qualify, so a
+    k-nearest-neighbour query with k = t finds every candidate.  With fewer
+    than t points, every point is isolated.
+    """
     n = dataset.n
-    victims = np.full(Q.shape[0], -1, dtype=int)
-    block = max(1, int(4_000_000 / max(n, 1)))
-    for lo in range(0, Q.shape[0], block):
-        qb = Q[lo : lo + block]
-        dists = np.linalg.norm(qb[:, None, :] - dataset.points[None, :, :], axis=2)
-        order = np.sort(dists, axis=1)
-        counts = np.empty_like(dists, dtype=int)
-        for i in range(qb.shape[0]):
-            counts[i] = np.searchsorted(order[i], params.c * dists[i], side="right")
-        isolated = (counts < params.t) & allowed_victims[None, :]
-        any_hit = isolated.any(axis=1)
-        first = np.argmax(isolated, axis=1)
-        victims[lo : lo + block] = np.where(any_hit, first, -1)
-    return victims
+    if n < params.t:
+        allowed = np.flatnonzero(allowed_victims)
+        return np.full(Q.shape[0], allowed[0] if allowed.size else -1, dtype=int)
+    kth, rows, idx, dists = _knn_candidates(dataset.points, Q, params.t)
+    hit = allowed_victims[idx] & (params.c * dists < kth[rows])
+    first = np.full(Q.shape[0], n, dtype=int)
+    np.minimum.at(first, rows[hit], idx[hit])
+    return np.where(first < n, first, -1)
 
 
 def attack(
@@ -148,7 +149,7 @@ def attack(
     elif strategy == "leaf-center-weighted":
         Q = _sample_leaf_centers(leaves, counts, queries, rng, seed)
     else:
-        Q = _sample_aux_informed(leaves, counts, dataset, aux, queries, rng)
+        Q = _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng)
 
     victims = _score_queries(Q, dataset, params, allowed)
     hits = np.bincount(victims[victims >= 0], minlength=dataset.n)
@@ -189,15 +190,12 @@ def _sample_leaf_centers(leaves, counts, queries, rng, seed):
     return Q
 
 
-def _sample_aux_informed(leaves, counts, dataset, aux, queries, rng):
+def _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng):
     """Aim at leaves holding the fewest unknown points; occasionally emit
     small offsets from known points to probe their neighbourhoods."""
     d = leaves[0].region.dim
     known = dataset.points[aux]
-    known_per_leaf = np.array(
-        [int(leaf.region.contains_many(known).sum()) if known.size else 0 for leaf in leaves]
-    )
-    unknown = counts - known_per_leaf
+    unknown = counts - _points_per_leaf(hist, leaves, known)
     cand = np.flatnonzero(unknown >= 1)
     if cand.size == 0:
         cand = np.flatnonzero(counts > 0)
@@ -221,6 +219,18 @@ def _sample_aux_informed(leaves, counts, dataset, aux, queries, rng):
         rows = rest[chosen == li]
         Q[rows] = uniform_in_region(leaves[li].region, rows.size, rng)
     return Q
+
+
+def _points_per_leaf(hist, leaves, X: np.ndarray) -> np.ndarray:
+    """Rows of X inside each leaf, in ``leaves`` order.  The leaves partition
+    the root, so one leaf location pass counts them; rows outside the root
+    count in no leaf."""
+    from .metrics import locate_leaves
+
+    leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
+    inside = X[hist.root.region.contains_many(X)]
+    located = [leaf_index[id(leaf)] for leaf in locate_leaves(hist, inside)]
+    return np.bincount(np.asarray(located, dtype=int), minlength=len(leaves))
 
 
 def _leaf_scale(leaf) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -134,11 +135,12 @@ def _cmd_generate(args, argv):
 
 def _cmd_sanitize(args, argv):
     data = dataset_from_doc(read_json(args.input))
+    default_depth = 3 if args.method == "voronoi" else 8
+    max_depth = default_depth if args.max_depth is None else args.max_depth
     if args.method == "cube":
-        hist = build_recursive_cube(data, t=args.t, max_depth=args.max_depth or 8)
+        hist = build_recursive_cube(data, t=args.t, max_depth=max_depth)
     elif args.method == "grid":
-        hist = build_shifted_grid(data, t=args.t, max_depth=args.max_depth or 8,
-                                  seed=args.seed)
+        hist = build_shifted_grid(data, t=args.t, max_depth=max_depth, seed=args.seed)
     elif args.method == "voronoi":
         support = (_auto_support(data) if args.support == "auto"
                    else _region_from_arg(args.support, data.d))
@@ -148,7 +150,7 @@ def _cmd_sanitize(args, argv):
                 "(the default center-count rule is infeasible there)"
             )
         hist = build_voronoi(
-            data, support, t=args.t, max_depth=args.max_depth or 3,
+            data, support, t=args.t, max_depth=max_depth,
             method=args.centers, centers_budget=args.centers_budget,
             override_m=args.override_m, probe_samples=args.probe_samples,
             seed=args.seed,
@@ -209,9 +211,10 @@ def _cmd_measure_diameters(args, argv):
     if args.method.startswith("voronoi"):
         support = (_auto_support(data) if args.support == "auto"
                    else _region_from_arg(args.support, data.d))
+    default_depth = 8 if args.method == "grid" else 3
     stats = measure_diameters(
         data, t=args.t, trials=args.trials, seed=args.seed, method=args.method,
-        max_depth=args.max_depth or (8 if args.method == "grid" else 3),
+        max_depth=default_depth if args.max_depth is None else args.max_depth,
         support=support,
     )
     _emit(report_doc("diameter_stats", stats.to_dict()), args.out, argv,
@@ -392,6 +395,13 @@ def main(argv=None) -> int:
     except PrivhistError as exc:  # pragma: no cover - catch-all for new subclasses
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 2
+    except Exception as exc:  # a bug, not bad input: keep the traceback for the report
+        traceback.print_exc(file=sys.stderr)
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     sys.stderr.write(f"{args.command} completed in {time.monotonic() - start:.3f}s\n")
     return code
 

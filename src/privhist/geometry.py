@@ -250,8 +250,12 @@ def voronoi_assign(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term is
     constant per row and dropped, so the argmin runs on a BLAS product.
+    The scores are formed in place in the product's buffer: one (n, m)
+    temporary instead of three, and the same doubles as |c|^2 - 2 x.c.
     """
-    scores = (centers * centers).sum(axis=1)[None, :] - 2.0 * (X @ centers.T)
+    scores = X @ centers.T
+    scores *= -2.0
+    scores += (centers * centers).sum(axis=1)
     return np.argmin(scores, axis=1)
 
 
@@ -297,6 +301,46 @@ def t_radius(dataset: Dataset, x, t: int) -> float:
     if t > dists.size:
         raise InputError(f"t={t} exceeds the {dists.size} available neighbours")
     return float(np.partition(dists, t - 1)[t - 1])
+
+
+def t_radii(dataset: Dataset, t: int) -> np.ndarray:
+    """``t_radius`` of every dataset point at its own coordinates, in one pass.
+
+    The point itself is always at distance 0, the least of all, so dropping
+    one exact copy and taking the t-th nearest is the (t+1)-th nearest.
+    """
+    if t < 1:
+        raise InputError("t must be a positive integer")
+    if t > dataset.n - 1:
+        raise InputError(f"t={t} exceeds the {dataset.n - 1} available neighbours")
+    return _knn_candidates(dataset.points, dataset.points, t + 1)[0]
+
+
+def _knn_candidates(points: np.ndarray, Q: np.ndarray, k: int):
+    """Exact k-th nearest distance from each query, with a candidate superset.
+
+    Returns (kth, rows, idx, dists).  kth[i] is the k-th smallest of
+    ``np.linalg.norm(points - Q[i], axis=1)``, bit for bit.  The flat arrays
+    list, for query ``rows[m]`` (ascending), point ``idx[m]`` at distance
+    ``dists[m]``; they hold every point no farther than kth[i],
+    plus possibly a few more.  A kd-tree proposes the candidates, then their
+    distances are recomputed with the brute-force arithmetic, so callers
+    compare the same doubles as a full scan would.  Needs 1 <= k <= n.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points)
+    kd_kth = tree.query(Q, k=[k])[0][:, 0]
+    # the tree's distances may differ from norm() in the last bits
+    near = tree.query_ball_point(Q, kd_kth * (1.0 + 1e-9))
+    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    idx = np.concatenate(near).astype(np.intp)
+    rows = np.repeat(np.arange(Q.shape[0]), sizes)
+    dists = np.linalg.norm(points[idx] - Q[rows], axis=1)
+    order = np.lexsort((dists, rows))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    kth = dists[order][starts + (k - 1)]
+    return kth, rows, idx, dists
 
 
 # ---------------------------------------------------------------------------

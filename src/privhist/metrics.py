@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import Ball, Box, Dataset, Region, as_point, uniform_in_region, voronoi_assign
+from .geometry import (Ball, Box, Dataset, Region, as_point, t_radii, uniform_in_region,
+                       voronoi_assign)
 from .rng import substream
 from .roundness import certify_roundness
 from .sanitizer import HistogramNode, SanitizedHistogram, build_shifted_grid, build_voronoi
@@ -190,9 +191,7 @@ def measure_diameters(
     if dataset.n < 2:
         raise InputError("need at least two points")
     d = dataset.d
-    from .geometry import t_radius as t_radius_fn
-
-    radii = np.array([t_radius_fn(dataset, dataset.points[i], t) for i in range(dataset.n)])
+    radii = t_radii(dataset, t)
 
     sums = np.zeros(dataset.n)
     for trial in range(trials):
@@ -323,6 +322,30 @@ def _prim(W: np.ndarray):
     return cost, edges
 
 
+def _leaf_pair_matrix(leaf_objs: list, certs: _CertCache) -> np.ndarray:
+    """Symmetric matrix of ``_leaf_pair_distance`` over the leaves, bit for bit.
+
+    All-box leaves take one array pass per row: the per-axis farthest spans of
+    a row, then each span's length as ``sqrt(span @ span)``, the same dot
+    product ``np.linalg.norm`` takes of a single vector (``norm(axis=...)``
+    and ``einsum`` sum in another order and can differ in the last bit).
+    """
+    L = len(leaf_objs)
+    pair = np.zeros((L, L))
+    if all(isinstance(leaf.region, Box) for leaf in leaf_objs):
+        low = np.array([leaf.region.low for leaf in leaf_objs])
+        high = np.array([leaf.region.high for leaf in leaf_objs])
+        for a in range(L):
+            span = np.maximum(high[a] - low[a:], high[a:] - low[a])
+            row = np.sqrt(span[:, None, :] @ span[:, :, None])[:, 0, 0]
+            pair[a, a:] = pair[a:, a] = row
+        return pair
+    for a in range(L):
+        for b in range(a, L):
+            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b], certs)
+    return pair
+
+
 def mst_compare(hist: SanitizedHistogram, dataset: Dataset,
                 certs: _CertCache | None = None) -> MstComparison:
     """Exact Euclidean MST cost vs MST cost under the histogram distance.
@@ -348,11 +371,7 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset,
             uniq[key] = len(leaf_objs)
             leaf_objs.append(leaf)
         leaf_of[i] = uniq[key]
-    L = len(leaf_objs)
-    pair = np.zeros((L, L))
-    for a in range(L):
-        for b in range(a, L):
-            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b], certs)
+    pair = _leaf_pair_matrix(leaf_objs, certs)
     WH = pair[leaf_of][:, leaf_of]
     hist_cost, edges = _prim(WH)
 

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privhist.adversary import IsolationParams, IsolationReport, attack, isolates
+from privhist.adversary import (
+    IsolationParams,
+    IsolationReport,
+    _points_per_leaf,
+    _score_queries,
+    attack,
+    isolates,
+)
 from privhist.datagen import UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.geometry import Dataset, count_in_region, Ball
 from privhist.rng import substream
-from privhist.sanitizer import build_recursive_cube
+from privhist.sanitizer import build_recursive_cube, build_shifted_grid
 
 
 class TestIsolates:
@@ -126,3 +133,96 @@ class TestAttack:
                         queries=100, seed=9)
         assert "lower-bound" in report.interpretation
         assert "lower-bound" in report.to_dict()["interpretation"]
+
+
+def _brute_force_victims(Q, points, params, allowed):
+    """Full scan: count every point within c*d_j of q, lowest allowed victim."""
+    victims = []
+    for q in Q:
+        dists = np.linalg.norm(points - q, axis=1)
+        counts = np.array([(dists <= params.c * dj).sum() for dj in dists])
+        hits = np.flatnonzero((counts < params.t) & allowed)
+        victims.append(int(hits[0]) if hits.size else -1)
+    return np.array(victims)
+
+
+# integer lattice points drawn with replacement (duplicates), queried from the
+# half-integer lattice, so distances tie often and queries can sit on points;
+# sets above 16 points make the kd-tree split below its root
+lattice_points = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=1, max_size=40)
+half_lattice_queries = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                min_size=1, max_size=8)
+isolation_c = st.sampled_from([1.0, 2.0, 4.0])
+isolation_t = st.sampled_from([1, 2, 3, 7])
+
+
+class TestScoreQueries:
+    @given(lattice_points, half_lattice_queries, isolation_c, isolation_t)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_query_isolates(self, pts, qs, c, t):
+        data = Dataset(np.array(pts, dtype=float))
+        Q = np.array(qs, dtype=float) / 2.0
+        params = IsolationParams(c=c, t=t)
+        victims = _score_queries(Q, data, params, np.ones(data.n, dtype=bool))
+        for q, victim in zip(Q, victims):
+            isolated, expected = isolates(q, data, params)
+            assert victim == (expected if isolated else -1)
+
+    @given(lattice_points, half_lattice_queries, isolation_c, isolation_t,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_with_allowed_mask(self, pts, qs, c, t, seed):
+        points = np.array(pts, dtype=float)
+        Q = np.array(qs, dtype=float) / 2.0
+        allowed = np.random.default_rng(seed).random(points.shape[0]) < 0.6
+        params = IsolationParams(c=c, t=t)
+        victims = _score_queries(Q, Dataset(points), params, allowed)
+        assert np.array_equal(victims, _brute_force_victims(Q, points, params, allowed))
+
+    def test_t_above_n_isolates_lowest_allowed_point(self):
+        data = Dataset([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        Q = np.array([[5.0, 5.0], [1.0, 0.0]])
+        params = IsolationParams(c=2.0, t=4)
+        allowed = np.array([False, True, True])
+        assert _score_queries(Q, data, params, allowed).tolist() == [1, 1]
+        none_allowed = np.zeros(3, dtype=bool)
+        assert _score_queries(Q, data, params, none_allowed).tolist() == [-1, -1]
+
+    def test_t1_never_isolates(self):
+        pts = substream(3, "t1").standard_normal((40, 3))
+        Q = substream(4, "t1q").standard_normal((25, 3))
+        victims = _score_queries(Q, Dataset(pts), IsolationParams(c=1.0, t=1),
+                                 np.ones(40, dtype=bool))
+        assert (victims == -1).all()
+
+    def test_matches_brute_force_on_continuous_data(self):
+        pts = substream(5, "cont").standard_normal((300, 4))
+        pts[:30] = pts[30:60]  # exact duplicates
+        Q = np.concatenate([substream(6, "contq").standard_normal((200, 4)), pts[:20]])
+        allowed = substream(7, "contmask").random(300) < 0.8
+        for c, t in ((1.0, 2), (2.0, 3), (4.0, 7)):
+            params = IsolationParams(c=c, t=t)
+            victims = _score_queries(Q, Dataset(pts), params, allowed)
+            assert np.array_equal(victims, _brute_force_victims(Q, pts, params, allowed))
+
+
+class TestPointsPerLeaf:
+    @pytest.mark.parametrize("builder", ["cube", "grid"])
+    def test_equals_per_leaf_membership_counts(self, builder):
+        data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 400, seed=11)
+        if builder == "cube":
+            hist = build_recursive_cube(data, t=2, max_depth=6)
+        else:
+            hist = build_shifted_grid(data, t=2, max_depth=6, seed=12)
+        leaves = hist.root.leaves()
+        outside = np.array([[3.0, 0.0, 0.0], [0.0, -1.5, 0.2]])
+        X = np.concatenate([data.points[::3], outside, data.points[:5]])
+        expected = [int(leaf.region.contains_many(X).sum()) for leaf in leaves]
+        assert _points_per_leaf(hist, leaves, X).tolist() == expected
+
+    def test_no_points_counts_zero(self):
+        data, hist = _toy_attack_setup(n=50, d=2, seed=13)
+        leaves = hist.root.leaves()
+        counts = _points_per_leaf(hist, leaves, np.empty((0, 2)))
+        assert counts.tolist() == [0] * len(leaves)

@@ -124,6 +124,37 @@ class TestCli:
         assert "index 1" in capsys.readouterr().err
         assert not os.path.exists("h.json")
 
+    @pytest.mark.parametrize("argv", [
+        ["sanitize", "--method", "cube", "--t", "2", "--max-depth", "0",
+         "--in", "d.json", "--out", "h.json"],
+        ["sanitize", "--method", "grid", "--t", "2", "--max-depth", "0",
+         "--in", "d.json", "--out", "h.json"],
+        ["measure-diameters", "--data", "d.json", "--method", "grid", "--t", "2",
+         "--trials", "1", "--max-depth", "0", "--out", "h.json"],
+    ])
+    def test_max_depth_zero_exits_one(self, workspace, capsys, argv):
+        assert main(["generate", "--dist", "spec.json", "--n", "30", "--seed", "1",
+                     "--out", "d.json"]) == 0
+        assert main(argv) == 1
+        assert "max_depth must be positive" in capsys.readouterr().err
+        assert not os.path.exists("h.json")
+
+    @pytest.mark.parametrize("exc,code", [(MemoryError, 2), (RuntimeError, 3)])
+    def test_unexpected_exceptions_map_to_exit_codes(self, workspace, monkeypatch,
+                                                      capsys, exc, code):
+        def explode(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr("privhist.cli.build_recursive_cube", explode)
+        assert main(["generate", "--dist", "spec.json", "--n", "30", "--seed", "1",
+                     "--out", "d.json"]) == 0
+        assert main(["sanitize", "--method", "cube", "--t", "2", "--in", "d.json",
+                     "--out", "h.json"]) == code
+        err = capsys.readouterr().err
+        assert ("internal error: RuntimeError: boom" in err) == (code == 3)
+        assert ("out of memory" in err) == (code == 2)
+        assert not os.path.exists("h.json")
+
     def test_unknown_flag_exits_one(self, workspace):
         assert main(["generate", "--nonsense", "1"]) == 1
 

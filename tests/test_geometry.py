@@ -15,6 +15,7 @@ from privhist.geometry import (
     distance,
     intersection_volume_ratio,
     region_volume,
+    t_radii,
     t_radius,
     uniform_in_region,
 )
@@ -144,6 +145,32 @@ class TestTRadius:
         x = pts[0]
         radii = [t_radius(data, x, t) for t in range(1, 12)]
         assert all(a <= b for a, b in zip(radii, radii[1:]))
+
+
+class TestTRadii:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=15),
+           st.integers(1, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_t_radius_on_lattice_with_duplicates(self, pts, t):
+        data = Dataset(np.array(pts, dtype=float))
+        if t > data.n - 1:
+            with pytest.raises(InputError):
+                t_radii(data, t)
+            return
+        expected = [t_radius(data, x, t) for x in data.points]
+        assert t_radii(data, t).tolist() == expected
+
+    @pytest.mark.parametrize("d,t", [(2, 1), (4, 2), (4, 5), (9, 3)])
+    def test_equals_t_radius_on_continuous_data(self, d, t):
+        pts = substream(d, "tradii").standard_normal((400, d))
+        pts[:40] = pts[40:80]  # exact duplicates
+        data = Dataset(pts)
+        expected = [t_radius(data, x, t) for x in data.points]
+        assert t_radii(data, t).tolist() == expected
+
+    def test_rejects_nonpositive_t(self):
+        with pytest.raises(InputError):
+            t_radii(Dataset([[0.0], [1.0]]), 0)
 
 
 class TestRegionVolume:

@@ -9,12 +9,15 @@ from privhist.experiments import adversarial_corner_arrangement
 from privhist.geometry import Ball, Dataset, distance
 from privhist.metrics import (
     _CertCache,
+    _leaf_pair_distance,
+    _leaf_pair_matrix,
     cut_probability,
     grid_diameter_bound,
     hist_distance,
     hist_distance_with_diameters,
     leaf_diameter,
     locate_leaf,
+    locate_leaves,
     measure_diameters,
     mst_compare,
 )
@@ -191,3 +194,44 @@ class TestMstCompare:
         hist = _tiny_hist(np.array([[0.1, 0.1]]), t=2, depth=2)
         with pytest.raises(InputError):
             mst_compare(hist, Dataset(np.array([[0.1, 0.1]])))
+
+
+def _distinct_leaves(hist, points):
+    return list({id(leaf): leaf for leaf in locate_leaves(hist, points)}.values())
+
+
+def _reference_pair_matrix(leaves, certs):
+    """Upper triangle pair by pair, mirrored: certificate sums are not
+    bitwise symmetric, so the lower triangle copies the upper one."""
+    L = len(leaves)
+    pair = np.zeros((L, L))
+    for a in range(L):
+        for b in range(a, L):
+            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaves[a], leaves[b], certs)
+    return pair
+
+
+class TestLeafPairMatrix:
+    @pytest.mark.parametrize("builder", ["grid", "cube"])
+    def test_bitwise_equal_to_pairwise_distance(self, builder):
+        data, _ = sample(single(UniformCube(np.zeros(4), 1.0)), 500, seed=21)
+        if builder == "grid":
+            hist = build_shifted_grid(data, t=2, max_depth=8, seed=22)
+        else:
+            hist = build_recursive_cube(data, t=2, max_depth=8)
+        leaves = _distinct_leaves(hist, data.points)
+        certs = _CertCache()
+        pair = _leaf_pair_matrix(leaves, certs)
+        expected = _reference_pair_matrix(leaves, certs)
+        assert len(leaves) > 100
+        assert np.array_equal(pair, expected)
+
+    def test_voronoi_leaves_use_certificates(self):
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 60, seed=23)
+        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=10, max_depth=1,
+                             method="greedy", probe_samples=4_000, seed=24)
+        leaves = _distinct_leaves(hist, data.points)
+        certs = _CertCache(seed=25)
+        pair = _leaf_pair_matrix(leaves, certs)
+        expected = _reference_pair_matrix(leaves, certs)
+        assert np.array_equal(pair, expected)
