@@ -40,7 +40,9 @@ from .roundness import (
 )
 from .sanitizer import (
     HistogramNode,
+    MeshSplit,
     SanitizedHistogram,
+    VoronoiSplit,
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
@@ -61,7 +63,7 @@ __all__ = [
     "measure_diameters", "mst_compare",
     "PrivacyConditionReport", "RoundnessCertificate", "certify_roundness",
     "check_privacy_condition", "cover_check", "well_spread_check",
-    "HistogramNode", "SanitizedHistogram", "build_recursive_cube",
+    "HistogramNode", "MeshSplit", "SanitizedHistogram", "VoronoiSplit", "build_recursive_cube",
     "build_shifted_grid", "build_voronoi", "pick_centers_greedy",
     "pick_centers_uniform", "sanitize_mixture", "strip_to_sanitized",
 ]

@@ -118,19 +118,15 @@ def attack(
     uniform in it; 'leaf-center-weighted' emits certified leaf centers;
     'aux-informed' additionally knows the exact coordinates of aux_indices
     points and aims at leaves with few unknown points (known points are
-    excluded as victims).
+    excluded as victims).  A SanitizedHistogram holds only published fields
+    (root region, splits, counts, levels), so that is all an attack reads.
     """
-    from .documents import histogram_from_doc, histogram_to_doc
-
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if strategy != "aux-informed" and aux_indices is not None:
         raise InputError("aux_indices is only valid for the aux-informed strategy")
     if queries < 1:
         raise InputError("queries must be positive")
-    # attacks may read published fields only: round-trip through the document
-    hist = histogram_from_doc(histogram_to_doc(hist))
-
     aux = np.zeros(dataset.n, dtype=bool)
     if strategy == "aux-informed" and aux_indices is not None:
         aux[np.fromiter(aux_indices, dtype=int)] = True

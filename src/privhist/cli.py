@@ -24,6 +24,7 @@ from .documents import (
     build_manifest,
     dataset_from_doc,
     dataset_to_doc,
+    encode,
     histogram_from_doc,
     histogram_to_doc,
     read_json,
@@ -47,32 +48,13 @@ from .rng import substream
 from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
-
-
 def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
           inputs: list[str]):
-    doc = _jsonable(doc)
     doc["manifest"] = build_manifest(_normalized_command(argv), seed, inputs)
     if out:
         write_json_atomic(out, doc)
     else:
-        import json
-
-        sys.stdout.write(json.dumps(doc, indent=1) + "\n")
+        sys.stdout.write(encode(doc))
 
 
 def _normalized_command(argv: list[str]) -> list[str]:
@@ -103,7 +85,7 @@ def _region_from_arg(arg: str, d: int | None):
         return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
     from .documents import _region_from_doc
 
-    return _region_from_doc(read_json(arg), None)
+    return _region_from_doc(read_json(arg))
 
 
 def _auto_support(data: Dataset):

@@ -2,9 +2,10 @@
 
 All numbers are IEEE-754 doubles rendered in shortest round-trip decimal
 (Python's float repr), so documents rebuilt from equal inputs are
-byte-identical.  Every CLI output embeds a run manifest; wall-clock timing
-is reported on stderr rather than in the document so reruns stay
-byte-identical.
+byte-identical.  Documents are encoded compactly (no whitespace) by the
+standard library's C encoder; ``python -m json.tool`` pretty-prints one.
+Every CLI output embeds a run manifest; wall-clock timing is reported on
+stderr rather than in the document so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -19,22 +20,38 @@ import numpy as np
 from . import __version__
 from .datagen import DistributionSpec, TruncatedGaussian, UniformBall, UniformCube
 from .errors import InputError
-from .geometry import Ball, Box, Dataset, Region, VoronoiClip
-from .sanitizer import HistogramNode, SanitizedHistogram
+from .geometry import Ball, Box, Dataset, Region
+from .sanitizer import HistogramNode, MeshSplit, SanitizedHistogram, VoronoiSplit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # low-level I/O
 
 
+def _numpy_to_json(obj):
+    if isinstance(obj, (np.integer, np.floating, np.bool_, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def encode(doc: dict) -> str:
+    """Compact JSON text of a document, newline-terminated; numpy scalars and
+    arrays are written as the Python numbers and lists they hold."""
+    return json.dumps(doc, separators=(",", ":"), default=_numpy_to_json) + "\n"
+
+
 def write_json_atomic(path: str, doc: dict):
-    """Serialize to a temp file in the target directory, then rename."""
+    """Serialize to a temp file in the target directory, then rename.  The
+    file gets the mode a plain ``open`` would give it (0o666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    payload = json.dumps(doc, indent=1) + "\n"
+    payload = encode(doc)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(prefix=".privhist-", dir=directory)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, path)
@@ -138,52 +155,73 @@ def _region_to_doc(region: Region) -> dict:
             "kind": "box",
             "low": region.low.tolist(),
             "high": region.high.tolist(),
-            "closed_high": [bool(b) for b in region.closed_high],
+            "closed_high": region.closed_high.tolist(),
         }
     if isinstance(region, Ball):
         return {"kind": "ball", "center": region.center.tolist(), "radius": region.radius}
-    if isinstance(region, VoronoiClip):
-        return {
-            "kind": "voronoi",
-            "own_index": region.own_index,
-            "own_center": region.own_center.tolist(),
-            "sibling_centers": [row.tolist() for row in region.sibling_centers],
-        }
-    raise InputError(f"unknown region type {type(region).__name__}")
+    raise InputError(f"unknown root region type {type(region).__name__}")
 
 
-def _region_from_doc(doc: dict, parent: Region | None) -> Region:
+def _region_from_doc(doc: dict) -> Region:
     kind = doc["kind"]
     if kind == "box":
         return Box(np.array(doc["low"], float), np.array(doc["high"], float),
                    closed_high=np.array(doc["closed_high"], bool))
     if kind == "ball":
         return Ball(np.array(doc["center"], float), float(doc["radius"]))
-    if kind == "voronoi":
-        if parent is None:
-            raise InputError("voronoi region requires a parent region")
-        own_index = int(doc["own_index"])
-        siblings = [np.array(row, float) for row in doc["sibling_centers"]]
-        own = np.array(doc["own_center"], float)
-        centers = siblings[:own_index] + [own] + siblings[own_index:]
-        return VoronoiClip(np.array(centers), own_index, parent)
-    raise InputError(f"unknown region kind {kind!r}")
+    raise InputError(f"unknown root region kind {kind!r}")
 
 
 def _node_to_doc(node: HistogramNode) -> dict:
-    return {
-        "region": _region_to_doc(node.region),
-        "count": node.count,
-        "level": node.level,
-        "children": [_node_to_doc(ch) for ch in node.children],
-    }
+    doc = {"count": node.count, "level": node.level}
+    if isinstance(node.split, MeshSplit):
+        doc["split"] = {"kind": "mesh", "cuts": [c.tolist() for c in node.split.cuts]}
+    elif isinstance(node.split, VoronoiSplit):
+        doc["split"] = {"kind": "voronoi", "centers": node.split.centers.tolist()}
+    doc["children"] = [_node_to_doc(ch) for ch in node.children]
+    return doc
 
 
-def _node_from_doc(doc: dict, parent_region: Region | None) -> HistogramNode:
-    region = _region_from_doc(doc["region"], parent_region)
-    node = HistogramNode(region=region, count=int(doc["count"]), level=int(doc["level"]))
-    node.children = [_node_from_doc(ch, region) for ch in doc["children"]]
-    return node
+def _split_from_doc(doc: dict, d: int, box):
+    """A node's split.  ``box`` is the node's (low, high) when it is a box,
+    else None: a mesh split must span its node's box exactly."""
+    kind = doc["kind"]
+    if kind == "mesh":
+        if box is None:
+            raise InputError("a mesh split needs a box-shaped node")
+        cuts = [np.array(c, float) for c in doc["cuts"]]
+        if len(cuts) != d or any(c.ndim != 1 or c.size < 2 or not np.all(c[1:] > c[:-1])
+                                 for c in cuts):
+            raise InputError("mesh cuts must be d strictly increasing arrays")
+        if any(c[0] != lo or c[-1] != hi for c, lo, hi in zip(cuts, *box)):
+            raise InputError("mesh cuts do not span their node's box")
+        return MeshSplit(cuts)
+    if kind == "voronoi":
+        centers = np.array(doc["centers"], float)
+        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != d:
+            raise InputError(f"voronoi centers must form an (m, {d}) array")
+        if not np.all(np.isfinite(centers)):
+            raise InputError("voronoi centers must be finite")
+        return VoronoiSplit(centers)
+    raise InputError(f"unknown split kind {kind!r}")
+
+
+def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
+    """Attach the split and children of ``doc`` to ``node``; ``box`` is as
+    for ``_split_from_doc``, and only needed when the node has a split."""
+    kids = doc["children"]
+    if "split" not in doc:
+        if kids:
+            raise InputError("a node with children needs a split")
+        return
+    split = _split_from_doc(doc["split"], d, box)
+    if len(kids) != split.size:
+        raise InputError(f"a split into {split.size} cells has {len(kids)} children")
+    mesh = isinstance(split, MeshSplit)
+    for k, (child, kid) in enumerate(zip(node.divide(split, [int(c["count"]) for c in kids]),
+                                         kids)):
+        child.level = int(kid["level"])
+        _read_subtree(kid, child, d, split.child_bounds(k) if mesh and "split" in kid else None)
 
 
 def histogram_to_doc(hist: SanitizedHistogram) -> dict:
@@ -198,13 +236,18 @@ def histogram_to_doc(hist: SanitizedHistogram) -> dict:
         },
         "component_index": hist.component_index,
         "extra": hist.extra,
-        "root": _node_to_doc(hist.root),
+        "root": {"region": _region_to_doc(hist.root.region), **_node_to_doc(hist.root)},
     }
 
 
 def histogram_from_doc(doc: dict) -> SanitizedHistogram:
     _expect_kind(doc, "sanitized_histogram")
-    root = _node_from_doc(doc["root"], None)
+    root_doc = doc["root"]
+    region = _region_from_doc(root_doc["region"])
+    root = HistogramNode(region=region, count=int(root_doc["count"]),
+                         level=int(root_doc["level"]))
+    box = (region.low, region.high) if isinstance(region, Box) else None
+    _read_subtree(root_doc, root, region.dim, box)
     params = doc["parameters"]
     return SanitizedHistogram(
         root=root,

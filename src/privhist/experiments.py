@@ -35,17 +35,6 @@ from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
 from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
-SUITES = (
-    "thm11-trend",
-    "lemma21-decay",
-    "lemma24-roundness",
-    "eq2-sandwich",
-    "thm31-bound",
-    "lemma32-slope",
-    "lemma33-fit",
-    "mst-gap",
-)
-
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
 UNIFORM_SPLIT_K_FACTOR = 32.0
@@ -54,19 +43,9 @@ SPLIT_BOUND_SLACK = 1.1
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
-    table = {
-        "thm11-trend": suite_isolation_dimension_trend,
-        "lemma21-decay": suite_ratio_decay,
-        "lemma24-roundness": suite_uniform_split_roundness,
-        "eq2-sandwich": suite_distance_sandwich,
-        "thm31-bound": suite_grid_diameter_bound,
-        "lemma32-slope": suite_cut_probability_slope,
-        "lemma33-fit": suite_voronoi_diameter_fit,
-        "mst-gap": suite_mst_gap,
-    }
-    if name not in table:
+    if name not in SUITE_FUNCTIONS:
         raise InputError(f"unknown suite {name!r}; choose from {SUITES}")
-    return table[name](seed)
+    return SUITE_FUNCTIONS[name](seed)
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +385,17 @@ def suite_mst_gap(seed: int = 0, grid_seeds: int = 50) -> dict:
         "grid_seeds": per_seed,
         "pass": bool(cube_ratio > 1.0 and bound_ok and mean_bound_ratio < cube_ratio),
     }
+
+
+SUITE_FUNCTIONS = {
+    "thm11-trend": suite_isolation_dimension_trend,
+    "lemma21-decay": suite_ratio_decay,
+    "lemma24-roundness": suite_uniform_split_roundness,
+    "greedy-split-roundness": suite_greedy_split_roundness,
+    "eq2-sandwich": suite_distance_sandwich,
+    "thm31-bound": suite_grid_diameter_bound,
+    "lemma32-slope": suite_cut_probability_slope,
+    "lemma33-fit": suite_voronoi_diameter_fit,
+    "mst-gap": suite_mst_gap,
+}
+SUITES = tuple(SUITE_FUNCTIONS)

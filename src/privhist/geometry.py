@@ -217,11 +217,6 @@ class VoronoiClip(Region):
     def own_center(self) -> np.ndarray:
         return self.centers[self.own_index]
 
-    @property
-    def sibling_centers(self) -> np.ndarray:
-        m = self.centers.shape[0]
-        return self.centers[[i for i in range(m) if i != self.own_index]]
-
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         assigned = voronoi_assign(self.centers, X) == self.own_index

@@ -20,7 +20,8 @@ from .geometry import (Ball, Box, Dataset, Region, as_point, t_radii, uniform_in
                        voronoi_assign)
 from .rng import substream
 from .roundness import certify_roundness
-from .sanitizer import HistogramNode, SanitizedHistogram, build_shifted_grid, build_voronoi
+from .sanitizer import (HistogramNode, SanitizedHistogram, _partition, build_shifted_grid,
+                        build_voronoi)
 
 
 # ---------------------------------------------------------------------------
@@ -28,44 +29,29 @@ from .sanitizer import HistogramNode, SanitizedHistogram, build_shifted_grid, bu
 
 
 def locate_leaf(hist: SanitizedHistogram, x) -> HistogramNode:
-    p = as_point(x)
-    if not hist.root.region.contains(p):
-        raise InputError("point lies outside the histogram root region")
-    node = hist.root
-    while node.children:
-        for child in node.children:
-            if child.region.contains(p):
-                node = child
-                break
-        else:  # pragma: no cover - children partition the parent
-            raise InputError("no child region contains the point")
-    return node
+    return locate_leaves(hist, as_point(x)[None, :])[0]
 
 
 def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode]:
-    """Leaf per row of X; single tree walk with vectorized membership."""
+    """Leaf per row of X: descend each split with one child assignment of
+    the rows that reached it."""
     X = np.asarray(X, dtype=float)
-    inside = hist.root.region.contains_many(X)
+    root = hist.root
+    if X.ndim != 2 or X.shape[1] != root.region.dim:
+        raise InputError(f"points must form an (n, {root.region.dim}) array")
+    inside = root.region.contains_many(X)
     if not inside.all():
         raise InputError(f"point index {int(np.flatnonzero(~inside)[0])} is outside the root")
     out: list = [None] * X.shape[0]
-
-    def walk(node, rows):
-        if not node.children:
-            for r in rows:
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.split is None:
+            for r in rows.tolist():
                 out[r] = node
-            return
-        remaining = rows
-        for child in node.children:
-            if remaining.size == 0:
-                break
-            mask = child.region.contains_many(X[remaining])
-            sel = remaining[mask]
-            if sel.size:
-                walk(child, sel)
-            remaining = remaining[~mask]
-
-    walk(hist.root, np.arange(X.shape[0]))
+            continue
+        parts = _partition(node.split.assign(X[rows]), node.split.size)
+        stack.extend((child, rows[part]) for child, part in zip(node.children, parts) if part.size)
     return out
 
 

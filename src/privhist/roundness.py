@@ -608,14 +608,15 @@ def audit_voronoi_splits(
     certify every child.  Consumers check the roundness recurrences against
     these records.
     """
+    from .sanitizer import VoronoiSplit  # the sanitizer imports this module
+
     audits = []
 
     def walk(node, path):
         if not node.children:
             return
-        first = node.children[0].region
-        if isinstance(first, VoronoiClip):
-            centers = first.centers
+        if isinstance(node.split, VoronoiSplit):
+            centers = node.split.centers
             parent_cert = certify_roundness(node.region, samples=samples,
                                             seed=seed + 7919 * len(audits))
             diff = centers[:, None, :] - centers[None, :, :]

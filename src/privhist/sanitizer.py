@@ -11,8 +11,11 @@ Three constructions:
 * Voronoi: cells holding more than t points are subdivided by the Voronoi
   partition of centers chosen greedily (well-spread) or uniformly at random.
 
-All published regions are construction artifacts (mesh lines, centers); a
-final scan aborts if any dataset coordinate vector appears in the output.
+Each split is stored once, on the node it divides: per-axis cut arrays for
+the cube and the grid, one center array for Voronoi.  Child regions are
+derived from the split on first use.  All published geometry is
+construction artifacts (mesh lines, centers); a final scan aborts if any
+dataset coordinate vector appears in it.
 """
 
 from __future__ import annotations
@@ -40,23 +43,131 @@ DEFAULT_CENTERS_BUDGET = 1_000_000
 DEFAULT_PROBE_SAMPLES = 100_000
 
 
-@dataclass
+class MeshSplit:
+    """Axis-aligned split of a box by per-axis cut arrays, both ends included.
+
+    Child k has digits ``np.unravel_index(k, shape)`` (C order) and spans
+    ``[cuts[j][digit_j], cuts[j][digit_j + 1])`` on axis j; its high face is
+    closed where the parent's is and the two coincide.
+    """
+
+    __slots__ = ("cuts", "shape", "size", "_source")
+
+    def __init__(self, cuts):
+        self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
+        self.shape = tuple(c.size - 1 for c in self.cuts)
+        self.size = math.prod(self.shape)
+
+    def assign(self, X: np.ndarray) -> np.ndarray:
+        """Child index of each row of X, for rows inside the parent box."""
+        digits = [np.clip(np.searchsorted(c, X[:, j], side="right") - 1, 0, c.size - 2)
+                  for j, c in enumerate(self.cuts)]
+        return np.ravel_multi_index(digits, self.shape)
+
+    def child_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) corners of child k."""
+        digit = np.unravel_index(k, self.shape)
+        return (np.array([c[i] for c, i in zip(self.cuts, digit)]),
+                np.array([c[i + 1] for c, i in zip(self.cuts, digit)]))
+
+    def child_region(self, parent: Box, k: int) -> Box:
+        low, high = self.child_bounds(k)
+        return Box(low, high, closed_high=parent.closed_high & (high == parent.high))
+
+
+class VoronoiSplit:
+    """Split of a region by the Voronoi cells of one (m, d) center array;
+    child i is ``VoronoiClip(centers, i, parent)``."""
+
+    __slots__ = ("centers", "size", "_source")
+
+    def __init__(self, centers):
+        self.centers = np.asarray(centers, dtype=float)
+        self.centers.setflags(write=False)
+        self.size = self.centers.shape[0]
+
+    def assign(self, X: np.ndarray) -> np.ndarray:
+        return voronoi_assign(self.centers, X)
+
+    def child_region(self, parent: Region, k: int) -> VoronoiClip:
+        return VoronoiClip(self.centers, k, parent)
+
+
+Split = MeshSplit | VoronoiSplit
+
+
+def _parent_region(split: Split) -> Region:
+    """Region of the node a split divides: stored, or derived from the split
+    above it.  Splits point up and nodes point down, so trees hold no cycles."""
+    source = split._source
+    if not isinstance(source, Region):
+        above, k = source
+        source = split._source = above.child_region(_parent_region(above), k)
+    return source
+
+
 class HistogramNode:
-    region: Region
-    count: int
-    level: int
-    children: list = field(default_factory=list)
+    """One cell of a histogram tree.
+
+    The root holds its region; every other node holds the split it came from
+    and its index there, and derives its region on first use.
+    """
+
+    __slots__ = ("count", "level", "children", "split", "_region", "_source")
+
+    def __init__(self, region: Region | None = None, count: int = 0, level: int = 0):
+        self.count = count
+        self.level = level
+        self.children: list[HistogramNode] = []
+        self.split: Split | None = None
+        self._region = region
+        self._source = None  # (split, child index) for non-root nodes
+
+    @property
+    def region(self) -> Region:
+        if self._region is None:
+            if self.split is not None:
+                self._region = _parent_region(self.split)
+            else:
+                split, k = self._source
+                self._region = split.child_region(_parent_region(split), k)
+        return self._region
+
+    def divide(self, split: Split, counts, level: int | None = None) -> list:
+        """Split this node; child k gets counts[k] points and the given level
+        (default: one below this node)."""
+        split._source = self._region if self._region is not None else self._source
+        self.split = split
+        level = self.level + 1 if level is None else level
+        children = []
+        for k, count in enumerate(counts):
+            child = HistogramNode(count=count, level=level)
+            child._source = (split, k)
+            children.append(child)
+        self.children = children
+        return children
 
     def is_leaf(self) -> bool:
         return not self.children
 
     def walk(self):
-        yield self
-        for ch in self.children:
-            yield from ch.walk()
+        """Nodes in depth-first pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self):
         return [n for n in self.walk() if n.is_leaf()]
+
+
+def _partition(keys: np.ndarray, size: int) -> list[np.ndarray]:
+    """Positions of each key 0..size-1 in ``keys``, ascending, from one
+    stable sort."""
+    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
+    order = np.argsort(keys, kind="stable")
+    return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -129,28 +240,39 @@ def build_recursive_cube(
     _require_inside(dataset, root, "root box")
     if 2**d > node_budget:
         raise ResourceError(f"2^{d} children per split exceeds the node budget {node_budget}")
-    budget = _Budget(node_budget)
-    budget.charge(1)
 
-    def grow(box: Box, idx: np.ndarray, level: int) -> HistogramNode:
-        node = HistogramNode(region=box, count=int(idx.size), level=level)
-        if idx.size >= 2 * t and level < max_depth:
-            budget.charge(2**d)
-            mid = box.center
-            pts = dataset.points[idx]
-            codes = ((pts >= mid) << np.arange(d)).sum(axis=1)
-            for key in range(2**d):
-                bits = (key >> np.arange(d)) & 1
-                lo = np.where(bits, mid, box.low)
-                hi = np.where(bits, box.high, mid)
-                closed = box.closed_high & (bits == 1)
-                child_box = Box(lo, hi, closed_high=closed)
-                node.children.append(grow(child_box, idx[codes == key], level + 1))
-        return node
+    def halves(low, high, level):
+        if level >= max_depth:
+            return None
+        mid = 0.5 * (low + high)
+        return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
 
-    tree = grow(root, np.arange(dataset.n), 0)
+    tree = _grow_mesh(dataset, root, t, _Budget(node_budget), halves)
     return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
                               seed=None)
+
+
+def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget, next_cuts) -> HistogramNode:
+    """Mesh-split every cell holding at least 2t points while
+    ``next_cuts(low, high, level)`` returns (per-axis cuts, child level)."""
+    budget.charge(1)
+    tree = HistogramNode(region=root, count=dataset.n, level=0)
+    stack = [(tree, root.low, root.high, np.arange(dataset.n))]
+    while stack:
+        node, low, high, idx = stack.pop()
+        if idx.size < 2 * t:
+            continue
+        step = next_cuts(low, high, node.level)
+        if step is None:
+            continue
+        split = MeshSplit(step[0])
+        budget.charge(split.size)
+        parts = _partition(split.assign(dataset.points[idx]), split.size)
+        children = node.divide(split, [part.size for part in parts], step[1])
+        for k, part in enumerate(parts):
+            if part.size >= 2 * t:
+                stack.append((children[k], *split.child_bounds(k), idx[part]))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +324,6 @@ def build_shifted_grid(
         raise InputError("shifted grid requires a cubical root region")
     side = float(sides[0])
     _require_inside(dataset, root, "root box")
-    budget = _Budget(node_budget)
-    budget.charge(1)
-
     center = uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
     bases = center - side  # low corner of the inflated cube, fixed across levels
 
@@ -218,53 +337,25 @@ def build_shifted_grid(
             ]
         return bounds_cache[level]
 
-    def sub_bounds(box: Box, level: int) -> list[np.ndarray] | None:
+    def sub_bounds(low, high, level: int) -> list[np.ndarray] | None:
         """Per-axis strip boundaries of the level mesh inside the box, or None
         when the mesh does not subdivide the box."""
         per_axis = []
-        nontrivial = False
-        for j in range(d):
-            bnds = level_bounds(level)[j]
-            i0 = int(np.searchsorted(bnds, box.low[j]))
-            i1 = int(np.searchsorted(bnds, box.high[j]))
-            seg = bnds[i0 : i1 + 1]
-            if seg.size < 2 or seg[0] != box.low[j] or seg[-1] != box.high[j]:
+        for bnds, lo, hi in zip(level_bounds(level), low, high):
+            seg = bnds[np.searchsorted(bnds, lo):np.searchsorted(bnds, hi) + 1]
+            if seg.size < 2 or seg[0] != lo or seg[-1] != hi:
                 raise InternalError("mesh nesting violated")  # pragma: no cover
             per_axis.append(seg)
-            if seg.size > 2:
-                nontrivial = True
-        return per_axis if nontrivial else None
+        return per_axis if any(seg.size > 2 for seg in per_axis) else None
 
-    def grow(box: Box, idx: np.ndarray, level: int) -> HistogramNode:
-        node = HistogramNode(region=box, count=int(idx.size), level=level)
-        if idx.size < 2 * t:
-            return node
+    def next_mesh(low, high, level):
         for lvl in range(level + 1, max_depth + 1):
-            per_axis = sub_bounds(box, lvl)
-            if per_axis is None:
-                continue
-            counts = [len(b) - 1 for b in per_axis]
-            budget.charge(int(np.prod(counts)))
-            pts = dataset.points[idx]
-            digits = np.zeros((idx.size, d), dtype=int)
-            for j in range(d):
-                digits[:, j] = np.clip(
-                    np.searchsorted(per_axis[j], pts[:, j], side="right") - 1,
-                    0,
-                    counts[j] - 1,
-                )
-            keys = np.ravel_multi_index(digits.T, counts) if idx.size else np.array([], int)
-            for key in range(int(np.prod(counts))):
-                digit = np.unravel_index(key, counts)
-                lo = np.array([per_axis[j][digit[j]] for j in range(d)])
-                hi = np.array([per_axis[j][digit[j] + 1] for j in range(d)])
-                closed = box.closed_high & (hi == box.high)
-                child = Box(lo, hi, closed_high=closed)
-                node.children.append(grow(child, idx[keys == key], lvl))
-            return node
-        return node
+            cuts = sub_bounds(low, high, lvl)
+            if cuts is not None:
+                return cuts, lvl
+        return None
 
-    tree = grow(root, np.arange(dataset.n), 0)
+    tree = _grow_mesh(dataset, root, t, _Budget(node_budget), next_mesh)
     return strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
                               seed=seed, extra={"offset_center": center.tolist()})
 
@@ -355,10 +446,10 @@ def build_voronoi(
     _require_inside(dataset, support, "support region")
     d = support.dim
 
-    def grow(region: Region, idx: np.ndarray, level: int, path: tuple) -> HistogramNode:
-        node = HistogramNode(region=region, count=int(idx.size), level=level)
-        if idx.size <= t or level >= max_depth:
-            return node
+    def grow(node: HistogramNode, idx: np.ndarray, path: tuple):
+        if idx.size <= t or node.level >= max_depth:
+            return
+        region = node.region
         cert = certify_roundness(region, samples=cert_samples,
                                  seed=_path_seed(seed, "cert", path))
         if method == "greedy":
@@ -369,15 +460,13 @@ def build_voronoi(
             centers = pick_centers_uniform(region, override_m, centers_budget,
                                            seed=_path_seed(seed, "centers", path),
                                            envelope=envelope)
-        assign = (
-            voronoi_assign(centers, dataset.points[idx]) if idx.size else np.array([], int)
-        )
-        for i in range(centers.shape[0]):
-            child_region = VoronoiClip(centers, i, region)
-            node.children.append(grow(child_region, idx[assign == i], level + 1, path + (i,)))
-        return node
+        split = VoronoiSplit(centers)
+        parts = _partition(split.assign(dataset.points[idx]), split.size)
+        for i, child in enumerate(node.divide(split, [part.size for part in parts])):
+            grow(child, idx[parts[i]], path + (i,))
 
-    tree = grow(support, np.arange(dataset.n), 0, ())
+    tree = HistogramNode(region=support, count=dataset.n, level=0)
+    grow(tree, np.arange(dataset.n), ())
     extra = {"center_method": method}
     if method == "uniform":
         extra["default_center_formula_used"] = override_m is None
@@ -395,18 +484,38 @@ def _path_seed(seed: int, label: str, path: tuple) -> int:
 # sanitized output
 
 
-def _construction_vectors(region: Region, seen_center_arrays: set) -> list[np.ndarray]:
-    if isinstance(region, Box):
-        return [region.low, region.high]
-    if isinstance(region, Ball):
-        return [region.center]
-    if isinstance(region, VoronoiClip):
-        # sibling cells share one centers array; scan it once
-        if id(region.centers) in seen_center_arrays:
-            return []
-        seen_center_arrays.add(id(region.centers))
-        return list(region.centers)
-    return []
+def _leaks(tree: HistogramNode, points: np.ndarray) -> bool:
+    """Does a dataset row equal a published vector?
+
+    Published vectors are the root region's, every Voronoi center, and the
+    low and high corners of every mesh child.  A row can only be a corner of
+    a mesh split when each of its coordinates is a cut value on that axis.
+    """
+    root = tree.region
+    vectors = [root.low, root.high] if isinstance(root, Box) else [root.center]
+    meshes = []
+    for node in tree.walk():
+        if isinstance(node.split, VoronoiSplit):
+            vectors.extend(node.split.centers)
+        elif isinstance(node.split, MeshSplit):
+            meshes.append(node.split.cuts)
+    # + 0.0 maps -0.0 to 0.0, so byte equality is value equality
+    rows = {row.tobytes() for row in points + 0.0}
+    if any((vec + 0.0).tobytes() in rows for vec in vectors):
+        return True
+    if not meshes:
+        return False
+    on_cuts = [np.isin(points[:, j], np.concatenate([cuts[j] for cuts in meshes]))
+               for j in range(points.shape[1])]
+    suspects = points[np.logical_and.reduce(on_cuts)]
+    if not suspects.size:
+        return False
+    for cuts in meshes:
+        low = np.logical_and.reduce([np.isin(suspects[:, j], c[:-1]) for j, c in enumerate(cuts)])
+        high = np.logical_and.reduce([np.isin(suspects[:, j], c[1:]) for j, c in enumerate(cuts)])
+        if (low | high).any():
+            return True
+    return False
 
 
 def strip_to_sanitized(
@@ -419,33 +528,18 @@ def strip_to_sanitized(
     component_index: int | None = None,
     extra: dict | None = None,
 ) -> SanitizedHistogram:
-    """Copy the tree keeping only regions, counts and levels, then assert no
-    dataset coordinate vector leaks into the published geometry."""
-
-    def copy(node: HistogramNode) -> HistogramNode:
-        return HistogramNode(
-            region=node.region,
-            count=node.count,
-            level=node.level,
-            children=[copy(ch) for ch in node.children],
+    """Publish a built tree (regions, splits, counts and levels only) after
+    asserting that no dataset coordinate vector appears in its geometry."""
+    if dataset.n and _leaks(tree, dataset.points):
+        raise InternalError(
+            "sanitization aborted: a dataset point coordinate appeared "
+            "in the output geometry"
         )
-
-    clean = copy(tree)
-    if dataset.n:
-        data_rows = {np.ascontiguousarray(row).tobytes() for row in dataset.points}
-        seen: set = set()
-        for node in clean.walk():
-            for vec in _construction_vectors(node.region, seen):
-                if np.ascontiguousarray(vec).tobytes() in data_rows:
-                    raise InternalError(
-                        "sanitization aborted: a dataset point coordinate appeared "
-                        "in the output geometry"
-                    )
-    total = sum(n.count for n in clean.leaves())
+    total = sum(n.count for n in tree.leaves())
     if total != dataset.n:
         raise InternalError("leaf counts do not sum to the dataset size")
     return SanitizedHistogram(
-        root=clean,
+        root=tree,
         method=method,
         t=t,
         max_depth=max_depth,

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privhist.adversary import (
+    STRATEGIES,
     IsolationParams,
     IsolationReport,
     _points_per_leaf,
@@ -11,11 +14,12 @@ from privhist.adversary import (
     attack,
     isolates,
 )
-from privhist.datagen import UniformCube, sample, single
+from privhist.datagen import UniformBall, UniformCube, sample, single
+from privhist.documents import encode, histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError
 from privhist.geometry import Dataset, count_in_region, Ball
 from privhist.rng import substream
-from privhist.sanitizer import build_recursive_cube, build_shifted_grid
+from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 
 class TestIsolates:
@@ -205,6 +209,25 @@ class TestScoreQueries:
             params = IsolationParams(c=c, t=t)
             victims = _score_queries(Q, Dataset(pts), params, allowed)
             assert np.array_equal(victims, _brute_force_victims(Q, pts, params, allowed))
+
+
+class TestAttackReadsPublishedFields:
+    @pytest.mark.parametrize("builder", ["cube", "grid", "voronoi"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_report_equals_report_from_document_round_trip(self, builder, strategy):
+        if builder == "voronoi":
+            data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 120, seed=14)
+            hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
+                                 method="uniform", override_m=16, cert_samples=64, seed=15)
+        else:
+            data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 300, seed=14)
+            build = build_recursive_cube if builder == "cube" else build_shifted_grid
+            hist = build(data, t=2, max_depth=6)
+        again = histogram_from_doc(json.loads(encode(histogram_to_doc(hist))))
+        aux = np.arange(0, data.n, 7) if strategy == "aux-informed" else None
+        reports = [attack(h, data, IsolationParams(c=4.0, t=2), strategy, queries=400,
+                          seed=16, aux_indices=aux).to_dict() for h in (hist, again)]
+        assert reports[0] == reports[1]
 
 
 class TestPointsPerLeaf:

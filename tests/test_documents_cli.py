@@ -9,6 +9,7 @@ from privhist.datagen import DistributionSpec, TruncatedGaussian, UniformBall, U
 from privhist.documents import (
     dataset_from_doc,
     dataset_to_doc,
+    encode,
     histogram_from_doc,
     histogram_to_doc,
     read_json,
@@ -62,6 +63,16 @@ class TestAtomicWrites:
         path = str(tmp_path / "doc.json")
         write_json_atomic(path, {"kind": "x", "v": 1.5})
         assert read_json(path) == {"kind": "x", "v": 1.5}
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        path = str(tmp_path / "doc.json")
+        old = os.umask(umask)
+        try:
+            write_json_atomic(path, {"kind": "x"})
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         path = str(tmp_path / "doc.json")
@@ -218,6 +229,37 @@ class TestCli:
         rep = read_json("p.json")
         total = rep["containment_count"] + rep["ratio_count"] + rep["degenerate_count"]
         assert total == rep["cells_checked"] * rep["probes_per_cell"]
+
+    def test_repro_reaches_greedy_split_roundness(self, workspace, monkeypatch):
+        calls = []
+
+        def fake_suite(name, seed):
+            calls.append((name, seed))
+            return {"suite": name, "pass": True}
+
+        monkeypatch.setattr("privhist.cli.run_suite", fake_suite)
+        assert main(["repro", "--suite", "greedy-split-roundness", "--seed", "2",
+                     "--out", "suite.json"]) == 0
+        assert calls == [("greedy-split-roundness", 2)]
+        assert read_json("suite.json")["suite"] == "greedy-split-roundness"
+
+    def test_stdout_and_file_outputs_are_compact(self, workspace, capsys):
+        assert main(["generate", "--dist", "spec.json", "--n", "40", "--seed", "2",
+                     "--out", "d.json"]) == 0
+        assert main(["sanitize", "--method", "grid", "--t", "2", "--max-depth", "3",
+                     "--seed", "1", "--in", "d.json", "--out", "h.json"]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--in", "h.json", "--samples", "16", "--seed", "1"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["certify", "--in", "h.json", "--samples", "16", "--seed", "1",
+                     "--out", "c.json"]) == 0
+        written = open("c.json").read()
+        for text in (printed, written, open("h.json").read()):
+            assert text == encode(json.loads(text))
+            assert "\n" not in text[:-1] and ", " not in text
+        body = json.loads(printed)
+        body["manifest"]["command"] = json.loads(written)["manifest"]["command"]
+        assert encode(body) == written
 
     def test_repro_suite_runs(self, workspace):
         assert main(["repro", "--suite", "lemma21-decay", "--seed", "1",

@@ -246,18 +246,16 @@ class TestSanitizedOutput:
                              method="greedy", probe_samples=8_000, seed=4)
         rows = {row.tobytes() for row in data.points}
         doc = histogram_to_doc(hist)
-
-        def scan(node):
-            region = node["region"]
-            for key in ("low", "high", "center", "own_center"):
-                if key in region:
-                    assert np.array(region[key]).tobytes() not in rows
-            for sib in region.get("sibling_centers", []):
-                assert np.array(sib).tobytes() not in rows
-            for ch in node["children"]:
-                scan(ch)
-
-        scan(doc["root"])
+        # every vector a v2 document publishes: the root region's, then the
+        # center array of every split
+        region = doc["root"]["region"]
+        vectors = [region[key] for key in ("low", "high", "center") if key in region]
+        splits = [node["split"] for node in _walk_doc(doc["root"]) if "split" in node]
+        assert splits and all(split["kind"] == "voronoi" for split in splits)
+        for split in splits:
+            vectors.extend(split["centers"])
+        for vec in vectors:
+            assert np.array(vec).tobytes() not in rows
 
     def test_leakage_assertion_aborts(self):
         # a construction point coinciding exactly with a dataset point must
@@ -278,8 +276,8 @@ class TestSanitizedOutput:
 
         def regions(hist):
             return [
-                (node["region"]["low"], node["region"]["high"])
-                for node in _walk_doc(histogram_to_doc(hist)["root"])
+                (node.region.low.tolist(), node.region.high.tolist())
+                for node in hist.root.walk()
             ]
 
         assert regions(h1) == regions(h2)

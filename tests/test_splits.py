@@ -1,0 +1,197 @@
+"""Split-level histograms: leaf location, schema-v2 documents, the leakage scan."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privhist.documents import encode, histogram_from_doc, histogram_to_doc
+from privhist.errors import InputError, InternalError
+from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
+from privhist.metrics import locate_leaves
+from privhist.sanitizer import (
+    HistogramNode,
+    MeshSplit,
+    VoronoiSplit,
+    build_recursive_cube,
+    build_shifted_grid,
+    build_voronoi,
+    default_root_box,
+    strip_to_sanitized,
+)
+
+METHODS = ["cube", "grid", "voronoi-greedy", "voronoi-uniform", "voronoi-uniform-box"]
+
+
+def _build(method, seed):
+    rng = np.random.default_rng(seed)
+    if method in ("cube", "grid"):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(5, 60))
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, d)))
+        if method == "cube":
+            return build_recursive_cube(data, t=2, max_depth=4)
+        return build_shifted_grid(data, t=2, max_depth=4, seed=seed)
+    support = default_root_box(2) if method.endswith("box") else Ball(np.zeros(2), 1.0)
+    data = Dataset(uniform_in_region(support, 40, rng))
+    if method == "voronoi-greedy":
+        return build_voronoi(data, support, t=5, max_depth=2, method="greedy",
+                             probe_samples=2_000, cert_samples=64, seed=seed)
+    return build_voronoi(data, support, t=5, max_depth=2, method="uniform", override_m=12,
+                         cert_samples=64, seed=seed)
+
+
+def _query_points(hist, rng):
+    """Uniform points, plus points on split boundaries and closed root faces."""
+    root = hist.root.region
+    d = root.dim
+    X = [uniform_in_region(root, 40, rng)]
+    splits = [node.split for node in hist.root.walk() if node.split is not None]
+    if isinstance(root, Box):
+        # cut values include the root's faces; snap about half the coordinates
+        meshes = [s for s in splits if isinstance(s, MeshSplit)]
+        values = [np.concatenate([s.cuts[j] for s in meshes] + [root.low[j:j + 1],
+                                                                 root.high[j:j + 1]])
+                  for j in range(d)]
+        snapped = uniform_in_region(root, 60, rng)
+        for j in range(d):
+            pick = rng.random(60) < 0.5
+            snapped[pick, j] = rng.choice(values[j], size=int(pick.sum()))
+        X.append(snapped)
+    else:
+        X.append(np.concatenate([np.eye(d), -np.eye(d)]))  # exactly on the sphere
+    for split in splits:
+        if isinstance(split, VoronoiSplit):
+            c = split.centers
+            pairs = rng.integers(0, c.shape[0], size=(20, 2))
+            X += [c, 0.5 * (c[pairs[:, 0]] + c[pairs[:, 1]])]  # centers, bisector points
+    return np.concatenate(X)
+
+
+@given(st.sampled_from(METHODS), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_locate_leaves_matches_leaf_membership(method, seed):
+    hist = _build(method, seed)
+    X = _query_points(hist, np.random.default_rng(seed + 1))
+    leaves = hist.root.leaves()
+    member = np.array([leaf.region.contains_many(X) for leaf in leaves])
+    assert (member.sum(axis=0) == 1).all()
+    located = locate_leaves(hist, X)
+    assert all(leaves[i] is leaf for i, leaf in zip(member.argmax(axis=0), located))
+
+
+def _region_bits(region):
+    if isinstance(region, Box):
+        return ("box", region.low.tobytes(), region.high.tobytes(),
+                region.closed_high.tobytes())
+    if isinstance(region, Ball):
+        return ("ball", region.center.tobytes(), repr(region.radius))
+    assert isinstance(region, VoronoiClip)
+    return ("voronoi", region.centers.tobytes(), region.own_index,
+            _region_bits(region.parent))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_round_trip_is_exact(method):
+    hist = _build(method, 3)
+    doc = histogram_to_doc(hist)
+    again = histogram_from_doc(json.loads(encode(doc)))
+    assert histogram_to_doc(again) == doc
+    nodes, back = list(hist.root.walk()), list(again.root.walk())
+    assert len(nodes) == len(back) > 1
+    for a, b in zip(nodes, back):
+        assert (a.count, a.level) == (b.count, b.level)
+        assert _region_bits(a.region) == _region_bits(b.region)
+
+
+def test_only_the_root_carries_a_region():
+    doc = histogram_to_doc(_build("grid", 4))
+    nodes = [doc["root"]]
+    while nodes:
+        node = nodes.pop()
+        assert ("region" in node) == (node is doc["root"])
+        assert ("split" in node) == bool(node["children"])
+        nodes.extend(node["children"])
+
+
+def test_256_center_split_document_is_small():
+    rng = np.random.default_rng(5)
+    data = Dataset(uniform_in_region(Ball(np.zeros(2), 1.0), 400, rng))
+    hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=2, max_depth=1,
+                         method="uniform", override_m=256, seed=1)
+    assert hist.root.split.size == 256
+    assert len(encode(histogram_to_doc(hist))) < 50_000
+
+
+def test_cube_children_follow_c_order():
+    data = Dataset(np.random.default_rng(6).uniform(-1.0, 1.0, (30, 2)))
+    root = build_recursive_cube(data, t=1, max_depth=1).root
+    assert [ch.region.low.tolist() for ch in root.children] == [
+        [-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]
+    assert [ch.region.closed_high.tolist() for ch in root.children] == [
+        [False, False], [False, True], [True, False], [True, True]]
+
+
+def _mutate(doc, defect):
+    node = doc["root"]  # an internal node whose first child is a leaf
+    while "split" in node["children"][0]:
+        node = node["children"][0]
+    if defect == "schema_v1":
+        doc["schema_version"] = 1
+    elif defect == "missing_child":
+        doc["root"]["children"].pop()
+    elif defect == "cuts_off_box":
+        doc["root"]["split"]["cuts"][0][0] = -0.5
+    elif defect == "unknown_split":
+        node["split"]["kind"] = "hexagon"
+    else:
+        del node["split"]
+
+
+@pytest.mark.parametrize("defect", ["schema_v1", "missing_child", "cuts_off_box",
+                                    "unknown_split", "children_without_split"])
+def test_malformed_histogram_documents_rejected(defect):
+    data = Dataset(np.random.default_rng(7).uniform(-1.0, 1.0, (80, 2)))
+    doc = histogram_to_doc(build_recursive_cube(data, t=2, max_depth=3))
+    _mutate(doc, defect)
+    with pytest.raises(InputError):
+        histogram_from_doc(doc)
+
+
+class TestLeakageScan:
+    def _strip(self, root, point):
+        return strip_to_sanitized(root, Dataset([point]), method="test", t=1, max_depth=2,
+                                  seed=None)
+
+    @pytest.mark.parametrize("center,leaks", [((0.25, 0.25), True), ((0.25, 0.3), False)])
+    def test_voronoi_center(self, center, leaks):
+        root = HistogramNode(region=Ball(np.zeros(2), 1.0), count=1)
+        root.divide(VoronoiSplit([[0.5, -0.5], center]), [1, 0])
+        if leaks:
+            with pytest.raises(InternalError, match="coordinate"):
+                self._strip(root, (0.25, 0.25))
+        else:
+            self._strip(root, (0.25, 0.25))
+
+    @pytest.mark.parametrize("point,leaks", [
+        ((-1.0, 0.5), True),    # low corner of a root child only
+        ((0.0, 1.0), True),     # high corner of a root child only
+        ((0.5, 0.75), True),    # corner in the nested split only
+        ((0.0, 0.3), False),    # on a cut line, not a corner
+        ((0.3, 0.7), False),
+    ])
+    def test_mesh_corner(self, point, leaks):
+        root = HistogramNode(region=default_root_box(2), count=1)
+        children = root.divide(MeshSplit([[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]]), [0, 0, 0, 1])
+        children[3].divide(MeshSplit([[0.0, 0.5, 1.0], [0.5, 0.75, 1.0]]), [1, 0, 0, 0])
+        if leaks:
+            with pytest.raises(InternalError, match="coordinate"):
+                self._strip(root, point)
+        else:
+            self._strip(root, point)
+
+    def test_data_point_on_a_dyadic_corner_aborts_the_cube_build(self):
+        data = Dataset([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.7], [0.2, -0.9]])
+        with pytest.raises(InternalError, match="coordinate"):
+            build_recursive_cube(data, t=1, max_depth=2)
