@@ -50,28 +50,11 @@ from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
           inputs: list[str]):
-    doc["manifest"] = build_manifest(_normalized_command(argv), seed, inputs)
+    doc["manifest"] = build_manifest(argv, seed, inputs)
     if out:
         write_json_atomic(out, doc)
     else:
         sys.stdout.write(encode(doc))
-
-
-def _normalized_command(argv: list[str]) -> list[str]:
-    """Drop the --threads flag: it must not influence output bytes."""
-    out = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--threads":
-            skip = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        out.append(token)
-    return out
 
 
 def _region_from_arg(arg: str, d: int | None):
@@ -256,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Privacy-preserving spatial histograms: sanitize, certify, attack, measure.",
     )
     parser.add_argument("--version", action="version", version=f"privhist {__version__}")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto); never changes output bytes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a dataset from a distribution spec")

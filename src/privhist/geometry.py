@@ -229,29 +229,27 @@ class VoronoiClip(Region):
         pc, pr = self.parent.bounding_ball()
         return self.own_center, pr + float(np.linalg.norm(self.own_center - pc))
 
-    def ancestry(self) -> list[Region]:
-        """Chain [root, ..., self]; the root is always a Ball or Box."""
-        chain = [self]
-        node = self.parent
-        while isinstance(node, VoronoiClip):
-            chain.append(node)
-            node = node.parent
-        chain.append(node)
-        return chain[::-1]
+
+def center_scores(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Bisector scores |c|^2 - 2 x.c, shape (n, m): |x - c|^2 less |x|^2.
+
+    The one place the score is formed: membership, certificate margins and
+    nearest-center distances all compare these doubles.  It is built in
+    place in the product's buffer, one (n, m) temporary instead of three.
+    """
+    scores = X @ centers.T
+    scores *= -2.0
+    scores += (centers * centers).sum(axis=1)
+    return scores
 
 
 def voronoi_assign(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each row of X (ties -> lowest index).
 
-    Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term is
-    constant per row and dropped, so the argmin runs on a BLAS product.
-    The scores are formed in place in the product's buffer: one (n, m)
-    temporary instead of three, and the same doubles as |c|^2 - 2 x.c.
+    The |x|^2 term of |x-c|^2 is constant per row, so the argmin runs on
+    ``center_scores``.
     """
-    scores = X @ centers.T
-    scores *= -2.0
-    scores += (centers * centers).sum(axis=1)
-    return np.argmin(scores, axis=1)
+    return np.argmin(center_scores(centers, X), axis=1)
 
 
 def root_support(region: Region) -> Region:
@@ -387,10 +385,8 @@ def uniform_in_region(
     for _ in range(max_batches):
         if envelope is not None:
             cand = uniform_in_ball(envelope[0], envelope[1], batch, rng)
-        elif isinstance(root, Box):
-            cand = uniform_in_box(root.low, root.high, batch, rng)
         else:
-            cand = uniform_in_ball(root.center, root.radius, batch, rng)
+            cand = uniform_in_region(root, batch, rng)
         keep = cand[region.contains_many(cand)]
         if keep.shape[0]:
             out.append(keep)
@@ -422,11 +418,7 @@ def region_volume(
         raise InputError(f"unsupported region type {type(region).__name__}")
     root = root_support(region)
     base_volume = root.volume()
-    rng = substream(seed, "region-volume")
-    if isinstance(root, Box):
-        cand = uniform_in_box(root.low, root.high, oracle_samples, rng)
-    else:
-        cand = uniform_in_ball(root.center, root.radius, oracle_samples, rng)
+    cand = uniform_in_region(root, oracle_samples, substream(seed, "region-volume"))
     hits = int(region.contains_many(cand).sum())
     p = hits / oracle_samples
     return base_volume * p, base_volume * math.sqrt(p * (1.0 - p) / oracle_samples)

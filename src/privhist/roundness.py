@@ -2,13 +2,16 @@
 
 A cell's certificate is a witness triple (k, R, p) with a ball of radius R/k
 around p inside the cell and the cell inside a ball of radius R around p.
-Box and ball cells use their exact centers and closed-form directional
-boundary distances.  Voronoi cells have implicit boundaries: the witness is
-found by maximizing the exact minimum halfspace/support margin (a concave
-subgradient ascent started at the cell's own center), the inner radius is
-that exact margin, and the outer radius comes from directional boundary
-probing with a 1% safety factor.  Certificates are approximate witnesses and
-all downstream checks carry explicit slack.
+Box and ball cells use their exact centers and directional boundary
+distances.  A Voronoi cell is one ``CellKernel``: the bisector halfspaces of
+every Voronoi level above it, scored by ``geometry.center_scores`` as
+membership is, plus the root's box faces or ball.  Its witness maximizes the
+exact minimum margin (a concave subgradient ascent started at the cell's own
+center), the inner radius is that margin, and the outer radius is the
+largest exact ray exit over random directions, with a 1% safety factor.  The
+cover polish slides along the same kernel's nearest constraint.
+Certificates are approximate witnesses and all downstream checks carry
+explicit slack.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InputError, InternalError
+from .errors import DegenerateGeometryError, InputError
 from .geometry import (
     Ball,
     Box,
     Region,
     VoronoiClip,
     as_point,
+    center_scores,
     intersection_volume_ratio,
     uniform_in_ball,
     uniform_in_region,
@@ -49,128 +53,156 @@ class RoundnessCertificate:
 
 
 # ---------------------------------------------------------------------------
-# exact margins for Voronoi chains
+# the convex-cell kernel
+
+_EXIT_BLOCK = 1 << 21  # elements per (cells, directions, centers) block in exits
 
 
-def _chain(region: VoronoiClip):
-    levels = []
-    node: Region = region
-    while isinstance(node, VoronoiClip):
-        levels.append((node.centers, node.own_index))
-        node = node.parent
-    return levels, node
+class CellKernel:
+    """The constraint set of B convex cells that share one ancestry.
 
-
-def _min_margin_grad(levels, root, Y, own_override=None):
-    """Minimum signed boundary margin and its (sub)gradient at each row of Y.
-
-    ``own_override`` replaces the own-index of the *first* level with a
-    per-row array so sibling cells of one split can be processed jointly.
+    Cell b is the Voronoi cell of ``centers[own[b]]`` clipped to ``parent``;
+    with no ``centers``, every cell is ``parent`` itself.
+    Every Voronoi level, the new split and each ancestor clip, contributes
+    the bisector halfspaces score_j(y) >= score_own(y), with scores from
+    ``center_scores``; the root contributes its box faces or its ball.  Row b
+    of each point array is read against cell b.  A margin's sign comes from
+    the doubles that membership compares: min_margin > 0 implies
+    ``contains_many`` and ``contains_many`` implies min_margin >= 0.
     """
-    B = Y.shape[0]
-    best = np.full(B, np.inf)
-    grad = np.zeros_like(Y)
-    rows = np.arange(B)
-    for lvl, (centers, own) in enumerate(levels):
-        own_arr = own_override if (lvl == 0 and own_override is not None) else np.full(B, own)
-        cn = (centers * centers).sum(axis=1)
-        d2 = (Y * Y).sum(axis=1)[:, None] - 2.0 * (Y @ centers.T) + cn[None, :]
-        d2_own = d2[rows, own_arr]
-        own_pts = centers[own_arr]
-        cdist2 = (
-            (own_pts * own_pts).sum(axis=1)[:, None]
-            - 2.0 * (own_pts @ centers.T)
-            + cn[None, :]
-        )
-        cdist = np.sqrt(np.maximum(cdist2, 0.0))
-        cdist[rows, own_arr] = np.inf
-        marg = (d2 - d2_own[:, None]) / (2.0 * cdist)
-        marg[rows, own_arr] = np.inf
-        j = np.argmin(marg, axis=1)
-        mm = marg[rows, j]
-        upd = mm < best
-        if upd.any():
-            g = (centers[own_arr] - centers[j]) / cdist[rows, j][:, None]
-            grad[upd] = g[upd]
+
+    def __init__(self, parent: Region, own, centers=None):
+        own = np.asarray(own, dtype=np.intp)
+        self.rows = np.arange(own.size)
+        self.levels = []  # (centers, own, 2|c_own - c_j|), innermost first
+        if centers is not None:
+            self._add_level(np.asarray(centers, dtype=float), own)
+        node = parent
+        while isinstance(node, VoronoiClip):
+            self._add_level(node.centers, np.full(own.size, node.own_index))
+            node = node.parent
+        if not isinstance(node, (Box, Ball)):
+            raise InputError(f"unsupported root region {type(node).__name__}")
+        self.root = node
+
+    @classmethod
+    def of(cls, region: Region, rows: int) -> CellKernel:
+        """``rows`` copies of one region."""
+        if isinstance(region, VoronoiClip):
+            return cls(region.parent, np.full(rows, region.own_index), region.centers)
+        return cls(region, np.zeros(rows, dtype=np.intp))
+
+    def _add_level(self, centers: np.ndarray, own: np.ndarray):
+        from scipy.spatial.distance import cdist
+
+        span = 2.0 * cdist(centers[own], centers)
+        span[self.rows, own] = np.inf
+        self.levels.append((centers, own, span))
+
+    def _bisector_margins(self, Y: np.ndarray):
+        """Per Voronoi level: (centers, own, span, margins (B, m))."""
+        for centers, own, span in self.levels:
+            scores = center_scores(centers, Y)
+            margin = (scores - scores[self.rows, own][:, None]) / span
+            margin[self.rows, own] = np.inf
+            yield centers, own, span, margin
+
+    def _root_margins(self, Y: np.ndarray):
+        """Margins (B, K) of the root's box faces or ball, and their unit
+        inward normals (B, K, d)."""
+        root = self.root
+        if isinstance(root, Ball):
+            rel = Y - root.center
+            dist = np.linalg.norm(rel, axis=1)
+            normal = -rel / np.maximum(dist, 1e-300)[:, None]
+            return (root.radius - dist)[:, None], normal[:, None, :]
+        eye = np.eye(Y.shape[1])
+        faces = np.vstack([eye, -eye])
+        return (np.hstack([Y - root.low, root.high - Y]),
+                np.broadcast_to(faces, (Y.shape[0],) + faces.shape))
+
+    def min_margin(self, Y: np.ndarray):
+        """Minimum margin at each row of Y and the unit inward normal of the
+        constraint that attains it."""
+        best = np.full(Y.shape[0], np.inf)
+        normal = np.zeros_like(Y)
+        for centers, own, span, margin in self._bisector_margins(Y):
+            j = np.argmin(margin, axis=1)
+            mm = margin[self.rows, j]
+            upd = mm < best
+            normal[upd] = ((centers[own[upd]] - centers[j[upd]])
+                           / (0.5 * span[upd, j[upd]])[:, None])
             best[upd] = mm[upd]
-    if isinstance(root, Ball):
-        rv = Y - root.center
-        dist = np.linalg.norm(rv, axis=1)
-        mm = root.radius - dist
-        g = -rv / np.maximum(dist, 1e-300)[:, None]
+        margin, normals = self._root_margins(Y)
+        j = np.argmin(margin, axis=1)
+        mm = margin[self.rows, j]
         upd = mm < best
-        grad[upd] = g[upd]
+        normal[upd] = normals[self.rows, j][upd]
         best[upd] = mm[upd]
-    elif isinstance(root, Box):
-        low_m = Y - root.low
-        high_m = root.high - Y
-        axis_min = np.minimum(low_m, high_m)
-        j = np.argmin(axis_min, axis=1)
-        mm = axis_min[rows, j]
-        upd = mm < best
-        if upd.any():
-            sign = np.where(low_m[rows, j] <= high_m[rows, j], 1.0, -1.0)
-            g = np.zeros_like(Y)
-            g[rows, j] = sign
-            grad[upd] = g[upd]
-            best[upd] = mm[upd]
-    else:  # pragma: no cover - roots are always balls or boxes
-        raise InternalError(f"unsupported root region {type(root).__name__}")
-    return best, grad
+        return best, normal
+
+    def bundle(self, Y: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
+        """Mean inward normal of the constraints with margin <= cutoff.
+
+        Plain subgradient ascent on a min of margins stalls in corners where
+        two constraints are active; the averaged normal of the near-active
+        set points into the wedge interior and escapes them.
+        """
+        acc = np.zeros_like(Y)
+        for centers, own, span, margin in self._bisector_margins(Y):
+            w = (margin <= cutoff[:, None]) / (0.5 * span)
+            # sum_j w_j (c_own - c_j), as two products
+            acc += centers[own] * w.sum(axis=1)[:, None] - w @ centers
+        margin, normals = self._root_margins(Y)
+        active = margin <= cutoff[:, None]
+        acc += (active[:, :, None] * normals).sum(axis=1)
+        return _unit_rows(acc)
+
+    def exits(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Exact exit distance, shape (B, S), from row b of Y along each unit
+        direction U[s]: each constraint that the ray runs toward contributes
+        slack / rate."""
+        B, S = Y.shape[0], U.shape[0]
+        t_exit = np.full((B, S), np.inf)
+        for centers, own, _ in self.levels:
+            scores = center_scores(centers, Y)
+            slack = scores - scores[self.rows, own][:, None]  # >= 0 inside the cell
+            growth = -2.0 * (U @ centers.T)                   # rate of change of each score
+            block = max(1, _EXIT_BLOCK // (S * centers.shape[0]))
+            for lo in range(0, B, block):
+                cells = slice(lo, lo + block)
+                rate = growth[:, own[cells]].T[:, :, None] - growth[None]  # > 0 heading out
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = slack[cells, None, :] / rate
+                t[rate <= 0] = np.inf
+                np.minimum(t_exit[cells], t.min(axis=2), out=t_exit[cells])
+        root = self.root
+        if isinstance(root, Ball):
+            rel = Y - root.center
+            b = (U[None, :, :] * rel[:, None, :]).sum(axis=2)
+            disc = b**2 + (root.radius**2 - (rel * rel).sum(axis=1))[:, None]
+            t = -b + np.sqrt(np.maximum(disc, 0.0))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_hi = (root.high - Y)[:, None, :] / U
+                t_lo = (root.low - Y)[:, None, :] / U
+            t = np.where(U > 0, t_hi, np.where(U < 0, t_lo, np.inf)).min(axis=2)
+        return np.minimum(t_exit, t)
 
 
-def _bundle_direction(levels, root, Y, own_override, eps, mins):
-    """Mean inward normal of all constraints within eps of the active margin.
-
-    Plain subgradient ascent on a min of margins stalls in corners where two
-    constraints are active; the averaged normal of the near-active set points
-    into the wedge interior and escapes them.
-    """
-    B = Y.shape[0]
-    rows = np.arange(B)
-    cutoff = mins + eps
-    acc = np.zeros_like(Y)
-    for lvl, (centers, own) in enumerate(levels):
-        own_arr = own_override if (lvl == 0 and own_override is not None) else np.full(B, own)
-        cn = (centers * centers).sum(axis=1)
-        d2 = (Y * Y).sum(axis=1)[:, None] - 2.0 * (Y @ centers.T) + cn[None, :]
-        d2_own = d2[rows, own_arr]
-        own_pts = centers[own_arr]
-        cdist2 = (
-            (own_pts * own_pts).sum(axis=1)[:, None]
-            - 2.0 * (own_pts @ centers.T)
-            + cn[None, :]
-        )
-        cdist = np.sqrt(np.maximum(cdist2, 1e-300))
-        marg = (d2 - d2_own[:, None]) / (2.0 * cdist)
-        marg[rows, own_arr] = np.inf
-        w = (marg <= cutoff[:, None]) / cdist
-        # sum_j w_j * (own - c_j) / |own - c_j| accumulated via two products
-        acc += own_pts * w.sum(axis=1)[:, None] - w @ centers
-    if isinstance(root, Ball):
-        rv = Y - root.center
-        dist = np.linalg.norm(rv, axis=1)
-        active = (root.radius - dist) <= cutoff
-        acc[active] -= rv[active] / np.maximum(dist[active], 1e-300)[:, None]
-    elif isinstance(root, Box):
-        low_m = Y - root.low
-        high_m = root.high - Y
-        acc += (low_m <= cutoff[:, None]).astype(float)
-        acc -= (high_m <= cutoff[:, None]).astype(float)
-    norms = np.linalg.norm(acc, axis=1, keepdims=True)
-    return acc / np.maximum(norms, 1e-300)
+# ---------------------------------------------------------------------------
+# witness ascent
 
 
-def _ascend(levels, root, Y0, step0, iters, own_override):
+def _ascend(kernel: CellKernel, Y0, step0, iters):
     Y = Y0.copy()
-    best, grad = _min_margin_grad(levels, root, Y, own_override)
+    best, grad = kernel.min_margin(Y)
     step = np.asarray(step0, dtype=float) * np.ones(Y.shape[0])
     for _ in range(iters):
         cand1 = Y + step[:, None] * grad
-        m1, g1 = _min_margin_grad(levels, root, cand1, own_override)
-        bundle = _bundle_direction(levels, root, Y, own_override, 0.5 * step, best)
-        cand2 = Y + step[:, None] * bundle
-        m2, g2 = _min_margin_grad(levels, root, cand2, own_override)
+        m1, g1 = kernel.min_margin(cand1)
+        cand2 = Y + step[:, None] * kernel.bundle(Y, best + 0.5 * step)
+        m2, g2 = kernel.min_margin(cand2)
         use2 = m2 > m1
         cand = np.where(use2[:, None], cand2, cand1)
         m_new = np.where(use2, m2, m1)
@@ -184,86 +216,32 @@ def _ascend(levels, root, Y0, step0, iters, own_override):
     return Y, best
 
 
-def _optimize_witnesses(levels, root, Y0, step0, iters=36, own_override=None):
+def _optimize_witnesses(kernel: CellKernel, Y0, step0, iters=36):
     """Concave ascent on the minimum margin; never leaves the cells.
 
     A second pass restarts from the first result with a margin-scaled step,
     recovering cells where the step collapsed before the corner escape."""
-    Y, best = _ascend(levels, root, Y0, step0, iters, own_override)
+    Y, best = _ascend(kernel, Y0, step0, iters)
     restart = np.maximum(4.0 * best, 1e-12)
-    Y2, best2 = _ascend(levels, root, Y, restart, max(iters // 2, 16), own_override)
+    Y2, best2 = _ascend(kernel, Y, restart, max(iters // 2, 16))
     take = best2 > best
     Y[take] = Y2[take]
     best[take] = best2[take]
     return Y, best
 
 
-# ---------------------------------------------------------------------------
-# directional boundary distances
-
-
-def _ray_exit_box(low, high, P: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = (high - P) / dirs
-        t_lo = (low - P) / dirs
-    t = np.where(dirs > 0, t_hi, np.where(dirs < 0, t_lo, np.inf))
-    return t.min(axis=1)
-
-
-def _ray_exit_ball(ball: Ball, P: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    rel = P - ball.center
-    b = (dirs * rel).sum(axis=1)
-    disc = b**2 + (ball.radius**2 - (rel * rel).sum(axis=1))
-    return -b + np.sqrt(np.maximum(disc, 0.0))
-
-
-def _ray_exit_chain(levels, root, own_arr, Y: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Exact exit distance along each ray (Y[i] + t * dirs[i]) from a Voronoi
-    cell chain: the cell is an intersection of bisector halfspaces and the
-    root region, so each constraint contributes slack/rate when the ray runs
-    toward it."""
-    n = Y.shape[0]
-    rows = np.arange(n)
-    t_exit = np.full(n, np.inf)
-    for lvl, (centers, own) in enumerate(levels):
-        o = own_arr if (lvl == 0 and own_arr is not None) else np.full(n, own)
-        cn = (centers * centers).sum(axis=1)
-        score_y = cn[None, :] - 2.0 * (Y @ centers.T)       # |y-c|^2 - |y|^2
-        score_u = -2.0 * (dirs @ centers.T)                 # growth rate of score
-        slack = score_y - score_y[rows, o][:, None]          # >= 0 inside the cell
-        rate = score_u[rows, o][:, None] - score_u           # positive when heading out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = slack / rate
-        t[rate <= 0] = np.inf
-        t[rows, o] = np.inf
-        t_exit = np.minimum(t_exit, t.min(axis=1))
-    if isinstance(root, Ball):
-        t_exit = np.minimum(t_exit, _ray_exit_ball(root, Y, dirs))
-    elif isinstance(root, Box):
-        t_exit = np.minimum(t_exit, _ray_exit_box(root.low, root.high, Y, dirs))
-    else:  # pragma: no cover
-        raise InternalError(f"unsupported root region {type(root).__name__}")
-    return t_exit
-
-
 def boundary_distances(region: Region, p, dirs: np.ndarray) -> np.ndarray:
     """Distance from interior point p to the region boundary along each unit
     direction; exact ray intersection for every supported region."""
-    p = as_point(p)
-    P = np.broadcast_to(p, (dirs.shape[0], p.size))
-    if isinstance(region, Box):
-        return _ray_exit_box(region.low, region.high, P, dirs)
-    if isinstance(region, Ball):
-        return _ray_exit_ball(region, P, dirs)
-    levels, root = _chain(region)
-    return _ray_exit_chain(levels, root, None, np.ascontiguousarray(P), dirs)
+    return CellKernel.of(region, 1).exits(as_point(p)[None, :], dirs)[0]
+
+
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    return V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-300)
 
 
 def _random_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms
+    return _unit_rows(rng.standard_normal((n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,41 +275,32 @@ def certify_children(
 ) -> list[RoundnessCertificate]:
     """Certificates for Voronoi cells of one split, computed jointly.
 
-    All cells share the center list, so witness optimization, membership and
-    boundary bisection are batched across cells.
+    All cells share the center list, so the witness ascent and the boundary
+    exits run on one ``CellKernel`` for the whole batch.
     """
     centers = np.asarray(centers, dtype=float)
     m, d = centers.shape
-    if indices is None:
-        indices = list(range(m))
-    idx = np.asarray(indices, dtype=int)
-    B = idx.size
-    proto = VoronoiClip(centers, int(idx[0]), parent)
-    levels, root = _chain(proto)
+    idx = np.arange(m) if indices is None else np.asarray(indices, dtype=np.intp)
+    kernel = CellKernel(parent, idx, centers)
 
     rng = substream(seed, "certify-children")
     _, step0 = parent.bounding_ball()
-    Y, inner = _optimize_witnesses(levels, root, centers[idx].copy(), step0 * 0.25,
-                                   own_override=idx)
+    Y, inner = _optimize_witnesses(kernel, centers[idx].copy(), step0 * 0.25)
     inner = np.maximum(inner, 1e-14) / INNER_SAFETY
-
-    dirs = _random_directions(d, samples, rng)
-    pts_start = np.repeat(Y, samples, axis=0)
-    pts_dirs = np.tile(dirs, (B, 1))
-    own_rep = np.repeat(idx, samples)
-    t = _ray_exit_chain(levels, root, own_rep, pts_start, pts_dirs).reshape(B, samples)
-    outer = t.max(axis=1) * OUTER_SAFETY
-    certs = []
-    for b in range(B):
-        certs.append(
-            RoundnessCertificate(k=float(outer[b] / inner[b]), radius=float(outer[b]),
+    outer = kernel.exits(Y, _random_directions(d, samples, rng)).max(axis=1) * OUTER_SAFETY
+    return [RoundnessCertificate(k=float(outer[b] / inner[b]), radius=float(outer[b]),
                                  witness=Y[b].copy())
-        )
-    return certs
+            for b in range(idx.size)]
 
 
 # ---------------------------------------------------------------------------
 # cover / spread predicates
+
+
+def _min_pair_distance(pts: np.ndarray) -> float:
+    from scipy.spatial.distance import pdist
+
+    return float(pdist(pts).min())
 
 
 def well_spread_check(centers, r2: float) -> bool:
@@ -339,10 +308,7 @@ def well_spread_check(centers, r2: float) -> bool:
     pts = np.asarray(centers, dtype=float)
     if pts.shape[0] < 2:
         raise InputError("well-spread check needs at least two centers")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    iu = np.triu_indices(pts.shape[0], k=1)
-    return bool(np.all(dist[iu] >= r2))
+    return _min_pair_distance(pts) >= r2
 
 
 def cover_check(
@@ -371,7 +337,7 @@ def cover_check(
     leaders = []
     for lo in range(0, probes, 65536):
         block = sample[lo : lo + 65536]
-        dmin = _nearest_center_distance(pts, block)
+        dmin = _nearest_center(pts, block)[1]
         worst = max(worst, float(dmin.max()))
         if polish:
             take = np.argsort(dmin)[-32:]
@@ -380,9 +346,7 @@ def cover_check(
         starts = np.concatenate(leaders)
         # pockets concentrate near the region boundary: push starts outward
         # along the away-from-nearest-center direction to seed the ascent there
-        away = starts - pts[np.argmin(
-            ((starts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2), axis=1)]
-        away /= np.maximum(np.linalg.norm(away, axis=1, keepdims=True), 1e-300)
+        away = _unit_rows(starts - pts[_nearest_center(pts, starts)[0]])
         shifted = []
         for frac in (0.5, 1.0, 2.0):
             cand = starts + frac * worst * away
@@ -395,23 +359,12 @@ def cover_check(
     return worst <= r1, worst
 
 
-def _nearest_center_distance(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        - 2.0 * (X @ centers.T)
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-
-
-def _region_inward_normal(region: Region, Y: np.ndarray) -> np.ndarray:
-    """Inward normal of the region constraint nearest to each row of Y."""
-    if isinstance(region, VoronoiClip):
-        levels, root = _chain(region)
-        _, grad = _min_margin_grad(levels, root, Y)
-        return grad
-    _, grad = _min_margin_grad([], region, Y)
-    return grad
+def _nearest_center(centers: np.ndarray, X: np.ndarray):
+    """(index, distance) of the nearest center to each row of X."""
+    scores = center_scores(centers, X)
+    near = np.argmin(scores, axis=1)
+    d2 = (X * X).sum(axis=1) + scores[np.arange(X.shape[0]), near]
+    return near, np.sqrt(np.maximum(d2, 0.0))
 
 
 def _polish_cover_gap(centers, region: Region, starts: np.ndarray, scale: float,
@@ -420,32 +373,25 @@ def _polish_cover_gap(centers, region: Region, starts: np.ndarray, scale: float,
 
     The worst pocket usually sits on the region boundary, where the plain
     away-from-center step exits the region; a second candidate slides along
-    the boundary (the away direction projected onto the active constraint's
-    tangent plane).
+    the boundary (the away direction projected onto the tangent plane of the
+    nearest region constraint).
     """
     Y = starts.copy()
-    best = _nearest_center_distance(centers, Y)
+    kernel = CellKernel.of(region, Y.shape[0])
+    near, best = _nearest_center(centers, Y)
     step = np.full(Y.shape[0], 0.5 * scale)
     for _ in range(iters):
-        d2 = (
-            (Y * Y).sum(axis=1)[:, None]
-            - 2.0 * (Y @ centers.T)
-            + (centers * centers).sum(axis=1)[None, :]
-        )
-        near = np.argmin(d2, axis=1)
-        away = Y - centers[near]
-        away /= np.maximum(np.linalg.norm(away, axis=1, keepdims=True), 1e-300)
-        normal = _region_inward_normal(region, Y)
-        tang = away - (away * normal).sum(axis=1, keepdims=True) * normal
-        tang /= np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
+        away = _unit_rows(Y - centers[near])
+        normal = kernel.min_margin(Y)[1]
+        tang = _unit_rows(away - (away * normal).sum(axis=1, keepdims=True) * normal)
         improved_any = np.zeros(Y.shape[0], dtype=bool)
         for direction in (away, tang):
             cand = Y + step[:, None] * direction
-            ok = region.contains_many(cand)
-            gain = np.where(ok, _nearest_center_distance(centers, cand), -np.inf)
-            improved = gain > best
+            cand_near, gain = _nearest_center(centers, cand)
+            improved = region.contains_many(cand) & (gain > best)
             Y[improved] = cand[improved]
             best[improved] = gain[improved]
+            near[improved] = cand_near[improved]
             improved_any |= improved
         step[improved_any] *= 1.2
         step[~improved_any] *= 0.5
@@ -619,10 +565,7 @@ def audit_voronoi_splits(
             centers = node.split.centers
             parent_cert = certify_roundness(node.region, samples=samples,
                                             seed=seed + 7919 * len(audits))
-            diff = centers[:, None, :] - centers[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            iu = np.triu_indices(centers.shape[0], k=1)
-            r2 = float(dist[iu].min())
+            r2 = _min_pair_distance(centers)
             envelope = (parent_cert.witness, parent_cert.radius * 1.02)
             _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
                                 seed=seed + 104729 * len(audits), envelope=envelope,

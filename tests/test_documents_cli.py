@@ -101,13 +101,13 @@ class TestCli:
         assert main(argv) == 0
         assert open("d.json", "rb").read() == first
 
-    def test_threads_flag_does_not_change_bytes(self, workspace):
+    def test_threads_flag_is_rejected_and_manifest_is_argv(self, workspace):
         base = ["generate", "--dist", "spec.json", "--n", "40", "--seed", "3",
                 "--out", "t.json"]
+        assert main(["--threads", "4"] + base) == 1
+        assert not os.path.exists("t.json")
         assert main(base) == 0
-        first = open("t.json", "rb").read()
-        assert main(["--threads", "4"] + base) == 0
-        assert open("t.json", "rb").read() == first
+        assert read_json("t.json")["manifest"]["command"] == base
 
     def test_sanitize_attack_pipeline(self, workspace):
         assert main(["generate", "--dist", "spec.json", "--n", "120", "--seed", "1",

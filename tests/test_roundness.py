@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.geometry import Ball, Box, VoronoiClip, intersection_volume_ratio, uniform_in_region
 from privhist.rng import substream
 from privhist.roundness import (
+    CellKernel,
     audit_voronoi_splits,
     boundary_distances,
     certify_children,
@@ -174,3 +177,163 @@ class TestSplitAudits:
         solo = certify_roundness(VoronoiClip(centers, 4, parent), samples=64, seed=20)
         assert batch[4].k == pytest.approx(solo.k)
         assert batch[4].radius == pytest.approx(solo.radius)
+
+
+# ---------------------------------------------------------------------------
+# the convex-cell kernel, against membership and explicit hyperplanes
+
+
+def _centers_in(region, m, snap, rng):
+    """Up to m distinct centers inside the region; at least two."""
+    X = uniform_in_region(region, m, rng)
+    if snap:
+        X = np.concatenate([np.round(X * 8.0) / 8.0, X])  # the grid gives exact ties
+    X = X[region.contains_many(X)]
+    _, first = np.unique(X, axis=0, return_index=True)
+    return X[np.sort(first)][:m]
+
+
+def _two_level_split(kind, d, snap, seed):
+    """A level-one cell of a ball or box root and the centers that split it."""
+    rng = np.random.default_rng(seed)
+    if kind == "ball":
+        root = Ball(np.zeros(d), 1.0)
+    else:
+        root = Box(-np.ones(d), np.ones(d), closed_high=rng.random(d) < 0.5)
+    outer = _centers_in(root, int(rng.integers(3, 9)), snap, rng)
+    cell = VoronoiClip(outer, int(rng.integers(outer.shape[0])), root)
+    return root, cell, _centers_in(cell, int(rng.integers(2, 7)), snap, rng), rng
+
+
+def _probe_points(root, cell, centers, rng):
+    """Uniform points around the root, centers, center midpoints (exactly on
+    a bisector when the centers are on a grid), points projected onto
+    bisectors, and points on the root's faces or sphere."""
+    d = root.dim
+    X = [rng.uniform(-1.3, 1.3, (150, d))]
+    for c in (centers, cell.centers):
+        i, j = np.triu_indices(c.shape[0], k=1)
+        y = rng.uniform(-1.0, 1.0, (i.size, d))
+        n = c[j] - c[i]
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        mid = 0.5 * (c[i] + c[j])
+        X += [c, mid, y - ((y - mid) * n).sum(axis=1, keepdims=True) * n]
+    if isinstance(root, Box):
+        faces = rng.uniform(-1.0, 1.0, (40, d))
+        axis = rng.integers(d, size=40)
+        faces[np.arange(40), axis] = np.where(rng.random(40) < 0.5, root.low[axis],
+                                              root.high[axis])
+        X.append(faces)
+    else:
+        X.append(np.concatenate([np.eye(d), -np.eye(d)]))  # exactly on the sphere
+    return np.concatenate(X)
+
+
+def _explicit_constraints(region, X):
+    """Margins (n, K) and unit inward normals (n, K, d) of every constraint,
+    from explicit hyperplanes and the root."""
+    margins, normals = [], []
+    node = region
+    while isinstance(node, VoronoiClip):
+        own = node.own_center
+        for j, c in enumerate(node.centers):
+            if j != node.own_index:
+                n = (own - c) / np.linalg.norm(own - c)
+                margins.append((X - 0.5 * (own + c)) @ n)
+                normals.append(np.broadcast_to(n, X.shape))
+        node = node.parent
+    if isinstance(node, Ball):
+        rel = X - node.center
+        dist = np.linalg.norm(rel, axis=1)
+        margins.append(node.radius - dist)
+        normals.append(-rel / np.maximum(dist, 1e-300)[:, None])
+    else:
+        for axis in range(node.dim):
+            e = np.eye(node.dim)[axis]
+            margins += [X[:, axis] - node.low[axis], node.high[axis] - X[:, axis]]
+            normals += [np.broadcast_to(e, X.shape), np.broadcast_to(-e, X.shape)]
+    return np.stack(margins, axis=1), np.stack(normals, axis=1)
+
+
+split_cases = given(st.sampled_from(["ball", "box"]), st.sampled_from([2, 3]), st.booleans(),
+                    st.integers(0, 100_000))
+
+
+@split_cases
+@settings(max_examples=40, deadline=None)
+def test_kernel_margin_sign_agrees_with_membership(kind, d, snap, seed):
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    X = _probe_points(root, cell, centers, rng)
+    for own in range(centers.shape[0]):
+        child = VoronoiClip(centers, own, cell)
+        margin = CellKernel.of(child, X.shape[0]).min_margin(X)[0]
+        inside = child.contains_many(X)
+        assert inside[margin > 0].all()
+        assert (margin[inside] >= 0).all()
+    # sibling cells read jointly: row b of Y against cell own[b]
+    own = rng.integers(centers.shape[0], size=X.shape[0])
+    joint = CellKernel(cell, own, centers).min_margin(X)[0]
+    for b in range(centers.shape[0]):
+        rows = own == b
+        inside = VoronoiClip(centers, b, cell).contains_many(X[rows])
+        assert inside[joint[rows] > 0].all()
+        assert (joint[rows][inside] >= 0).all()
+
+
+@split_cases
+@settings(max_examples=40, deadline=None)
+def test_kernel_margins_match_explicit_hyperplanes(kind, d, snap, seed):
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    X = _probe_points(root, cell, centers, rng)
+    for own in range(centers.shape[0]):
+        child = VoronoiClip(centers, own, cell)
+        kernel = CellKernel.of(child, X.shape[0])
+        margins, normals = _explicit_constraints(child, X)
+        ref = margins.min(axis=1)
+        margin, normal = kernel.min_margin(X)
+        assert np.abs(margin - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        # the normal is that of a constraint attaining the minimum
+        attains = margins <= ref[:, None] + 1e-12
+        match = np.abs(normals - normal[:, None, :]).max(axis=2) <= 1e-9
+        assert (attains & match).any(axis=1).all()
+        # the bundle is the mean normal of the constraints near the minimum
+        cutoff = ref + 0.0371
+        near = margins <= cutoff[:, None]
+        total = (near[:, :, None] * normals).sum(axis=1)
+        norm = np.linalg.norm(total, axis=1)
+        ok = norm > 1e-6
+        bundle = kernel.bundle(X, cutoff)
+        assert np.abs(bundle[ok] - total[ok] / norm[ok, None]).max() <= 1e-9
+
+
+@split_cases
+@settings(max_examples=40, deadline=None)
+def test_kernel_exits_are_exact(kind, d, snap, seed):
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    X = _probe_points(root, cell, centers, rng)
+    dirs = np.concatenate([np.eye(d), -np.eye(d), rng.standard_normal((12, d))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for own in range(centers.shape[0]):
+        child = VoronoiClip(centers, own, cell)
+        starts = X[child.contains_many(X)]  # interior points and boundary ties
+        if starts.shape[0] == 0:
+            continue
+        kernel = CellKernel.of(child, starts.shape[0])
+        t = kernel.exits(starts, dirs)
+        assert np.isfinite(t).all() and (t >= 0).all()
+        # from a boundary tie, a step along the tied face is lost in rounding
+        interior = kernel.min_margin(starts)[0] > 1e-3
+        P, t = starts[interior][:, None, :], t[interior]
+        before = (P + (t * (1 - 1e-9))[:, :, None] * dirs).reshape(-1, d)
+        after = (P + (t * (1 + 1e-9))[:, :, None] * dirs).reshape(-1, d)
+        assert child.contains_many(before).all()
+        assert not child.contains_many(after).any()
+
+
+def test_kernel_exit_along_a_bisector_through_a_tie():
+    # (0, 0) ties between the two centers and belongs to cell 0; moving along
+    # the bisector the cell never leaves it, so the exit is the root's face
+    root = Box(-np.ones(2), np.ones(2), closed_high=np.array([True, True]))
+    cell = VoronoiClip(np.array([[-0.5, 0.0], [0.5, 0.0]]), 0, root)
+    t = CellKernel.of(cell, 1).exits(np.zeros((1, 2)), np.array([[0.0, 1.0], [0.0, -1.0]]))
+    assert t.tolist() == [[1.0, 1.0]]
