@@ -182,15 +182,69 @@ class Ball(Region):
         return self.center, self.radius
 
 
+class VoronoiNeighbours:
+    """Delaunay neighbours of each center of one (m, d) array, built on first use.
+
+    Two Voronoi cells that share a facet are joined by a Delaunay edge
+    (qhull, through ``scipy.spatial.Delaunay``), so only a center's
+    neighbours can bound its cell.  ``columns(i)`` lists i first, then its
+    neighbours.  It is None where no table is built: d = 1, d > 4 (the
+    triangulation grows too fast), m < d + 2 (too few points for qhull), or
+    qhull raising, as on collinear centers in the plane.  ``radius`` is the
+    largest center norm.
+    """
+
+    __slots__ = ("centers", "radius", "_columns", "_built")
+
+    def __init__(self, centers: np.ndarray):
+        self.centers = centers
+        self.radius = math.inf
+        self._columns = None
+        self._built = False
+
+    def columns(self, i: int) -> np.ndarray | None:
+        if not self._built:
+            self._build()
+        return None if self._columns is None else self._columns[i]
+
+    def _build(self):
+        self._built = True
+        m, d = self.centers.shape
+        if d == 1 or d > 4 or m < d + 2:
+            return
+        from scipy.spatial import Delaunay, QhullError
+
+        try:
+            indptr, indices = Delaunay(self.centers).vertex_neighbor_vertices
+        except QhullError:
+            return
+        self._columns = [np.concatenate(([i], indices[indptr[i]:indptr[i + 1]]))
+                         for i in range(m)]
+        self.radius = float(np.linalg.norm(self.centers, axis=1).max())
+
+
 class VoronoiClip(Region):
     """Voronoi cell of one center among siblings, clipped to a parent region.
 
     ``centers`` holds the full ordered center list (own + siblings); ties in
     the nearest-center assignment break toward the lowest index, which makes
     sibling cells disjoint and exhaustive on the parent.
+
+    Membership runs in two stages.  Stage 1 scores each row against the own
+    center and its Delaunay ``neighbours`` only, and rejects the row when a
+    neighbour's score is below the own score by more than ``tau``, a bound
+    on the rounding of two ``center_scores`` evaluations.  Such a row's full
+    argmin certainly goes elsewhere, and any subset of centers would make a
+    sound stage 1.  Stage 2 decides the surviving rows as membership always
+    has: the full argmin over every center, then the parent.  So the result
+    is byte-identical to the full argmin over all rows, given a BLAS that
+    computes each row of a matrix product the same way in any batch of two
+    or more rows.  Where ``VoronoiNeighbours`` builds no table, only stage 2
+    runs.  Sibling clips of one split share its table; a clip built
+    directly computes its own on first use.
     """
 
-    __slots__ = ("centers", "own_index", "parent")
+    __slots__ = ("centers", "own_index", "parent", "neighbours")
 
     def __init__(self, centers, own_index: int, parent: Region):
         centers = np.asarray(centers, dtype=float)
@@ -208,6 +262,7 @@ class VoronoiClip(Region):
         self.centers.setflags(write=False)
         self.own_index = int(own_index)
         self.parent = parent
+        self.neighbours = VoronoiNeighbours(self.centers)
 
     @property
     def dim(self) -> int:
@@ -219,6 +274,29 @@ class VoronoiClip(Region):
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        cols = self.neighbours.columns(self.own_index)
+        if cols is None:
+            return self._full_test(X)
+        # Each score is within (d + 2) u S of exact, with u = eps / 2 and
+        # S = |c|^2 + 2 |x| |c|.  Stage 1 and the full argmin evaluate the
+        # two scores separately, so a neighbour's lead of more than 4 times
+        # that is conclusive; tau doubles it for the rounding of tau itself.
+        c_max = self.neighbours.radius
+        scale = c_max * c_max + 2.0 * c_max * np.sqrt((X * X).sum(axis=1))
+        tau = 4.0 * (X.shape[1] + 2) * np.finfo(float).eps * scale
+        scores = center_scores(self.centers[cols], X)
+        rejected = (scores[:, 1:] < (scores[:, 0] - tau)[:, None]).any(axis=1)
+        keep = np.flatnonzero(~rejected)
+        if keep.size == 1 < X.shape[0]:
+            # numpy takes a matrix-vector product for one row, whose last bits
+            # can differ from the matrix product the full batch would take
+            keep = np.union1d(keep, [0 if keep[0] else 1])
+        inside = np.zeros(X.shape[0], dtype=bool)
+        if keep.size:
+            inside[keep] = self._full_test(X[keep])
+        return inside
+
+    def _full_test(self, X: np.ndarray) -> np.ndarray:
         assigned = voronoi_assign(self.centers, X) == self.own_index
         return assigned & self.parent.contains_many(X)
 

@@ -12,6 +12,12 @@ largest exact ray exit over random directions, with a 1% safety factor.  The
 cover polish slides along the same kernel's nearest constraint.
 Certificates are approximate witnesses and all downstream checks carry
 explicit slack.
+
+The privacy check reads the same kernel once per leaf: a probe ball that
+lies farther from the cell than its radius plus a rounding slack
+(``_misses_cell``) is counted as degenerate without sampling, because no
+sample could have landed in the cell.  Every report is byte-identical to
+sampling each such probe.
 """
 
 from __future__ import annotations
@@ -426,6 +432,37 @@ class PrivacyConditionReport:
         }
 
 
+def _misses_cell(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether no point within radii[j] of Y[i] can pass the cell's
+    membership test, as a (len(Y), len(radii)) boolean array; row i of Y is
+    read against the kernel's cell i.
+
+    Every constraint is a halfspace or the root ball, so ``-min_margin(y)``
+    is a lower bound on dist(y, cell), and the test is that it exceeds the
+    radius by more than a rounding slack.  With L the largest norm of a
+    center, a root point or a point of the ball, and u = eps / 2, each
+    ``center_scores`` double is within 3 (d + 2) u L^2 of exact.  A margin
+    divides a score difference by 2|c_own - c_j| >= s, the smallest span
+    over the cell's levels, so the margin at y and the test at a sampled
+    point each move a bisector by at most 6 (d + 2) u L^2 / s.  The root's
+    faces and ball, the margin's division and the sampled radius add less
+    than 4 (d + 5) u L.  The slack, 16 (d + 2) u (L + L^2 / s), covers both.
+    """
+    margin = kernel.min_margin(Y)[0]
+    root = kernel.root
+    if isinstance(root, Ball):
+        extent = float(np.linalg.norm(root.center)) + root.radius
+    else:
+        extent = float(np.linalg.norm(np.maximum(np.abs(root.low), np.abs(root.high))))
+    span = np.inf
+    for centers, _, level_span in kernel.levels:
+        extent = max(extent, float(np.linalg.norm(centers, axis=1).max()))
+        span = min(span, float(level_span.min()))
+    reach = np.maximum(np.linalg.norm(Y, axis=1)[:, None] + radii, extent)
+    slack = 8.0 * (Y.shape[1] + 2) * np.finfo(float).eps * (reach + reach * reach / span)
+    return -margin[:, None] > radii + slack
+
+
 def _leaf_parent_pairs(root_node):
     """DFS (leaf, parent) pairs; a root leaf is its own parent."""
     out = []
@@ -459,6 +496,14 @@ def check_privacy_condition(
     grid; each (q, r) either satisfies the sufficient containment test
     c*r >= |q - p_P| + R_P or contributes a Monte Carlo volume ratio.  The
     report's epsilon is the worst ratio observed.
+
+    A probe that fails the containment test, and whose separation bound
+    -min_margin(q) from one ``CellKernel`` of the leaf exceeds c*r plus the
+    rounding slack derived in ``_misses_cell``, is counted as degenerate
+    without sampling: ``intersection_volume_ratio`` would have found no
+    sample in the cell and raised ``DegenerateGeometryError``.  Every probe
+    has its own pre-drawn seed, so skipping one shifts no other stream, and
+    the report is byte-identical to sampling every probe.
     """
     if not c > 1:
         raise InputError("requires c > 1")
@@ -484,12 +529,16 @@ def check_privacy_condition(
         qs = uniform_in_ball(cert_c.witness, 2.0 * cert_c.radius, q_probes, rng)
         rs = np.geomspace(cert_c.radius / 1e4, 2.0 * cert_c.radius, r_grid_size)
         sub_seeds = rng.integers(0, 2**62, size=(q_probes, r_grid_size))
+        missed = _misses_cell(CellKernel.of(leaf.region, q_probes), qs, c * rs)
         for qi in range(q_probes):
             dist_qp = float(np.linalg.norm(qs[qi] - cert_p.witness))
             for ri in range(r_grid_size):
                 r = float(rs[ri])
                 if c * r >= dist_qp + cert_p.radius:
                     containment += 1
+                    continue
+                if missed[qi, ri]:
+                    degenerate += 1
                     continue
                 try:
                     ratio, _ = intersection_volume_ratio(

@@ -32,6 +32,7 @@ from .geometry import (
     Dataset,
     Region,
     VoronoiClip,
+    VoronoiNeighbours,
     uniform_in_region,
     voronoi_assign,
 )
@@ -77,20 +78,24 @@ class MeshSplit:
 
 class VoronoiSplit:
     """Split of a region by the Voronoi cells of one (m, d) center array;
-    child i is ``VoronoiClip(centers, i, parent)``."""
+    child i is ``VoronoiClip(centers, i, parent)``, and the children share
+    the split's Delaunay neighbour table."""
 
-    __slots__ = ("centers", "size", "_source")
+    __slots__ = ("centers", "size", "neighbours", "_source")
 
     def __init__(self, centers):
         self.centers = np.asarray(centers, dtype=float)
         self.centers.setflags(write=False)
         self.size = self.centers.shape[0]
+        self.neighbours = VoronoiNeighbours(self.centers)
 
     def assign(self, X: np.ndarray) -> np.ndarray:
         return voronoi_assign(self.centers, X)
 
     def child_region(self, parent: Region, k: int) -> VoronoiClip:
-        return VoronoiClip(self.centers, k, parent)
+        clip = VoronoiClip(self.centers, k, parent)
+        clip.neighbours = self.neighbours
+        return clip
 
 
 Split = MeshSplit | VoronoiSplit

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from privhist.errors import DegenerateGeometryError, InputError
@@ -18,8 +18,10 @@ from privhist.geometry import (
     t_radii,
     t_radius,
     uniform_in_region,
+    voronoi_assign,
 )
 from privhist.rng import substream
+from privhist.sanitizer import VoronoiSplit
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -250,3 +252,117 @@ class TestUniformSampling:
             # envelope nowhere near the cell: nothing is ever accepted
             uniform_in_region(cell, 100, substream(6, "s"),
                               envelope=(np.array([100.0, 100.0]), 0.1), max_batches=3)
+
+
+# ---------------------------------------------------------------------------
+# two-stage Voronoi membership against the full argmin at every level
+
+
+def _full_argmin_membership(region, X):
+    inside = np.ones(X.shape[0], dtype=bool)
+    while isinstance(region, VoronoiClip):
+        inside &= voronoi_assign(region.centers, X) == region.own_index
+        region = region.parent
+    return inside & region.contains_many(X)
+
+
+def _snap(X):
+    return np.round(X * 8.0) / 8.0
+
+
+def _distinct_centers(region, X, m):
+    X = X[region.contains_many(X)]
+    _, first = np.unique(X, axis=0, return_index=True)
+    return X[np.sort(first)][:m]
+
+
+def _centers_for(region, layout, snap, rng):
+    """Centers inside the region: ``generic`` (d + 2 to 12 of them), ``few``
+    (1 to d + 1) or ``collinear`` (on one line).  Snapped centers sit on the
+    1/8 grid, where every bisector tie is exact."""
+    d = region.dim
+    if layout == "collinear":
+        base = uniform_in_region(region, 1, rng)[0]
+        step = rng.uniform(-0.25, 0.25, d)
+        if snap:
+            base, step = _snap(base), _snap(step) + 0.125 * (_snap(step) == 0)
+        X = base + np.arange(-12, 13)[:, None] * step
+        return _distinct_centers(region, X[rng.permutation(X.shape[0])],
+                                 int(rng.integers(2, 9)))
+    m = int(rng.integers(d + 2, 13)) if layout == "generic" else int(rng.integers(1, d + 2))
+    X = uniform_in_region(region, 4 * m, rng)
+    if snap:
+        X = np.concatenate([_snap(X), X])
+    return _distinct_centers(region, X, m)
+
+
+def _membership_probes(root, levels, rng):
+    """Uniform points around the root; at each level the centers, every
+    center midpoint, points on every bisector (exactly, for snapped centers)
+    and points projected onto bisectors; points on the root's closed faces or
+    sphere."""
+    d = root.dim
+    X = [rng.uniform(-1.3, 1.3, (120, d))]
+    for c in levels:
+        i, j = np.triu_indices(c.shape[0], k=1)
+        mid = 0.5 * (c[i] + c[j])
+        n = c[j] - c[i]
+        v = _snap(rng.uniform(-0.5, 0.5, (i.size, d)))
+        # (x - mid) . n = 0, in dyadic arithmetic that is exact on the grid
+        on = mid + (n * n).sum(axis=1, keepdims=True) * v - (v * n).sum(axis=1, keepdims=True) * n
+        unit = n / np.linalg.norm(n, axis=1, keepdims=True)
+        y = rng.uniform(-1.0, 1.0, (i.size, d))
+        X += [c, mid, on, y - ((y - mid) * unit).sum(axis=1, keepdims=True) * unit]
+    if isinstance(root, Box):
+        faces = rng.uniform(-1.0, 1.0, (40, d))
+        axis = rng.integers(d, size=40)
+        faces[np.arange(40), axis] = np.where(rng.random(40) < 0.5, root.low[axis],
+                                              root.high[axis])
+        X.append(faces)
+    else:
+        X.append(np.concatenate([np.eye(d), -np.eye(d)]))
+    return np.concatenate(X)
+
+
+@given(st.sampled_from(["ball", "box"]), st.sampled_from([1, 2, 3, 5]),
+       st.sampled_from(["generic", "few", "collinear"]), st.booleans(), st.booleans(),
+       st.integers(0, 100_000))
+@settings(max_examples=80, deadline=None)
+def test_two_stage_membership_equals_full_argmin(kind, d, layout, snap, two_levels, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ball":
+        root = Ball(np.zeros(d), 1.0)
+    else:
+        root = Box(-np.ones(d), np.ones(d), closed_high=rng.random(d) < 0.5)
+    parent, levels = root, []
+    if two_levels:
+        outer = _centers_for(root, "generic", snap, rng)
+        split = VoronoiSplit(outer)
+        parent = split.child_region(root, int(rng.integers(outer.shape[0])))
+        levels.append(outer)
+    if layout == "collinear" and d != 2:  # the plane is where qhull rejects them
+        layout = "generic"
+    centers = _centers_for(parent, layout, snap, rng)
+    m = centers.shape[0]
+    assume(m >= 1)  # a snapped line can miss a small cell
+    levels.append(centers)
+    X = _membership_probes(root, levels, rng)
+    table = 2 <= d <= 4 and m >= d + 2 and (
+        np.linalg.matrix_rank(centers[1:] - centers[0]) == d)
+    split = VoronoiSplit(centers)
+    for own in range(m):
+        direct = VoronoiClip(centers, own, parent)
+        shared = split.child_region(parent, own)
+        assert (direct.neighbours.columns(own) is not None) == table
+        assert shared.neighbours is split.neighbours
+        ref = _full_argmin_membership(direct, X)
+        assert np.array_equal(direct.contains_many(X), ref)
+        assert np.array_equal(shared.contains_many(X), ref)
+        # one row, and pairs in which often only the first row reaches the
+        # full argmin: numpy's product for one row can round differently
+        partner = centers[(own + 1) % m]
+        for x in X[rng.choice(X.shape[0], 24)]:
+            for batch in (x[None, :], np.stack([x, partner])):
+                assert np.array_equal(shared.contains_many(batch),
+                                      _full_argmin_membership(direct, batch))
+    assert not direct.contains_many(np.empty((0, d))).size

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privhist.roundness
 from privhist.datagen import UniformBall, UniformCube, sample, single
-from privhist.errors import InputError
+from privhist.errors import DegenerateGeometryError, InputError
 from privhist.geometry import Ball, Box, VoronoiClip, intersection_volume_ratio, uniform_in_region
 from privhist.rng import substream
 from privhist.roundness import (
     CellKernel,
+    RoundnessCertificate,
+    _misses_cell,
     audit_voronoi_splits,
     boundary_distances,
     certify_children,
@@ -19,7 +22,7 @@ from privhist.roundness import (
     cover_check,
     well_spread_check,
 )
-from privhist.sanitizer import build_recursive_cube, build_voronoi
+from privhist.sanitizer import HistogramNode, VoronoiSplit, build_recursive_cube, build_voronoi
 
 
 class TestCertifyRoundness:
@@ -144,6 +147,62 @@ class TestPrivacyCondition:
         assert report.cells_checked == 1
         total = report.containment_count + report.ratio_count + report.degenerate_count
         assert total == report.probes_per_cell
+
+    @pytest.mark.parametrize("tree", ["greedy-disc", "uniform-box"])
+    def test_reports_match_recorded_values(self, tree, monkeypatch):
+        # values recorded with every probe sampled: skipping the probes
+        # that miss the cell must leave every count and ratio as it was
+        if tree == "greedy-disc":
+            data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 300, seed=21)
+            hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
+                                 method="greedy", probe_samples=4_000, cert_samples=64,
+                                 seed=22)
+            c, seed = 16.0, 23
+            expected = {"containment_count": 167, "ratio_count": 283,
+                        "degenerate_count": 510, "epsilon_observed": 0.20987654320987653}
+        else:
+            data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 200, seed=24)
+            root = Box(-np.ones(3), np.ones(3), closed_high=np.ones(3, dtype=bool))
+            hist = build_voronoi(data, root, t=4, max_depth=2, method="uniform",
+                                 override_m=24, cert_samples=64, seed=25)
+            c, seed = 8.0, 26
+            expected = {"containment_count": 160, "ratio_count": 179,
+                        "degenerate_count": 621, "epsilon_observed": 0.09090909090909091}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return intersection_volume_ratio(*args, **kwargs)
+
+        monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", counted)
+        report = check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
+                                         volume_samples=3_000, seed=seed, cert_samples=64,
+                                         max_cells=40)
+        assert report.to_dict() == {"cells_checked": 40, "probes_per_cell": 24, "c": c,
+                                    **expected, "failures": []}
+        # most degenerate probes are decided without sampling
+        assert report.ratio_count <= len(calls) < report.ratio_count + report.degenerate_count / 2
+
+    def test_containment_is_decided_before_separation(self, monkeypatch):
+        # witnesses far from every cell, and a parent certificate small
+        # enough that probes both pass the containment test and miss the
+        # leaf: they must count as containment, as when every probe is sampled
+        root = HistogramNode(region=Ball(np.zeros(2), 1.0))
+        centers = uniform_in_region(root.region, 8, substream(27, "c"))
+        root.divide(VoronoiSplit(centers), [1] * 8)
+        far = np.array([10.0, 0.0])
+
+        def certify(region, samples, seed):
+            return RoundnessCertificate(1.0, 1e-3 if region is root.region else 1.0, far)
+
+        monkeypatch.setattr(privhist.roundness, "certify_roundness", certify)
+        kwargs = dict(c=16.0, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=28)
+        report = check_privacy_condition(root, **kwargs)
+        monkeypatch.setattr(privhist.roundness, "_misses_cell",
+                            lambda kernel, Y, radii: np.zeros((Y.shape[0], radii.size), bool))
+        sampled = check_privacy_condition(root, **kwargs)
+        assert report.to_dict() == sampled.to_dict()
+        assert 0 < report.containment_count < report.cells_checked * report.probes_per_cell
 
 
 class TestSplitAudits:
@@ -337,3 +396,40 @@ def test_kernel_exit_along_a_bisector_through_a_tie():
     cell = VoronoiClip(np.array([[-0.5, 0.0], [0.5, 0.0]]), 0, root)
     t = CellKernel.of(cell, 1).exits(np.zeros((1, 2)), np.array([[0.0, 1.0], [0.0, -1.0]]))
     assert t.tolist() == [[1.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# probes that miss the cell, decided without sampling
+
+
+def _shifted(region, offset):
+    if isinstance(region, VoronoiClip):
+        return VoronoiClip(region.centers + offset, region.own_index,
+                           _shifted(region.parent, offset))
+    if isinstance(region, Ball):
+        return Ball(region.center + offset, region.radius)
+    return Box(region.low + offset, region.high + offset, closed_high=region.closed_high)
+
+
+@given(st.sampled_from(["ball", "box"]), st.sampled_from([2, 3]), st.booleans(),
+       st.sampled_from([0.0, 1e7]), st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_missed_probes_would_find_no_sample(kind, d, snap, offset, seed):
+    # far from the origin the scores round coarsely and membership blurs
+    # across a bisector: the slack must keep such probes sampled
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    leaf = VoronoiClip(centers, int(rng.integers(centers.shape[0])), cell)
+    if offset:  # one level: the shifted outer cell may lose its own center
+        leaf = _shifted(VoronoiClip(centers, leaf.own_index, root), offset)
+    qs = offset + rng.uniform(-1.5, 1.5, (6, d))
+    kernel = CellKernel.of(leaf, 1)
+    c = 4.0
+    for i, q in enumerate(qs):
+        sep = -kernel.min_margin(q[None, :])[0][0]
+        if sep <= 0:
+            continue
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9, rng.uniform(0.3, 1.0)):
+            r = sep * factor / c
+            if _misses_cell(kernel, q[None, :], np.array([c * r]))[0, 0]:
+                with pytest.raises(DegenerateGeometryError):
+                    intersection_volume_ratio(q, r, c, leaf, samples=2_000, seed=seed + i)
