@@ -188,11 +188,25 @@ class VoronoiNeighbours:
     Two Voronoi cells that share a facet are joined by a Delaunay edge
     (qhull, through ``scipy.spatial.Delaunay``), so only a center's
     neighbours can bound its cell.  ``columns(i)`` lists i first, then its
-    neighbours.  It is None where no table is built: d = 1, d > 4 (the
-    triangulation grows too fast), m < d + 2 (too few points for qhull), or
-    qhull raising, as on collinear centers in the plane.  ``radius`` is the
+    neighbours, when they are at most ``m / PREFILTER_RATIO`` columns, and
+    is None otherwise: where the two-stage membership test of
+    ``VoronoiClip`` would score nearly as many columns as the full argmin,
+    it costs more than it saves.  Every vertex of a full-dimensional
+    triangulation has at least d neighbours, so no table is built when
+    m < PREFILTER_RATIO (d + 1), nor at d = 1 or d > 4, nor when qhull
+    raises, as on collinear centers in the plane.  ``radius`` is the
     largest center norm.
+
+    On the perfbench voronoi workload (seed 1, one BLAS thread), the
+    two-stage test took 0.23 to 0.41 of the full argmin's time on the
+    256-center split, whose cells have 4 to 10 columns, and 0.92 to 1.45
+    times it on the 40-center split, with 6 to 8.  Past d = 4 the
+    triangulation is slow to build (0.66 s at d = 5 and 5.3 s at d = 6
+    for 512 centers), and at 128 centers its mean degree is already m / 3
+    (d = 5) to m / 2 (d = 6), far past the gate.
     """
+
+    PREFILTER_RATIO = 8
 
     __slots__ = ("centers", "radius", "_columns", "_built")
 
@@ -210,7 +224,7 @@ class VoronoiNeighbours:
     def _build(self):
         self._built = True
         m, d = self.centers.shape
-        if d == 1 or d > 4 or m < d + 2:
+        if d == 1 or d > 4 or m < self.PREFILTER_RATIO * (d + 1):
             return
         from scipy.spatial import Delaunay, QhullError
 
@@ -218,8 +232,10 @@ class VoronoiNeighbours:
             indptr, indices = Delaunay(self.centers).vertex_neighbor_vertices
         except QhullError:
             return
-        self._columns = [np.concatenate(([i], indices[indptr[i]:indptr[i + 1]]))
-                         for i in range(m)]
+        limit = m // self.PREFILTER_RATIO
+        self._columns = [
+            np.concatenate(([i], indices[lo:hi])) if hi - lo + 1 <= limit else None
+            for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:]))]
         self.radius = float(np.linalg.norm(self.centers, axis=1).max())
 
 
@@ -239,9 +255,9 @@ class VoronoiClip(Region):
     has: the full argmin over every center, then the parent.  So the result
     is byte-identical to the full argmin over all rows, given a BLAS that
     computes each row of a matrix product the same way in any batch of two
-    or more rows.  Where ``VoronoiNeighbours`` builds no table, only stage 2
-    runs.  Sibling clips of one split share its table; a clip built
-    directly computes its own on first use.
+    or more rows.  Where ``VoronoiNeighbours`` gives no columns, only stage
+    2 runs.  ``VoronoiSplit.child_region`` hands every child the split's
+    table; a clip built directly computes its own on first use.
     """
 
     __slots__ = ("centers", "own_index", "parent", "neighbours")
@@ -262,7 +278,7 @@ class VoronoiClip(Region):
         self.centers.setflags(write=False)
         self.own_index = int(own_index)
         self.parent = parent
-        self.neighbours = VoronoiNeighbours(self.centers)
+        self.neighbours = None
 
     @property
     def dim(self) -> int:
@@ -274,20 +290,26 @@ class VoronoiClip(Region):
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        if self.neighbours is None:
+            self.neighbours = VoronoiNeighbours(self.centers)
         cols = self.neighbours.columns(self.own_index)
-        if cols is None:
+        if cols is None or X.shape[0] < 2:
             return self._full_test(X)
         # Each score is within (d + 2) u S of exact, with u = eps / 2 and
-        # S = |c|^2 + 2 |x| |c|.  Stage 1 and the full argmin evaluate the
-        # two scores separately, so a neighbour's lead of more than 4 times
-        # that is conclusive; tau doubles it for the rounding of tau itself.
+        # S = |c|^2 + 2 |x| |c| <= c_max^2 + 2 x_max c_max, where x_max is
+        # the norm of the per-axis largest |x_k|.  Stage 1 and the full
+        # argmin evaluate the two scores separately, so a neighbour's lead
+        # of more than 4 times that is conclusive; tau doubles it for the
+        # rounding of tau itself.
         c_max = self.neighbours.radius
-        scale = c_max * c_max + 2.0 * c_max * np.sqrt((X * X).sum(axis=1))
-        tau = 4.0 * (X.shape[1] + 2) * np.finfo(float).eps * scale
+        x_max = float(np.linalg.norm(np.abs(X).max(axis=0)))
+        tau = 4.0 * (X.shape[1] + 2) * np.finfo(float).eps * (
+            c_max * c_max + 2.0 * c_max * x_max)
         scores = center_scores(self.centers[cols], X)
-        rejected = (scores[:, 1:] < (scores[:, 0] - tau)[:, None]).any(axis=1)
+        scores[:, 0] -= tau
+        rejected = (scores[:, 1:] < scores[:, :1]).any(axis=1)
         keep = np.flatnonzero(~rejected)
-        if keep.size == 1 < X.shape[0]:
+        if keep.size == 1:
             # numpy takes a matrix-vector product for one row, whose last bits
             # can differ from the matrix product the full batch would take
             keep = np.union1d(keep, [0 if keep[0] else 1])

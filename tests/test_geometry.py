@@ -11,6 +11,8 @@ from privhist.geometry import (
     Box,
     Dataset,
     VoronoiClip,
+    VoronoiNeighbours,
+    center_scores,
     count_in_region,
     distance,
     intersection_volume_ratio,
@@ -277,9 +279,10 @@ def _distinct_centers(region, X, m):
 
 
 def _centers_for(region, layout, snap, rng):
-    """Centers inside the region: ``generic`` (d + 2 to 12 of them), ``few``
-    (1 to d + 1) or ``collinear`` (on one line).  Snapped centers sit on the
-    1/8 grid, where every bisector tie is exact."""
+    """Centers inside the region: ``generic`` (d + 2 to 12 of them), ``many``
+    (8 (d + 1) to 8 (d + 1) + 24, where the neighbour table is built at the
+    default ratio), ``few`` (1 to d + 1) or ``collinear`` (on one line).
+    Snapped centers sit on the 1/8 grid, where every bisector tie is exact."""
     d = region.dim
     if layout == "collinear":
         base = uniform_in_region(region, 1, rng)[0]
@@ -289,7 +292,9 @@ def _centers_for(region, layout, snap, rng):
         X = base + np.arange(-12, 13)[:, None] * step
         return _distinct_centers(region, X[rng.permutation(X.shape[0])],
                                  int(rng.integers(2, 9)))
-    m = int(rng.integers(d + 2, 13)) if layout == "generic" else int(rng.integers(1, d + 2))
+    low, high = {"generic": (d + 2, 13), "many": (8 * (d + 1), 8 * (d + 1) + 25),
+                 "few": (1, d + 2)}[layout]
+    m = int(rng.integers(low, high))
     X = uniform_in_region(region, 4 * m, rng)
     if snap:
         X = np.concatenate([_snap(X), X])
@@ -325,10 +330,23 @@ def _membership_probes(root, levels, rng):
 
 
 @given(st.sampled_from(["ball", "box"]), st.sampled_from([1, 2, 3, 5]),
-       st.sampled_from(["generic", "few", "collinear"]), st.booleans(), st.booleans(),
+       st.sampled_from(["generic", "many", "few", "collinear"]), st.booleans(),
+       st.booleans(), st.sampled_from([1, VoronoiNeighbours.PREFILTER_RATIO]),
        st.integers(0, 100_000))
 @settings(max_examples=80, deadline=None)
-def test_two_stage_membership_equals_full_argmin(kind, d, layout, snap, two_levels, seed):
+def test_two_stage_membership_equals_full_argmin(kind, d, layout, snap, two_levels, ratio,
+                                                 seed):
+    # ratio 1 gives every center its columns, so stage 1 runs wherever qhull
+    # builds a table; the default ratio is the cost gate membership runs with
+    default = VoronoiNeighbours.PREFILTER_RATIO
+    VoronoiNeighbours.PREFILTER_RATIO = ratio
+    try:
+        _check_two_stage_membership(kind, d, layout, snap, two_levels, seed)
+    finally:
+        VoronoiNeighbours.PREFILTER_RATIO = default
+
+
+def _check_two_stage_membership(kind, d, layout, snap, two_levels, seed):
     rng = np.random.default_rng(seed)
     if kind == "ball":
         root = Ball(np.zeros(d), 1.0)
@@ -347,21 +365,37 @@ def test_two_stage_membership_equals_full_argmin(kind, d, layout, snap, two_leve
     assume(m >= 1)  # a snapped line can miss a small cell
     levels.append(centers)
     X = _membership_probes(root, levels, rng)
-    table = 2 <= d <= 4 and m >= d + 2 and (
-        np.linalg.matrix_rank(centers[1:] - centers[0]) == d)
+    ratio = VoronoiNeighbours.PREFILTER_RATIO
+    full_rank = np.linalg.matrix_rank(centers[1:] - centers[0]) == d if m > 1 else False
     split = VoronoiSplit(centers)
-    for own in range(m):
+    owns = range(m) if m <= 12 else np.sort(rng.choice(m, 12, replace=False))
+    scores = center_scores(centers, X)
+
+    def near_tie(own):
+        """Rows of X by how close the own score is to the best other one."""
+        if m == 1:
+            return rng.permutation(X.shape[0])
+        others = np.delete(scores, own, axis=1).min(axis=1)
+        return np.argsort(np.abs(scores[:, own] - others))
+
+    for own in owns:
         direct = VoronoiClip(centers, own, parent)
         shared = split.child_region(parent, own)
-        assert (direct.neighbours.columns(own) is not None) == table
         assert shared.neighbours is split.neighbours
         ref = _full_argmin_membership(direct, X)
         assert np.array_equal(direct.contains_many(X), ref)
         assert np.array_equal(shared.contains_many(X), ref)
+        cols = direct.neighbours.columns(own)
+        if cols is not None:
+            assert 2 <= d <= 4 and full_rank and ratio * cols.size <= m and cols[0] == own
+        elif ratio == 1:
+            assert not (2 <= d <= 4 and m >= d + 2 and full_rank)
         # one row, and pairs in which often only the first row reaches the
-        # full argmin: numpy's product for one row can round differently
-        partner = centers[(own + 1) % m]
-        for x in X[rng.choice(X.shape[0], 24)]:
+        # full argmin: numpy's product for one row can round differently.
+        # A neighbour center as the partner is rejected at stage 1, so the
+        # lone-survivor padding runs.
+        partner = centers[cols[1] if cols is not None and cols.size > 1 else (own + 1) % m]
+        for x in X[np.concatenate([near_tie(own)[:12], rng.choice(X.shape[0], 12)])]:
             for batch in (x[None, :], np.stack([x, partner])):
                 assert np.array_equal(shared.contains_many(batch),
                                       _full_argmin_membership(direct, batch))
