@@ -221,12 +221,14 @@ def _points_per_leaf(hist, leaves, X: np.ndarray) -> np.ndarray:
     """Rows of X inside each leaf, in ``leaves`` order.  The leaves partition
     the root, so one leaf location pass counts them; rows outside the root
     count in no leaf."""
-    from .metrics import locate_leaves
+    from .metrics import _descend
 
-    leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
     inside = X[hist.root.region.contains_many(X)]
-    located = [leaf_index[id(leaf)] for leaf in locate_leaves(hist, inside)]
-    return np.bincount(np.asarray(located, dtype=int), minlength=len(leaves))
+    ids, reached, _ = _descend(hist, inside)
+    leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
+    out = np.zeros(len(leaves), dtype=int)
+    out[[leaf_index[id(leaf)] for leaf in reached]] = np.bincount(ids, minlength=len(reached))
+    return out
 
 
 def _leaf_scale(leaf) -> float:

@@ -20,8 +20,8 @@ from .geometry import (Ball, Box, Dataset, Region, as_point, t_radii, uniform_in
                        voronoi_assign)
 from .rng import substream
 from .roundness import certify_roundness
-from .sanitizer import (HistogramNode, SanitizedHistogram, _partition, build_shifted_grid,
-                        build_voronoi)
+from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
+                        build_shifted_grid, build_voronoi)
 
 
 # ---------------------------------------------------------------------------
@@ -33,26 +33,64 @@ def locate_leaf(hist: SanitizedHistogram, x) -> HistogramNode:
 
 
 def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode]:
-    """Leaf per row of X: descend each split with one child assignment of
-    the rows that reached it."""
+    """Leaf per row of X."""
+    ids, leaves, _ = _descend(hist, X)
+    return [leaves[i] for i in ids.tolist()]
+
+
+def _descend(hist: SanitizedHistogram, X: np.ndarray):
+    """One descent of all rows of X: (ids, leaves, bounds).
+
+    ``leaves`` are the distinct leaves reached, in order of their first row,
+    and ``ids[r]`` indexes row r's leaf there.  Each split assigns the rows
+    that reached it at once.  When the root is a box and every split crossed
+    is a mesh, ``bounds`` holds the (L, d) low and high corner arrays of the
+    leaves, filled from the cut arrays as rows descend (no ``Box`` per leaf);
+    otherwise it is None.
+    """
     X = np.asarray(X, dtype=float)
     root = hist.root
-    if X.ndim != 2 or X.shape[1] != root.region.dim:
-        raise InputError(f"points must form an (n, {root.region.dim}) array")
-    inside = root.region.contains_many(X)
+    region = root.region
+    if X.ndim != 2 or X.shape[1] != region.dim:
+        raise InputError(f"points must form an (n, {region.dim}) array")
+    inside = region.contains_many(X)
     if not inside.all():
         raise InputError(f"point index {int(np.flatnonzero(~inside)[0])} is outside the root")
-    out: list = [None] * X.shape[0]
-    stack = [(root, np.arange(X.shape[0]))]
+    n = X.shape[0]
+    mesh = isinstance(region, Box)
+    if mesh:
+        lo = np.tile(region.low, (n, 1))
+        hi = np.tile(region.high, (n, 1))
+    ids = np.empty(n, dtype=int)
+    leaves, firsts = [], []
+    stack = [(root, np.arange(n))] if n else []
     while stack:
         node, rows = stack.pop()
-        if node.split is None:
-            for r in rows.tolist():
-                out[r] = node
+        split = node.split
+        if split is None:
+            ids[rows] = len(leaves)
+            leaves.append(node)
+            firsts.append(rows[0])
             continue
-        parts = _partition(node.split.assign(X[rows]), node.split.size)
+        if mesh and isinstance(split, MeshSplit):
+            digits = split.digits(X[rows])
+            for j, (c, digit) in enumerate(zip(split.cuts, digits)):
+                lo[rows, j] = c[digit]
+                hi[rows, j] = c[digit + 1]
+            keys = np.ravel_multi_index(digits, split.shape)
+        else:
+            mesh = False
+            keys = split.assign(X[rows])
+        parts = _partition(keys, split.size)
         stack.extend((child, rows[part]) for child, part in zip(node.children, parts) if part.size)
-    return out
+    # rows ascend within every part, so a leaf's first row is its smallest
+    firsts = np.array(firsts, dtype=int)
+    order = np.argsort(firsts)
+    rank = np.empty(len(leaves), dtype=int)
+    rank[order] = np.arange(len(leaves))
+    leaves = [leaves[i] for i in order.tolist()]
+    bounds = (lo[firsts[order]], hi[firsts[order]]) if mesh else None
+    return rank[ids], leaves, bounds
 
 
 class _CertCache:
@@ -79,6 +117,23 @@ def leaf_diameter(node: HistogramNode, certs: _CertCache | None = None) -> float
     return 2.0 * certs.get(node).radius
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row as ``sqrt(v @ v)``, the same dot product
+    ``np.linalg.norm`` takes of a single vector, so bit for bit equal to it
+    (``norm(axis=...)`` and ``einsum`` sum in another order and can differ in
+    the last bit)."""
+    return np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def _leaf_diameters(leaves: list, bounds, certs: _CertCache) -> np.ndarray:
+    """``leaf_diameter`` of each leaf, from the descent's mesh bounds when it
+    has them (no ``Box`` per leaf)."""
+    if bounds is not None:
+        low, high = bounds
+        return _row_norms(high - low)
+    return np.array([leaf_diameter(leaf, certs) for leaf in leaves])
+
+
 def _leaf_pair_distance(a: HistogramNode, b: HistogramNode, certs: _CertCache) -> float:
     ra, rb = a.region, b.region
     if isinstance(ra, Box) and isinstance(rb, Box):
@@ -101,10 +156,7 @@ def _witness_radius(node: HistogramNode, certs: _CertCache):
 
 def hist_distance(hist: SanitizedHistogram, x, y, certs: _CertCache | None = None) -> float:
     """Distance induced by the smallest containing cells (see module doc)."""
-    certs = certs or _CertCache()
-    leaf_x = locate_leaf(hist, x)
-    leaf_y = locate_leaf(hist, y)
-    return _leaf_pair_distance(leaf_x, leaf_y, certs)
+    return hist_distance_with_diameters(hist, x, y, certs)[0]
 
 
 def hist_distance_with_diameters(hist, x, y, certs: _CertCache | None = None):
@@ -189,14 +241,8 @@ def measure_diameters(
                 raise InputError("voronoi diameter measurement needs a support region")
             hist = build_voronoi(dataset, support, t, max_depth,
                                  method=method.split("-")[1], seed=tseed, **builder_kwargs)
-        certs = _CertCache(seed=tseed)
-        leaves = locate_leaves(hist, dataset.points)
-        diam_cache: dict[int, float] = {}
-        for i, leaf in enumerate(leaves):
-            key = id(leaf)
-            if key not in diam_cache:
-                diam_cache[key] = leaf_diameter(leaf, certs)
-            sums[i] += diam_cache[key]
+        ids, leaves, bounds = _descend(hist, dataset.points)
+        sums += _leaf_diameters(leaves, bounds, _CertCache(seed=tseed))[ids]
     means = sums / trials
 
     per_point = []
@@ -309,26 +355,24 @@ def _prim(W: np.ndarray):
 
 
 def _leaf_pair_matrix(leaf_objs: list, certs: _CertCache) -> np.ndarray:
-    """Symmetric matrix of ``_leaf_pair_distance`` over the leaves, bit for bit.
-
-    All-box leaves take one array pass per row: the per-axis farthest spans of
-    a row, then each span's length as ``sqrt(span @ span)``, the same dot
-    product ``np.linalg.norm`` takes of a single vector (``norm(axis=...)``
-    and ``einsum`` sum in another order and can differ in the last bit).
-    """
+    """Symmetric matrix of ``_leaf_pair_distance`` over the leaves, pair by
+    pair; mesh leaves take ``_box_pair_matrix`` instead."""
     L = len(leaf_objs)
     pair = np.zeros((L, L))
-    if all(isinstance(leaf.region, Box) for leaf in leaf_objs):
-        low = np.array([leaf.region.low for leaf in leaf_objs])
-        high = np.array([leaf.region.high for leaf in leaf_objs])
-        for a in range(L):
-            span = np.maximum(high[a] - low[a:], high[a:] - low[a])
-            row = np.sqrt(span[:, None, :] @ span[:, :, None])[:, 0, 0]
-            pair[a, a:] = pair[a:, a] = row
-        return pair
     for a in range(L):
         for b in range(a, L):
             pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b], certs)
+    return pair
+
+
+def _box_pair_matrix(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``_leaf_pair_matrix`` of box leaves given by their (L, d) corners, bit
+    for bit: one array pass per row over the per-axis farthest spans."""
+    L = low.shape[0]
+    pair = np.zeros((L, L))
+    for a in range(L):
+        span = np.maximum(high[a] - low[a:], high[a:] - low[a])
+        pair[a, a:] = pair[a:, a] = _row_norms(span)
     return pair
 
 
@@ -347,21 +391,12 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset,
     W = np.linalg.norm(diff, axis=2)
     actual, _ = _prim(W)
 
-    leaves = locate_leaves(hist, pts)
-    uniq: dict[int, int] = {}
-    leaf_objs = []
-    leaf_of = np.empty(dataset.n, dtype=int)
-    for i, leaf in enumerate(leaves):
-        key = id(leaf)
-        if key not in uniq:
-            uniq[key] = len(leaf_objs)
-            leaf_objs.append(leaf)
-        leaf_of[i] = uniq[key]
-    pair = _leaf_pair_matrix(leaf_objs, certs)
+    leaf_of, leaves, bounds = _descend(hist, pts)
+    pair = _box_pair_matrix(*bounds) if bounds is not None else _leaf_pair_matrix(leaves, certs)
     WH = pair[leaf_of][:, leaf_of]
     hist_cost, edges = _prim(WH)
 
-    diam = np.array([leaf_diameter(leaf, certs) for leaf in leaf_objs])
+    diam = _leaf_diameters(leaves, bounds, certs)
     gap_bound = float(sum(diam[leaf_of[a]] + diam[leaf_of[b]] for a, b in edges))
     return MstComparison(
         actual_cost=float(actual),

@@ -59,11 +59,16 @@ class MeshSplit:
         self.shape = tuple(c.size - 1 for c in self.cuts)
         self.size = math.prod(self.shape)
 
+    def digits(self, X: np.ndarray) -> list[np.ndarray]:
+        """Per-axis child digit of each row of X, for rows inside the parent
+        box.  Searching the interior cuts alone puts rows on the closed high
+        face in the last strip, with no clipping."""
+        return [np.searchsorted(c[1:-1], X[:, j], side="right")
+                for j, c in enumerate(self.cuts)]
+
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Child index of each row of X, for rows inside the parent box."""
-        digits = [np.clip(np.searchsorted(c, X[:, j], side="right") - 1, 0, c.size - 2)
-                  for j, c in enumerate(self.cuts)]
-        return np.ravel_multi_index(digits, self.shape)
+        return np.ravel_multi_index(self.digits(X), self.shape)
 
     def child_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) corners of child k."""
@@ -489,21 +494,20 @@ def _path_seed(seed: int, label: str, path: tuple) -> int:
 # sanitized output
 
 
-def _leaks(tree: HistogramNode, points: np.ndarray) -> bool:
+def _leaks(root: Region, splits: list, points: np.ndarray) -> bool:
     """Does a dataset row equal a published vector?
 
     Published vectors are the root region's, every Voronoi center, and the
     low and high corners of every mesh child.  A row can only be a corner of
     a mesh split when each of its coordinates is a cut value on that axis.
     """
-    root = tree.region
     vectors = [root.low, root.high] if isinstance(root, Box) else [root.center]
     meshes = []
-    for node in tree.walk():
-        if isinstance(node.split, VoronoiSplit):
-            vectors.extend(node.split.centers)
-        elif isinstance(node.split, MeshSplit):
-            meshes.append(node.split.cuts)
+    for split in splits:
+        if isinstance(split, VoronoiSplit):
+            vectors.extend(split.centers)
+        else:
+            meshes.append(split.cuts)
     # + 0.0 maps -0.0 to 0.0, so byte equality is value equality
     rows = {row.tobytes() for row in points + 0.0}
     if any((vec + 0.0).tobytes() in rows for vec in vectors):
@@ -535,12 +539,14 @@ def strip_to_sanitized(
 ) -> SanitizedHistogram:
     """Publish a built tree (regions, splits, counts and levels only) after
     asserting that no dataset coordinate vector appears in its geometry."""
-    if dataset.n and _leaks(tree, dataset.points):
+    nodes = list(tree.walk())
+    splits = [node.split for node in nodes if node.split is not None]
+    if dataset.n and _leaks(tree.region, splits, dataset.points):
         raise InternalError(
             "sanitization aborted: a dataset point coordinate appeared "
             "in the output geometry"
         )
-    total = sum(n.count for n in tree.leaves())
+    total = sum(node.count for node in nodes if node.is_leaf())
     if total != dataset.n:
         raise InternalError("leaf counts do not sum to the dataset size")
     return SanitizedHistogram(

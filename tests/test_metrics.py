@@ -9,6 +9,8 @@ from privhist.experiments import adversarial_corner_arrangement
 from privhist.geometry import Ball, Dataset, distance
 from privhist.metrics import (
     _CertCache,
+    _box_pair_matrix,
+    _descend,
     _leaf_pair_distance,
     _leaf_pair_matrix,
     cut_probability,
@@ -123,6 +125,18 @@ class TestMeasureDiameters:
             assert mean < min(cube_diams)
             assert mean <= bound
 
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_grid_means_equal_per_leaf_boxes(self, d):
+        data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), 150, seed=40 + d)
+        stats = measure_diameters(data, t=2, trials=3, seed=41, method="grid", max_depth=6)
+        sums = np.zeros(data.n)
+        for trial in range(3):
+            tseed = int(substream(41, "trial", trial).integers(0, 2**62))
+            hist = build_shifted_grid(data, 2, 6, seed=tseed)
+            for i, leaf in enumerate(locate_leaves(hist, data.points)):
+                sums[i] += leaf.region.diameter()
+        assert [mean for _, _, mean, _ in stats.per_point] == (sums / 3).tolist()
+
     def test_grid_bound_formula(self):
         assert grid_diameter_bound(2, 2, 0.25) == pytest.approx(
             2.0 * min(2**1.5, 4) * 0.25 * 2.0
@@ -196,10 +210,6 @@ class TestMstCompare:
             mst_compare(hist, Dataset(np.array([[0.1, 0.1]])))
 
 
-def _distinct_leaves(hist, points):
-    return list({id(leaf): leaf for leaf in locate_leaves(hist, points)}.values())
-
-
 def _reference_pair_matrix(leaves, certs):
     """Upper triangle pair by pair, mirrored: certificate sums are not
     bitwise symmetric, so the lower triangle copies the upper one."""
@@ -219,9 +229,9 @@ class TestLeafPairMatrix:
             hist = build_shifted_grid(data, t=2, max_depth=8, seed=22)
         else:
             hist = build_recursive_cube(data, t=2, max_depth=8)
-        leaves = _distinct_leaves(hist, data.points)
+        _, leaves, bounds = _descend(hist, data.points)
         certs = _CertCache()
-        pair = _leaf_pair_matrix(leaves, certs)
+        pair = _box_pair_matrix(*bounds)
         expected = _reference_pair_matrix(leaves, certs)
         assert len(leaves) > 100
         assert np.array_equal(pair, expected)
@@ -230,7 +240,8 @@ class TestLeafPairMatrix:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 60, seed=23)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=10, max_depth=1,
                              method="greedy", probe_samples=4_000, seed=24)
-        leaves = _distinct_leaves(hist, data.points)
+        _, leaves, bounds = _descend(hist, data.points)
+        assert bounds is None
         certs = _CertCache(seed=25)
         pair = _leaf_pair_matrix(leaves, certs)
         expected = _reference_pair_matrix(leaves, certs)

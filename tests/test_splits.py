@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from privhist.documents import encode, histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError, InternalError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
-from privhist.metrics import locate_leaves
+from privhist.metrics import _descend, locate_leaves
 from privhist.sanitizer import (
     HistogramNode,
     MeshSplit,
@@ -79,6 +79,70 @@ def test_locate_leaves_matches_leaf_membership(method, seed):
     assert (member.sum(axis=0) == 1).all()
     located = locate_leaves(hist, X)
     assert all(leaves[i] is leaf for i, leaf in zip(member.argmax(axis=0), located))
+
+
+def _mesh_hist(method, d, seed):
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.uniform(-1.0, 1.0, (int(rng.integers(5, 80)), d)))
+    depth = 3 if d == 8 else 4
+    if method == "cube":
+        return build_recursive_cube(data, t=2, max_depth=depth)
+    return build_shifted_grid(data, t=2, max_depth=depth, seed=seed)
+
+
+def _clipped_assign(split, X):
+    """The clipped search over all cuts that ``MeshSplit.assign`` replaced."""
+    digits = [np.clip(np.searchsorted(c, X[:, j], side="right") - 1, 0, c.size - 2)
+              for j, c in enumerate(split.cuts)]
+    return np.ravel_multi_index(digits, split.shape)
+
+
+@given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_mesh_assign_matches_clipped_search(method, d, seed):
+    hist = _mesh_hist(method, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    splits = [node.split for node in hist.root.walk() if node.split is not None]
+    assert splits
+    for split in splits:
+        low = np.array([c[0] for c in split.cuts])
+        high = np.array([c[-1] for c in split.cuts])
+        X = [rng.uniform(low, high, (20, d))]
+        for j, c in enumerate(split.cuts):  # every cut value, both ends included
+            on_cut = rng.uniform(low, high, (c.size, d))
+            on_cut[:, j] = c
+            X.append(on_cut)
+        face = rng.uniform(low, high, (2**d, d))  # every subset of axes on the high face
+        subsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1
+        face[subsets] = np.broadcast_to(high, face.shape)[subsets]
+        X.append(face)
+        X = np.concatenate(X)
+        assert np.array_equal(split.assign(X), _clipped_assign(split, X))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("method", ["cube", "grid"])
+def test_descent_bounds_equal_leaf_regions(method, d):
+    hist = _mesh_hist(method, d, 10 + d)
+    X = _query_points(hist, np.random.default_rng(d))
+    ids, reached, bounds = _descend(hist, X)
+    leaves = hist.root.leaves()
+    member = np.array([leaf.region.contains_many(X) for leaf in leaves])
+    assert len(reached) > 1 and bounds is not None
+    assert all(reached[k] is leaves[i] for k, i in zip(ids, member.argmax(axis=0)))
+    # leaves are numbered by first row
+    assert (np.diff(np.unique(ids, return_index=True)[1]) > 0).all()
+    low, high = bounds
+    assert low.shape == high.shape == (len(reached), d)
+    for k, leaf in enumerate(reached):
+        assert low[k].tobytes() == leaf.region.low.tobytes()
+        assert high[k].tobytes() == leaf.region.high.tobytes()
+
+
+def test_descent_of_no_rows():
+    hist = _build("grid", 3)
+    ids, reached, bounds = _descend(hist, np.empty((0, hist.d)))
+    assert ids.size == 0 and reached == [] and bounds[0].shape == (0, hist.d)
 
 
 def _region_bits(region):
