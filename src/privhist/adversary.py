@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import Dataset, _knn_candidates, as_point, uniform_in_region
 from .rng import substream
+from .sanitizer import certify_nodes
 
 RATE_INTERPRETATION = (
     "observed success rate is a lower-bound probe over sampled adversary "
@@ -143,7 +144,7 @@ def attack(
     if strategy == "uniform-in-leaf":
         Q = _sample_count_weighted(leaves, counts, queries, rng)
     elif strategy == "leaf-center-weighted":
-        Q = _sample_leaf_centers(leaves, counts, queries, rng, seed)
+        Q = _sample_leaf_centers(leaves, counts, queries, rng)
     else:
         Q = _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng)
 
@@ -170,19 +171,13 @@ def _sample_count_weighted(leaves, counts, queries, rng):
     return Q
 
 
-def _sample_leaf_centers(leaves, counts, queries, rng, seed):
-    from .roundness import certify_roundness
-
+def _sample_leaf_centers(leaves, counts, queries, rng):
     probs = counts / counts.sum()
-    centers = {}
     chosen = rng.choice(len(leaves), size=queries, p=probs)
+    picked = np.unique(chosen)
     Q = np.empty((queries, leaves[0].region.dim))
-    for li in np.unique(chosen):
-        if li not in centers:
-            cert = certify_roundness(leaves[li].region, samples=64,
-                                     seed=seed + 31 * int(li))
-            centers[li] = cert.witness
-        Q[chosen == li] = centers[li]
+    for li, cert in zip(picked, certify_nodes([leaves[li] for li in picked])):
+        Q[chosen == li] = cert.witness
     return Q
 
 

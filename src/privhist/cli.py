@@ -43,9 +43,9 @@ from .errors import (
 from .experiments import SUITES, run_suite
 from .geometry import Ball, Box, Dataset
 from .metrics import cut_probability, measure_diameters, mst_compare
-from .roundness import certify_roundness, check_privacy_condition
+from .roundness import CERT_SAMPLES, check_privacy_condition
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
+from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes
 
 
 def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
@@ -128,18 +128,10 @@ def _cmd_sanitize(args, argv):
 
 def _cmd_certify(args, argv):
     hist = histogram_from_doc(read_json(args.input))
-    cells = []
-    for i, node in enumerate(hist.root.walk()):
-        cert = certify_roundness(node.region, samples=args.samples,
-                                 seed=args.seed + i)
-        cells.append({
-            "cell": i,
-            "level": node.level,
-            "count": node.count,
-            "k": cert.k,
-            "radius": cert.radius,
-            "witness": cert.witness.tolist(),
-        })
+    nodes = list(hist.root.walk())
+    cells = [{"cell": i, "level": node.level, "count": node.count, "k": cert.k,
+              "radius": cert.radius, "witness": cert.witness.tolist()}
+             for i, (node, cert) in enumerate(zip(nodes, certify_nodes(nodes, args.samples)))]
     _emit(report_doc("roundness_certificates", {"cells": cells}), args.out, argv,
           args.seed, [args.input])
     return 0
@@ -267,8 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit roundness certificates for every cell")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=CERT_SAMPLES,
+                   help="directions per cell; the default is what every other command uses")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest only")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
 

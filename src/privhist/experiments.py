@@ -12,7 +12,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .adversary import IsolationParams, attack
 from .datagen import UniformBall, UniformCube, sample, single
@@ -25,7 +24,6 @@ from .geometry import (
     unit_ball_volume,
 )
 from .metrics import (
-    _CertCache,
     cut_probability,
     hist_distance_with_diameters,
     measure_diameters,
@@ -33,7 +31,7 @@ from .metrics import (
 )
 from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
+from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes
 
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
@@ -71,18 +69,18 @@ def suite_distance_sandwich(seed: int = 0, configs: int = 20, pairs: int = 500) 
             data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), n, seed=dseed)
             hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=t, max_depth=2,
                                  method="greedy", probe_samples=20_000, seed=bseed)
+            certify_nodes(hist.root.leaves())  # one batch per split, not one per pair
         else:
             data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), n, seed=dseed)
             if builder == "cube":
                 hist = build_recursive_cube(data, t=t, max_depth=6)
             else:
                 hist = build_shifted_grid(data, t=t, max_depth=6, seed=bseed)
-        certs = _CertCache(seed=bseed)
         idx = rng.integers(0, n, size=(pairs, 2))
         bad = 0
         for i, j in idx:
             x, y = data.points[i], data.points[j]
-            dh, dx, dy = hist_distance_with_diameters(hist, x, y, certs)
+            dh, dx, dy = hist_distance_with_diameters(hist, x, y)
             base = distance(x, y)
             slack = 8 * math.ulp(max(base + dx + dy, 1.0))
             if not (base - slack <= dh <= base + dx + dy + slack):
@@ -147,10 +145,12 @@ def suite_uniform_split_roundness(seed: int = 0, seeds: int = 100) -> dict:
     failure count stays within the 99th-percentile binomial envelope at the
     nominal per-build failure rate exp(-d).
     """
+    from scipy import stats as sp_stats  # slow to import; no other caller
+
     d = 2
     data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 8, seed=seed + 77)
     support = Ball(np.zeros(d), 1.0)
-    parent_cert = certify_roundness(support, samples=128, seed=seed)
+    parent_cert = certify_roundness(support)
     k_threshold = UNIFORM_SPLIT_K_FACTOR * parent_cert.k**2
     radius_threshold = parent_cert.radius / 2.0 * RADIUS_SLACK
     failures = 0
@@ -158,8 +158,7 @@ def suite_uniform_split_roundness(seed: int = 0, seeds: int = 100) -> dict:
     for s in range(seeds):
         hist = build_voronoi(data, support, t=2, max_depth=1, method="uniform",
                              seed=seed * 7919 + s)
-        audit = audit_voronoi_splits(hist.root, probes=2_000, samples=64,
-                                     seed=seed * 104729 + s)[0]
+        audit = audit_voronoi_splits(hist.root, probes=2_000, seed=seed * 104729 + s)[0]
         kmax = max(audit.child_ks)
         radmax = max(audit.child_radii)
         ok = kmax <= k_threshold and radmax <= radius_threshold
@@ -196,8 +195,7 @@ def suite_greedy_split_roundness(seed: int = 0, builds_per_dim: int = 50) -> dic
             hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=8, max_depth=2,
                                  method="greedy", probe_samples=20_000,
                                  seed=seed + 13 * s)
-            audits = audit_voronoi_splits(hist.root, probes=20_000, samples=128,
-                                          seed=seed + 31 * s)
+            audits = audit_voronoi_splits(hist.root, probes=20_000, seed=seed + 31 * s)
             for a in audits:
                 splits += 1
                 ratio = max(a.child_ks) / a.cover_spread_bound(SPLIT_BOUND_SLACK)

@@ -309,10 +309,6 @@ class VoronoiClip(Region):
         scores[:, 0] -= tau
         rejected = (scores[:, 1:] < scores[:, :1]).any(axis=1)
         keep = np.flatnonzero(~rejected)
-        if keep.size == 1:
-            # numpy takes a matrix-vector product for one row, whose last bits
-            # can differ from the matrix product the full batch would take
-            keep = np.union1d(keep, [0 if keep[0] else 1])
         inside = np.zeros(X.shape[0], dtype=bool)
         if keep.size:
             inside[keep] = self._full_test(X[keep])
@@ -336,7 +332,11 @@ def center_scores(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     The one place the score is formed: membership, certificate margins and
     nearest-center distances all compare these doubles.  It is built in
     place in the product's buffer, one (n, m) temporary instead of three.
+    One row is scored as two copies of it: numpy's matrix-vector product
+    can round differently from the batched product membership must match.
     """
+    if X.shape[0] == 1:
+        return center_scores(centers, np.concatenate([X, X]))[:1]
     scores = X @ centers.T
     scores *= -2.0
     scores += (centers * centers).sum(axis=1)

@@ -16,20 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Ball, Box, Dataset, Region, as_point, t_radii, uniform_in_region,
-                       voronoi_assign)
+from .geometry import (Ball, Box, Dataset, Region, VoronoiClip, as_point, t_radii,
+                       uniform_in_region, voronoi_assign)
 from .rng import substream
 from .roundness import certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
-                        build_shifted_grid, build_voronoi)
+                        build_shifted_grid, build_voronoi, certify_nodes)
 
 
 # ---------------------------------------------------------------------------
 # leaf location and diameters
-
-
-def locate_leaf(hist: SanitizedHistogram, x) -> HistogramNode:
-    return locate_leaves(hist, as_point(x)[None, :])[0]
 
 
 def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode]:
@@ -93,28 +89,16 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     return rank[ids], leaves, bounds
 
 
-class _CertCache:
-    def __init__(self, samples=128, seed=0):
-        self.samples = samples
-        self.seed = seed
-        self._store = {}
-
-    def get(self, node: HistogramNode):
-        key = id(node)
-        if key not in self._store:
-            self._store[key] = certify_roundness(node.region, samples=self.samples,
-                                                 seed=self.seed + len(self._store))
-        return self._store[key]
+def _certify_voronoi(leaves: list):
+    """Certify the Voronoi leaves, one batch per split; boxes and balls need none."""
+    certify_nodes([leaf for leaf in leaves if isinstance(leaf.region, VoronoiClip)])
 
 
-def leaf_diameter(node: HistogramNode, certs: _CertCache | None = None) -> float:
+def leaf_diameter(node: HistogramNode) -> float:
     region = node.region
-    if isinstance(region, Box):
+    if isinstance(region, (Box, Ball)):
         return region.diameter()
-    if isinstance(region, Ball):
-        return region.diameter()
-    certs = certs or _CertCache()
-    return 2.0 * certs.get(node).radius
+    return 2.0 * node.certificate.radius
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -125,50 +109,46 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _leaf_diameters(leaves: list, bounds, certs: _CertCache) -> np.ndarray:
+def _leaf_diameters(leaves: list, bounds) -> np.ndarray:
     """``leaf_diameter`` of each leaf, from the descent's mesh bounds when it
     has them (no ``Box`` per leaf)."""
     if bounds is not None:
         low, high = bounds
         return _row_norms(high - low)
-    return np.array([leaf_diameter(leaf, certs) for leaf in leaves])
+    _certify_voronoi(leaves)
+    return np.array([leaf_diameter(leaf) for leaf in leaves])
 
 
-def _leaf_pair_distance(a: HistogramNode, b: HistogramNode, certs: _CertCache) -> float:
+def _leaf_pair_distance(a: HistogramNode, b: HistogramNode) -> float:
     ra, rb = a.region, b.region
     if isinstance(ra, Box) and isinstance(rb, Box):
         span = np.maximum(ra.high - rb.low, rb.high - ra.low)
         return float(np.linalg.norm(span))
-    pa, Ra = _witness_radius(a, certs)
-    pb, Rb = _witness_radius(b, certs)
+    pa, Ra = _witness_radius(a)
+    pb, Rb = _witness_radius(b)
     return float(np.linalg.norm(pa - pb)) + Ra + Rb
 
 
-def _witness_radius(node: HistogramNode, certs: _CertCache):
+def _witness_radius(node: HistogramNode):
     region = node.region
     if isinstance(region, Ball):
         return region.center, region.radius
     if isinstance(region, Box):
         return region.center, 0.5 * region.diameter()
-    cert = certs.get(node)
+    cert = node.certificate
     return cert.witness, cert.radius
 
 
-def hist_distance(hist: SanitizedHistogram, x, y, certs: _CertCache | None = None) -> float:
+def hist_distance(hist: SanitizedHistogram, x, y) -> float:
     """Distance induced by the smallest containing cells (see module doc)."""
-    return hist_distance_with_diameters(hist, x, y, certs)[0]
+    return hist_distance_with_diameters(hist, x, y)[0]
 
 
-def hist_distance_with_diameters(hist, x, y, certs: _CertCache | None = None):
+def hist_distance_with_diameters(hist, x, y):
     """(d_H, diam(C_x), diam(C_y)) with the diameters d_H itself uses."""
-    certs = certs or _CertCache()
-    leaf_x = locate_leaf(hist, x)
-    leaf_y = locate_leaf(hist, y)
-    return (
-        _leaf_pair_distance(leaf_x, leaf_y, certs),
-        leaf_diameter(leaf_x, certs),
-        leaf_diameter(leaf_y, certs),
-    )
+    leaf_x, leaf_y = leaves = locate_leaves(hist, np.stack([as_point(x), as_point(y)]))
+    _certify_voronoi(leaves)
+    return _leaf_pair_distance(leaf_x, leaf_y), leaf_diameter(leaf_x), leaf_diameter(leaf_y)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +222,7 @@ def measure_diameters(
             hist = build_voronoi(dataset, support, t, max_depth,
                                  method=method.split("-")[1], seed=tseed, **builder_kwargs)
         ids, leaves, bounds = _descend(hist, dataset.points)
-        sums += _leaf_diameters(leaves, bounds, _CertCache(seed=tseed))[ids]
+        sums += _leaf_diameters(leaves, bounds)[ids]
     means = sums / trials
 
     per_point = []
@@ -284,8 +264,7 @@ def cut_probability(
     p = as_point(x)
     if not region.contains(p):
         raise InputError("x must lie inside the region")
-    cert = certify_roundness(region, samples=128, seed=seed)
-    rho = cert.radius
+    rho = certify_roundness(region).radius
     rs = np.sort(np.asarray(list(r_values), dtype=float))
     if rs.size == 0 or rs[0] <= 0:
         raise InputError("radii must be positive")
@@ -354,14 +333,15 @@ def _prim(W: np.ndarray):
     return cost, edges
 
 
-def _leaf_pair_matrix(leaf_objs: list, certs: _CertCache) -> np.ndarray:
+def _leaf_pair_matrix(leaf_objs: list) -> np.ndarray:
     """Symmetric matrix of ``_leaf_pair_distance`` over the leaves, pair by
     pair; mesh leaves take ``_box_pair_matrix`` instead."""
+    _certify_voronoi(leaf_objs)
     L = len(leaf_objs)
     pair = np.zeros((L, L))
     for a in range(L):
         for b in range(a, L):
-            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b], certs)
+            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b])
     return pair
 
 
@@ -376,8 +356,7 @@ def _box_pair_matrix(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return pair
 
 
-def mst_compare(hist: SanitizedHistogram, dataset: Dataset,
-                certs: _CertCache | None = None) -> MstComparison:
+def mst_compare(hist: SanitizedHistogram, dataset: Dataset) -> MstComparison:
     """Exact Euclidean MST cost vs MST cost under the histogram distance.
 
     gap_bound sums the endpoint leaf diameters over the histogram MST's
@@ -385,18 +364,17 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset,
     """
     if dataset.n < 2:
         raise InputError("MST comparison needs at least two points")
-    certs = certs or _CertCache()
     pts = dataset.points
     diff = pts[:, None, :] - pts[None, :, :]
     W = np.linalg.norm(diff, axis=2)
     actual, _ = _prim(W)
 
     leaf_of, leaves, bounds = _descend(hist, pts)
-    pair = _box_pair_matrix(*bounds) if bounds is not None else _leaf_pair_matrix(leaves, certs)
+    pair = _box_pair_matrix(*bounds) if bounds is not None else _leaf_pair_matrix(leaves)
     WH = pair[leaf_of][:, leaf_of]
     hist_cost, edges = _prim(WH)
 
-    diam = _leaf_diameters(leaves, bounds, certs)
+    diam = _leaf_diameters(leaves, bounds)
     gap_bound = float(sum(diam[leaf_of[a]] + diam[leaf_of[b]] for a, b in edges))
     return MstComparison(
         actual_cost=float(actual),

@@ -8,10 +8,10 @@ every Voronoi level above it, scored by ``geometry.center_scores`` as
 membership is, plus the root's box faces or ball.  Its witness maximizes the
 exact minimum margin (a concave subgradient ascent started at the cell's own
 center), the inner radius is that margin, and the outer radius is the
-largest exact ray exit over random directions, with a 1% safety factor.  The
-cover polish slides along the same kernel's nearest constraint.
-Certificates are approximate witnesses and all downstream checks carry
-explicit slack.
+largest exact ray exit over one fixed direction set (one seed-free stream
+per dimension), with a 1% safety factor.  The cover polish slides along the
+same kernel's nearest constraint.  Certificates are approximate witnesses
+and all downstream checks carry explicit slack.
 
 The privacy check reads the same kernel once per leaf: a probe ball that
 lies farther from the cell than its radius plus a rounding slack
@@ -43,6 +43,7 @@ from .rng import substream
 
 OUTER_SAFETY = 1.01
 INNER_SAFETY = 1.001
+CERT_SAMPLES = 128  # ray-exit directions per certificate
 
 
 @dataclass(frozen=True)
@@ -246,54 +247,52 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
     return V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-300)
 
 
-def _random_directions(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_rows(rng.standard_normal((n, d)))
+def _directions(d: int, samples: int) -> np.ndarray:
+    """The first ``samples`` unit directions of the one fixed stream in R^d."""
+    if samples < 8:
+        raise InputError("certification needs at least 8 directions")
+    return _unit_rows(substream(0, "certify-directions", d).standard_normal((samples, d)))
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def certify_roundness(region: Region, samples: int = 256, seed: int = 0) -> RoundnessCertificate:
+def certify_roundness(region: Region, samples: int = CERT_SAMPLES) -> RoundnessCertificate:
     """Compute a witness certificate (k, R, p) for a bounded convex cell."""
-    if samples < 8:
-        raise InputError("certification needs at least 8 directions")
-    rng = substream(seed, "certify")
-    dirs = _random_directions(region.dim, samples, rng)
     if isinstance(region, (Box, Ball)):
         p = region.center
-        t = boundary_distances(region, p, dirs)
+        t = boundary_distances(region, p, _directions(region.dim, samples))
         outer = float(t.max()) * OUTER_SAFETY
         inner = float(t.min()) / OUTER_SAFETY
         return RoundnessCertificate(k=outer / inner, radius=outer, witness=p)
     if not isinstance(region, VoronoiClip):
         raise InputError(f"cannot certify region type {type(region).__name__}")
-    return certify_children(region.parent, region.centers, samples=samples, seed=seed,
-                            indices=[region.own_index])[0]
+    return certify_children(region.parent, region.centers, [region.own_index], samples)[0]
 
 
 def certify_children(
     parent: Region,
     centers: np.ndarray,
-    samples: int = 128,
-    seed: int = 0,
     indices=None,
+    samples: int = CERT_SAMPLES,
 ) -> list[RoundnessCertificate]:
     """Certificates for Voronoi cells of one split, computed jointly.
 
     All cells share the center list, so the witness ascent and the boundary
-    exits run on one ``CellKernel`` for the whole batch.
+    exits run on one ``CellKernel`` for the whole batch.  Rows do not
+    interact, so a cell certifies alone as in any batch, up to the last bits
+    of the batched products.
     """
     centers = np.asarray(centers, dtype=float)
     m, d = centers.shape
     idx = np.arange(m) if indices is None else np.asarray(indices, dtype=np.intp)
     kernel = CellKernel(parent, idx, centers)
 
-    rng = substream(seed, "certify-children")
     _, step0 = parent.bounding_ball()
     Y, inner = _optimize_witnesses(kernel, centers[idx].copy(), step0 * 0.25)
     inner = np.maximum(inner, 1e-14) / INNER_SAFETY
-    outer = kernel.exits(Y, _random_directions(d, samples, rng)).max(axis=1) * OUTER_SAFETY
+    outer = kernel.exits(Y, _directions(d, samples)).max(axis=1) * OUTER_SAFETY
     return [RoundnessCertificate(k=float(outer[b] / inner[b]), radius=float(outer[b]),
                                  witness=Y[b].copy())
             for b in range(idx.size)]
@@ -486,7 +485,6 @@ def check_privacy_condition(
     volume_samples: int = 20_000,
     seed: int = 0,
     epsilon_threshold: float = math.inf,
-    cert_samples: int = 128,
     max_cells: int | None = None,
 ) -> PrivacyConditionReport:
     """Probe every leaf cell for the containment-or-small-ratio dichotomy.
@@ -503,28 +501,23 @@ def check_privacy_condition(
     without sampling: ``intersection_volume_ratio`` would have found no
     sample in the cell and raised ``DegenerateGeometryError``.  Every probe
     has its own pre-drawn seed, so skipping one shifts no other stream, and
-    the report is byte-identical to sampling every probe.
+    the report is byte-identical to sampling every probe.  Leaf and parent
+    certificates come from one ``certify_nodes`` call.
     """
+    from .sanitizer import certify_nodes  # the sanitizer imports this module
+
     if not c > 1:
         raise InputError("requires c > 1")
     pairs = _leaf_parent_pairs(root_node)
     if max_cells is not None:
         pairs = pairs[:max_cells]
-    cert_cache: dict[int, RoundnessCertificate] = {}
-
-    def cert_of(node, cell_id):
-        key = id(node)
-        if key not in cert_cache:
-            cert_cache[key] = certify_roundness(node.region, samples=cert_samples,
-                                                seed=(seed * 1_000_003 + cell_id))
-        return cert_cache[key]
+    certs = certify_nodes([node for pair in pairs for node in pair])
 
     eps = 0.0
     containment = ratio_n = degenerate = 0
     failures = []
     for cell_id, (leaf, parent) in enumerate(pairs):
-        cert_c = cert_of(leaf, cell_id)
-        cert_p = cert_of(parent, cell_id + len(pairs))
+        cert_c, cert_p = certs[2 * cell_id], certs[2 * cell_id + 1]
         rng = substream(seed, "privacy-q", cell_id)
         qs = uniform_in_ball(cert_c.witness, 2.0 * cert_c.radius, q_probes, rng)
         rs = np.geomspace(cert_c.radius / 1e4, 2.0 * cert_c.radius, r_grid_size)
@@ -593,18 +586,19 @@ class SplitAudit:
 def audit_voronoi_splits(
     root_node,
     probes: int = 20_000,
-    samples: int = 128,
     seed: int = 0,
 ) -> list[SplitAudit]:
     """Audit every split of a Voronoi-built tree.
 
-    For each subdivided cell: certify the parent, measure the emitted
-    centers' exact spread radius r2 and probe-audited cover radius r1, and
-    certify every child.  Consumers check the roundness recurrences against
-    these records.
+    For each subdivided cell: read the parent's and every child's
+    certificate, measure the emitted centers' exact spread radius r2 and
+    probe-audited cover radius r1.  Consumers check the roundness
+    recurrences against these records.
     """
-    from .sanitizer import VoronoiSplit  # the sanitizer imports this module
+    from .sanitizer import VoronoiSplit, certify_nodes  # the sanitizer imports this module
 
+    split_nodes = [node for node in root_node.walk() if isinstance(node.split, VoronoiSplit)]
+    certify_nodes(split_nodes + [ch for node in split_nodes for ch in node.children])
     audits = []
 
     def walk(node, path):
@@ -612,15 +606,13 @@ def audit_voronoi_splits(
             return
         if isinstance(node.split, VoronoiSplit):
             centers = node.split.centers
-            parent_cert = certify_roundness(node.region, samples=samples,
-                                            seed=seed + 7919 * len(audits))
+            parent_cert = node.certificate
             r2 = _min_pair_distance(centers)
             envelope = (parent_cert.witness, parent_cert.radius * 1.02)
             _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
                                 seed=seed + 104729 * len(audits), envelope=envelope,
                                 polish=True)
-            certs = certify_children(node.region, centers, samples=samples,
-                                     seed=seed + 15485863 * len(audits))
+            certs = [ch.certificate for ch in node.children]
             audits.append(
                 SplitAudit(
                     path=tuple(path),

@@ -37,7 +37,7 @@ from .geometry import (
     voronoi_assign,
 )
 from .rng import seed_commitment, substream
-from .roundness import RoundnessCertificate, certify_roundness
+from .roundness import CERT_SAMPLES, RoundnessCertificate, certify_children, certify_roundness
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_CENTERS_BUDGET = 1_000_000
@@ -120,10 +120,11 @@ class HistogramNode:
     """One cell of a histogram tree.
 
     The root holds its region; every other node holds the split it came from
-    and its index there, and derives its region on first use.
+    and its index there, and derives its region on first use.  Its roundness
+    certificate is computed once, by ``certify_nodes``, and kept.
     """
 
-    __slots__ = ("count", "level", "children", "split", "_region", "_source")
+    __slots__ = ("count", "level", "children", "split", "_region", "_source", "_certificate")
 
     def __init__(self, region: Region | None = None, count: int = 0, level: int = 0):
         self.count = count
@@ -132,6 +133,7 @@ class HistogramNode:
         self.split: Split | None = None
         self._region = region
         self._source = None  # (split, child index) for non-root nodes
+        self._certificate = None
 
     @property
     def region(self) -> Region:
@@ -142,6 +144,13 @@ class HistogramNode:
                 split, k = self._source
                 self._region = split.child_region(_parent_region(split), k)
         return self._region
+
+    @property
+    def certificate(self) -> RoundnessCertificate:
+        """This cell's certificate; ``certify_nodes`` certifies many at once."""
+        if self._certificate is None:
+            certify_nodes([self])
+        return self._certificate
 
     def divide(self, split: Split, counts, level: int | None = None) -> list:
         """Split this node; child k gets counts[k] points and the given level
@@ -170,6 +179,36 @@ class HistogramNode:
 
     def leaves(self):
         return [n for n in self.walk() if n.is_leaf()]
+
+
+def certify_nodes(nodes, samples: int = CERT_SAMPLES) -> list[RoundnessCertificate]:
+    """The roundness certificate of each node, in order.
+
+    The uncached children of one Voronoi split are certified in one
+    ``certify_children`` batch; a root or a mesh child (a box or a ball)
+    goes through ``certify_roundness``.  At the default ``samples`` each
+    certificate is stored on its node, so every node is certified once; any
+    other count gives fresh certificates and stores none.
+    """
+    stored = samples == CERT_SAMPLES
+    certs = {id(node): node._certificate for node in nodes
+             if stored and node._certificate is not None}
+    todo = {id(node): node for node in nodes if id(node) not in certs}
+    batches = {}
+    for key, node in todo.items():
+        split, k = node._source or (None, None)
+        if isinstance(split, VoronoiSplit):
+            batches.setdefault(split, []).append((key, k))
+        else:
+            certs[key] = certify_roundness(node.region, samples)
+    for split, members in batches.items():
+        keys, indices = zip(*members)
+        certs.update(zip(keys, certify_children(_parent_region(split), split.centers,
+                                                indices, samples)))
+    if stored:
+        for key, node in todo.items():
+            node._certificate = certs[key]
+    return [certs[id(node)] for node in nodes]
 
 
 def _partition(keys: np.ndarray, size: int) -> list[np.ndarray]:
@@ -443,10 +482,10 @@ def build_voronoi(
     centers_budget: int = DEFAULT_CENTERS_BUDGET,
     override_m: int | None = None,
     probe_samples: int = DEFAULT_PROBE_SAMPLES,
-    cert_samples: int = 256,
     seed: int = 0,
 ) -> SanitizedHistogram:
-    """Voronoi histogram: cells holding more than t points subdivide."""
+    """Voronoi histogram: cells holding more than t points subdivide.  The
+    children of a split that divide again are certified in one batch."""
     if t < 1 or max_depth < 1:
         raise InputError("t and max_depth must be positive")
     if method not in ("greedy", "uniform"):
@@ -454,14 +493,10 @@ def build_voronoi(
     if not isinstance(support, (Ball, Box)):
         raise InputError("support must be a ball or a box")
     _require_inside(dataset, support, "support region")
-    d = support.dim
 
     def grow(node: HistogramNode, idx: np.ndarray, path: tuple):
-        if idx.size <= t or node.level >= max_depth:
-            return
         region = node.region
-        cert = certify_roundness(region, samples=cert_samples,
-                                 seed=_path_seed(seed, "cert", path))
+        cert = node.certificate
         if method == "greedy":
             centers = pick_centers_greedy(region, cert, probe_samples,
                                           seed=_path_seed(seed, "centers", path))
@@ -472,11 +507,17 @@ def build_voronoi(
                                            envelope=envelope)
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(dataset.points[idx]), split.size)
-        for i, child in enumerate(node.divide(split, [part.size for part in parts])):
-            grow(child, idx[parts[i]], path + (i,))
+        children = node.divide(split, [part.size for part in parts])
+        if node.level + 1 >= max_depth:
+            return
+        growing = [i for i, part in enumerate(parts) if part.size > t]
+        certify_nodes([children[i] for i in growing])
+        for i in growing:
+            grow(children[i], idx[parts[i]], path + (i,))
 
     tree = HistogramNode(region=support, count=dataset.n, level=0)
-    grow(tree, np.arange(dataset.n), ())
+    if dataset.n > t:
+        grow(tree, np.arange(dataset.n), ())
     extra = {"center_method": method}
     if method == "uniform":
         extra["default_center_formula_used"] = override_m is None

@@ -218,7 +218,7 @@ class TestAttackReadsPublishedFields:
         if builder == "voronoi":
             data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 120, seed=14)
             hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
-                                 method="uniform", override_m=16, cert_samples=64, seed=15)
+                                 method="uniform", override_m=16, seed=15)
         else:
             data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 300, seed=14)
             build = build_recursive_cube if builder == "cube" else build_shifted_grid

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import privhist
 from privhist.cli import main
 from privhist.datagen import DistributionSpec, TruncatedGaussian, UniformBall, UniformCube, sample, single
 from privhist.documents import (
@@ -18,7 +21,7 @@ from privhist.documents import (
     write_json_atomic,
 )
 from privhist.geometry import Ball, Dataset
-from privhist.sanitizer import build_shifted_grid, build_voronoi
+from privhist.sanitizer import build_shifted_grid, build_voronoi, certify_nodes
 
 
 class TestRoundTrips:
@@ -230,6 +233,20 @@ class TestCli:
         total = rep["containment_count"] + rep["ratio_count"] + rep["degenerate_count"]
         assert total == rep["cells_checked"] * rep["probes_per_cell"]
 
+    def test_certify_is_seed_free_and_matches_node_certificates(self, workspace):
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 80, seed=5)
+        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
+                             method="greedy", probe_samples=3_000, seed=6)
+        write_json_atomic("h.json", histogram_to_doc(hist))
+        for seed in ("1", "2"):
+            assert main(["certify", "--in", "h.json", "--seed", seed,
+                         "--out", f"c{seed}.json"]) == 0
+        cells = read_json("c1.json")["cells"]
+        assert cells == read_json("c2.json")["cells"]
+        nodes = list(histogram_from_doc(read_json("h.json")).root.walk())
+        assert [(c["k"], c["radius"], c["witness"]) for c in cells] == [
+            (cert.k, cert.radius, cert.witness.tolist()) for cert in certify_nodes(nodes)]
+
     def test_repro_reaches_greedy_split_roundness(self, workspace, monkeypatch):
         calls = []
 
@@ -267,3 +284,13 @@ class TestCli:
         doc = read_json("suite.json")
         assert doc["kind"] == "repro_suite"
         assert doc["pass"] is True
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a cold import; only one repro suite uses it
+    src = os.path.dirname(os.path.dirname(privhist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, privhist.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

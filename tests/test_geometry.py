@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,24 @@ class TestMembership:
         midpoint = [0.0, 0.3]
         assert left.contains(midpoint)
         assert not right.contains(midpoint)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_voronoi_point_membership_equals_batch_on_bisectors(self, seed):
+        # points rounded onto the bisectors of 10 centers: a row's membership
+        # must not depend on whether it is tested alone or in a batch
+        rng = np.random.default_rng(seed)
+        parent = Ball(np.zeros(2), 1.0)
+        centers = uniform_in_region(parent, 10, rng)
+        X = []
+        for i, j in itertools.combinations(range(10), 2):
+            normal = (centers[j] - centers[i]) / np.linalg.norm(centers[j] - centers[i])
+            pts = uniform_in_region(parent, 20, rng)
+            X.append(pts - ((pts - 0.5 * (centers[i] + centers[j])) @ normal)[:, None] * normal)
+        X = np.concatenate(X)
+        X = X[parent.contains_many(X)]
+        for own in range(10):
+            cell = VoronoiClip(centers, own, parent)
+            assert [cell.contains(x) for x in X] == cell.contains_many(X).tolist()
 
     def test_voronoi_own_center_duplicate_rejected(self):
         parent = Ball(np.zeros(2), 1.0)

@@ -8,7 +8,6 @@ from privhist.errors import InputError
 from privhist.experiments import adversarial_corner_arrangement
 from privhist.geometry import Ball, Dataset, distance
 from privhist.metrics import (
-    _CertCache,
     _box_pair_matrix,
     _descend,
     _leaf_pair_distance,
@@ -18,7 +17,6 @@ from privhist.metrics import (
     hist_distance,
     hist_distance_with_diameters,
     leaf_diameter,
-    locate_leaf,
     locate_leaves,
     measure_diameters,
     mst_compare,
@@ -40,7 +38,7 @@ class TestHistDistance:
                         [-0.51, -0.49], [-0.55, -0.52], [-0.1, -0.4], [-0.2, -0.3]])
         hist = _tiny_hist(pts, t=2, depth=3)
         x, y = pts[0], pts[2]
-        lx, ly = locate_leaf(hist, x), locate_leaf(hist, y)
+        lx, ly = locate_leaves(hist, np.stack([x, y]))
         corners_x = [np.array([a, b]) for a in (lx.region.low[0], lx.region.high[0])
                      for b in (lx.region.low[1], lx.region.high[1])]
         corners_y = [np.array([a, b]) for a in (ly.region.low[0], ly.region.high[0])
@@ -68,12 +66,11 @@ class TestHistDistance:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 100, seed=6)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=10, max_depth=1,
                              method="greedy", probe_samples=8_000, seed=7)
-        certs = _CertCache(seed=8)
         rng = substream(9, "pairs")
         for _ in range(100):
             i, j = rng.integers(0, 100, size=2)
             x, y = data.points[i], data.points[j]
-            dh, dx, dy = hist_distance_with_diameters(hist, x, y, certs)
+            dh, dx, dy = hist_distance_with_diameters(hist, x, y)
             base = distance(x, y)
             assert base - 1e-9 <= dh <= base + dx + dy + 1e-9
 
@@ -85,15 +82,14 @@ class TestHistDistance:
     def test_symmetry_and_self_distance(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 150, seed=21)
         hist = build_shifted_grid(data, t=2, max_depth=5, seed=22)
-        certs = _CertCache(seed=23)
         rng = substream(24, "sym")
         for _ in range(50):
             i, j = rng.integers(0, 150, size=2)
             x, y = data.points[i], data.points[j]
-            assert hist_distance(hist, x, y, certs) == hist_distance(hist, y, x, certs)
+            assert hist_distance(hist, x, y) == hist_distance(hist, y, x)
         x = data.points[0]
-        leaf = locate_leaf(hist, x)
-        assert hist_distance(hist, x, x, certs) == pytest.approx(leaf_diameter(leaf, certs))
+        leaf = locate_leaves(hist, data.points[:1])[0]
+        assert hist_distance(hist, x, x) == pytest.approx(leaf_diameter(leaf))
 
 
 class TestMeasureDiameters:
@@ -117,7 +113,7 @@ class TestMeasureDiameters:
         d = 3
         data = adversarial_corner_arrangement(d, gamma=0.01)
         cube = build_recursive_cube(data, t=2, max_depth=8)
-        cube_diams = [leaf_diameter(locate_leaf(cube, p)) for p in data.points]
+        cube_diams = [leaf_diameter(leaf) for leaf in locate_leaves(cube, data.points)]
         assert min(cube_diams) == pytest.approx(math.sqrt(d))
         stats = measure_diameters(data, t=2, trials=40, seed=12, method="grid",
                                   max_depth=8)
@@ -210,14 +206,14 @@ class TestMstCompare:
             mst_compare(hist, Dataset(np.array([[0.1, 0.1]])))
 
 
-def _reference_pair_matrix(leaves, certs):
+def _reference_pair_matrix(leaves):
     """Upper triangle pair by pair, mirrored: certificate sums are not
     bitwise symmetric, so the lower triangle copies the upper one."""
     L = len(leaves)
     pair = np.zeros((L, L))
     for a in range(L):
         for b in range(a, L):
-            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaves[a], leaves[b], certs)
+            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaves[a], leaves[b])
     return pair
 
 
@@ -230,9 +226,8 @@ class TestLeafPairMatrix:
         else:
             hist = build_recursive_cube(data, t=2, max_depth=8)
         _, leaves, bounds = _descend(hist, data.points)
-        certs = _CertCache()
         pair = _box_pair_matrix(*bounds)
-        expected = _reference_pair_matrix(leaves, certs)
+        expected = _reference_pair_matrix(leaves)
         assert len(leaves) > 100
         assert np.array_equal(pair, expected)
 
@@ -242,7 +237,6 @@ class TestLeafPairMatrix:
                              method="greedy", probe_samples=4_000, seed=24)
         _, leaves, bounds = _descend(hist, data.points)
         assert bounds is None
-        certs = _CertCache(seed=25)
-        pair = _leaf_pair_matrix(leaves, certs)
-        expected = _reference_pair_matrix(leaves, certs)
+        pair = _leaf_pair_matrix(leaves)
+        expected = _reference_pair_matrix(leaves)
         assert np.array_equal(pair, expected)

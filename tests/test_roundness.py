@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privhist.roundness
+import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import DegenerateGeometryError, InputError
 from privhist.geometry import Ball, Box, VoronoiClip, intersection_volume_ratio, uniform_in_region
@@ -22,31 +23,37 @@ from privhist.roundness import (
     cover_check,
     well_spread_check,
 )
-from privhist.sanitizer import HistogramNode, VoronoiSplit, build_recursive_cube, build_voronoi
+from privhist.sanitizer import (
+    HistogramNode,
+    VoronoiSplit,
+    build_recursive_cube,
+    build_voronoi,
+    default_root_box,
+)
 
 
 class TestCertifyRoundness:
     def test_square_k_is_sqrt2(self):
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        cert = certify_roundness(box, samples=512, seed=0)
+        cert = certify_roundness(box, samples=512)
         assert cert.k == pytest.approx(math.sqrt(2.0), rel=0.02)
         assert np.allclose(cert.witness, [0.0, 0.0])
 
     def test_ball_k_near_one(self):
-        cert = certify_roundness(Ball(np.zeros(3), 1.0), samples=128, seed=1)
+        cert = certify_roundness(Ball(np.zeros(3), 1.0))
         assert 1.0 <= cert.k <= 1.05
 
     def test_rectangle_k_is_sqrt5(self):
         # sides (1, 2): circumradius sqrt(1.25), inradius 0.5
         box = Box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        cert = certify_roundness(box, samples=512, seed=2)
+        cert = certify_roundness(box, samples=512)
         assert cert.k == pytest.approx(math.sqrt(5.0), rel=0.02)
 
     def test_certificate_balls_sandwich_voronoi_cell(self):
         parent = Ball(np.zeros(2), 1.0)
         centers = uniform_in_region(parent, 25, substream(3, "c"))
         cell = VoronoiClip(centers, 7, parent)
-        cert = certify_roundness(cell, samples=128, seed=3)
+        cert = certify_roundness(cell)
         pts = uniform_in_region(cell, 3_000, substream(4, "p"))
         # outer ball covers the cell
         assert (np.linalg.norm(pts - cert.witness, axis=1) <= cert.radius).all()
@@ -122,7 +129,7 @@ class TestPrivacyCondition:
             data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), 300, seed=9)
             hist = build_recursive_cube(data, t=3, max_depth=4)
             leaf = hist.root.leaves()[0]
-            k = certify_roundness(leaf.region, samples=256, seed=d).k
+            k = certify_roundness(leaf.region, samples=256).k
             report = check_privacy_condition(hist.root, c=4.0 * k * k,
                                              q_probes=4, r_grid_size=6,
                                              volume_samples=6_000, seed=10,
@@ -155,19 +162,18 @@ class TestPrivacyCondition:
         if tree == "greedy-disc":
             data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 300, seed=21)
             hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
-                                 method="greedy", probe_samples=4_000, cert_samples=64,
-                                 seed=22)
+                                 method="greedy", probe_samples=4_000, seed=22)
             c, seed = 16.0, 23
-            expected = {"containment_count": 167, "ratio_count": 283,
-                        "degenerate_count": 510, "epsilon_observed": 0.20987654320987653}
+            expected = {"containment_count": 164, "ratio_count": 285,
+                        "degenerate_count": 511, "epsilon_observed": 0.21518987341772153}
         else:
             data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 200, seed=24)
             root = Box(-np.ones(3), np.ones(3), closed_high=np.ones(3, dtype=bool))
             hist = build_voronoi(data, root, t=4, max_depth=2, method="uniform",
-                                 override_m=24, cert_samples=64, seed=25)
+                                 override_m=24, seed=25)
             c, seed = 8.0, 26
-            expected = {"containment_count": 160, "ratio_count": 179,
-                        "degenerate_count": 621, "epsilon_observed": 0.09090909090909091}
+            expected = {"containment_count": 160, "ratio_count": 182,
+                        "degenerate_count": 618, "epsilon_observed": 0.09090909090909091}
         calls = []
 
         def counted(*args, **kwargs):
@@ -176,7 +182,7 @@ class TestPrivacyCondition:
 
         monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", counted)
         report = check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
-                                         volume_samples=3_000, seed=seed, cert_samples=64,
+                                         volume_samples=3_000, seed=seed,
                                          max_cells=40)
         assert report.to_dict() == {"cells_checked": 40, "probes_per_cell": 24, "c": c,
                                     **expected, "failures": []}
@@ -192,10 +198,11 @@ class TestPrivacyCondition:
         root.divide(VoronoiSplit(centers), [1] * 8)
         far = np.array([10.0, 0.0])
 
-        def certify(region, samples, seed):
-            return RoundnessCertificate(1.0, 1e-3 if region is root.region else 1.0, far)
+        def certify(nodes):
+            return [RoundnessCertificate(1.0, 1e-3 if node is root else 1.0, far)
+                    for node in nodes]
 
-        monkeypatch.setattr(privhist.roundness, "certify_roundness", certify)
+        monkeypatch.setattr(privhist.sanitizer, "certify_nodes", certify)
         kwargs = dict(c=16.0, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=28)
         report = check_privacy_condition(root, **kwargs)
         monkeypatch.setattr(privhist.roundness, "_misses_cell",
@@ -210,7 +217,7 @@ class TestSplitAudits:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=12)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=8, max_depth=2,
                              method="greedy", probe_samples=15_000, seed=13)
-        audits = audit_voronoi_splits(hist.root, probes=15_000, samples=128, seed=14)
+        audits = audit_voronoi_splits(hist.root, probes=15_000, seed=14)
         assert audits
         for audit in audits:
             assert audit.children_within_bound(1.1)
@@ -220,8 +227,8 @@ class TestSplitAudits:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 250, seed=15)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
                              method="greedy", probe_samples=15_000, seed=16)
-        k_root = certify_roundness(hist.root.region, samples=128, seed=17).k
-        audits = audit_voronoi_splits(hist.root, probes=10_000, samples=96, seed=18)
+        k_root = hist.root.certificate.k
+        audits = audit_voronoi_splits(hist.root, probes=10_000, seed=18)
         seen_levels = set()
         for audit in audits:
             child_level = audit.level + 1
@@ -229,13 +236,22 @@ class TestSplitAudits:
             assert max(audit.child_ks) <= 4.0**child_level * k_root * 1.1
         assert 1 in seen_levels
 
-    def test_batched_certificates_match_single(self):
-        parent = Ball(np.zeros(2), 1.0)
-        centers = uniform_in_region(parent, 20, substream(19, "c"))
-        batch = certify_children(parent, centers, samples=64, seed=20)
-        solo = certify_roundness(VoronoiClip(centers, 4, parent), samples=64, seed=20)
-        assert batch[4].k == pytest.approx(solo.k)
-        assert batch[4].radius == pytest.approx(solo.radius)
+    @pytest.mark.parametrize("root", ["ball", "box"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_certificates_match_single(self, root, d):
+        # every cell of a two-level split, certified alone and in one
+        # batch in shuffled order
+        parent = Ball(np.zeros(d), 1.0) if root == "ball" else default_root_box(d)
+        first = uniform_in_region(parent, 6, substream(19, "c", d))
+        parent = VoronoiClip(first, 2, parent)
+        centers = uniform_in_region(parent, 12, substream(20, "c", d))
+        order = substream(21, "order", d).permutation(12)
+        batch = dict(zip(order.tolist(), certify_children(parent, centers, order)))
+        for i in range(centers.shape[0]):
+            solo = certify_roundness(VoronoiClip(centers, i, parent))
+            assert solo.k == pytest.approx(batch[i].k, rel=1e-12)
+            assert solo.radius == pytest.approx(batch[i].radius, rel=1e-12)
+            assert np.allclose(solo.witness, batch[i].witness, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

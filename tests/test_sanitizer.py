@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
-from privhist.documents import histogram_to_doc
+from privhist.documents import histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError, InternalError, ResourceError
 from privhist.geometry import Ball, Box, Dataset, uniform_in_region
 from privhist.rng import substream
@@ -12,6 +13,7 @@ from privhist.sanitizer import (
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
+    certify_nodes,
     component_seed,
     method2_center_count,
     pick_centers_greedy,
@@ -19,7 +21,7 @@ from privhist.sanitizer import (
     sanitize_mixture,
     strip_to_sanitized,
 )
-from privhist.roundness import certify_roundness, cover_check, well_spread_check
+from privhist.roundness import certify_children, certify_roundness, cover_check, well_spread_check
 
 
 def leaves_of(hist):
@@ -189,7 +191,7 @@ class TestVoronoi:
 
     def test_greedy_centers_well_spread_and_covering(self):
         support = Ball(np.zeros(2), 1.0)
-        cert = certify_roundness(support, samples=128, seed=0)
+        cert = certify_roundness(support)
         centers = pick_centers_greedy(support, cert, probe_samples=30_000, seed=5)
         spread = cert.radius / 4.0
         assert well_spread_check(centers, spread)
@@ -229,6 +231,35 @@ class TestVoronoi:
                              method="greedy", probe_samples=10_000, seed=3)
         for leaf in leaves_of(hist):
             assert leaf.count <= 6 or leaf.level == 2
+
+
+class TestCertifyNodes:
+    def test_one_batch_per_split_and_each_node_once(self, monkeypatch):
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 200, seed=30)
+        built = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
+                              method="greedy", probe_samples=4_000, seed=31)
+        hist = histogram_from_doc(histogram_to_doc(built))  # no stored certificates
+        nodes = list(hist.root.walk())
+        splits = [node for node in nodes if node.children]
+        assert len(splits) > 2
+        calls = []
+
+        def counted(parent, centers, indices=None, samples=128):
+            calls.append(len(indices))
+            return certify_children(parent, centers, indices, samples)
+
+        monkeypatch.setattr(privhist.sanitizer, "certify_children", counted)
+        certs = certify_nodes(nodes + nodes[::-1])
+        assert sorted(calls) == sorted(len(node.children) for node in splits)
+        assert all(node.certificate is cert for node, cert in zip(nodes, certs))
+        again = certify_nodes(nodes)
+        assert len(calls) == len(splits)
+        assert all(a is b for a, b in zip(again, certs))
+        # another direction count computes fresh certificates and stores none
+        fresh = certify_nodes(nodes, samples=64)
+        assert len(calls) == 2 * len(splits)
+        assert all(node.certificate is cert for node, cert in zip(nodes, certs))
+        assert any(a.radius != b.radius for a, b in zip(fresh, certs))
 
 
 class TestSanitizedOutput:

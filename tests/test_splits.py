@@ -37,9 +37,9 @@ def _build(method, seed):
     data = Dataset(uniform_in_region(support, 40, rng))
     if method == "voronoi-greedy":
         return build_voronoi(data, support, t=5, max_depth=2, method="greedy",
-                             probe_samples=2_000, cert_samples=64, seed=seed)
+                             probe_samples=2_000, seed=seed)
     return build_voronoi(data, support, t=5, max_depth=2, method="uniform", override_m=12,
-                         cert_samples=64, seed=seed)
+                         seed=seed)
 
 
 def _query_points(hist, rng):
