@@ -57,28 +57,34 @@ def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
         sys.stdout.write(encode(doc))
 
 
-def _region_from_arg(arg: str, d: int | None):
+def _region_from_arg(arg: str, d: int):
     if arg == "unit-ball":
-        if d is None:
-            raise InputError("--support unit-ball needs a dataset to infer d")
         return Ball(np.zeros(d), 1.0)
     if arg == "unit-cube":
-        if d is None:
-            raise InputError("--support unit-cube needs a dataset to infer d")
         return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
     from .documents import _region_from_doc
 
     return _region_from_doc(read_json(arg))
 
 
-def _auto_support(data: Dataset):
-    """Enclosing ball: unit ball when the data fits, else a centered hull ball."""
+def _support(arg: str, data: Dataset):
+    """The ``--support`` region of a dataset.  ``auto`` is an enclosing ball:
+    the unit ball when the data fits, else a centered hull ball."""
+    if arg != "auto":
+        return _region_from_arg(arg, data.d)
     unit = Ball(np.zeros(data.d), 1.0)
     if data.n and bool(unit.contains_many(data.points).all()):
         return unit
     center = 0.5 * (data.points.min(axis=0) + data.points.max(axis=0))
     radius = float(np.linalg.norm(data.points - center, axis=1).max()) * 1.0001
     return Ball(center, radius)
+
+
+def _max_depth(args) -> int:
+    """``--max-depth``, by default 3 for Voronoi builders and 8 for meshes."""
+    if args.max_depth is not None:
+        return args.max_depth
+    return 3 if args.method.startswith("voronoi") else 8
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +106,13 @@ def _cmd_generate(args, argv):
 
 def _cmd_sanitize(args, argv):
     data = dataset_from_doc(read_json(args.input))
-    default_depth = 3 if args.method == "voronoi" else 8
-    max_depth = default_depth if args.max_depth is None else args.max_depth
+    max_depth = _max_depth(args)
     if args.method == "cube":
         hist = build_recursive_cube(data, t=args.t, max_depth=max_depth)
     elif args.method == "grid":
         hist = build_shifted_grid(data, t=args.t, max_depth=max_depth, seed=args.seed)
     elif args.method == "voronoi":
-        support = (_auto_support(data) if args.support == "auto"
-                   else _region_from_arg(args.support, data.d))
+        support = _support(args.support, data)
         if args.centers == "uniform" and data.d >= 6 and args.override_m is None:
             raise InputError(
                 "uniform centers at d >= 6 need an explicit --override-m "
@@ -164,16 +168,9 @@ def _cmd_attack(args, argv):
 
 def _cmd_measure_diameters(args, argv):
     data = dataset_from_doc(read_json(args.data))
-    support = None
-    if args.method.startswith("voronoi"):
-        support = (_auto_support(data) if args.support == "auto"
-                   else _region_from_arg(args.support, data.d))
-    default_depth = 8 if args.method == "grid" else 3
-    stats = measure_diameters(
-        data, t=args.t, trials=args.trials, seed=args.seed, method=args.method,
-        max_depth=default_depth if args.max_depth is None else args.max_depth,
-        support=support,
-    )
+    support = _support(args.support, data) if args.method.startswith("voronoi") else None
+    stats = measure_diameters(data, t=args.t, trials=args.trials, seed=args.seed,
+                              method=args.method, max_depth=_max_depth(args), support=support)
     _emit(report_doc("diameter_stats", stats.to_dict()), args.out, argv,
           args.seed, [args.data])
     return 0

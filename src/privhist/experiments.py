@@ -16,14 +16,9 @@ import numpy as np
 from .adversary import IsolationParams, attack
 from .datagen import UniformBall, UniformCube, sample, single
 from .errors import InputError
-from .geometry import (
-    Ball,
-    Dataset,
-    distance,
-    intersection_volume_ratio,
-    unit_ball_volume,
-)
+from .geometry import Ball, Dataset, intersection_volume_ratio, unit_ball_volume
 from .metrics import (
+    _row_norms,
     cut_probability,
     hist_distance_with_diameters,
     measure_diameters,
@@ -31,7 +26,7 @@ from .metrics import (
 )
 from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes
+from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
@@ -69,7 +64,6 @@ def suite_distance_sandwich(seed: int = 0, configs: int = 20, pairs: int = 500) 
             data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), n, seed=dseed)
             hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=t, max_depth=2,
                                  method="greedy", probe_samples=20_000, seed=bseed)
-            certify_nodes(hist.root.leaves())  # one batch per split, not one per pair
         else:
             data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), n, seed=dseed)
             if builder == "cube":
@@ -77,14 +71,11 @@ def suite_distance_sandwich(seed: int = 0, configs: int = 20, pairs: int = 500) 
             else:
                 hist = build_shifted_grid(data, t=t, max_depth=6, seed=bseed)
         idx = rng.integers(0, n, size=(pairs, 2))
-        bad = 0
-        for i, j in idx:
-            x, y = data.points[i], data.points[j]
-            dh, dx, dy = hist_distance_with_diameters(hist, x, y)
-            base = distance(x, y)
-            slack = 8 * math.ulp(max(base + dx + dy, 1.0))
-            if not (base - slack <= dh <= base + dx + dy + slack):
-                bad += 1
+        X, Y = data.points[idx[:, 0]], data.points[idx[:, 1]]
+        dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
+        base = _row_norms(X - Y)
+        slack = 8 * np.spacing(np.maximum(base + dx + dy, 1.0))
+        bad = int(np.count_nonzero(~((base - slack <= dh) & (dh <= base + dx + dy + slack))))
         checked += pairs
         violations += bad
         details.append({"config": cfg, "builder": builder, "d": d, "n": n, "t": t,

@@ -2,9 +2,14 @@
 and MST cost comparison against sanitized histograms.
 
 The histogram distance between two points is the furthest distance between
-their smallest containing cells (sup-sup).  For box pairs that is exact via
-per-axis farthest spans; for certified cells we return the certificate upper
-bound |p_x - p_y| + R_x + R_y.  Both versions satisfy the two-sided sandwich
+their smallest containing cells (sup-sup).  One descent of all points gives
+each point's leaf, and the leaves are read as arrays of one of two kinds.
+Mesh leaves, and a box root that never split, are boxes (low and high
+corners); two boxes are the norm of their per-axis farthest spans apart,
+which is exact.  Every other leaf is a ball (p, R) containing it, a ball
+root's own or a Voronoi cell's certificate, and two balls are the upper
+bound |p_x - p_y| + R_x + R_y apart.  A box's diameter is its diagonal, a
+ball's 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 """
 
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Ball, Box, Dataset, Region, VoronoiClip, as_point, t_radii,
-                       uniform_in_region, voronoi_assign)
+from .geometry import Box, Dataset, Region, as_point, t_radii, uniform_in_region, voronoi_assign
 from .rng import substream
 from .roundness import certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
@@ -25,7 +29,7 @@ from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition
 
 
 # ---------------------------------------------------------------------------
-# leaf location and diameters
+# leaf location and leaf geometry
 
 
 def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode]:
@@ -89,18 +93,6 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     return rank[ids], leaves, bounds
 
 
-def _certify_voronoi(leaves: list):
-    """Certify the Voronoi leaves, one batch per split; boxes and balls need none."""
-    certify_nodes([leaf for leaf in leaves if isinstance(leaf.region, VoronoiClip)])
-
-
-def leaf_diameter(node: HistogramNode) -> float:
-    region = node.region
-    if isinstance(region, (Box, Ball)):
-        return region.diameter()
-    return 2.0 * node.certificate.radius
-
-
 def _row_norms(V: np.ndarray) -> np.ndarray:
     """Euclidean length of each row as ``sqrt(v @ v)``, the same dot product
     ``np.linalg.norm`` takes of a single vector, so bit for bit equal to it
@@ -109,46 +101,65 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _leaf_diameters(leaves: list, bounds) -> np.ndarray:
-    """``leaf_diameter`` of each leaf, from the descent's mesh bounds when it
-    has them (no ``Box`` per leaf)."""
+def _leaf_arrays(hist: SanitizedHistogram, leaves: list, bounds):
+    """The descent's leaves as arrays of one kind: ``(True, low, high)``, the
+    (L, d) corners of mesh leaves or of a box root that never split, or
+    ``(False, P, R)``, the (L, d) centers and (L,) radii of balls containing
+    the leaves.  A ball root gives its own; a Voronoi cell gives its
+    certificate's witness and radius, from one ``certify_nodes`` batch per
+    split."""
     if bounds is not None:
-        low, high = bounds
-        return _row_norms(high - low)
-    _certify_voronoi(leaves)
-    return np.array([leaf_diameter(leaf) for leaf in leaves])
+        return True, *bounds
+    root = hist.root
+    if root.split is None:  # a ball root that never split
+        return False, root.region.center[None], np.array([root.region.radius])
+    certs = certify_nodes(leaves)
+    return (False, np.array([c.witness for c in certs]).reshape(-1, hist.d),
+            np.array([c.radius for c in certs]))
 
 
-def _leaf_pair_distance(a: HistogramNode, b: HistogramNode) -> float:
-    ra, rb = a.region, b.region
-    if isinstance(ra, Box) and isinstance(rb, Box):
-        span = np.maximum(ra.high - rb.low, rb.high - ra.low)
-        return float(np.linalg.norm(span))
-    pa, Ra = _witness_radius(a)
-    pb, Rb = _witness_radius(b)
-    return float(np.linalg.norm(pa - pb)) + Ra + Rb
+def _diameters(boxes: bool, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each leaf's diameter: the box diagonal, or twice the ball radius."""
+    return _row_norms(B - A) if boxes else 2.0 * B
 
 
-def _witness_radius(node: HistogramNode):
-    region = node.region
-    if isinstance(region, Ball):
-        return region.center, region.radius
-    if isinstance(region, Box):
-        return region.center, 0.5 * region.diameter()
-    cert = node.certificate
-    return cert.witness, cert.radius
+def _pair_distances(boxes: bool, A: np.ndarray, B: np.ndarray, i, j) -> np.ndarray:
+    """sup-sup distance from leaves ``i`` to leaves ``j`` (index arrays, or an
+    index and a slice, broadcast): the norm of the farthest-corner span of
+    two boxes, or ``(|p_i - p_j| + R_i) + R_j`` for two balls."""
+    if boxes:
+        return _row_norms(np.maximum(B[i] - A[j], B[j] - A[i]))
+    return _row_norms(A[i] - A[j]) + B[i] + B[j]
+
+
+def _pair_matrix(geometry) -> np.ndarray:
+    """Symmetric (L, L) matrix of ``_pair_distances``, one array row at a
+    time: entry (a, b) with a <= b is the distance from a to b, mirrored."""
+    L = geometry[1].shape[0]
+    pair = np.zeros((L, L))
+    for a in range(L):
+        pair[a, a:] = pair[a:, a] = _pair_distances(*geometry, a, np.s_[a:])
+    return pair
 
 
 def hist_distance(hist: SanitizedHistogram, x, y) -> float:
     """Distance induced by the smallest containing cells (see module doc)."""
-    return hist_distance_with_diameters(hist, x, y)[0]
+    dh, _, _ = hist_distance_with_diameters(hist, as_point(x)[None], as_point(y)[None])
+    return float(dh[0])
 
 
-def hist_distance_with_diameters(hist, x, y):
-    """(d_H, diam(C_x), diam(C_y)) with the diameters d_H itself uses."""
-    leaf_x, leaf_y = leaves = locate_leaves(hist, np.stack([as_point(x), as_point(y)]))
-    _certify_voronoi(leaves)
-    return _leaf_pair_distance(leaf_x, leaf_y), leaf_diameter(leaf_x), leaf_diameter(leaf_y)
+def hist_distance_with_diameters(hist: SanitizedHistogram, X, Y):
+    """(d_H, diam(C_x), diam(C_y)) of each row pair of the (n, d) arrays X
+    and Y, with the diameters d_H itself uses; one descent locates all 2n
+    points."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.shape != Y.shape:
+        raise InputError(f"point arrays differ in shape: {X.shape} vs {Y.shape}")
+    ids, leaves, bounds = _descend(hist, np.concatenate([X, Y]))
+    geometry = _leaf_arrays(hist, leaves, bounds)
+    ix, iy = ids[:len(X)], ids[len(X):]
+    diam = _diameters(*geometry)
+    return _pair_distances(*geometry, ix, iy), diam[ix], diam[iy]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,7 @@ def measure_diameters(
             hist = build_voronoi(dataset, support, t, max_depth,
                                  method=method.split("-")[1], seed=tseed, **builder_kwargs)
         ids, leaves, bounds = _descend(hist, dataset.points)
-        sums += _leaf_diameters(leaves, bounds)[ids]
+        sums += _diameters(*_leaf_arrays(hist, leaves, bounds))[ids]
     means = sums / trials
 
     per_point = []
@@ -244,6 +255,8 @@ def measure_diameters(
 # ---------------------------------------------------------------------------
 # cut probability of small balls under random Voronoi partitions
 
+CUT_RANDOM_PROBES = 100  # random probe directions per radius, beside the 2d axis ones
+
 
 def cut_probability(
     region: Region,
@@ -252,7 +265,6 @@ def cut_probability(
     m: int,
     trials: int,
     seed: int = 0,
-    n_random_probes: int = 100,
 ) -> list[tuple[float, float, float]]:
     """Empirical probability that a ball around x is cut by a random Voronoi
     partition of the region (m uniform centers), for each radius.
@@ -276,7 +288,7 @@ def cut_probability(
     for trial in range(trials):
         rng = substream(seed, "cut-trial", trial)
         centers = uniform_in_region(region, m, rng)
-        rand = rng.standard_normal((n_random_probes, d))
+        rand = rng.standard_normal((CUT_RANDOM_PROBES, d))
         rand /= np.maximum(np.linalg.norm(rand, axis=1, keepdims=True), 1e-300)
         dirs = np.concatenate([axis_dirs, rand])
         pts = (p[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, d)
@@ -333,29 +345,6 @@ def _prim(W: np.ndarray):
     return cost, edges
 
 
-def _leaf_pair_matrix(leaf_objs: list) -> np.ndarray:
-    """Symmetric matrix of ``_leaf_pair_distance`` over the leaves, pair by
-    pair; mesh leaves take ``_box_pair_matrix`` instead."""
-    _certify_voronoi(leaf_objs)
-    L = len(leaf_objs)
-    pair = np.zeros((L, L))
-    for a in range(L):
-        for b in range(a, L):
-            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaf_objs[a], leaf_objs[b])
-    return pair
-
-
-def _box_pair_matrix(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """``_leaf_pair_matrix`` of box leaves given by their (L, d) corners, bit
-    for bit: one array pass per row over the per-axis farthest spans."""
-    L = low.shape[0]
-    pair = np.zeros((L, L))
-    for a in range(L):
-        span = np.maximum(high[a] - low[a:], high[a:] - low[a])
-        pair[a, a:] = pair[a:, a] = _row_norms(span)
-    return pair
-
-
 def mst_compare(hist: SanitizedHistogram, dataset: Dataset) -> MstComparison:
     """Exact Euclidean MST cost vs MST cost under the histogram distance.
 
@@ -370,12 +359,14 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset) -> MstComparison:
     actual, _ = _prim(W)
 
     leaf_of, leaves, bounds = _descend(hist, pts)
-    pair = _box_pair_matrix(*bounds) if bounds is not None else _leaf_pair_matrix(leaves)
-    WH = pair[leaf_of][:, leaf_of]
+    geometry = _leaf_arrays(hist, leaves, bounds)
+    WH = _pair_matrix(geometry)[leaf_of][:, leaf_of]
     hist_cost, edges = _prim(WH)
 
-    diam = _leaf_diameters(leaves, bounds)
-    gap_bound = float(sum(diam[leaf_of[a]] + diam[leaf_of[b]] for a, b in edges))
+    ends = leaf_of[np.array(edges)]
+    diam = _diameters(*geometry)
+    # summed one edge at a time in Prim's order (np.sum would add pairwise)
+    gap_bound = float(np.cumsum(diam[ends[:, 0]] + diam[ends[:, 1]])[-1])
     return MstComparison(
         actual_cost=float(actual),
         hist_cost=float(hist_cost),

@@ -23,7 +23,7 @@ sampling each such probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class RoundnessCertificate:
     @property
     def inner_radius(self) -> float:
         return self.radius / self.k
+
+    @property
+    def envelope(self) -> tuple[np.ndarray, float]:
+        """Ball (p, 1.02 R) that rejection sampling inside the cell draws from."""
+        return self.witness, self.radius * 1.02
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,6 @@ class PrivacyConditionReport:
     containment_count: int
     ratio_count: int
     degenerate_count: int
-    failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -427,7 +431,6 @@ class PrivacyConditionReport:
             "containment_count": self.containment_count,
             "ratio_count": self.ratio_count,
             "degenerate_count": self.degenerate_count,
-            "failures": self.failures,
         }
 
 
@@ -484,7 +487,6 @@ def check_privacy_condition(
     r_grid_size: int = 8,
     volume_samples: int = 20_000,
     seed: int = 0,
-    epsilon_threshold: float = math.inf,
     max_cells: int | None = None,
 ) -> PrivacyConditionReport:
     """Probe every leaf cell for the containment-or-small-ratio dichotomy.
@@ -515,7 +517,6 @@ def check_privacy_condition(
 
     eps = 0.0
     containment = ratio_n = degenerate = 0
-    failures = []
     for cell_id, (leaf, parent) in enumerate(pairs):
         cert_c, cert_p = certs[2 * cell_id], certs[2 * cell_id + 1]
         rng = substream(seed, "privacy-q", cell_id)
@@ -544,10 +545,6 @@ def check_privacy_condition(
                 ratio_n += 1
                 if ratio > eps:
                     eps = ratio
-                if ratio >= epsilon_threshold:
-                    failures.append(
-                        {"cell": cell_id, "q": qs[qi].tolist(), "r": r, "ratio": ratio}
-                    )
     return PrivacyConditionReport(
         cells_checked=len(pairs),
         probes_per_cell=q_probes * r_grid_size,
@@ -556,7 +553,6 @@ def check_privacy_condition(
         containment_count=containment,
         ratio_count=ratio_n,
         degenerate_count=degenerate,
-        failures=failures,
     )
 
 
@@ -608,10 +604,9 @@ def audit_voronoi_splits(
             centers = node.split.centers
             parent_cert = node.certificate
             r2 = _min_pair_distance(centers)
-            envelope = (parent_cert.witness, parent_cert.radius * 1.02)
             _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
-                                seed=seed + 104729 * len(audits), envelope=envelope,
-                                polish=True)
+                                seed=seed + 104729 * len(audits),
+                                envelope=parent_cert.envelope, polish=True)
             certs = [ch.certificate for ch in node.children]
             audits.append(
                 SplitAudit(

@@ -433,10 +433,7 @@ def pick_centers_greedy(
     if probe_samples < 1:
         raise InputError("probe_samples must be positive")
     rng = substream(seed, "greedy-centers")
-    envelope = None
-    if isinstance(region, VoronoiClip):
-        envelope = (cert.witness, cert.radius * 1.02)
-    probes = uniform_in_region(region, probe_samples, rng, envelope=envelope)
+    probes = uniform_in_region(region, probe_samples, rng, envelope=cert.envelope)
     threshold = cert.radius / 4.0
     selected = [0]
     mind = np.linalg.norm(probes - probes[0], axis=1)
@@ -501,10 +498,9 @@ def build_voronoi(
             centers = pick_centers_greedy(region, cert, probe_samples,
                                           seed=_path_seed(seed, "centers", path))
         else:
-            envelope = (cert.witness, cert.radius * 1.02) if isinstance(region, VoronoiClip) else None
             centers = pick_centers_uniform(region, override_m, centers_budget,
                                            seed=_path_seed(seed, "centers", path),
-                                           envelope=envelope)
+                                           envelope=cert.envelope)
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(dataset.points[idx]), split.size)
         children = node.divide(split, [part.size for part in parts])
@@ -575,7 +571,6 @@ def strip_to_sanitized(
     t: int,
     max_depth: int,
     seed: int | None,
-    component_index: int | None = None,
     extra: dict | None = None,
 ) -> SanitizedHistogram:
     """Publish a built tree (regions, splits, counts and levels only) after
@@ -596,7 +591,6 @@ def strip_to_sanitized(
         t=t,
         max_depth=max_depth,
         seed_commitment=seed_commitment(seed) if seed is not None else "deterministic",
-        component_index=component_index,
         extra=dict(extra or {}),
     )
 

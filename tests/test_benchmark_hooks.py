@@ -1,0 +1,47 @@
+"""The benchmark's hooks into privhist still resolve.
+
+``perfbench/tracer.py`` wraps the functions named in its ``TRACED`` table,
+and ``perfbench/checks.py`` imports library helpers to check outputs.  A
+deletion or rename in privhist would break traced benchmark runs, which only
+``pytest perfbench`` exercises; this test catches it in the tier-1 suite.
+Both files are loaded read-only, without writing bytecode next to them.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+TRACER = _load("tracer")
+
+
+@pytest.mark.parametrize("target", sorted(TRACER.TRACED), ids=".".join)
+def test_traced_function_resolves(target):
+    module, name = target
+    assert callable(getattr(importlib.import_module(f"privhist.{module}"), name, None))
+
+
+def test_traced_region_classes_have_membership():
+    geometry = importlib.import_module("privhist.geometry")
+    for name in TRACER.REGION_CLASSES:
+        assert callable(getattr(getattr(geometry, name), "contains_many", None))
+
+
+def test_checks_import():
+    assert callable(_load("checks").locate_leaves)

@@ -6,17 +6,16 @@ import pytest
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.experiments import adversarial_corner_arrangement
-from privhist.geometry import Ball, Dataset, distance
+from privhist.geometry import Ball, Box, Dataset, distance
 from privhist.metrics import (
-    _box_pair_matrix,
     _descend,
-    _leaf_pair_distance,
-    _leaf_pair_matrix,
+    _diameters,
+    _leaf_arrays,
+    _pair_matrix,
     cut_probability,
     grid_diameter_bound,
     hist_distance,
     hist_distance_with_diameters,
-    leaf_diameter,
     locate_leaves,
     measure_diameters,
     mst_compare,
@@ -66,13 +65,12 @@ class TestHistDistance:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 100, seed=6)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=10, max_depth=1,
                              method="greedy", probe_samples=8_000, seed=7)
-        rng = substream(9, "pairs")
-        for _ in range(100):
-            i, j = rng.integers(0, 100, size=2)
-            x, y = data.points[i], data.points[j]
-            dh, dx, dy = hist_distance_with_diameters(hist, x, y)
-            base = distance(x, y)
-            assert base - 1e-9 <= dh <= base + dx + dy + 1e-9
+        idx = substream(9, "pairs").integers(0, 100, size=(100, 2))
+        X, Y = data.points[idx[:, 0]], data.points[idx[:, 1]]
+        dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
+        base = np.linalg.norm(X - Y, axis=1)
+        assert np.all(base - 1e-9 <= dh)
+        assert np.all(dh <= base + dx + dy + 1e-9)
 
     def test_outside_root_rejected(self):
         hist = _tiny_hist(np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.1], [0.15, 0.25]]))
@@ -89,7 +87,7 @@ class TestHistDistance:
             assert hist_distance(hist, x, y) == hist_distance(hist, y, x)
         x = data.points[0]
         leaf = locate_leaves(hist, data.points[:1])[0]
-        assert hist_distance(hist, x, x) == pytest.approx(leaf_diameter(leaf))
+        assert hist_distance(hist, x, x) == pytest.approx(leaf.region.diameter())
 
 
 class TestMeasureDiameters:
@@ -113,7 +111,7 @@ class TestMeasureDiameters:
         d = 3
         data = adversarial_corner_arrangement(d, gamma=0.01)
         cube = build_recursive_cube(data, t=2, max_depth=8)
-        cube_diams = [leaf_diameter(leaf) for leaf in locate_leaves(cube, data.points)]
+        cube_diams = [leaf.region.diameter() for leaf in locate_leaves(cube, data.points)]
         assert min(cube_diams) == pytest.approx(math.sqrt(d))
         stats = measure_diameters(data, t=2, trials=40, seed=12, method="grid",
                                   max_depth=8)
@@ -206,6 +204,32 @@ class TestMstCompare:
             mst_compare(hist, Dataset(np.array([[0.1, 0.1]])))
 
 
+def _reference_diameter(leaf):
+    """A leaf's diameter, node by node: a box's or ball's own, else twice the
+    certificate radius."""
+    region = leaf.region
+    if isinstance(region, (Box, Ball)):
+        return region.diameter()
+    return 2.0 * leaf.certificate.radius
+
+
+def _reference_pair_distance(a, b):
+    """sup-sup distance of two leaves, pair by pair: the farthest-corner span
+    of two boxes, else |p_a - p_b| + R_a + R_b over each leaf's own ball or
+    its certificate."""
+    ra, rb = a.region, b.region
+    if isinstance(ra, Box) and isinstance(rb, Box):
+        return float(np.linalg.norm(np.maximum(ra.high - rb.low, rb.high - ra.low)))
+    (pa, Ra), (pb, Rb) = _reference_ball(a), _reference_ball(b)
+    return float(np.linalg.norm(pa - pb)) + Ra + Rb
+
+
+def _reference_ball(leaf):
+    if isinstance(leaf.region, Ball):
+        return leaf.region.center, leaf.region.radius
+    return leaf.certificate.witness, leaf.certificate.radius
+
+
 def _reference_pair_matrix(leaves):
     """Upper triangle pair by pair, mirrored: certificate sums are not
     bitwise symmetric, so the lower triangle copies the upper one."""
@@ -213,30 +237,74 @@ def _reference_pair_matrix(leaves):
     pair = np.zeros((L, L))
     for a in range(L):
         for b in range(a, L):
-            pair[a, b] = pair[b, a] = _leaf_pair_distance(leaves[a], leaves[b])
+            pair[a, b] = pair[b, a] = _reference_pair_distance(leaves[a], leaves[b])
     return pair
 
 
-class TestLeafPairMatrix:
-    @pytest.mark.parametrize("builder", ["grid", "cube"])
-    def test_bitwise_equal_to_pairwise_distance(self, builder):
+def _geometry_case(case):
+    """(histogram, points) of one leaf-geometry case: mesh trees, depth-2
+    Voronoi trees on ball and box roots, and single-leaf trees."""
+    if case in ("cube", "grid"):
         data, _ = sample(single(UniformCube(np.zeros(4), 1.0)), 500, seed=21)
-        if builder == "grid":
-            hist = build_shifted_grid(data, t=2, max_depth=8, seed=22)
-        else:
-            hist = build_recursive_cube(data, t=2, max_depth=8)
-        _, leaves, bounds = _descend(hist, data.points)
-        pair = _box_pair_matrix(*bounds)
-        expected = _reference_pair_matrix(leaves)
-        assert len(leaves) > 100
-        assert np.array_equal(pair, expected)
+        if case == "grid":
+            return build_shifted_grid(data, t=2, max_depth=8, seed=22), data.points
+        return build_recursive_cube(data, t=2, max_depth=8), data.points
+    shape, centers = case.split("-")
+    if shape == "ball":
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=23)
+        root = Ball(np.zeros(2), 1.0)
+    else:
+        data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 150, seed=25)
+        root = Box(-np.ones(2), np.ones(2), closed_high=np.ones(2, dtype=bool))
+    if centers == "leaf":
+        return build_voronoi(data, root, t=150, max_depth=2, seed=24), data.points
+    return build_voronoi(data, root, t=6, max_depth=2, method=centers, probe_samples=4_000,
+                         override_m=12, seed=24), data.points
 
-    def test_voronoi_leaves_use_certificates(self):
-        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 60, seed=23)
-        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=10, max_depth=1,
-                             method="greedy", probe_samples=4_000, seed=24)
-        _, leaves, bounds = _descend(hist, data.points)
-        assert bounds is None
-        pair = _leaf_pair_matrix(leaves)
-        expected = _reference_pair_matrix(leaves)
-        assert np.array_equal(pair, expected)
+
+GEOMETRY_CASES = ["cube", "grid", "ball-greedy", "ball-uniform", "box-greedy", "box-uniform",
+                  "ball-leaf", "box-leaf"]
+
+
+@pytest.mark.parametrize("case", GEOMETRY_CASES)
+class TestLeafGeometry:
+    """The leaf arrays give, bit for bit, what the per-leaf and per-pair
+    formulas give."""
+
+    def test_pair_matrix_equals_pairwise_reference(self, case):
+        hist, points = _geometry_case(case)
+        _, leaves, bounds = _descend(hist, points)
+        if case in ("cube", "grid"):
+            assert len(leaves) > 100
+        if case.endswith("leaf"):
+            assert leaves == [hist.root]
+        else:
+            assert (bounds is None) == case.startswith(("ball", "box"))
+        pair = _pair_matrix(_leaf_arrays(hist, leaves, bounds))
+        assert np.array_equal(pair, _reference_pair_matrix(leaves))
+
+    def test_diameters_equal_per_leaf_reference(self, case):
+        hist, points = _geometry_case(case)
+        _, leaves, bounds = _descend(hist, points)
+        diam = _diameters(*_leaf_arrays(hist, leaves, bounds))
+        assert diam.tolist() == [_reference_diameter(leaf) for leaf in leaves]
+
+    def test_batched_distances_equal_pairwise_reference(self, case):
+        hist, points = _geometry_case(case)
+        idx = substream(26, "pairs").integers(0, len(points), size=(200, 2))
+        X, Y = points[idx[:, 0]], points[idx[:, 1]]
+        dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
+        lx, ly = locate_leaves(hist, X), locate_leaves(hist, Y)
+        assert dh.tolist() == [_reference_pair_distance(a, b) for a, b in zip(lx, ly)]
+        assert dx.tolist() == [_reference_diameter(a) for a in lx]
+        assert dy.tolist() == [_reference_diameter(b) for b in ly]
+        one = hist_distance_with_diameters(hist, X[:1], Y[:1])
+        assert [v.tolist() for v in one] == [[dh[0]], [dx[0]], [dy[0]]]
+        assert hist_distance(hist, X[0], Y[0]) == dh[0]
+        assert [v.shape for v in hist_distance_with_diameters(hist, X[:0], Y[:0])] == [(0,)] * 3
+
+
+def test_batched_distances_need_equal_shapes():
+    hist = _tiny_hist(np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.1]]))
+    with pytest.raises(InputError):
+        hist_distance_with_diameters(hist, np.zeros((2, 2)), np.zeros((3, 2)))
