@@ -11,6 +11,10 @@ root's own or a Voronoi cell's certificate, and two balls are the upper
 bound |p_x - p_y| + R_x + R_y apart.  A box's diameter is its diagonal, a
 ball's 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
+
+Expected grid diameters skip the descent: the grid builder already writes
+each dataset row's leaf corners as it splits the rows, and
+``measure_diameters`` takes the box diagonals from those.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .geometry import Box, Dataset, Region, as_point, t_radii, uniform_in_region
 from .rng import substream
 from .roundness import certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
-                        build_shifted_grid, build_voronoi, certify_nodes)
+                        _shifted_grid, build_voronoi, certify_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +185,6 @@ class DiameterStats:
     per_point: list  # (index, t_radius, mean_diameter, bound)
     fitted_coeff: float | None = None
 
-    def all_within_bound(self) -> bool:
-        return all(mean <= bound for _, _, mean, bound in self.per_point)
-
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -210,8 +211,11 @@ def measure_diameters(
     """Rebuild a randomized histogram `trials` times and compare each point's
     mean smallest-cell diameter with its t-radius bound.
 
-    Grid bounds are closed-form; Voronoi bounds fit one coefficient kappa to
-    mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
+    A grid build hands back the corners of each row's leaf, which it wrote
+    while splitting the rows, so grid diameters take no descent.  A Voronoi
+    build is descended once per trial and its leaves read as certificate
+    balls.  Grid bounds are closed-form; Voronoi bounds fit one coefficient
+    kappa to mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
     """
     if method not in ("grid", "voronoi-greedy", "voronoi-uniform"):
         raise InputError("measure_diameters needs a randomized builder (grid or voronoi)")
@@ -226,14 +230,15 @@ def measure_diameters(
     for trial in range(trials):
         tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
         if method == "grid":
-            hist = build_shifted_grid(dataset, t, max_depth, seed=tseed)
+            _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed)
+            sums += _diameters(True, low, high)
         else:
             if support is None:
                 raise InputError("voronoi diameter measurement needs a support region")
             hist = build_voronoi(dataset, support, t, max_depth,
                                  method=method.split("-")[1], seed=tseed, **builder_kwargs)
-        ids, leaves, bounds = _descend(hist, dataset.points)
-        sums += _diameters(*_leaf_arrays(hist, leaves, bounds))[ids]
+            ids, leaves, bounds = _descend(hist, dataset.points)
+            sums += _diameters(*_leaf_arrays(hist, leaves, bounds))[ids]
     means = sums / trials
 
     per_point = []

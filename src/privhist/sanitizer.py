@@ -21,6 +21,7 @@ dataset coordinate vector appears in it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,32 +297,51 @@ def build_recursive_cube(
         mid = 0.5 * (low + high)
         return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
 
-    tree = _grow_mesh(dataset, root, t, _Budget(node_budget), halves)
+    tree, _, _ = _grow_mesh(dataset, root, t, _Budget(node_budget), halves)
     return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
                               seed=None)
 
 
-def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget, next_cuts) -> HistogramNode:
+def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
+               next_cuts) -> tuple[HistogramNode, np.ndarray, np.ndarray]:
     """Mesh-split every cell holding at least 2t points while
-    ``next_cuts(low, high, level)`` returns (per-axis cuts, child level)."""
+    ``next_cuts(low, high, level)`` returns (per-axis cuts, child level).
+
+    Returns ``(tree, low, high)``: the tree, and the (n, d) low and high
+    corners of each dataset row's leaf.  The corners are written from the cut
+    arrays as the rows are split, by the same writes ``metrics._descend``
+    makes, so ``measure_diameters`` reads grid leaf diameters from them
+    without a second descent.  Every child gets a node and its count; only a
+    child holding at least 2t rows gets its rows and is split in turn.
+    """
     budget.charge(1)
-    tree = HistogramNode(region=root, count=dataset.n, level=0)
-    stack = [(tree, root.low, root.high, np.arange(dataset.n))]
+    n = dataset.n
+    tree = HistogramNode(region=root, count=n, level=0)
+    low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
+    stack = [(tree, root.low, root.high, np.arange(n))] if n >= 2 * t else []
     while stack:
-        node, low, high, idx = stack.pop()
-        if idx.size < 2 * t:
-            continue
-        step = next_cuts(low, high, node.level)
+        node, node_low, node_high, idx = stack.pop()
+        step = next_cuts(node_low, node_high, node.level)
         if step is None:
             continue
         split = MeshSplit(step[0])
         budget.charge(split.size)
-        parts = _partition(split.assign(dataset.points[idx]), split.size)
-        children = node.divide(split, [part.size for part in parts], step[1])
-        for k, part in enumerate(parts):
-            if part.size >= 2 * t:
-                stack.append((children[k], *split.child_bounds(k), idx[part]))
-    return tree
+        digits = split.digits(dataset.points[idx])
+        for j, (c, digit) in enumerate(zip(split.cuts, digits)):
+            low[idx, j] = c[digit]
+            high[idx, j] = c[digit + 1]
+        keys = np.ravel_multi_index(digits, split.shape)
+        counts = np.bincount(keys, minlength=split.size)
+        children = node.divide(split, counts.tolist(), step[1])
+        big = np.flatnonzero(counts >= 2 * t)
+        if not big.size:
+            continue
+        order = np.argsort(keys, kind="stable")
+        ends = np.cumsum(counts)
+        for k, a, b in zip(big.tolist(), (ends - counts)[big].tolist(), ends[big].tolist()):
+            rows = idx[order[a:b]]
+            stack.append((children[k], low[rows[0]].copy(), high[rows[0]].copy(), rows))
+    return tree, low, high
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +381,19 @@ def build_shifted_grid(
     fixed offset, so raw cells nest across levels.  Cells refine while they
     hold at least 2t points and mesh levels remain.
     """
+    return _shifted_grid(dataset, t, max_depth, seed, root, node_budget)[0]
+
+
+def _shifted_grid(
+    dataset: Dataset,
+    t: int,
+    max_depth: int = 8,
+    seed: int = 0,
+    root: Box | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[SanitizedHistogram, np.ndarray, np.ndarray]:
+    """``build_shifted_grid``, plus the (n, d) low and high corners of each
+    dataset row's leaf from ``_grow_mesh``; the corners are never published."""
     if t < 1 or max_depth < 1:
         raise InputError("t and max_depth must be positive")
     d = dataset.d if dataset.n else (root.dim if root is not None else None)
@@ -376,26 +409,30 @@ def build_shifted_grid(
     center = uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
     bases = center - side  # low corner of the inflated cube, fixed across levels
 
-    bounds_cache: dict[int, list[np.ndarray]] = {}
+    # level -> per-axis strip boundaries, as arrays and as lists for bisect
+    bounds_cache: dict[int, tuple[list[np.ndarray], list[list[float]]]] = {}
 
-    def level_bounds(level: int) -> list[np.ndarray]:
+    def level_bounds(level: int) -> tuple[list[np.ndarray], list[list[float]]]:
         if level not in bounds_cache:
             w = side * 2.0 ** (1 - level)
-            bounds_cache[level] = [
-                _axis_strip_bounds(bases[j], w, root.low[j], root.high[j]) for j in range(d)
-            ]
+            arrays = [_axis_strip_bounds(bases[j], w, root.low[j], root.high[j])
+                      for j in range(d)]
+            bounds_cache[level] = arrays, [bnds.tolist() for bnds in arrays]
         return bounds_cache[level]
 
     def sub_bounds(low, high, level: int) -> list[np.ndarray] | None:
         """Per-axis strip boundaries of the level mesh inside the box, or None
         when the mesh does not subdivide the box."""
-        per_axis = []
-        for bnds, lo, hi in zip(level_bounds(level), low, high):
-            seg = bnds[np.searchsorted(bnds, lo):np.searchsorted(bnds, hi) + 1]
-            if seg.size < 2 or seg[0] != lo or seg[-1] != hi:
+        arrays, lists = level_bounds(level)
+        ends = []
+        for values, lo, hi in zip(lists, low.tolist(), high.tolist()):
+            a, b = bisect_left(values, lo), bisect_left(values, hi)
+            if b >= len(values) or b <= a or values[a] != lo or values[b] != hi:
                 raise InternalError("mesh nesting violated")  # pragma: no cover
-            per_axis.append(seg)
-        return per_axis if any(seg.size > 2 for seg in per_axis) else None
+            ends.append((a, b))
+        if all(b - a == 1 for a, b in ends):
+            return None
+        return [bnds[a:b + 1] for bnds, (a, b) in zip(arrays, ends)]
 
     def next_mesh(low, high, level):
         for lvl in range(level + 1, max_depth + 1):
@@ -404,9 +441,10 @@ def build_shifted_grid(
                 return cuts, lvl
         return None
 
-    tree = _grow_mesh(dataset, root, t, _Budget(node_budget), next_mesh)
-    return strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
+    tree, low, high = _grow_mesh(dataset, root, t, _Budget(node_budget), next_mesh)
+    hist = strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
                               seed=seed, extra={"offset_center": center.tolist()})
+    return hist, low, high
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from privhist import metrics
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.experiments import adversarial_corner_arrangement
-from privhist.geometry import Ball, Box, Dataset, distance
+from privhist.geometry import Ball, Box, Dataset, distance, t_radii
 from privhist.metrics import (
     _descend,
     _diameters,
@@ -130,6 +131,42 @@ class TestMeasureDiameters:
             for i, leaf in enumerate(locate_leaves(hist, data.points)):
                 sums[i] += leaf.region.diameter()
         assert [mean for _, _, mean, _ in stats.per_point] == (sums / 3).tolist()
+
+    @staticmethod
+    def _reference_grid_report(data, t, trials, seed, max_depth):
+        """measure_diameters(method="grid") as a rebuild-and-descend loop."""
+        sums = np.zeros(data.n)
+        for trial in range(trials):
+            tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
+            hist = build_shifted_grid(data, t, max_depth, seed=tseed)
+            ids, leaves, bounds = _descend(hist, data.points)
+            sums += _diameters(True, *bounds)[ids]
+        radii = t_radii(data, t)
+        return {
+            "method": "grid", "t": t, "trials": trials, "fitted_coeff": None,
+            "per_point": [{"index": i, "t_radius": float(r), "mean_diameter": float(m),
+                           "bound": grid_diameter_bound(data.d, t, float(r))}
+                          for i, (r, m) in enumerate(zip(radii, sums / trials))],
+        }
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_report_equals_descent_reference(self, d, trials):
+        data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), 90, seed=60 + d)
+        stats = measure_diameters(data, t=2, trials=trials, seed=61, method="grid",
+                                  max_depth=6)
+        assert stats.to_dict() == self._reference_grid_report(data, 2, trials, 61, 6)
+
+    def test_grid_branch_does_not_descend(self, monkeypatch):
+        data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 90, seed=62)
+        expected = self._reference_grid_report(data, 2, 3, 63, 6)
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("grid diameters descended the tree again")
+
+        monkeypatch.setattr(metrics, "_descend", no_descent)
+        stats = measure_diameters(data, t=2, trials=3, seed=63, method="grid", max_depth=6)
+        assert stats.to_dict() == expected
 
     def test_grid_bound_formula(self):
         assert grid_diameter_bound(2, 2, 0.25) == pytest.approx(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privhist import sanitizer
 from privhist.documents import encode, histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError, InternalError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
@@ -137,6 +138,45 @@ def test_descent_bounds_equal_leaf_regions(method, d):
     for k, leaf in enumerate(reached):
         assert low[k].tobytes() == leaf.region.low.tobytes()
         assert high[k].tobytes() == leaf.region.high.tobytes()
+
+
+def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch):
+    """A cube or grid build and the row corners its ``_grow_mesh`` returned."""
+    grown = []
+    grow = sanitizer._grow_mesh
+
+    def recording(*args):
+        grown.append(grow(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(sanitizer, "_grow_mesh", recording)
+    if method == "cube":
+        hist = build_recursive_cube(data, t=t, max_depth=depth)
+    else:
+        hist = build_shifted_grid(data, t=t, max_depth=depth, seed=seed)
+    (tree, low, high), = grown
+    assert tree is hist.root
+    return hist, low, high
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("method", ["cube", "grid"])
+@pytest.mark.parametrize("n", [3, 120])
+def test_builder_row_corners_equal_descent_bounds(method, d, n, monkeypatch):
+    t = 2
+    rng = np.random.default_rng(100 * d + n)
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    if d > 1:  # rows on the closed high face; at d = 1 that is the root corner
+        X[: n // 4, rng.integers(0, d)] = 1.0
+    X[n // 2:] = X[0]  # duplicates of one row
+    data = Dataset(X)
+    hist, low, high = _mesh_build_with_corners(method, data, t, 3 if d == 8 else 5, d,
+                                               monkeypatch)
+    assert (hist.root.split is None) == (n < 2 * t)
+    ids, _, (leaf_low, leaf_high) = _descend(hist, data.points)
+    assert low.shape == high.shape == (n, d)
+    assert low.tobytes() == leaf_low[ids].tobytes()
+    assert high.tobytes() == leaf_high[ids].tobytes()
 
 
 def test_descent_of_no_rows():
