@@ -187,7 +187,6 @@ def _cmd_cut_prob(args, argv):
         "trials": args.trials,
         "x": x.tolist(),
         "rows": [{"r": r, "probability": p, "stderr": s} for r, p, s in rows],
-        "note": "probe-based cut detection can only miss cuts (estimates biased down)",
     }
     inputs = [args.support] if args.support not in ("unit-ball", "unit-cube") else []
     _emit(report_doc("cut_probability", body), args.out, argv, args.seed, inputs)

@@ -229,10 +229,10 @@ def suite_cut_probability_slope(seed: int = 0, trials: int = 1000) -> dict:
     """Cut-probability linearity in r for uniform Voronoi partitions.
 
     d in {2,3}, m=512 uniform centers in the unit ball, 10 geometric radii
-    spanning [rho/1e3, rho/10]: estimates must be monotone (exact, by
-    cumulative probes under common random numbers), and a least-squares line
-    through the origin (the model's form: cut probability vanishes at r=0)
-    must reach R^2 >= 0.9 with slope within a factor 10 of d/rho.
+    spanning [rho/1e3, rho/10]: estimates must be monotone (exact, since one
+    cell-boundary margin per trial answers every radius), and a least-squares
+    line through the origin (the model's form: cut probability vanishes at
+    r=0) must reach R^2 >= 0.9 with slope within a factor 10 of d/rho.
 
     rho is the cell scale of the partition being measured, not the radius of
     the support: rho_c = (vol(support) / (m * V_d))^(1/d), the radius of a

@@ -330,15 +330,17 @@ def center_scores(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Bisector scores |c|^2 - 2 x.c, shape (n, m): |x - c|^2 less |x|^2.
 
     The one place the score is formed: membership, certificate margins and
-    nearest-center distances all compare these doubles.  It is built in
-    place in the product's buffer, one (n, m) temporary instead of three.
+    nearest-center distances all compare these doubles.  The factor -2 goes
+    on the (m, d) centers before the product rather than on the (n, m)
+    result, and |c|^2 is added in place in the product's buffer.  Scaling
+    by -2 is exact in IEEE arithmetic, so away from subnormals every double
+    equals that of scaling the product afterwards.
     One row is scored as two copies of it: numpy's matrix-vector product
     can round differently from the batched product membership must match.
     """
     if X.shape[0] == 1:
         return center_scores(centers, np.concatenate([X, X]))[:1]
-    scores = X @ centers.T
-    scores *= -2.0
+    scores = X @ (-2.0 * centers).T
     scores += (centers * centers).sum(axis=1)
     return scores
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, Dataset, Region, as_point, t_radii, uniform_in_region, voronoi_assign
+from .geometry import (Box, Dataset, Region, as_point, root_support, t_radii, uniform_in_region,
+                       voronoi_assign)
 from .rng import substream
-from .roundness import certify_roundness
+from .roundness import CellKernel, certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
                         _shifted_grid, build_voronoi, certify_nodes)
 
@@ -260,8 +261,6 @@ def measure_diameters(
 # ---------------------------------------------------------------------------
 # cut probability of small balls under random Voronoi partitions
 
-CUT_RANDOM_PROBES = 100  # random probe directions per radius, beside the 2d axis ones
-
 
 def cut_probability(
     region: Region,
@@ -274,36 +273,36 @@ def cut_probability(
     """Empirical probability that a ball around x is cut by a random Voronoi
     partition of the region (m uniform centers), for each radius.
 
-    Probes are cumulative across the sorted radii under common random
-    numbers, so the estimates are exactly monotone in r.  Probe-based cut
-    detection can only miss cuts, biasing estimates down.
+    The rule is exact: B(x, r) is cut when x lies closer than r to the
+    boundary of its own cell, and that distance is the smallest bisector
+    margin (s_j - s_own) / (2 |c_j - c_own|) over j != own, with s the
+    ``center_scores`` of x and own their argmin (ties to the lowest index,
+    as in ``voronoi_assign``).  A tie, margin exactly r, is not a cut: the
+    open ball stays inside the closed cell.  The region's own boundary is
+    no constraint, so a ball reaching outside the support is not cut by it.
+    One margin per trial answers every radius, so the estimates are
+    monotone in r by construction.
     """
     p = as_point(x)
     if not region.contains(p):
         raise InputError("x must lie inside the region")
-    rho = certify_roundness(region).radius
+    if m < 1 or trials < 1:
+        raise InputError("m and trials must be at least 1")
     rs = np.sort(np.asarray(list(r_values), dtype=float))
+    if not np.all(np.isfinite(rs)):
+        raise InputError("radii must be finite")
     if rs.size == 0 or rs[0] <= 0:
         raise InputError("radii must be positive")
+    rho = certify_roundness(region).radius
     if rs[-1] >= rho:
         raise InputError(f"radius {rs[-1]} is not below the cell radius {rho}")
-    d = region.dim
-    axis_dirs = np.concatenate([np.eye(d), -np.eye(d)])
-    cuts = np.zeros(rs.size, dtype=float)
+    root = root_support(region)
+    margins = np.empty(trials)
     for trial in range(trials):
-        rng = substream(seed, "cut-trial", trial)
-        centers = uniform_in_region(region, m, rng)
-        rand = rng.standard_normal((CUT_RANDOM_PROBES, d))
-        rand /= np.maximum(np.linalg.norm(rand, axis=1, keepdims=True), 1e-300)
-        dirs = np.concatenate([axis_dirs, rand])
-        pts = (p[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-        pts = np.concatenate([p[None, :], pts])
-        assign = voronoi_assign(centers, pts)
-        base = assign[0]
-        per_r = assign[1:].reshape(rs.size, dirs.shape[0])
-        cut_here = (per_r != base).any(axis=1)
-        cuts += np.maximum.accumulate(cut_here)
-    probs = cuts / trials
+        centers = uniform_in_region(region, m, substream(seed, "cut-trial", trial))
+        own = voronoi_assign(centers, p[None, :])
+        margins[trial] = CellKernel(root, own, centers).bisector_margin(p[None, :])[0]
+    probs = np.searchsorted(np.sort(margins), rs, side="left") / trials
     return [
         (float(r), float(prob), float(math.sqrt(prob * (1 - prob) / trials)))
         for r, prob in zip(rs, probs)

@@ -133,6 +133,15 @@ class CellKernel:
         return (np.hstack([Y - root.low, root.high - Y]),
                 np.broadcast_to(faces, (Y.shape[0],) + faces.shape))
 
+    def bisector_margin(self, Y: np.ndarray) -> np.ndarray:
+        """Smallest bisector margin at each row of Y over every Voronoi
+        level, the root's constraint left out: the distance from a point of
+        the unclipped cell to that cell's boundary."""
+        best = np.full(Y.shape[0], np.inf)
+        for *_, margin in self._bisector_margins(Y):
+            np.minimum(best, margin.min(axis=1), out=best)
+        return best
+
     def min_margin(self, Y: np.ndarray):
         """Minimum margin at each row of Y and the unit inward normal of the
         constraint that attains it."""
@@ -510,6 +519,11 @@ def check_privacy_condition(
 
     if not c > 1:
         raise InputError("requires c > 1")
+    counts = {"q_probes": q_probes, "r_grid_size": r_grid_size,
+              "volume_samples": volume_samples, "max_cells": max_cells}
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise InputError(f"{name} must be at least 1")
     pairs = _leaf_parent_pairs(root_node)
     if max_cells is not None:
         pairs = pairs[:max_cells]

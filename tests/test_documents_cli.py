@@ -233,6 +233,34 @@ class TestCli:
         total = rep["containment_count"] + rep["ratio_count"] + rep["degenerate_count"]
         assert total == rep["cells_checked"] * rep["probes_per_cell"]
 
+    @pytest.mark.parametrize("flag,value", [("--q-probes", "0"), ("--vol-samples", "0"),
+                                            ("--r-grid", "0"), ("--max-cells", "0"),
+                                            ("--max-cells", "-1")])
+    def test_check_privacy_needs_positive_counts(self, workspace, capsys, flag, value):
+        # each of these once reported a privacy pass with nothing checked
+        assert main(["generate", "--dist", "spec.json", "--n", "60", "--seed", "2",
+                     "--out", "d.json"]) == 0
+        assert main(["sanitize", "--method", "cube", "--t", "3", "--max-depth", "3",
+                     "--seed", "1", "--in", "d.json", "--out", "h.json"]) == 0
+        argv = ["check-privacy", "--in", "h.json", "--c", "8", "--q-probes", "2",
+                "--r-grid", "3", "--vol-samples", "2000", "--max-cells", "4",
+                "--out", "p.json"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists("p.json")
+
+    @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--trials", "0"),
+                                            ("--trials", "-1"), ("--r-list", "0.01,nan")])
+    def test_cut_prob_rejects_invalid_arguments(self, workspace, flag, value):
+        argv = ["cut-prob", "--support", "unit-ball", "--x", "0,0", "--r-list", "0.01,0.03",
+                "--m", "16", "--trials", "5", "--seed", "1", "--out", "cut.json"]
+        assert main(argv) == 0
+        os.remove("cut.json")
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        assert not os.path.exists("cut.json")
+
     def test_certify_is_seed_free_and_matches_node_certificates(self, workspace):
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 80, seed=5)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,

@@ -419,3 +419,28 @@ def _check_two_stage_membership(kind, d, layout, snap, two_levels, seed):
                 assert np.array_equal(shared.contains_many(batch),
                                       _full_argmin_membership(direct, batch))
     assert not direct.contains_many(np.empty((0, d))).size
+
+
+def _center_scores_three_steps(centers, X):
+    """The product, then the -2 scale, then |c|^2: the earlier form of
+    ``center_scores``, one row scored as two copies of it."""
+    if X.shape[0] == 1:
+        return _center_scores_three_steps(centers, np.concatenate([X, X]))[:1]
+    scores = X @ centers.T
+    scores *= -2.0
+    scores += (centers * centers).sum(axis=1)
+    return scores
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_center_scores_equal_three_step_form(d, seed):
+    # scaling the centers by -2 before the product is exact, so every double
+    # must equal scaling the product afterwards
+    rng = np.random.default_rng(seed)
+    for n, m in [(1, 1), (1, 512), (2, 7), (37, 64), (300, 257)]:
+        scale = 10.0 ** rng.integers(-3, 4)
+        centers = scale * rng.standard_normal((m, d))
+        X = scale * rng.standard_normal((n, d))
+        assert np.array_equal(center_scores(centers, X),
+                              _center_scores_three_steps(centers, X))

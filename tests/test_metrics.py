@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from privhist import metrics
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.experiments import adversarial_corner_arrangement
-from privhist.geometry import Ball, Box, Dataset, distance, t_radii
+from privhist.geometry import (Ball, Box, Dataset, distance, t_radii, uniform_in_region,
+                               voronoi_assign)
 from privhist.metrics import (
     _descend,
     _diameters,
@@ -178,6 +181,42 @@ class TestMeasureDiameters:
         )
 
 
+def _probe_cut_probability(region, x, r_values, m, trials, seed=0, random_probes=100):
+    """Reference: the probe rule ``cut_probability`` used before the margin
+    rule.  Per trial and radius, the 2d axis points and ``random_probes``
+    random points at distance r from x are assigned against the same m
+    centers; a probe in another cell than x's is a cut, and cuts accumulate
+    over the sorted radii.  Probing can only miss cuts."""
+    p = np.asarray(x, dtype=float)
+    rs = np.sort(np.asarray(r_values, dtype=float))
+    d = p.size
+    axis_dirs = np.concatenate([np.eye(d), -np.eye(d)])
+    cuts = np.zeros(rs.size)
+    for trial in range(trials):
+        rng = substream(seed, "cut-trial", trial)
+        centers = uniform_in_region(region, m, rng)
+        rand = rng.standard_normal((random_probes, d))
+        rand /= np.maximum(np.linalg.norm(rand, axis=1, keepdims=True), 1e-300)
+        dirs = np.concatenate([axis_dirs, rand])
+        pts = (p[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+        assign = voronoi_assign(centers, np.concatenate([p[None, :], pts]))
+        per_r = assign[1:].reshape(rs.size, dirs.shape[0])
+        cuts += np.maximum.accumulate((per_r != assign[0]).any(axis=1))
+    return cuts / trials
+
+
+def _margins_1d(region, x, m, trials, seed):
+    """Per trial, the distance from x to the nearest midpoint between its
+    nearest center and another: its cell boundary on the line."""
+    out = []
+    for trial in range(trials):
+        centers = uniform_in_region(region, m, substream(seed, "cut-trial", trial))[:, 0]
+        own = voronoi_assign(centers[:, None], np.array([[x]]))[0]
+        mids = 0.5 * (centers[own] + np.delete(centers, own))
+        out.append(np.abs(x - mids).min() if mids.size else np.inf)
+    return np.array(out)
+
+
 class TestCutProbability:
     def test_small_radius_rarely_cut(self):
         support = Ball(np.zeros(2), 1.0)
@@ -202,6 +241,57 @@ class TestCutProbability:
         with pytest.raises(InputError):
             cut_probability(support, np.array([2.0, 0.0]), [0.01], m=64,
                             trials=10, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-0.9, 0.9), m=st.integers(1, 40), seed=st.integers(0, 2**20),
+           rs=st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=6))
+    def test_margin_rule_equals_probes_on_the_line(self, x, m, seed, rs):
+        # at d = 1 the probes x - r and x + r are the whole sphere, so the two
+        # rules can differ only at a radius equal to some trial's margin
+        support = Ball(np.zeros(1), 1.0)
+        margins = _margins_1d(support, x, m, 20, seed)
+        assume(np.abs(np.subtract.outer(rs, margins)).min() > 1e-9)
+        rows = cut_probability(support, [x], rs, m=m, trials=20, seed=seed)
+        ref = _probe_cut_probability(support, [x], rs, m=m, trials=20, seed=seed)
+        assert [p for _, p, _ in rows] == ref.tolist()
+
+    @pytest.mark.parametrize("d,seed", [(2, 3), (2, 4), (3, 5), (3, 6)])
+    def test_margin_rule_never_below_probes(self, d, seed):
+        support = Ball(np.zeros(d), 1.0)
+        x = np.full(d, 0.1)
+        rs = np.geomspace(1e-3, 0.1, 8)
+        rows = cut_probability(support, x, rs, m=128, trials=150, seed=seed)
+        ref = _probe_cut_probability(support, x, rs, m=128, trials=150, seed=seed)
+        assert all(p >= q for (_, p, _), q in zip(rows, ref))
+
+    @pytest.mark.parametrize("x,expected", [
+        ([0.25, 0.0], [0.0, 0.0, 1.0]),  # margin 0.25: a ball of that radius is not cut
+        ([0.5, 0.0], [1.0, 1.0, 1.0]),   # x on the bisector: every ball is cut
+    ])
+    def test_two_center_margin_and_tie(self, monkeypatch, x, expected):
+        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+        monkeypatch.setattr(metrics, "uniform_in_region", lambda region, m, rng: centers)
+        rows = cut_probability(Ball(np.zeros(2), 1.0), x, [0.375, 0.125, 0.25],
+                               m=2, trials=3, seed=0)
+        assert [r for r, _, _ in rows] == [0.125, 0.25, 0.375]
+        assert [p for _, p, _ in rows] == expected
+
+    def test_monotone_in_r_for_unsorted_radii(self):
+        support = Box(-np.ones(3), np.ones(3))
+        rs = np.random.default_rng(7).uniform(1e-3, 0.3, 25)
+        rows = cut_probability(support, np.zeros(3), rs, m=64, trials=100, seed=8)
+        assert [r for r, _, _ in rows] == sorted(rs.tolist())
+        probs = [p for _, p, _ in rows]
+        assert probs == sorted(probs) and 0.0 < probs[-1]
+
+    @pytest.mark.parametrize("kwargs", [{"m": 0}, {"trials": 0}, {"trials": -1},
+                                        {"rs": [0.01, float("nan")]},
+                                        {"rs": [0.01, float("inf")]}])
+    def test_invalid_arguments_rejected(self, kwargs):
+        args = {"m": 16, "trials": 4, "rs": [0.01]} | kwargs
+        with pytest.raises(InputError):
+            cut_probability(Ball(np.zeros(2), 1.0), np.zeros(2), args["rs"],
+                            m=args["m"], trials=args["trials"], seed=0)
 
 
 class TestMstCompare:
