@@ -40,7 +40,7 @@ from .errors import (
     PrivhistError,
     ResourceError,
 )
-from .experiments import SUITES, run_suite
+from .experiments import SUITES, run_suite, verdict_line
 from .geometry import Ball, Box, Dataset
 from .metrics import cut_probability, measure_diameters, mst_compare
 from .roundness import CERT_SAMPLES, check_privacy_condition
@@ -213,6 +213,7 @@ def _cmd_repro(args, argv):
                 raise InputError(f"input {path} no longer matches its manifest digest")
         return main(manifest["command"])
     report = run_suite(args.suite, seed=args.seed)
+    sys.stderr.write(verdict_line(args.suite, report) + "\n")
     _emit(report_doc("repro_suite", report), args.out, argv, args.seed, [])
     return 0
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,7 +50,10 @@ def write_json_atomic(path: str, doc: dict):
     payload = encode(doc)
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(prefix=".privhist-", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".privhist-", dir=directory)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
@@ -62,8 +66,29 @@ def write_json_atomic(path: str, doc: dict):
 
 
 def read_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    """The JSON object in a file; a missing or unreadable file, text that is
+    not JSON, and any other top-level value are input errors."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise InputError(f"{path} is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} holds a JSON {type(doc).__name__}, not a document object")
+    return doc
+
+
+@contextmanager
+def _reading(kind: str):
+    """Malformed content of a ``kind`` document (a missing key, a value of
+    the wrong type or shape) surfaces as an input error."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InputError(f"malformed {kind} document: {detail}") from exc
 
 
 def sha256_file(path: str) -> str:
@@ -99,7 +124,8 @@ def dataset_to_doc(dataset: Dataset) -> dict:
 
 def dataset_from_doc(doc: dict) -> Dataset:
     _expect_kind(doc, "dataset")
-    pts = np.array(doc["points"], dtype=float).reshape(doc["n"], doc["d"])
+    with _reading("dataset"):
+        pts = np.array(doc["points"], dtype=float).reshape(doc["n"], doc["d"])
     return Dataset(pts)
 
 
@@ -129,19 +155,20 @@ def spec_to_doc(spec: DistributionSpec) -> dict:
 def spec_from_doc(doc: dict) -> DistributionSpec:
     _expect_kind(doc, "distribution_spec")
     comps = []
-    for entry in doc["components"]:
-        body = entry["shape"]
-        kind = body["kind"]
-        if kind == "uniform_cube":
-            shape = UniformCube(np.array(body["center"], float), float(body["half_side"]))
-        elif kind == "uniform_ball":
-            shape = UniformBall(np.array(body["center"], float), float(body["radius"]))
-        elif kind == "truncated_gaussian":
-            shape = TruncatedGaussian(np.array(body["mean"], float), float(body["stdev"]),
-                                      float(body["truncation_radius"]))
-        else:
-            raise InputError(f"unknown shape kind {kind!r}")
-        comps.append((float(entry["weight"]), shape))
+    with _reading("distribution_spec"):
+        for entry in doc["components"]:
+            body = entry["shape"]
+            kind = body["kind"]
+            if kind == "uniform_cube":
+                shape = UniformCube(np.array(body["center"], float), float(body["half_side"]))
+            elif kind == "uniform_ball":
+                shape = UniformBall(np.array(body["center"], float), float(body["radius"]))
+            elif kind == "truncated_gaussian":
+                shape = TruncatedGaussian(np.array(body["mean"], float), float(body["stdev"]),
+                                          float(body["truncation_radius"]))
+            else:
+                raise InputError(f"unknown shape kind {kind!r}")
+            comps.append((float(entry["weight"]), shape))
     return DistributionSpec(components=tuple(comps))
 
 
@@ -163,12 +190,13 @@ def _region_to_doc(region: Region) -> dict:
 
 
 def _region_from_doc(doc: dict) -> Region:
-    kind = doc["kind"]
-    if kind == "box":
-        return Box(np.array(doc["low"], float), np.array(doc["high"], float),
-                   closed_high=np.array(doc["closed_high"], bool))
-    if kind == "ball":
-        return Ball(np.array(doc["center"], float), float(doc["radius"]))
+    with _reading("region"):
+        kind = doc["kind"]
+        if kind == "box":
+            return Box(np.array(doc["low"], float), np.array(doc["high"], float),
+                       closed_high=np.array(doc["closed_high"], bool))
+        if kind == "ball":
+            return Ball(np.array(doc["center"], float), float(doc["radius"]))
     raise InputError(f"unknown root region kind {kind!r}")
 
 
@@ -242,22 +270,23 @@ def histogram_to_doc(hist: SanitizedHistogram) -> dict:
 
 def histogram_from_doc(doc: dict) -> SanitizedHistogram:
     _expect_kind(doc, "sanitized_histogram")
-    root_doc = doc["root"]
-    region = _region_from_doc(root_doc["region"])
-    root = HistogramNode(region=region, count=int(root_doc["count"]),
-                         level=int(root_doc["level"]))
-    box = (region.low, region.high) if isinstance(region, Box) else None
-    _read_subtree(root_doc, root, region.dim, box)
-    params = doc["parameters"]
-    return SanitizedHistogram(
-        root=root,
-        method=doc["method"],
-        t=int(params["t"]),
-        max_depth=int(params["max_depth"]),
-        seed_commitment=params["seed_commitment"],
-        component_index=doc.get("component_index"),
-        extra=doc.get("extra", {}),
-    )
+    with _reading("sanitized_histogram"):
+        root_doc = doc["root"]
+        region = _region_from_doc(root_doc["region"])
+        root = HistogramNode(region=region, count=int(root_doc["count"]),
+                             level=int(root_doc["level"]))
+        box = (region.low, region.high) if isinstance(region, Box) else None
+        _read_subtree(root_doc, root, region.dim, box)
+        params = doc["parameters"]
+        return SanitizedHistogram(
+            root=root,
+            method=doc["method"],
+            t=int(params["t"]),
+            max_depth=int(params["max_depth"]),
+            seed_commitment=params["seed_commitment"],
+            component_index=doc.get("component_index"),
+            extra=doc.get("extra", {}),
+        )
 
 
 def _expect_kind(doc: dict, kind: str):

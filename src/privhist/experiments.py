@@ -1,9 +1,10 @@
-"""Repro suites: parameter-pinned experiments shared by the CLI `repro`
-subcommand and the acceptance test suite.
+"""Repro suites: the acceptance criteria, each defined once and run by both
+the CLI `repro` subcommand and the acceptance test.
 
-Each suite returns a JSON-ready dict with a boolean "pass" plus the raw
-measurements it was judged on.  Statistical suites run at fixed seeds; their
-tolerances are part of the suite definition (see each docstring).
+Criterion NN is the NN-th entry of ``SUITES``.  Each suite takes only a seed
+and returns a JSON-ready dict with a boolean "pass", a one-line "summary" and
+the raw measurements it was judged on.  Sizes and tolerances are constants
+of the suite (see each docstring); seed 0 is the pinned acceptance run.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 
 from .adversary import IsolationParams, attack
 from .datagen import UniformBall, UniformCube, sample, single
+from .documents import histogram_to_doc
 from .errors import InputError
-from .geometry import Ball, Dataset, intersection_volume_ratio, unit_ball_volume
+from .geometry import (Ball, Dataset, intersection_volume_ratio, uniform_in_region,
+                       unit_ball_volume)
 from .metrics import (
     _row_norms,
     cut_probability,
@@ -41,15 +44,22 @@ def run_suite(name: str, seed: int = 0) -> dict:
     return SUITE_FUNCTIONS[name](seed)
 
 
+def verdict_line(name: str, report: dict) -> str:
+    """``criterion NN [name]: PASS|FAIL (summary)`` for a suite's report."""
+    verdict = "PASS" if report["pass"] else "FAIL"
+    return f"criterion {SUITES.index(name) + 1:02d} [{name}]: {verdict} ({report['summary']})"
+
+
 # ---------------------------------------------------------------------------
 
 
-def suite_distance_sandwich(seed: int = 0, configs: int = 20, pairs: int = 500) -> dict:
-    """Two-sided histogram-distance sandwich on random configurations.
+def suite_distance_sandwich(seed: int) -> dict:
+    """Two-sided histogram-distance sandwich on 20 random configurations.
 
-    |x-y| <= d_H(x,y) <= |x-y| + diam(C_x) + diam(C_y) must hold for every
-    sampled pair, with 8-ulp floating slack.
+    |x-y| <= d_H(x,y) <= |x-y| + diam(C_x) + diam(C_y) must hold for each of
+    500 sampled pairs per configuration, with 8-ulp floating slack.
     """
+    configs, pairs = 20, 500
     rng = substream(seed, "sandwich-config")
     checked = violations = 0
     details = []
@@ -85,17 +95,46 @@ def suite_distance_sandwich(seed: int = 0, configs: int = 20, pairs: int = 500) 
         "pairs_checked": checked,
         "violations": violations,
         "configs": details,
+        "summary": f"{violations} violations in {checked} pairs",
         "pass": violations == 0,
     }
 
 
-def suite_ratio_decay(seed: int = 0, samples: int = 1_000_000) -> dict:
+def suite_nested_ball_ratio(seed: int) -> dict:
+    """Volume-ratio estimator against its closed form on nested balls.
+
+    For d in {2,4,8} and c in {2, 2*sqrt(2), 4}, probe balls of radius
+    r = 0.9/c around the center of the unit ball sit strictly inside it, so
+    the true ratio is c^-d; each 10^6-sample estimate must lie within 3
+    standard errors of it.
+    """
+    combos = [(d, c) for d in (2, 4, 8) for c in (2.0, 2.0 * math.sqrt(2.0), 4.0)]
+    measured = []
+    worst = 0.0
+    for i, (d, c) in enumerate(combos):
+        r = 0.9 / c  # keeps the outer probe ball strictly inside the cell
+        est, se = intersection_volume_ratio(np.zeros(d), r, c, Ball(np.zeros(d), 1.0),
+                                            samples=1_000_000, seed=seed + i)
+        dev = abs(est - c**-d) / se
+        worst = max(worst, dev)
+        measured.append({"d": d, "c": c, "ratio": est, "stderr": se, "dev_over_stderr": dev})
+    return {
+        "suite": "nested-ball-ratio",
+        "measured": measured,
+        "worst_dev_over_stderr": worst,
+        "summary": f"worst |dev|/stderr = {worst:.2f}",
+        "pass": bool(worst <= 3.0),
+    }
+
+
+def suite_ratio_decay(seed: int) -> dict:
     """Volume-ratio decay with dimension for ball cells.
 
     Fixed interior q and (r, c') with the probe balls nested in the cell, so
     the true ratio is c'^-d; requires a log-linear fit with slope alpha >= 1
     and R^2 >= 0.95 over d in {2,4,6,8}.
     """
+    samples = 1_000_000
     cprime = 2.0 * math.sqrt(2.0)
     r = 0.1
     dims = np.array([2, 4, 6, 8])
@@ -124,21 +163,59 @@ def suite_ratio_decay(seed: int = 0, samples: int = 1_000_000) -> dict:
         "measured": measured,
         "alpha": float(alpha),
         "r_squared": r2,
+        "summary": f"alpha = {alpha:.3f}, R^2 = {r2:.4f}",
         "pass": bool(alpha >= 1.0 and r2 >= 0.95),
     }
 
 
-def suite_uniform_split_roundness(seed: int = 0, seeds: int = 100) -> dict:
+def suite_greedy_split_roundness(seed: int) -> dict:
+    """Cover/spread consequence on greedy Voronoi splits (50 builds each at
+    d=2 and d=3).
+
+    Every split's children must certify k <= (4 * r1 * k / r2) * 1.1 with
+    (r1, r2) audited from the emitted centers.
+    """
+    builds_per_dim = 50
+    splits = 0
+    worst = 0.0
+    failures = []
+    for d in (2, 3):
+        for s in range(builds_per_dim):
+            data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 150,
+                             seed=seed + 1000 * d + s)
+            hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=8, max_depth=2,
+                                 method="greedy", probe_samples=20_000,
+                                 seed=seed + 13 * s)
+            audits = audit_voronoi_splits(hist.root, probes=20_000, seed=seed + 31 * s)
+            for a in audits:
+                splits += 1
+                ratio = max(a.child_ks) / a.cover_spread_bound(SPLIT_BOUND_SLACK)
+                worst = max(worst, ratio)
+                if ratio > 1.0:
+                    failures.append({"d": d, "seed": s, "level": a.level,
+                                     "k_max": max(a.child_ks),
+                                     "bound": a.cover_spread_bound(SPLIT_BOUND_SLACK)})
+    return {
+        "suite": "greedy-split-roundness",
+        "splits_audited": splits,
+        "worst_ratio": worst,
+        "failures": failures,
+        "summary": f"{splits} splits audited, worst k/bound = {worst:.3f}",
+        "pass": not failures,
+    }
+
+
+def suite_uniform_split_roundness(seed: int) -> dict:
     """Roundness of uniform-center Voronoi splits at desk scale.
 
-    d=2, m=512 centers: a build passes when every child certifies with
-    radius <= R/2 * 1.1 and k <= 32 * k_parent^2.  The run passes when the
-    failure count stays within the 99th-percentile binomial envelope at the
-    nominal per-build failure rate exp(-d).
+    d=2, m=512 centers, 100 builds: a build passes when every child
+    certifies with radius <= R/2 * 1.1 and k <= 32 * k_parent^2.  The run
+    passes when the failure count stays within the 99th-percentile binomial
+    envelope at the nominal per-build failure rate exp(-d).
     """
     from scipy import stats as sp_stats  # slow to import; no other caller
 
-    d = 2
+    d, seeds = 2, 100
     data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 8, seed=seed + 77)
     support = Ball(np.zeros(d), 1.0)
     parent_cert = certify_roundness(support)
@@ -166,51 +243,19 @@ def suite_uniform_split_roundness(seed: int = 0, seeds: int = 100) -> dict:
         "failures": failures,
         "allowed_failures": allowed,
         "records": records,
+        "summary": f"failures = {failures} (allowed {allowed})",
         "pass": failures <= allowed,
     }
 
 
-def suite_greedy_split_roundness(seed: int = 0, builds_per_dim: int = 50) -> dict:
-    """Cover/spread consequence on greedy Voronoi splits (d=2 and d=3).
-
-    Every split's children must certify k <= (4 * r1 * k / r2) * 1.1 with
-    (r1, r2) audited from the emitted centers.
-    """
-    splits = 0
-    worst = 0.0
-    failures = []
-    for d in (2, 3):
-        for s in range(builds_per_dim):
-            data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 150,
-                             seed=seed + 1000 * d + s)
-            hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=8, max_depth=2,
-                                 method="greedy", probe_samples=20_000,
-                                 seed=seed + 13 * s)
-            audits = audit_voronoi_splits(hist.root, probes=20_000, seed=seed + 31 * s)
-            for a in audits:
-                splits += 1
-                ratio = max(a.child_ks) / a.cover_spread_bound(SPLIT_BOUND_SLACK)
-                worst = max(worst, ratio)
-                if ratio > 1.0:
-                    failures.append({"d": d, "seed": s, "level": a.level,
-                                     "k_max": max(a.child_ks),
-                                     "bound": a.cover_spread_bound(SPLIT_BOUND_SLACK)})
-    return {
-        "suite": "greedy-split-roundness",
-        "splits_audited": splits,
-        "worst_ratio": worst,
-        "failures": failures,
-        "pass": not failures,
-    }
-
-
-def suite_grid_diameter_bound(seed: int = 0, trials: int = 200, n: int = 500) -> dict:
+def suite_grid_diameter_bound(seed: int) -> dict:
     """Mean smallest-cell diameters vs the t-radius bound on shifted grids.
 
-    d in {2,4}, t=2: every point's empirical mean diameter over `trials`
+    d in {2,4}, t=2, n=500: every point's empirical mean diameter over 200
     rebuilds must sit below 2*min(d^1.5, t*d)*r*log2(1/r) (level factor
     clamped to at least 1).
     """
+    trials, n = 200, 500
     results = []
     ok = True
     for d in (2, 4):
@@ -222,17 +267,20 @@ def suite_grid_diameter_bound(seed: int = 0, trials: int = 200, n: int = 500) ->
         ok &= viol == 0
         results.append({"d": d, "points": n, "trials": trials, "violations": viol,
                         "worst_mean_over_bound": float(margins.max())})
-    return {"suite": "thm31-bound", "results": results, "pass": bool(ok)}
+    worst = max(r["worst_mean_over_bound"] for r in results)
+    return {"suite": "thm31-bound", "results": results,
+            "summary": f"worst mean/bound = {worst:.3f} over d in {{2,4}}", "pass": bool(ok)}
 
 
-def suite_cut_probability_slope(seed: int = 0, trials: int = 1000) -> dict:
+def suite_cut_probability_slope(seed: int) -> dict:
     """Cut-probability linearity in r for uniform Voronoi partitions.
 
-    d in {2,3}, m=512 uniform centers in the unit ball, 10 geometric radii
-    spanning [rho/1e3, rho/10]: estimates must be monotone (exact, since one
-    cell-boundary margin per trial answers every radius), and a least-squares
-    line through the origin (the model's form: cut probability vanishes at
-    r=0) must reach R^2 >= 0.9 with slope within a factor 10 of d/rho.
+    d in {2,3}, 1000 trials of m=512 uniform centers in the unit ball, 10
+    geometric radii spanning [rho/1e3, rho/10]: estimates must be monotone
+    (exact, since one cell-boundary margin per trial answers every radius),
+    and a least-squares line through the origin (the model's form: cut
+    probability vanishes at r=0) must reach R^2 >= 0.9 with slope within a
+    factor 10 of d/rho.
 
     rho is the cell scale of the partition being measured, not the radius of
     the support: rho_c = (vol(support) / (m * V_d))^(1/d), the radius of a
@@ -248,7 +296,7 @@ def suite_cut_probability_slope(seed: int = 0, trials: int = 1000) -> dict:
     Against the support radius the slope would grow like m^(1/d), and the
     radius grid would run past the cell scale into saturation.
     """
-    m = 512
+    m, trials = 512, 1000
     results = []
     all_pass = True
     for d in (2, 3):
@@ -278,41 +326,23 @@ def suite_cut_probability_slope(seed: int = 0, trials: int = 1000) -> dict:
             "r_squared": r2,
             "pass": passed,
         })
+    summary = "; ".join(
+        f"d={r['d']}: monotone={r['monotone']}, R^2={r['r_squared']:.3f}, "
+        f"slope/(d/rho_c)={r['slope_over_d_rho']:.2f}"
+        for r in results
+    )
     return {"suite": "lemma32-slope", "m": m, "trials": trials,
-            "results": results, "pass": bool(all_pass)}
+            "results": results, "summary": summary, "pass": bool(all_pass)}
 
 
-def suite_voronoi_diameter_fit(seed: int = 0, trials: int = 40, n: int = 120) -> dict:
-    """Fit of mean Voronoi cell diameters to kappa*(depth*d*r + 2^-depth).
-
-    The hidden constant is fitted, reported, and sanity-checked: every
-    point's mean diameter must stay within 2.5x its fitted prediction.
-    """
-    d, depth = 2, 3
-    data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), n, seed=seed + 909)
-    stats = measure_diameters(data, t=4, trials=trials, seed=seed + 11,
-                              method="voronoi-greedy", max_depth=depth,
-                              support=Ball(np.zeros(d), 1.0), probe_samples=8_000)
-    margins = np.array([m / b for _, _, m, b in stats.per_point])
-    return {
-        "suite": "lemma33-fit",
-        "d": d,
-        "depth": depth,
-        "trials": trials,
-        "fitted_coeff": stats.fitted_coeff,
-        "worst_mean_over_fit": float(margins.max()),
-        "pass": bool(stats.fitted_coeff > 0 and margins.max() <= 2.5),
-    }
-
-
-def suite_isolation_dimension_trend(seed: int = 0, pairs: int = 10,
-                                    queries: int = 10_000) -> dict:
+def suite_isolation_dimension_trend(seed: int) -> dict:
     """Isolation success vs dimension on recursive-cube histograms.
 
-    Matched attacks (same data seed per pair) at d=4 and d=10 with
+    Matched attacks (same data seed per pair) at d=4 and d=10 with 10 000
     uniform-in-leaf queries; the d=10 rate must be strictly below the d=4
     rate in at least 9 of 10 pairs.
     """
+    pairs, queries = 10, 10_000
     params = IsolationParams(c=4.0, t=2)
     wins = 0
     rows = []
@@ -332,6 +362,7 @@ def suite_isolation_dimension_trend(seed: int = 0, pairs: int = 10,
         "queries": queries,
         "pairs": rows,
         "strict_wins": int(wins),
+        "summary": f"strict wins = {wins}/{pairs}",
         "pass": bool(wins >= 9),
     }
 
@@ -344,14 +375,14 @@ def adversarial_corner_arrangement(d: int, gamma: float = 0.01) -> Dataset:
     return Dataset(corners)
 
 
-def suite_mst_gap(seed: int = 0, grid_seeds: int = 50) -> dict:
+def suite_mst_gap(seed: int) -> dict:
     """MST cost gap on the adversarial corner arrangement at d=8.
 
     The deterministic cube histogram must show gap/actual > 1; the shifted
-    grid must keep gap <= gap_bound on every seed with a mean
+    grid must keep gap <= gap_bound on each of 50 seeds with a mean
     gap_bound/actual strictly below the deterministic ratio.
     """
-    d = 8
+    d, grid_seeds = 8, 50
     data = adversarial_corner_arrangement(d)
     cube_hist = build_recursive_cube(data, t=2, max_depth=8)
     cube_cmp = mst_compare(cube_hist, data)
@@ -372,19 +403,103 @@ def suite_mst_gap(seed: int = 0, grid_seeds: int = 50) -> dict:
         "grid_mean_gap_bound_over_actual": mean_bound_ratio,
         "grid_all_within_bound": bool(bound_ok),
         "grid_seeds": per_seed,
+        "summary": f"cube gap/actual = {cube_ratio:.1f}, "
+                   f"grid mean bound/actual = {mean_bound_ratio:.2f}, "
+                   f"grid within bound = {bool(bound_ok)}",
         "pass": bool(cube_ratio > 1.0 and bound_ok and mean_bound_ratio < cube_ratio),
     }
 
 
+def suite_conservation_determinism(seed: int) -> dict:
+    """Conservation, partition and determinism of every builder.
+
+    Cube, grid and greedy-Voronoi histograms on two datasets each: leaf
+    counts must sum to n, rebuilds must give identical documents, and
+    10^4 uniform probes (at most 10^3 per split) must each land in exactly
+    one child of the split they probe.
+    """
+    failures = []
+    probe_rng = substream(seed + 99, "partition")
+
+    def check(hist, rebuild, n, label):
+        if hist.leaf_count_sum() != n:
+            failures.append(f"{label}: leaf sum {hist.leaf_count_sum()} != {n}")
+        if histogram_to_doc(hist) != histogram_to_doc(rebuild):
+            failures.append(f"{label}: rebuild differs")
+        probes_left = 10_000
+        for node in hist.root.walk():
+            if not node.children or probes_left <= 0:
+                continue
+            take = min(1_000, probes_left)
+            probes_left -= take
+            pts = uniform_in_region(node.region, take, probe_rng)
+            hits = np.zeros(take, dtype=int)
+            for ch in node.children:
+                hits += ch.region.contains_many(pts).astype(int)
+            if not np.all(hits == 1):
+                failures.append(f"{label}: partition violated at level {node.level}")
+
+    support = Ball(np.zeros(2), 1.0)
+    for s in (seed, seed + 1):
+        cube_data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 300, seed=s)
+        check(build_recursive_cube(cube_data, t=2, max_depth=5),
+              build_recursive_cube(cube_data, t=2, max_depth=5),
+              300, f"cube/seed{s}")
+        check(build_shifted_grid(cube_data, t=2, max_depth=6, seed=s),
+              build_shifted_grid(cube_data, t=2, max_depth=6, seed=s),
+              300, f"grid/seed{s}")
+        ball_data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=s)
+        check(build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
+                            probe_samples=8_000, seed=s),
+              build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
+                            probe_samples=8_000, seed=s),
+              150, f"voronoi/seed{s}")
+    return {
+        "suite": "conservation-determinism",
+        "failures": failures,
+        "summary": "; ".join(failures) or "all builders byte-stable and partitioning",
+        "pass": not failures,
+    }
+
+
+def suite_voronoi_diameter_fit(seed: int) -> dict:
+    """Fit of mean Voronoi cell diameters to kappa*(depth*d*r + 2^-depth).
+
+    d=2, depth 3, n=120 points, 40 greedy rebuilds.  The hidden constant is
+    fitted, reported, and sanity-checked: every point's mean diameter must
+    stay within 2.5x its fitted prediction.
+    """
+    d, depth, trials, n = 2, 3, 40, 120
+    data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), n, seed=seed + 909)
+    stats = measure_diameters(data, t=4, trials=trials, seed=seed + 11,
+                              method="voronoi-greedy", max_depth=depth,
+                              support=Ball(np.zeros(d), 1.0), probe_samples=8_000)
+    margins = np.array([m / b for _, _, m, b in stats.per_point])
+    return {
+        "suite": "lemma33-fit",
+        "d": d,
+        "depth": depth,
+        "trials": trials,
+        "fitted_coeff": stats.fitted_coeff,
+        "worst_mean_over_fit": float(margins.max()),
+        "summary": f"fitted coeff = {stats.fitted_coeff:.3f}, "
+                   f"worst mean/fit = {margins.max():.2f}",
+        "pass": bool(stats.fitted_coeff > 0 and margins.max() <= 2.5),
+    }
+
+
+# criterion NN is entry NN of this table
 SUITE_FUNCTIONS = {
-    "thm11-trend": suite_isolation_dimension_trend,
-    "lemma21-decay": suite_ratio_decay,
-    "lemma24-roundness": suite_uniform_split_roundness,
-    "greedy-split-roundness": suite_greedy_split_roundness,
     "eq2-sandwich": suite_distance_sandwich,
+    "nested-ball-ratio": suite_nested_ball_ratio,
+    "lemma21-decay": suite_ratio_decay,
+    "greedy-split-roundness": suite_greedy_split_roundness,
+    "lemma24-roundness": suite_uniform_split_roundness,
     "thm31-bound": suite_grid_diameter_bound,
     "lemma32-slope": suite_cut_probability_slope,
-    "lemma33-fit": suite_voronoi_diameter_fit,
+    "thm11-trend": suite_isolation_dimension_trend,
     "mst-gap": suite_mst_gap,
+    "conservation-determinism": suite_conservation_determinism,
+    "lemma33-fit": suite_voronoi_diameter_fit,
 }
 SUITES = tuple(SUITE_FUNCTIONS)

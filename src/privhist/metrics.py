@@ -329,11 +329,12 @@ class MstComparison:
         }
 
 
-def _prim(W: np.ndarray):
-    n = W.shape[0]
+def _prim(n: int, weights):
+    """Prim's MST over n vertices from ``weights(j)``, the (n,) weight row of
+    vertex j, asked for once per vertex as it joins the tree: O(n) memory."""
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = W[0].copy()
+    best = weights(0)
     best_from = np.zeros(n, dtype=int)
     cost = 0.0
     edges = []
@@ -343,8 +344,9 @@ def _prim(W: np.ndarray):
         cost += float(masked[j])
         edges.append((int(best_from[j]), j))
         in_tree[j] = True
-        upd = W[j] < best
-        best = np.minimum(best, W[j])
+        row = weights(j)
+        upd = row < best
+        best = np.minimum(best, row)
         best_from[upd] = j
     return cost, edges
 
@@ -354,18 +356,19 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset) -> MstComparison:
 
     gap_bound sums the endpoint leaf diameters over the histogram MST's
     edges (the additive error the distance sandwich allows per edge).
+    Both trees take their weights one row at a time, so beyond the (L, L)
+    leaf pair matrix the working memory is O(n).
     """
-    if dataset.n < 2:
+    n = dataset.n
+    if n < 2:
         raise InputError("MST comparison needs at least two points")
     pts = dataset.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    W = np.linalg.norm(diff, axis=2)
-    actual, _ = _prim(W)
+    actual, _ = _prim(n, lambda j: np.linalg.norm(pts[j] - pts, axis=1))
 
     leaf_of, leaves, bounds = _descend(hist, pts)
     geometry = _leaf_arrays(hist, leaves, bounds)
-    WH = _pair_matrix(geometry)[leaf_of][:, leaf_of]
-    hist_cost, edges = _prim(WH)
+    pair = _pair_matrix(geometry)
+    hist_cost, edges = _prim(n, lambda j: pair[leaf_of[j]][leaf_of])
 
     ends = leaf_of[np.array(edges)]
     diam = _diameters(*geometry)

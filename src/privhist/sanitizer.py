@@ -21,7 +21,6 @@ dataset coordinate vector appears in it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,22 +347,46 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
 # randomized shifted grid
 
 
-def _axis_strip_bounds(base: float, w: float, lo: float, hi: float) -> np.ndarray:
-    """Merged strip boundaries on one axis for mesh lines base + k*w.
+def _kept_lines(base: float, w: float, lo: float, hi: float) -> tuple[int, int] | None:
+    """Index range (a, b) of the kept mesh lines base + k*w, a <= k <= b, on
+    one axis of the root (lo, hi), or None when the axis stays whole.
 
-    Mesh lines strictly inside (lo, hi) are x_1 < ... < x_q.  Cells
-    straddling the domain surface are disbanded and absorbed into their
-    adjacent interior strips, which keeps boundary strip widths in (w, 2w].
-    With fewer than three interior lines no interior strip survives and the
-    axis stays unrefined.
+    The lines strictly inside (lo, hi) run from index a - 1 to b + 1.  The
+    cells straddling the domain surface are disbanded: those first and last
+    lines are dropped, which absorbs the cells into their adjacent interior
+    strips and keeps boundary strip widths in (w, 2w].  With fewer than
+    three interior lines no interior strip survives and the axis stays
+    unrefined at this level.
     """
-    k_lo = math.floor((lo - base) / w)
-    k_hi = math.ceil((hi - base) / w)
-    lines = base + np.arange(k_lo, k_hi + 1) * w
-    lines = lines[(lines > lo) & (lines < hi)]
-    if lines.size <= 2:
-        return np.array([lo, hi])
-    return np.concatenate(([lo], lines[1:-1], [hi]))
+    first = math.floor((lo - base) / w)
+    while base + first * w <= lo:
+        first += 1
+    last = math.ceil((hi - base) / w)
+    while base + last * w >= hi:
+        last -= 1
+    return (first + 1, last - 1) if last - first >= 2 else None
+
+
+def _box_cuts(box, w: float, kept) -> list[list[float]] | None:
+    """Per-axis cuts of a cell by one level's kept lines, or None when no
+    kept line falls inside it.  ``box`` holds (base, lo, hi) per axis and
+    ``kept`` the level's ``_kept_lines`` per axis; an axis is cut at lo, the
+    kept lines strictly inside (lo, hi), and hi."""
+    cuts, split = [], False
+    for (base, lo, hi), ks in zip(box, kept):
+        axis = [lo]
+        if ks is not None:
+            ka = math.floor((lo - base) / w)
+            kb = math.ceil((hi - base) / w)
+            # conditional expressions: max() and min() cost more per cell
+            for k in range(ka if ka > ks[0] else ks[0], (kb if kb < ks[1] else ks[1]) + 1):
+                v = base + k * w
+                if lo < v < hi:
+                    axis.append(v)
+                    split = True
+        axis.append(hi)
+        cuts.append(axis)
+    return cuts if split else None
 
 
 def build_shifted_grid(
@@ -379,7 +402,9 @@ def build_shifted_grid(
     One center is drawn uniformly in the root cube; the inflated cube has
     twice the root's side and the level-i mesh has edge side * 2^(1-i) at a
     fixed offset, so raw cells nest across levels.  Cells refine while they
-    hold at least 2t points and mesh levels remain.
+    hold at least 2t points and mesh levels remain; levels end at max_depth
+    or where mesh lines would no longer be distinct doubles (about level 50
+    on [-1, 1]^d), whichever comes first.
     """
     return _shifted_grid(dataset, t, max_depth, seed, root, node_budget)[0]
 
@@ -409,34 +434,25 @@ def _shifted_grid(
     center = uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
     bases = center - side  # low corner of the inflated cube, fixed across levels
 
-    # level -> per-axis strip boundaries, as arrays and as lists for bisect
-    bounds_cache: dict[int, tuple[list[np.ndarray], list[list[float]]]] = {}
-
-    def level_bounds(level: int) -> tuple[list[np.ndarray], list[list[float]]]:
-        if level not in bounds_cache:
-            w = side * 2.0 ** (1 - level)
-            arrays = [_axis_strip_bounds(bases[j], w, root.low[j], root.high[j])
-                      for j in range(d)]
-            bounds_cache[level] = arrays, [bnds.tolist() for bnds in arrays]
-        return bounds_cache[level]
-
-    def sub_bounds(low, high, level: int) -> list[np.ndarray] | None:
-        """Per-axis strip boundaries of the level mesh inside the box, or None
-        when the mesh does not subdivide the box."""
-        arrays, lists = level_bounds(level)
-        ends = []
-        for values, lo, hi in zip(lists, low.tolist(), high.tolist()):
-            a, b = bisect_left(values, lo), bisect_left(values, hi)
-            if b >= len(values) or b <= a or values[a] != lo or values[b] != hi:
-                raise InternalError("mesh nesting violated")  # pragma: no cover
-            ends.append((a, b))
-        if all(b - a == 1 for a, b in ends):
-            return None
-        return [bnds[a:b + 1] for bnds, (a, b) in zip(arrays, ends)]
+    # (level, w, per-axis kept line index ranges) down to the finest level whose
+    # spacing w is at least 4 ulps of |root| + 2*side, the largest magnitude
+    # the line arithmetic reaches, so that lines land on distinct increasing
+    # doubles (about level 50 on [-1, 1]^d, where each axis holds 2^49 lines)
+    finest = 4.0 * float(np.spacing(float(np.abs([root.low, root.high]).max()) + 2.0 * side))
+    base_list = bases.tolist()
+    levels = []
+    for level in range(1, max_depth + 1):
+        w = side * 2.0 ** (1 - level)
+        if w < finest:
+            break
+        levels.append((level, w, [_kept_lines(b, w, lo, hi) for b, lo, hi in
+                                  zip(base_list, root.low.tolist(), root.high.tolist())]))
 
     def next_mesh(low, high, level):
-        for lvl in range(level + 1, max_depth + 1):
-            cuts = sub_bounds(low, high, lvl)
+        """Per-axis cuts of the first finer level that subdivides the box."""
+        box = list(zip(base_list, low.tolist(), high.tolist()))
+        for lvl, w, kept in levels[level:]:
+            cuts = _box_cuts(box, w, kept)
             if cuts is not None:
                 return cuts, lvl
         return None

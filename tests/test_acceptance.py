@@ -1,178 +1,36 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing its verdict line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines
-as they complete.  Statistical criteria run at pinned seeds; their stated
-tolerances are asserted as-is.
+The criteria are defined once, in ``privhist.experiments``, and
+``privhist repro --suite NAME`` writes the same line to stderr.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the lines as they complete.
+Every criterion runs at seed 0, with its stated tolerances as-is.
 """
 
-import math
-
-import numpy as np
 import pytest
-from scipy import stats as sp_stats
 
-from privhist.datagen import UniformBall, UniformCube, sample, single
-from privhist.documents import histogram_to_doc
-from privhist.experiments import (
-    adversarial_corner_arrangement,
-    suite_cut_probability_slope,
-    suite_distance_sandwich,
-    suite_grid_diameter_bound,
-    suite_greedy_split_roundness,
-    suite_isolation_dimension_trend,
-    suite_mst_gap,
-    suite_ratio_decay,
-    suite_uniform_split_roundness,
+from privhist.experiments import SUITES, run_suite, verdict_line
+
+# criterion NN is entry NN; the README and CHANGES.md cite these numbers
+NUMBERED = (
+    "eq2-sandwich",
+    "nested-ball-ratio",
+    "lemma21-decay",
+    "greedy-split-roundness",
+    "lemma24-roundness",
+    "thm31-bound",
+    "lemma32-slope",
+    "thm11-trend",
+    "mst-gap",
+    "conservation-determinism",
+    "lemma33-fit",
 )
-from privhist.geometry import Ball, Box, Dataset, intersection_volume_ratio, uniform_in_region
-from privhist.rng import substream
-from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 
-def _verdict(num, name, ok, detail):
-    line = f"criterion {num:02d} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})"
+@pytest.mark.parametrize("name", SUITES)
+def test_criterion(name):
+    assert set(NUMBERED) == set(SUITES), "every suite needs a criterion number"
+    report = run_suite(name, seed=0)
+    line = verdict_line(name, report)
     print(line)
-    return line
-
-
-def test_criterion_01_distance_sandwich():
-    """20 random configurations x 500 pairs: two-sided d_H sandwich, exact."""
-    report = suite_distance_sandwich(seed=0, configs=20, pairs=500)
-    line = _verdict(1, "eq2-sandwich", report["pass"],
-                    f"{report['violations']} violations in {report['pairs_checked']} pairs")
+    assert line.startswith(f"criterion {NUMBERED.index(name) + 1:02d} [{name}]: ")
     assert report["pass"], line
-
-
-def test_criterion_02_nested_ball_ratio_oracle():
-    """Volume-ratio estimator equals c^-d within 3 stderr for nested balls."""
-    combos = [(d, c) for d in (2, 4, 8) for c in (2.0, 2.0 * math.sqrt(2.0), 4.0)]
-    worst = 0.0
-    for i, (d, c) in enumerate(combos):
-        r = 0.9 / c  # keeps the outer probe ball strictly inside the cell
-        est, se = intersection_volume_ratio(np.zeros(d), r, c, Ball(np.zeros(d), 1.0),
-                                            samples=1_000_000, seed=i)
-        worst = max(worst, abs(est - c**-d) / se)
-    ok = worst <= 3.0
-    line = _verdict(2, "nested-ball-ratio", ok, f"worst |dev|/stderr = {worst:.2f}")
-    assert ok, line
-
-
-def test_criterion_03_ratio_decay_with_dimension():
-    """log2(ratio) vs d fits -alpha*d + beta with alpha >= 1, R^2 >= 0.95."""
-    report = suite_ratio_decay(seed=0)
-    line = _verdict(3, "lemma21-decay", report["pass"],
-                    f"alpha = {report['alpha']:.3f}, R^2 = {report['r_squared']:.4f}")
-    assert report["pass"], line
-
-
-def test_criterion_04_greedy_split_roundness():
-    """Every greedy split: children certify within (4 r1 k / r2) * 1.1."""
-    report = suite_greedy_split_roundness(seed=0, builds_per_dim=50)
-    line = _verdict(4, "greedy-split-roundness", report["pass"],
-                    f"{report['splits_audited']} splits audited, "
-                    f"worst k/bound = {report['worst_ratio']:.3f}")
-    assert report["pass"], line
-
-
-def test_criterion_05_uniform_split_roundness():
-    """d=2, m=512, 100 seeds: children certify bounded k and radius <= R/2*1.1
-    with failures inside the binomial envelope at rate exp(-d)."""
-    report = suite_uniform_split_roundness(seed=0, seeds=100)
-    line = _verdict(5, "lemma24-roundness", report["pass"],
-                    f"failures = {report['failures']} (allowed {report['allowed_failures']})")
-    assert report["pass"], line
-
-
-def test_criterion_06_grid_diameter_bound():
-    """d in {2,4}, t=2, n=500, 200 trials: every mean diameter under its bound."""
-    report = suite_grid_diameter_bound(seed=0, trials=200, n=500)
-    worst = max(r["worst_mean_over_bound"] for r in report["results"])
-    line = _verdict(6, "thm31-bound", report["pass"],
-                    f"worst mean/bound = {worst:.3f} over d in {{2,4}}")
-    assert report["pass"], line
-
-
-def test_criterion_07_cut_probability_linearity():
-    """d in {2,3}, m=512, 10 radii in [rho_c/1e3, rho_c/10], 1000 trials:
-    exact monotonicity, linear fit R^2 >= 0.9, slope within 10x of d/rho_c.
-
-    rho_c = (vol(support) / (m * V_d))^(1/d) is the cell scale of the
-    partition: the radius of a ball with the mean cell volume.  The
-    Poisson-Voronoi boundary densities L_A = 2*sqrt(lambda) (2-D) and
-    S_V ~ 2.910*lambda^(1/3) (3-D) predict slopes of 1.13 and 1.20 times
-    d/rho_c."""
-    report = suite_cut_probability_slope(seed=0, trials=1000)
-    detail = "; ".join(
-        f"d={r['d']}: monotone={r['monotone']}, R^2={r['r_squared']:.3f}, "
-        f"slope/(d/rho_c)={r['slope_over_d_rho']:.2f}"
-        for r in report["results"]
-    )
-    line = _verdict(7, "lemma32-slope", report["pass"], detail)
-    assert report["pass"], line
-
-
-def test_criterion_08_isolation_dimension_trend():
-    """Matched cube-histogram attacks: d=10 rate strictly below d=4 rate in
-    at least 9 of 10 paired seeds."""
-    report = suite_isolation_dimension_trend(seed=0, pairs=10, queries=10_000)
-    line = _verdict(8, "thm11-trend", report["pass"],
-                    f"strict wins = {report['strict_wins']}/10")
-    assert report["pass"], line
-
-
-def test_criterion_09_mst_gap():
-    """Adversarial corner arrangement at d=8: deterministic cube gap ratio > 1;
-    randomized grid bounded and strictly better on average (50 seeds)."""
-    report = suite_mst_gap(seed=0, grid_seeds=50)
-    line = _verdict(
-        9, "mst-gap", report["pass"],
-        f"cube gap/actual = {report['cube_gap_over_actual']:.1f}, "
-        f"grid mean bound/actual = {report['grid_mean_gap_bound_over_actual']:.2f}, "
-        f"grid within bound = {report['grid_all_within_bound']}",
-    )
-    assert report["pass"], line
-
-
-def test_criterion_10_conservation_partition_determinism():
-    """All builders: leaf counts sum to n, 1e4 partition probes land in exactly
-    one child, and rebuilds are byte-identical."""
-    failures = []
-    probe_rng = substream(99, "partition")
-
-    def check(hist, rebuild, n, label):
-        if hist.leaf_count_sum() != n:
-            failures.append(f"{label}: leaf sum {hist.leaf_count_sum()} != {n}")
-        if histogram_to_doc(hist) != histogram_to_doc(rebuild):
-            failures.append(f"{label}: rebuild differs")
-        probes_left = 10_000
-        for node in hist.root.walk():
-            if not node.children or probes_left <= 0:
-                continue
-            take = min(1_000, probes_left)
-            probes_left -= take
-            pts = uniform_in_region(node.region, take, probe_rng)
-            hits = np.zeros(take, dtype=int)
-            for ch in node.children:
-                hits += ch.region.contains_many(pts).astype(int)
-            if not np.all(hits == 1):
-                failures.append(f"{label}: partition violated at level {node.level}")
-
-    for seed in (0, 1):
-        cube_data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 300, seed=seed)
-        check(build_recursive_cube(cube_data, t=2, max_depth=5),
-              build_recursive_cube(cube_data, t=2, max_depth=5),
-              300, f"cube/seed{seed}")
-        check(build_shifted_grid(cube_data, t=2, max_depth=6, seed=seed),
-              build_shifted_grid(cube_data, t=2, max_depth=6, seed=seed),
-              300, f"grid/seed{seed}")
-        ball_data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=seed)
-        support = Ball(np.zeros(2), 1.0)
-        check(build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
-                            probe_samples=8_000, seed=seed),
-              build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
-                            probe_samples=8_000, seed=seed),
-              150, f"voronoi/seed{seed}")
-    ok = not failures
-    line = _verdict(10, "conservation-determinism", ok,
-                    "all builders byte-stable and partitioning" if ok else "; ".join(failures))
-    assert ok, line

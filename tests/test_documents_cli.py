@@ -169,6 +169,53 @@ class TestCli:
         assert ("out of memory" in err) == (code == 2)
         assert not os.path.exists("h.json")
 
+    @staticmethod
+    def _broken_files():
+        """d.json and h.json, plus malformed variants of each."""
+        assert main(["generate", "--dist", "spec.json", "--n", "40", "--seed", "1",
+                     "--out", "d.json"]) == 0
+        assert main(["sanitize", "--method", "grid", "--t", "2", "--max-depth", "4",
+                     "--seed", "1", "--in", "d.json", "--out", "h.json"]) == 0
+        with open("text.json", "w") as handle:
+            handle.write("points: 1, 2\n")
+        with open("list.json", "w") as handle:
+            handle.write("[1, 2]\n")
+        data = read_json("d.json")
+        data["n"] += 1
+        write_json_atomic("bad_n.json", data)
+        hist = read_json("h.json")
+        del hist["root"]["children"]
+        write_json_atomic("no_children.json", hist)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sanitize", "--method", "cube", "--t", "2", "--in", "missing.json",
+          "--out", "o.json"], "cannot read missing.json"),
+        (["sanitize", "--method", "cube", "--t", "2", "--in", "text.json",
+          "--out", "o.json"], "text.json is not a JSON document"),
+        (["sanitize", "--method", "cube", "--t", "2", "--in", "list.json",
+          "--out", "o.json"], "list.json holds a JSON list"),
+        (["sanitize", "--method", "cube", "--t", "2", "--in", "bad_n.json",
+          "--out", "o.json"], "malformed dataset document"),
+        (["attack", "--hist", "no_children.json", "--data", "d.json", "--c", "4", "--t", "2",
+          "--strategy", "uniform-in-leaf", "--queries", "10", "--out", "o.json"],
+         "malformed sanitized_histogram document: missing key 'children'"),
+        (["check-privacy", "--in", "no_children.json", "--c", "8", "--out", "o.json"],
+         "malformed sanitized_histogram document: missing key 'children'"),
+        (["mst-compare", "--hist", "no_children.json", "--data", "d.json", "--out", "o.json"],
+         "malformed sanitized_histogram document: missing key 'children'"),
+        (["sanitize", "--method", "cube", "--t", "2", "--in", "d.json",
+          "--out", "nowhere/o.json"], "cannot write nowhere/o.json"),
+    ], ids=["missing-in", "not-json", "top-level-list", "n-mismatch", "attack-no-children",
+            "check-privacy-no-children", "mst-compare-no-children", "out-dir-missing"])
+    def test_bad_inputs_and_outputs_exit_one(self, workspace, capsys, argv, message):
+        self._broken_files()
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not os.path.exists("o.json")
+
     def test_unknown_flag_exits_one(self, workspace):
         assert main(["generate", "--nonsense", "1"]) == 1
 
@@ -280,7 +327,7 @@ class TestCli:
 
         def fake_suite(name, seed):
             calls.append((name, seed))
-            return {"suite": name, "pass": True}
+            return {"suite": name, "summary": "faked", "pass": True}
 
         monkeypatch.setattr("privhist.cli.run_suite", fake_suite)
         assert main(["repro", "--suite", "greedy-split-roundness", "--seed", "2",
@@ -306,12 +353,15 @@ class TestCli:
         body["manifest"]["command"] = json.loads(written)["manifest"]["command"]
         assert encode(body) == written
 
-    def test_repro_suite_runs(self, workspace):
-        assert main(["repro", "--suite", "lemma21-decay", "--seed", "1",
-                     "--out", "suite.json"]) == 0
-        doc = read_json("suite.json")
+    def test_repro_suite_runs(self, workspace, capsys):
+        # the document goes to stdout, the test's verdict line to stderr
+        assert main(["repro", "--suite", "lemma21-decay", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
         assert doc["kind"] == "repro_suite"
         assert doc["pass"] is True
+        line = f"criterion 03 [lemma21-decay]: PASS ({doc['summary']})"
+        assert captured.err.startswith(line + "\n")
 
 
 def test_cli_import_leaves_out_scipy_stats():

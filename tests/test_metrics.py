@@ -325,6 +325,33 @@ class TestMstCompare:
             gaps.append(mst_compare(hist, data).gap)
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_costs_match_dense_spanning_trees(self):
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 80, seed=19)
+        hist = build_shifted_grid(data, t=2, max_depth=5, seed=20)
+        cmp_ = mst_compare(hist, data)
+        pts = data.points
+        W = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        leaf_of, leaves, bounds = _descend(hist, pts)
+        WH = _pair_matrix(_leaf_arrays(hist, leaves, bounds))[leaf_of][:, leaf_of]
+        assert cmp_.actual_cost == pytest.approx(minimum_spanning_tree(W).sum(), rel=1e-12)
+        assert cmp_.hist_cost == pytest.approx(minimum_spanning_tree(WH).sum(), rel=1e-12)
+
+    def test_working_memory_is_linear_in_points(self):
+        # an (n, n, d) difference tensor alone would take 128 MB here
+        import tracemalloc
+
+        data = Dataset(substream(21, "mst-memory").uniform(-1, 1, size=(2000, 4)))
+        hist = build_shifted_grid(data, t=2, max_depth=8, seed=3)
+        tracemalloc.start()
+        try:
+            mst_compare(hist, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
     def test_needs_two_points(self):
         hist = _tiny_hist(np.array([[0.1, 0.1]]), t=2, depth=2)
         with pytest.raises(InputError):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
@@ -9,7 +13,9 @@ from privhist.geometry import Ball, Box, Dataset, uniform_in_region
 from privhist.rng import substream
 from privhist.sanitizer import (
     HistogramNode,
-    _axis_strip_bounds,
+    _box_cuts,
+    _kept_lines,
+    _shifted_grid,
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
@@ -100,6 +106,19 @@ class TestRecursiveCube:
             assert leaf.count < 6 or leaf.level == 5
 
 
+def _axis_strip_bounds(base: float, w: float, lo: float, hi: float) -> np.ndarray:
+    """Reference: the merged strip boundaries of mesh lines base + k*w across
+    the whole root axis (lo, hi).  The first and last interior lines are
+    disbanded; with fewer than three interior lines the axis stays whole."""
+    k_lo = math.floor((lo - base) / w)
+    k_hi = math.ceil((hi - base) / w)
+    lines = base + np.arange(k_lo, k_hi + 1) * w
+    lines = lines[(lines > lo) & (lines < hi)]
+    if lines.size <= 2:
+        return np.array([lo, hi])
+    return np.concatenate(([lo], lines[1:-1], [hi]))
+
+
 class TestShiftedGridStrips:
     def test_merge_rule_absorbs_straddlers(self):
         # mesh lines at -1.5 + 0.5k: interior lines -0.5, 0, 0.5 at w=0.5;
@@ -129,6 +148,24 @@ class TestShiftedGridStrips:
             coarse = set(_axis_strip_bounds(c - 2.0, w, -1.0, 1.0).tolist())
             fine = set(_axis_strip_bounds(c - 2.0, w / 2, -1.0, 1.0).tolist())
             assert coarse.issubset(fine)
+
+    @given(st.floats(-4.0, 4.0), st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0]),
+           st.floats(0.0, 1.0), st.integers(1, 14), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_box_cuts_equal_the_reference_slice(self, lo, side, offset, level, data):
+        # any span [bounds[a], bounds[b]] of the whole-axis reference is a
+        # cell's axis; its cuts are the reference entries a..b
+        hi = lo + side
+        base = lo + offset * side - side
+        w = side * 2.0 ** (1 - level)
+        bounds = _axis_strip_bounds(base, w, lo, hi)
+        a = data.draw(st.integers(0, bounds.size - 2))
+        b = data.draw(st.integers(a + 1, bounds.size - 1))
+        kept = _kept_lines(base, w, lo, hi)
+        assert (kept is None) == (bounds.size == 2)
+        expected = bounds[a:b + 1].tolist()
+        cuts = _box_cuts([(base, bounds[a], bounds[b])], w, [kept])
+        assert cuts == ([expected] if len(expected) > 2 else None)
 
 
 class TestShiftedGrid:
@@ -168,6 +205,19 @@ class TestShiftedGrid:
                 lo_c = (c - side) + k_c * w_coarse
                 assert np.all(lo_c <= lo_f + 1e-12)
                 assert np.all(lo_f + w_fine <= lo_c + w_coarse + 1e-12)
+
+    def test_deep_build_on_duplicate_rows_stops_at_distinct_lines(self):
+        # two equal rows never separate; the levels stop where mesh lines
+        # would no longer land on distinct doubles, long before max_depth
+        data = Dataset(np.array([[0.3, -0.2], [0.3, -0.2]]))
+        hist = build_shifted_grid(data, t=1, max_depth=2000, seed=1)
+        levels = [node.level for node in hist.root.walk()]
+        assert 40 < max(levels) < 60
+        doc = histogram_to_doc(hist)
+        assert histogram_to_doc(histogram_from_doc(doc)) == doc
+        _, low, high = _shifted_grid(data, t=1, max_depth=2000, seed=1)
+        assert np.all(low <= data.points) and np.all(data.points < high)
+        assert np.all(high - low < 1e-12)
 
     def test_determinism(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 200, seed=4)
