@@ -41,11 +41,11 @@ from .errors import (
     ResourceError,
 )
 from .experiments import SUITES, run_suite, verdict_line
-from .geometry import Ball, Box, Dataset
+from .geometry import Ball, Dataset
 from .metrics import cut_probability, measure_diameters, mst_compare
 from .roundness import CERT_SAMPLES, check_privacy_condition
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes
+from .sanitizer import DEFAULT_PROBE_SAMPLES, certify_nodes, default_root_box, sanitize
 
 
 def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
@@ -61,7 +61,7 @@ def _region_from_arg(arg: str, d: int):
     if arg == "unit-ball":
         return Ball(np.zeros(d), 1.0)
     if arg == "unit-cube":
-        return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
+        return default_root_box(d)
     from .documents import _region_from_doc
 
     return _region_from_doc(read_json(arg))
@@ -78,13 +78,6 @@ def _support(arg: str, data: Dataset):
     center = 0.5 * (data.points.min(axis=0) + data.points.max(axis=0))
     radius = float(np.linalg.norm(data.points - center, axis=1).max()) * 1.0001
     return Ball(center, radius)
-
-
-def _max_depth(args) -> int:
-    """``--max-depth``, by default 3 for Voronoi builders and 8 for meshes."""
-    if args.max_depth is not None:
-        return args.max_depth
-    return 3 if args.method.startswith("voronoi") else 8
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +99,10 @@ def _cmd_generate(args, argv):
 
 def _cmd_sanitize(args, argv):
     data = dataset_from_doc(read_json(args.input))
-    max_depth = _max_depth(args)
-    if args.method == "cube":
-        hist = build_recursive_cube(data, t=args.t, max_depth=max_depth)
-    elif args.method == "grid":
-        hist = build_shifted_grid(data, t=args.t, max_depth=max_depth, seed=args.seed)
-    elif args.method == "voronoi":
-        support = _support(args.support, data)
-        if args.centers == "uniform" and data.d >= 6 and args.override_m is None:
-            raise InputError(
-                "uniform centers at d >= 6 need an explicit --override-m "
-                "(the default center-count rule is infeasible there)"
-            )
-        hist = build_voronoi(
-            data, support, t=args.t, max_depth=max_depth,
-            method=args.centers, centers_budget=args.centers_budget,
-            override_m=args.override_m, probe_samples=args.probe_samples,
-            seed=args.seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown method {args.method!r}")
+    method = f"voronoi-{args.centers}" if args.method == "voronoi" else args.method
+    support = _support(args.support, data) if args.method == "voronoi" else None
+    hist = sanitize(data, method, args.t, args.max_depth, seed=args.seed, support=support,
+                    override_m=args.override_m, probe_samples=args.probe_samples)
     _emit(histogram_to_doc(hist), args.out, argv, args.seed, [args.input])
     return 0
 
@@ -170,7 +147,7 @@ def _cmd_measure_diameters(args, argv):
     data = dataset_from_doc(read_json(args.data))
     support = _support(args.support, data) if args.method.startswith("voronoi") else None
     stats = measure_diameters(data, t=args.t, trials=args.trials, seed=args.seed,
-                              method=args.method, max_depth=_max_depth(args), support=support)
+                              method=args.method, max_depth=args.max_depth, support=support)
     _emit(report_doc("diameter_stats", stats.to_dict()), args.out, argv,
           args.seed, [args.data])
     return 0
@@ -204,14 +181,17 @@ def _cmd_mst_compare(args, argv):
 
 def _cmd_repro(args, argv):
     if args.manifest:
-        doc = read_json(args.manifest)
-        manifest = doc.get("manifest")
-        if not manifest:
-            raise InputError("document carries no manifest to replay")
-        for path, digest in manifest["inputs"].items():
+        manifest = read_json(args.manifest).get("manifest")
+        inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
+        command = manifest.get("command") if isinstance(manifest, dict) else None
+        if not (isinstance(inputs, dict) and isinstance(command, list)
+                and all(isinstance(a, str) for a in command)):
+            raise InputError(f"{args.manifest} carries no manifest to replay: one needs an "
+                             "inputs object and a command list of strings")
+        for path, digest in inputs.items():
             if sha256_file(path) != digest:
                 raise InputError(f"input {path} no longer matches its manifest digest")
-        return main(manifest["command"])
+        return main(command, replay=True)
     report = run_suite(args.suite, seed=args.seed)
     sys.stderr.write(verdict_line(args.suite, report) + "\n")
     _emit(report_doc("repro_suite", report), args.out, argv, args.seed, [])
@@ -250,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", default="auto",
                    help="voronoi support: auto, unit-ball, unit-cube, or a region JSON path")
     p.add_argument("--override-m", type=int, default=None)
-    p.add_argument("--centers-budget", type=int, default=1_000_000)
-    p.add_argument("--probe-samples", type=int, default=100_000)
+    p.add_argument("--probe-samples", type=int, default=DEFAULT_PROBE_SAMPLES)
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser("certify", help="emit roundness certificates for every cell")
@@ -323,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, replay: bool = False) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
@@ -332,6 +311,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if args.command == "repro" and not args.suite and not args.manifest:
         sys.stderr.write("error: repro needs --suite or --manifest\n")
+        return 1
+    if replay and args.command == "repro" and args.manifest:  # would recurse
+        sys.stderr.write("error: a replayed manifest command cannot replay a manifest\n")
         return 1
     start = time.monotonic()
     try:
@@ -355,7 +337,8 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    sys.stderr.write(f"{args.command} completed in {time.monotonic() - start:.3f}s\n")
+    if code == 0:
+        sys.stderr.write(f"{args.command} completed in {time.monotonic() - start:.3f}s\n")
     return code
 
 

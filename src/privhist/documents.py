@@ -93,9 +93,12 @@ def _reading(kind: str):
 
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     return digest.hexdigest()
 
 

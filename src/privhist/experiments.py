@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
+from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, sanitize
 
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
@@ -70,16 +70,12 @@ def suite_distance_sandwich(seed: int) -> dict:
         t = int(rng.choice([2, 3, 5]))
         dseed = int(rng.integers(0, 2**62))
         bseed = int(rng.integers(0, 2**62))
-        if builder == "voronoi-greedy":
-            data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), n, seed=dseed)
-            hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=t, max_depth=2,
-                                 method="greedy", probe_samples=20_000, seed=bseed)
-        else:
-            data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), n, seed=dseed)
-            if builder == "cube":
-                hist = build_recursive_cube(data, t=t, max_depth=6)
-            else:
-                hist = build_shifted_grid(data, t=t, max_depth=6, seed=bseed)
+        voronoi = builder == "voronoi-greedy"
+        shape = UniformBall if voronoi else UniformCube
+        data, _ = sample(single(shape(np.zeros(d), 1.0)), n, seed=dseed)
+        hist = sanitize(data, builder, t, 2 if voronoi else 6, seed=bseed,
+                        support=Ball(np.zeros(d), 1.0) if voronoi else None,
+                        probe_samples=20_000)
         idx = rng.integers(0, n, size=(pairs, 2))
         X, Y = data.points[idx[:, 0]], data.points[idx[:, 1]]
         dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
@@ -439,21 +435,15 @@ def suite_conservation_determinism(seed: int) -> dict:
             if not np.all(hits == 1):
                 failures.append(f"{label}: partition violated at level {node.level}")
 
-    support = Ball(np.zeros(2), 1.0)
     for s in (seed, seed + 1):
         cube_data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 300, seed=s)
-        check(build_recursive_cube(cube_data, t=2, max_depth=5),
-              build_recursive_cube(cube_data, t=2, max_depth=5),
-              300, f"cube/seed{s}")
-        check(build_shifted_grid(cube_data, t=2, max_depth=6, seed=s),
-              build_shifted_grid(cube_data, t=2, max_depth=6, seed=s),
-              300, f"grid/seed{s}")
         ball_data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=s)
-        check(build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
-                            probe_samples=8_000, seed=s),
-              build_voronoi(ball_data, support, t=8, max_depth=2, method="greedy",
-                            probe_samples=8_000, seed=s),
-              150, f"voronoi/seed{s}")
+        for method, data, t, depth, support in (
+                ("cube", cube_data, 2, 5, None), ("grid", cube_data, 2, 6, None),
+                ("voronoi-greedy", ball_data, 8, 2, Ball(np.zeros(2), 1.0))):
+            hist, rebuild = (sanitize(data, method, t, depth, seed=s, support=support,
+                                      probe_samples=8_000) for _ in range(2))
+            check(hist, rebuild, data.n, f"{method.split('-')[0]}/seed{s}")
     return {
         "suite": "conservation-determinism",
         "failures": failures,

@@ -345,13 +345,22 @@ def center_scores(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     return scores
 
 
+_ASSIGN_BLOCK = 1 << 20  # scores per block of rows in voronoi_assign
+
+
 def voronoi_assign(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each row of X (ties -> lowest index).
 
     The |x|^2 term of |x-c|^2 is constant per row, so the argmin runs on
-    ``center_scores``.
+    ``center_scores``.  Rows are scored in blocks of at most
+    ``_ASSIGN_BLOCK`` scores (one row per block when m is larger), so the
+    memory of a call does not grow with the number of rows.
     """
-    return np.argmin(center_scores(centers, X), axis=1)
+    rows = max(1, _ASSIGN_BLOCK // centers.shape[0])
+    out = np.empty(X.shape[0], dtype=np.intp)
+    for a in range(0, X.shape[0], rows):
+        out[a:a + rows] = np.argmin(center_scores(centers, X[a:a + rows]), axis=1)
+    return out
 
 
 def root_support(region: Region) -> Region:

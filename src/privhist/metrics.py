@@ -29,8 +29,8 @@ from .geometry import (Box, Dataset, Region, as_point, root_support, t_radii, un
                        voronoi_assign)
 from .rng import substream
 from .roundness import CellKernel, certify_roundness
-from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition,
-                        _shifted_grid, build_voronoi, certify_nodes)
+from .sanitizer import (DEFAULT_DEPTH, HistogramNode, MeshSplit, SanitizedHistogram, _partition,
+                        _shifted_grid, certify_nodes, sanitize)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def measure_diameters(
     trials: int,
     seed: int = 0,
     method: str = "grid",
-    max_depth: int = 8,
+    max_depth: int | None = None,
     support: Region | None = None,
     **builder_kwargs,
 ) -> DiameterStats:
@@ -214,9 +214,11 @@ def measure_diameters(
 
     A grid build hands back the corners of each row's leaf, which it wrote
     while splitting the rows, so grid diameters take no descent.  A Voronoi
-    build is descended once per trial and its leaves read as certificate
-    balls.  Grid bounds are closed-form; Voronoi bounds fit one coefficient
-    kappa to mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
+    build, made by ``sanitize`` with ``support`` and ``builder_kwargs``, is
+    descended once per trial and its leaves read as certificate balls.
+    ``max_depth`` defaults to the method's ``DEFAULT_DEPTH``.  Grid bounds
+    are closed-form; Voronoi bounds fit one coefficient kappa to
+    mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
     """
     if method not in ("grid", "voronoi-greedy", "voronoi-uniform"):
         raise InputError("measure_diameters needs a randomized builder (grid or voronoi)")
@@ -224,6 +226,8 @@ def measure_diameters(
         raise InputError("trials must be positive")
     if dataset.n < 2:
         raise InputError("need at least two points")
+    if max_depth is None:
+        max_depth = DEFAULT_DEPTH[method]
     d = dataset.d
     radii = t_radii(dataset, t)
 
@@ -234,26 +238,20 @@ def measure_diameters(
             _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed)
             sums += _diameters(True, low, high)
         else:
-            if support is None:
-                raise InputError("voronoi diameter measurement needs a support region")
-            hist = build_voronoi(dataset, support, t, max_depth,
-                                 method=method.split("-")[1], seed=tseed, **builder_kwargs)
+            hist = sanitize(dataset, method, t, max_depth, seed=tseed, support=support,
+                            **builder_kwargs)
             ids, leaves, bounds = _descend(hist, dataset.points)
             sums += _diameters(*_leaf_arrays(hist, leaves, bounds))[ids]
     means = sums / trials
 
-    per_point = []
     fitted = None
     if method == "grid":
-        for i in range(dataset.n):
-            per_point.append((i, float(radii[i]), float(means[i]),
-                              grid_diameter_bound(d, t, float(radii[i]))))
+        bounds = [grid_diameter_bound(d, t, r) for r in radii.tolist()]
     else:
         basis = max_depth * d * radii + 2.0 ** (-max_depth)
         fitted = float((means @ basis) / (basis @ basis))
-        for i in range(dataset.n):
-            per_point.append((i, float(radii[i]), float(means[i]),
-                              fitted * float(basis[i])))
+        bounds = [fitted * b for b in basis.tolist()]
+    per_point = list(zip(range(dataset.n), radii.tolist(), means.tolist(), bounds))
     return DiameterStats(method=method, t=t, trials=trials, per_point=per_point,
                          fitted_coeff=fitted)
 

@@ -105,9 +105,14 @@ class CellKernel:
         return cls(region, np.zeros(rows, dtype=np.intp))
 
     def _add_level(self, centers: np.ndarray, own: np.ndarray):
-        from scipy.spatial.distance import cdist
-
-        span = 2.0 * cdist(centers[own], centers)
+        # squares summed one axis at a time, as scipy's cdist sums them, so
+        # span is 2 * cdist(centers[own], centers) bit for bit (.sum is not)
+        mine = centers[own]
+        square = np.zeros((own.size, centers.shape[0]))
+        for k in range(centers.shape[1]):
+            diff = np.subtract.outer(mine[:, k], centers[:, k])
+            square += diff * diff
+        span = 2.0 * np.sqrt(square)
         span[self.rows, own] = np.inf
         self.levels.append((centers, own, span))
 

@@ -39,9 +39,9 @@ from .geometry import (
 from .rng import seed_commitment, substream
 from .roundness import CERT_SAMPLES, RoundnessCertificate, certify_children, certify_roundness
 
-DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_CENTERS_BUDGET = 1_000_000
+NODE_BUDGET = 2_000_000  # nodes per build, root included, read as each build starts
 DEFAULT_PROBE_SAMPLES = 100_000
+DEFAULT_DEPTH = {"cube": 8, "grid": 8, "voronoi-greedy": 3, "voronoi-uniform": 3}
 
 
 class MeshSplit:
@@ -240,16 +240,16 @@ class SanitizedHistogram:
 
 
 class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+    """The nodes of one build against ``NODE_BUDGET``; the root is charged."""
 
-    def charge(self, n: int):
+    def __init__(self):
+        self.limit, self.used = NODE_BUDGET, 1
+
+    def charge(self, n: int, why: str = ""):
         self.used += n
         if self.used > self.limit:
             raise ResourceError(
-                f"node budget exceeded: {self.used} nodes requested, limit {self.limit}"
-            )
+                f"node budget exceeded: {self.used} nodes requested{why}, limit {self.limit}")
 
 
 def _require_inside(dataset: Dataset, region: Region, what: str):
@@ -267,6 +267,19 @@ def default_root_box(d: int) -> Box:
     return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
 
 
+def _mesh_root(dataset: Dataset, t: int, max_depth: int, root: Box | None) -> Box:
+    """The root box of a mesh build, ``[-1, 1]^d`` by default, once the
+    arguments are checked."""
+    if t < 1 or max_depth < 1:
+        raise InputError("t and max_depth must be positive")
+    if root is None:
+        if not dataset.n:
+            raise InputError("empty dataset requires an explicit root box")
+        root = default_root_box(dataset.d)
+    _require_inside(dataset, root, "root box")
+    return root
+
+
 # ---------------------------------------------------------------------------
 # recursive cube
 
@@ -276,19 +289,9 @@ def build_recursive_cube(
     t: int,
     max_depth: int = 8,
     root: Box | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SanitizedHistogram:
     """Deterministic dyadic histogram: split every cell with count >= 2t."""
-    if t < 1 or max_depth < 1:
-        raise InputError("t and max_depth must be positive")
-    d = dataset.d if dataset.n else (root.dim if root is not None else None)
-    if d is None:
-        raise InputError("empty dataset requires an explicit root box")
-    if root is None:
-        root = default_root_box(d)
-    _require_inside(dataset, root, "root box")
-    if 2**d > node_budget:
-        raise ResourceError(f"2^{d} children per split exceeds the node budget {node_budget}")
+    root = _mesh_root(dataset, t, max_depth, root)
 
     def halves(low, high, level):
         if level >= max_depth:
@@ -296,7 +299,7 @@ def build_recursive_cube(
         mid = 0.5 * (low + high)
         return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
 
-    tree, _, _ = _grow_mesh(dataset, root, t, _Budget(node_budget), halves)
+    tree, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
     return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
                               seed=None)
 
@@ -313,7 +316,6 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
     without a second descent.  Every child gets a node and its count; only a
     child holding at least 2t rows gets its rows and is split in turn.
     """
-    budget.charge(1)
     n = dataset.n
     tree = HistogramNode(region=root, count=n, level=0)
     low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
@@ -395,7 +397,6 @@ def build_shifted_grid(
     max_depth: int = 8,
     seed: int = 0,
     root: Box | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SanitizedHistogram:
     """Randomized nested-mesh histogram with boundary-cell disbanding.
 
@@ -406,7 +407,7 @@ def build_shifted_grid(
     or where mesh lines would no longer be distinct doubles (about level 50
     on [-1, 1]^d), whichever comes first.
     """
-    return _shifted_grid(dataset, t, max_depth, seed, root, node_budget)[0]
+    return _shifted_grid(dataset, t, max_depth, seed, root)[0]
 
 
 def _shifted_grid(
@@ -415,22 +416,14 @@ def _shifted_grid(
     max_depth: int = 8,
     seed: int = 0,
     root: Box | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[SanitizedHistogram, np.ndarray, np.ndarray]:
     """``build_shifted_grid``, plus the (n, d) low and high corners of each
     dataset row's leaf from ``_grow_mesh``; the corners are never published."""
-    if t < 1 or max_depth < 1:
-        raise InputError("t and max_depth must be positive")
-    d = dataset.d if dataset.n else (root.dim if root is not None else None)
-    if d is None:
-        raise InputError("empty dataset requires an explicit root box")
-    if root is None:
-        root = default_root_box(d)
+    root = _mesh_root(dataset, t, max_depth, root)
     sides = root.sides
     if not np.allclose(sides, sides[0]):
         raise InputError("shifted grid requires a cubical root region")
     side = float(sides[0])
-    _require_inside(dataset, root, "root box")
     center = uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
     bases = center - side  # low corner of the inflated cube, fixed across levels
 
@@ -457,7 +450,7 @@ def _shifted_grid(
                 return cuts, lvl
         return None
 
-    tree, low, high = _grow_mesh(dataset, root, t, _Budget(node_budget), next_mesh)
+    tree, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
     hist = strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
                               seed=seed, extra={"offset_center": center.tolist()})
     return hist, low, high
@@ -506,20 +499,13 @@ def pick_centers_greedy(
 def pick_centers_uniform(
     region: Region,
     override_m: int | None = None,
-    centers_budget: int = DEFAULT_CENTERS_BUDGET,
     seed: int = 0,
     envelope=None,
 ) -> np.ndarray:
     """m i.i.d. uniform centers from the cell; m defaults to 4*d*8^d."""
-    d = region.dim
-    m = override_m if override_m is not None else method2_center_count(d)
+    m = override_m if override_m is not None else method2_center_count(region.dim)
     if m < 1:
         raise InputError("center count must be positive")
-    if m > centers_budget:
-        raise ResourceError(
-            f"uniform center rule requires m={m} centers in d={d}, "
-            f"exceeding the budget of {centers_budget}; pass an explicit override"
-        )
     rng = substream(seed, "uniform-centers")
     return uniform_in_region(region, m, rng, envelope=envelope)
 
@@ -530,20 +516,20 @@ def build_voronoi(
     t: int,
     max_depth: int = 3,
     method: str = "greedy",
-    centers_budget: int = DEFAULT_CENTERS_BUDGET,
     override_m: int | None = None,
     probe_samples: int = DEFAULT_PROBE_SAMPLES,
     seed: int = 0,
 ) -> SanitizedHistogram:
     """Voronoi histogram: cells holding more than t points subdivide.  The
-    children of a split that divide again are certified in one batch."""
+    children of a split that divide again are certified in one batch.  A
+    split of m centers charges m nodes, a uniform one before drawing them."""
     if t < 1 or max_depth < 1:
         raise InputError("t and max_depth must be positive")
     if method not in ("greedy", "uniform"):
         raise InputError("method must be 'greedy' or 'uniform'")
-    if not isinstance(support, (Ball, Box)):
-        raise InputError("support must be a ball or a box")
     _require_inside(dataset, support, "support region")
+    m = override_m if override_m is not None else method2_center_count(support.dim)
+    budget = _Budget()
 
     def grow(node: HistogramNode, idx: np.ndarray, path: tuple):
         region = node.region
@@ -551,9 +537,10 @@ def build_voronoi(
         if method == "greedy":
             centers = pick_centers_greedy(region, cert, probe_samples,
                                           seed=_path_seed(seed, "centers", path))
+            budget.charge(len(centers))
         else:
-            centers = pick_centers_uniform(region, override_m, centers_budget,
-                                           seed=_path_seed(seed, "centers", path),
+            budget.charge(m, f" for m={m} uniform centers per split in d={support.dim}")
+            centers = pick_centers_uniform(region, m, seed=_path_seed(seed, "centers", path),
                                            envelope=cert.envelope)
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(dataset.points[idx]), split.size)
@@ -659,41 +646,61 @@ def component_seed(seed: int, index: int) -> int:
     return int(substream(seed, "mixture", index).integers(0, 2**62))
 
 
+def sanitize(
+    dataset: Dataset,
+    method: str,
+    t: int,
+    max_depth: int | None = None,
+    seed: int = 0,
+    support: Region | None = None,
+    override_m: int | None = None,
+    probe_samples: int = DEFAULT_PROBE_SAMPLES,
+) -> SanitizedHistogram:
+    """The histogram of a published method name (a ``DEFAULT_DEPTH`` key),
+    from its builder.  A mesh's support is a box, or None for ``[-1, 1]^d``;
+    a Voronoi support is a ball or a box.  Uniform centers at their default
+    count are refused where that count alone exceeds ``NODE_BUDGET``."""
+    if method not in DEFAULT_DEPTH:
+        raise InputError(f"unknown sanitizer method {method!r}")
+    if max_depth is None:
+        max_depth = DEFAULT_DEPTH[method]
+    if method in ("cube", "grid"):
+        if support is not None and not isinstance(support, Box):
+            raise InputError(f"{method} sanitizer needs a box support; use voronoi for balls")
+        if method == "cube":
+            return build_recursive_cube(dataset, t, max_depth, root=support)
+        return build_shifted_grid(dataset, t, max_depth, seed=seed, root=support)
+    if not isinstance(support, (Ball, Box)):
+        raise InputError(f"{method} sanitizer needs a ball or box support")
+    m = method2_center_count(support.dim)
+    if method == "voronoi-uniform" and override_m is None and m > NODE_BUDGET:
+        raise InputError(f"the default uniform center count 4*d*8^d = {m} at d={support.dim} "
+                         f"exceeds the node budget {NODE_BUDGET}; give an explicit count "
+                         "(--override-m)")
+    return build_voronoi(dataset, support, t, max_depth, method=method[8:],
+                         override_m=override_m, probe_samples=probe_samples, seed=seed)
+
+
 def sanitize_mixture(
     dataset: Dataset,
     labels: np.ndarray,
     supports: list[Region],
     t: int,
-    max_depth: int,
+    max_depth: int | None = None,
     method: str = "voronoi-greedy",
     seed: int = 0,
     **kwargs,
 ) -> list[SanitizedHistogram]:
-    """Sanitize each mixture component independently over its own support.
-
-    The sanitizer is assumed to know component membership (generator labels);
-    labels never appear in the output.
-    """
+    """``sanitize`` each component over its own support at its
+    ``component_seed``.  Component membership (generator labels) is assumed
+    known to the sanitizer; labels never appear in the output."""
     labels = np.asarray(labels)
     if labels.shape != (dataset.n,):
         raise InputError("labels must align with the dataset")
     out = []
     for index, support in enumerate(supports):
-        sub = Dataset(dataset.points[labels == index].copy())
-        cseed = component_seed(seed, index)
-        if method == "cube":
-            if not isinstance(support, Box):
-                raise InputError("cube sanitizer needs a box support; use voronoi for balls")
-            hist = build_recursive_cube(sub, t, max_depth, root=support)
-        elif method == "grid":
-            if not isinstance(support, Box):
-                raise InputError("grid sanitizer needs a box support; use voronoi for balls")
-            hist = build_shifted_grid(sub, t, max_depth, seed=cseed, root=support)
-        elif method in ("voronoi-greedy", "voronoi-uniform"):
-            hist = build_voronoi(sub, support, t, max_depth,
-                                 method=method.split("-")[1], seed=cseed, **kwargs)
-        else:
-            raise InputError(f"unknown sanitizer method {method!r}")
+        hist = sanitize(Dataset(dataset.points[labels == index].copy()), method, t, max_depth,
+                        seed=component_seed(seed, index), support=support, **kwargs)
         hist.component_index = index
         out.append(hist)
     return out

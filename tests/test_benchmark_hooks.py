@@ -4,11 +4,15 @@
 and ``perfbench/checks.py`` imports library helpers to check outputs.  A
 deletion or rename in privhist would break traced benchmark runs, which only
 ``pytest perfbench`` exercises; this test catches it in the tier-1 suite.
-Both files are loaded read-only, without writing bytecode next to them.
+Every workload step must also parse as a ``privhist`` command line, so that
+deleting an option the benchmark passes fails here and not in a benchmark
+run.  The perfbench files are loaded read-only, without writing bytecode
+next to them.
 """
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
@@ -45,3 +50,19 @@ def test_traced_region_classes_have_membership():
 
 def test_checks_import():
     assert callable(_load("checks").locate_leaves)
+
+
+WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("size", sorted(WORKLOADS.SIZES))
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_steps_parse(name, size):
+    from privhist.cli import _build_parser
+
+    parser = _build_parser()
+    for step in WORKLOADS.make(name, size).steps:
+        argv = [re.sub(r"\{(\w+)\}", lambda m: "7" if m[1] == "seed" else f"{m[1]}.json", arg)
+                for arg in step.argv]
+        args = parser.parse_args(argv)  # an unknown option exits here
+        assert args.command == argv[0]

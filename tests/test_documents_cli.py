@@ -159,7 +159,7 @@ class TestCli:
         def explode(*args, **kwargs):
             raise exc("boom")
 
-        monkeypatch.setattr("privhist.cli.build_recursive_cube", explode)
+        monkeypatch.setattr("privhist.sanitizer.build_recursive_cube", explode)
         assert main(["generate", "--dist", "spec.json", "--n", "30", "--seed", "1",
                      "--out", "d.json"]) == 0
         assert main(["sanitize", "--method", "cube", "--t", "2", "--in", "d.json",
@@ -242,7 +242,7 @@ class TestCli:
                      "--out", "d.json"]) == 0
         code = main(["sanitize", "--method", "voronoi", "--centers", "uniform",
                      "--t", "2", "--max-depth", "1", "--seed", "1",
-                     "--centers-budget", "100", "--in", "d.json", "--out", "h.json"])
+                     "--override-m", "2000001", "--in", "d.json", "--out", "h.json"])
         assert code == 2
         assert not os.path.exists("h.json")
 
@@ -255,6 +255,29 @@ class TestCli:
         write_json_atomic("r2.json", json.loads(first.decode()))
         assert main(["repro", "--manifest", "r2.json"]) == 0
         assert open("r.json", "rb").read() == first
+
+    @pytest.mark.parametrize("manifest,message", [
+        ("oops", "r.json carries no manifest to replay"),
+        ({"inputs": ["spec.json"], "command": ["generate"]},
+         "r.json carries no manifest to replay"),
+        ({"inputs": {"gone.json": "0" * 64}, "command": ["generate"]}, "cannot read gone.json"),
+        ({"inputs": {}, "command": "generate --n 3"},
+         "r.json carries no manifest to replay"),
+        ({"inputs": {}, "command": ["repro", "--manifest", "r.json"]},
+         "a replayed manifest command cannot replay a manifest"),
+        ({"inputs": {}, "command": ["sanitize", "--method", "cube", "--t", "2",
+                                    "--in", "missing.json", "--out", "o.json"]},
+         "cannot read missing.json"),
+    ], ids=["not-an-object", "inputs-list", "input-missing", "command-string", "self-replay",
+            "replay-fails"])
+    def test_bad_manifest_replay_exits_one(self, workspace, capsys, manifest, message):
+        write_json_atomic("r.json", {"kind": "x", "manifest": manifest})
+        capsys.readouterr()
+        assert main(["repro", "--manifest", "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and "completed" not in err
+        assert not os.path.exists("o.json")
 
     def test_manifest_replay_rejects_modified_inputs(self, workspace):
         assert main(["generate", "--dist", "spec.json", "--n", "25", "--seed", "9",
@@ -369,6 +392,19 @@ def test_cli_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(privhist.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, privhist.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_cut_probability_leaves_out_scipy_spatial():
+    # the cut rule needs only numpy; scipy.spatial is for triangulations and kd-trees
+    src = os.path.dirname(os.path.dirname(privhist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy as np; from privhist.geometry import Ball; "
+            "from privhist.metrics import cut_probability; "
+            "cut_probability(Ball(np.zeros(3), 1.0), [0.1, 0, 0], [0.01, 0.1], m=64, trials=5); "
+            "print('scipy.spatial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from privhist import geometry
 from privhist.errors import DegenerateGeometryError, InputError
 from privhist.geometry import (
     Ball,
@@ -444,3 +445,36 @@ def test_center_scores_equal_three_step_form(d, seed):
         X = scale * rng.standard_normal((n, d))
         assert np.array_equal(center_scores(centers, X),
                               _center_scores_three_steps(centers, X))
+
+
+def test_blocked_assignment_equals_unblocked_argmin(monkeypatch):
+    # lattice centers and probes on their bisectors: exact ties, which must
+    # still go to the lowest index in every block
+    centers = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=2)))
+    rng = np.random.default_rng(4)
+    X = np.concatenate([rng.uniform(-1.5, 1.5, (40, 2)),
+                        rng.integers(-4, 5, (21, 2)) / 4.0])
+    expected = np.argmin(center_scores(centers, X), axis=1)
+    # blocks of 4 rows: 61 rows end in a one-row block
+    monkeypatch.setattr(geometry, "_ASSIGN_BLOCK", 4 * centers.shape[0])
+    assert np.array_equal(voronoi_assign(centers, X), expected)
+    # a block larger than the batch, and one row per block
+    for block in (10**6, 1):
+        monkeypatch.setattr(geometry, "_ASSIGN_BLOCK", block)
+        assert np.array_equal(voronoi_assign(centers, X), expected)
+    assert voronoi_assign(centers, np.empty((0, 2))).shape == (0,)
+
+
+def test_assignment_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((1000, 4))
+    X = rng.standard_normal((20_000, 4))  # 2e7 scores, 160 MB as one matrix
+    tracemalloc.start()
+    try:
+        voronoi_assign(centers, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -171,6 +171,16 @@ class TestMeasureDiameters:
         stats = measure_diameters(data, t=2, trials=3, seed=63, method="grid", max_depth=6)
         assert stats.to_dict() == expected
 
+    @pytest.mark.parametrize("method,depth", [("grid", 8), ("voronoi-uniform", 3)])
+    def test_max_depth_defaults_to_the_method_default(self, method, depth):
+        # a tight cluster keeps refining down to the last level
+        data, _ = sample(single(UniformBall(np.full(2, 0.3), 1e-3)), 60, seed=64)
+        kwargs = {"support": Ball(np.zeros(2), 1.0), "override_m": 8} if method != "grid" else {}
+        stats = [measure_diameters(data, t=2, trials=2, seed=65, method=method,
+                                   max_depth=max_depth, **kwargs).to_dict()
+                 for max_depth in (None, depth, depth - 1)]
+        assert stats[0] == stats[1] != stats[2]
+
     def test_grid_bound_formula(self):
         assert grid_diameter_bound(2, 2, 0.25) == pytest.approx(
             2.0 * min(2**1.5, 4) * 0.25 * 2.0

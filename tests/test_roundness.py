@@ -449,3 +449,18 @@ def test_missed_probes_would_find_no_sample(kind, d, snap, offset, seed):
             if _misses_cell(kernel, q[None, :], np.array([c * r]))[0, 0]:
                 with pytest.raises(DegenerateGeometryError):
                     intersection_volume_ratio(q, r, c, leaf, samples=2_000, seed=seed + i)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_kernel_spans_equal_cdist(d):
+    # the bisector spans are summed one axis at a time, as cdist sums them
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(d)
+    for scale in (1e-3, 1.0, 1e3):
+        centers = scale * rng.uniform(-1.0, 1.0, (300, d))
+        own = rng.integers(0, 300, size=40)
+        span = CellKernel(Ball(np.zeros(d), 1e9), own, centers).levels[0][2]
+        expected = 2.0 * cdist(centers[own], centers)
+        expected[np.arange(own.size), own] = np.inf
+        assert np.array_equal(span, expected)

@@ -24,6 +24,7 @@ from privhist.sanitizer import (
     method2_center_count,
     pick_centers_greedy,
     pick_centers_uniform,
+    sanitize,
     sanitize_mixture,
     strip_to_sanitized,
 )
@@ -94,10 +95,11 @@ class TestRecursiveCube:
         hist = build_recursive_cube(data, t=2, max_depth=3)
         assert hist.leaf_count_sum() == 4
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", 10_000)
         data = Dataset(substream(0, "b").random((300, 18)) * 2 - 1)
         with pytest.raises(ResourceError):
-            build_recursive_cube(data, t=2, max_depth=3, node_budget=10_000)
+            build_recursive_cube(data, t=2, max_depth=3)
 
     def test_split_threshold_soundness(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 400, seed=8)
@@ -261,8 +263,9 @@ class TestVoronoi:
 
     def test_uniform_budget_error_reports_requirement(self):
         support = Ball(np.zeros(6), 1.0)
-        with pytest.raises(ResourceError, match=str(method2_center_count(6))):
-            pick_centers_uniform(support, centers_budget=100_000, seed=0)
+        data = Dataset(uniform_in_region(support, 30, substream(0, "d6")))
+        with pytest.raises(ResourceError, match=f"m={method2_center_count(6)} "):
+            build_voronoi(data, support, t=2, max_depth=1, method="uniform", seed=0)
 
     def test_partition_conservation_determinism(self):
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 120, seed=10)
@@ -368,6 +371,79 @@ def _walk_doc(node):
     yield node
     for ch in node["children"]:
         yield from _walk_doc(ch)
+
+
+def _unit_box(d):
+    return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
+
+
+class TestSanitize:
+    @pytest.mark.parametrize("method,support", [
+        ("cube", "box"), ("grid", "box"), ("voronoi-greedy", "ball"), ("voronoi-greedy", "box"),
+        ("voronoi-uniform", "ball"), ("voronoi-uniform", "box")])
+    def test_each_method_is_its_builder_at_its_default_depth(self, method, support):
+        data, _ = sample(single(UniformBall(np.zeros(2), 0.9)), 60, seed=40)
+        root = Ball(np.zeros(2), 1.0) if support == "ball" else _unit_box(2)
+        if method == "cube":
+            built = build_recursive_cube(data, 2, 8, root=root)
+        elif method == "grid":
+            built = build_shifted_grid(data, 2, 8, seed=7, root=root)
+        else:
+            built = build_voronoi(data, root, 2, 3, method=method[8:], override_m=24,
+                                  probe_samples=2_000, seed=7)
+        hist = sanitize(data, method, 2, seed=7, support=root, override_m=24,
+                        probe_samples=2_000)
+        assert hist.method == method
+        assert histogram_to_doc(hist) == histogram_to_doc(built)
+
+    def test_mesh_support_defaults_to_the_unit_box(self):
+        data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 80, seed=41)
+        assert (histogram_to_doc(sanitize(data, "grid", 2, 4, seed=3))
+                == histogram_to_doc(sanitize(data, "grid", 2, 4, seed=3, support=_unit_box(3))))
+
+    @pytest.mark.parametrize("method,support,message", [
+        ("cube", Ball(np.zeros(2), 1.0), "needs a box support"),
+        ("grid", Ball(np.zeros(2), 1.0), "needs a box support"),
+        ("voronoi-greedy", None, "needs a ball or box support"),
+        ("voronoi", Ball(np.zeros(2), 1.0), "unknown sanitizer method"),
+    ])
+    def test_rejects_unknown_methods_and_support_kinds(self, method, support, message):
+        data = Dataset([[0.1, 0.2], [0.3, -0.1]])
+        with pytest.raises(InputError, match=message):
+            sanitize(data, method, 1, support=support)
+
+    def test_default_uniform_count_over_the_budget_is_an_input_error(self):
+        support = Ball(np.zeros(6), 1.0)
+        data = Dataset(uniform_in_region(support, 30, substream(0, "d6")))
+        assert method2_center_count(5) <= privhist.sanitizer.NODE_BUDGET
+        assert method2_center_count(6) > privhist.sanitizer.NODE_BUDGET
+        with pytest.raises(InputError, match=str(method2_center_count(6))):
+            sanitize(data, "voronoi-uniform", 2, support=support)
+
+    def test_voronoi_builds_charge_the_node_budget(self, monkeypatch):
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 40, seed=42)
+        support = Ball(np.zeros(2), 1.0)
+        greedy = build_voronoi(data, support, 2, 2, probe_samples=2_000, seed=1)
+        # the root is one node and each uniform split charges m, before drawing
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", 21)
+        hist = sanitize(data, "voronoi-uniform", 2, 1, support=support, override_m=20)
+        assert len(hist.root.children) == 20
+        with pytest.raises(ResourceError, match="m=21 "):
+            sanitize(data, "voronoi-uniform", 2, 1, support=support, override_m=21)
+        drawn = []
+        monkeypatch.setattr(privhist.sanitizer, "pick_centers_uniform",
+                            lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(ResourceError):
+            sanitize(data, "voronoi-uniform", 2, 1, support=support, override_m=21)
+        assert not drawn
+        # greedy splits are charged as many nodes as they keep centers
+        nodes = sum(1 for _ in greedy.root.walk())
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", nodes)
+        sanitize(data, "voronoi-greedy", 2, 2, support=support, probe_samples=2_000, seed=1)
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(ResourceError, match="node budget exceeded"):
+            sanitize(data, "voronoi-greedy", 2, 2, support=support, probe_samples=2_000,
+                     seed=1)
 
 
 class TestMixtures:
