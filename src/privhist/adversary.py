@@ -9,7 +9,7 @@ score candidate points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,15 +49,7 @@ class IsolationReport:
     interpretation: str = RATE_INTERPRETATION
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "queries": self.queries,
-            "successes": self.successes,
-            "rate": self.rate,
-            "per_point_hits": self.per_point_hits.tolist(),
-            "aux_subset_size": self.aux_subset_size,
-            "interpretation": self.interpretation,
-        }
+        return {**asdict(self), "per_point_hits": self.per_point_hits.tolist()}
 
 
 def isolates(q, dataset: Dataset, params: IsolationParams):

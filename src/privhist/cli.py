@@ -28,6 +28,7 @@ from .documents import (
     histogram_from_doc,
     histogram_to_doc,
     read_json,
+    region_from_doc,
     report_doc,
     sha256_file,
     spec_from_doc,
@@ -41,11 +42,11 @@ from .errors import (
     ResourceError,
 )
 from .experiments import SUITES, run_suite, verdict_line
-from .geometry import Ball, Dataset
+from .geometry import Ball, Region
 from .metrics import cut_probability, measure_diameters, mst_compare
 from .roundness import CERT_SAMPLES, check_privacy_condition
 from .rng import substream
-from .sanitizer import DEFAULT_PROBE_SAMPLES, certify_nodes, default_root_box, sanitize
+from .sanitizer import certify_nodes, default_root_box, method_name, sanitize
 
 
 def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
@@ -57,27 +58,16 @@ def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
         sys.stdout.write(encode(doc))
 
 
-def _region_from_arg(arg: str, d: int):
+def _region(arg: str, d: int) -> tuple[Region | None, list[str]]:
+    """The region a ``--support`` value names in d dimensions, and the files
+    read for it; ``auto`` is None, the method's default support."""
+    if arg == "auto":
+        return None, []
     if arg == "unit-ball":
-        return Ball(np.zeros(d), 1.0)
+        return Ball(np.zeros(d), 1.0), []
     if arg == "unit-cube":
-        return default_root_box(d)
-    from .documents import _region_from_doc
-
-    return _region_from_doc(read_json(arg))
-
-
-def _support(arg: str, data: Dataset):
-    """The ``--support`` region of a dataset.  ``auto`` is an enclosing ball:
-    the unit ball when the data fits, else a centered hull ball."""
-    if arg != "auto":
-        return _region_from_arg(arg, data.d)
-    unit = Ball(np.zeros(data.d), 1.0)
-    if data.n and bool(unit.contains_many(data.points).all()):
-        return unit
-    center = 0.5 * (data.points.min(axis=0) + data.points.max(axis=0))
-    radius = float(np.linalg.norm(data.points - center, axis=1).max()) * 1.0001
-    return Ball(center, radius)
+        return default_root_box(d), []
+    return region_from_doc(read_json(arg)), [arg]
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +89,11 @@ def _cmd_generate(args, argv):
 
 def _cmd_sanitize(args, argv):
     data = dataset_from_doc(read_json(args.input))
-    method = f"voronoi-{args.centers}" if args.method == "voronoi" else args.method
-    support = _support(args.support, data) if args.method == "voronoi" else None
-    hist = sanitize(data, method, args.t, args.max_depth, seed=args.seed, support=support,
-                    override_m=args.override_m, probe_samples=args.probe_samples)
-    _emit(histogram_to_doc(hist), args.out, argv, args.seed, [args.input])
+    support, files = _region(args.support, data.d)
+    hist = sanitize(data, method_name(args.method, args.centers), args.t, args.max_depth,
+                    seed=args.seed, support=support, override_m=args.override_m,
+                    probe_samples=args.probe_samples)
+    _emit(histogram_to_doc(hist), args.out, argv, args.seed, [args.input] + files)
     return 0
 
 
@@ -145,17 +135,19 @@ def _cmd_attack(args, argv):
 
 def _cmd_measure_diameters(args, argv):
     data = dataset_from_doc(read_json(args.data))
-    support = _support(args.support, data) if args.method.startswith("voronoi") else None
+    support, files = _region(args.support, data.d)
     stats = measure_diameters(data, t=args.t, trials=args.trials, seed=args.seed,
                               method=args.method, max_depth=args.max_depth, support=support)
     _emit(report_doc("diameter_stats", stats.to_dict()), args.out, argv,
-          args.seed, [args.data])
+          args.seed, [args.data] + files)
     return 0
 
 
 def _cmd_cut_prob(args, argv):
     x = np.array([float(v) for v in args.x.split(",")])
-    support = _region_from_arg(args.support, x.size)
+    support, files = _region(args.support, x.size)
+    if support is None:
+        raise InputError("cut-prob needs a support: unit-ball, unit-cube or a region JSON path")
     rs = [float(v) for v in args.r_list.split(",")]
     rows = cut_probability(support, x, rs, m=args.m, trials=args.trials,
                            seed=args.seed)
@@ -165,8 +157,7 @@ def _cmd_cut_prob(args, argv):
         "x": x.tolist(),
         "rows": [{"r": r, "probability": p, "stderr": s} for r, p, s in rows],
     }
-    inputs = [args.support] if args.support not in ("unit-ball", "unit-cube") else []
-    _emit(report_doc("cut_probability", body), args.out, argv, args.seed, inputs)
+    _emit(report_doc("cut_probability", body), args.out, argv, args.seed, files)
     return 0
 
 
@@ -221,16 +212,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sanitize", help="build a sanitized histogram")
     p.add_argument("--method", choices=["cube", "grid", "voronoi"], required=True)
-    p.add_argument("--centers", choices=["greedy", "uniform"], default="greedy")
+    p.add_argument("--centers", choices=["greedy", "uniform"], help="voronoi only; default greedy")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--support", default="auto",
-                   help="voronoi support: auto, unit-ball, unit-cube, or a region JSON path")
-    p.add_argument("--override-m", type=int, default=None)
-    p.add_argument("--probe-samples", type=int, default=DEFAULT_PROBE_SAMPLES)
+                   help="auto (the method's default), unit-ball, unit-cube, or a region JSON path")
+    p.add_argument("--override-m", type=int, help="uniform centers per split (voronoi uniform)")
+    p.add_argument("--probe-samples", type=int, help="probes per split (voronoi greedy)")
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser("certify", help="emit roundness certificates for every cell")
@@ -272,7 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--support", default="auto")
+    p.add_argument("--support", default="auto",
+                   help="auto (the method's default), unit-ball, unit-cube, or a region JSON path")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_measure_diameters)
 

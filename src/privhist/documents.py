@@ -192,7 +192,7 @@ def _region_to_doc(region: Region) -> dict:
     raise InputError(f"unknown root region type {type(region).__name__}")
 
 
-def _region_from_doc(doc: dict) -> Region:
+def region_from_doc(doc: dict) -> Region:
     with _reading("region"):
         kind = doc["kind"]
         if kind == "box":
@@ -275,7 +275,7 @@ def histogram_from_doc(doc: dict) -> SanitizedHistogram:
     _expect_kind(doc, "sanitized_histogram")
     with _reading("sanitized_histogram"):
         root_doc = doc["root"]
-        region = _region_from_doc(root_doc["region"])
+        region = region_from_doc(root_doc["region"])
         root = HistogramNode(region=region, count=int(root_doc["count"]),
                              level=int(root_doc["level"]))
         box = (region.low, region.high) if isinstance(region, Box) else None

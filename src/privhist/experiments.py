@@ -75,7 +75,7 @@ def suite_distance_sandwich(seed: int) -> dict:
         data, _ = sample(single(shape(np.zeros(d), 1.0)), n, seed=dseed)
         hist = sanitize(data, builder, t, 2 if voronoi else 6, seed=bseed,
                         support=Ball(np.zeros(d), 1.0) if voronoi else None,
-                        probe_samples=20_000)
+                        probe_samples=20_000 if voronoi else None)
         idx = rng.integers(0, n, size=(pairs, 2))
         X, Y = data.points[idx[:, 0]], data.points[idx[:, 1]]
         dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
@@ -441,8 +441,9 @@ def suite_conservation_determinism(seed: int) -> dict:
         for method, data, t, depth, support in (
                 ("cube", cube_data, 2, 5, None), ("grid", cube_data, 2, 6, None),
                 ("voronoi-greedy", ball_data, 8, 2, Ball(np.zeros(2), 1.0))):
+            probes = 8_000 if method == "voronoi-greedy" else None
             hist, rebuild = (sanitize(data, method, t, depth, seed=s, support=support,
-                                      probe_samples=8_000) for _ in range(2))
+                                      probe_samples=probes) for _ in range(2))
             check(hist, rebuild, data.n, f"{method.split('-')[0]}/seed{s}")
     return {
         "suite": "conservation-determinism",

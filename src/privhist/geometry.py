@@ -64,12 +64,6 @@ class Dataset:
     def d(self) -> int:
         return self._points.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Dataset) and np.array_equal(self._points, other._points)
-
 
 def distance(x, y) -> float:
     """Euclidean distance; raises InputError on dimension mismatch."""

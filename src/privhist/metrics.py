@@ -20,7 +20,7 @@ each dataset row's leaf corners as it splits the rows, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .geometry import (Box, Dataset, Region, as_point, root_support, t_radii, un
                        voronoi_assign)
 from .rng import substream
 from .roundness import CellKernel, certify_roundness
-from .sanitizer import (DEFAULT_DEPTH, HistogramNode, MeshSplit, SanitizedHistogram, _partition,
-                        _shifted_grid, certify_nodes, sanitize)
+from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition, _shifted_grid,
+                        certify_nodes, resolve_method, sanitize)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +212,14 @@ def measure_diameters(
     """Rebuild a randomized histogram `trials` times and compare each point's
     mean smallest-cell diameter with its t-radius bound.
 
-    A grid build hands back the corners of each row's leaf, which it wrote
-    while splitting the rows, so grid diameters take no descent.  A Voronoi
-    build, made by ``sanitize`` with ``support`` and ``builder_kwargs``, is
-    descended once per trial and its leaves read as certificate balls.
-    ``max_depth`` defaults to the method's ``DEFAULT_DEPTH``.  Grid bounds
-    are closed-form; Voronoi bounds fit one coefficient kappa to
-    mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
+    ``max_depth``, ``support`` and ``builder_kwargs`` are checked and
+    defaulted once by ``resolve_method``, as ``sanitize`` does.  A grid
+    build hands back the corners of each row's leaf, which it wrote while
+    splitting the rows, so grid diameters take no descent.  A Voronoi build,
+    made by ``sanitize``, is descended once per trial and its leaves read as
+    certificate balls.  Grid bounds are closed-form; Voronoi bounds fit one
+    coefficient kappa to mean ~ kappa * (max_depth * d * r + 2^-max_depth)
+    and report it.
     """
     if method not in ("grid", "voronoi-greedy", "voronoi-uniform"):
         raise InputError("measure_diameters needs a randomized builder (grid or voronoi)")
@@ -226,8 +227,7 @@ def measure_diameters(
         raise InputError("trials must be positive")
     if dataset.n < 2:
         raise InputError("need at least two points")
-    if max_depth is None:
-        max_depth = DEFAULT_DEPTH[method]
+    max_depth, support = resolve_method(dataset, method, max_depth, support, **builder_kwargs)
     d = dataset.d
     radii = t_radii(dataset, t)
 
@@ -235,7 +235,7 @@ def measure_diameters(
     for trial in range(trials):
         tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
         if method == "grid":
-            _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed)
+            _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed, root=support)
             sums += _diameters(True, low, high)
         else:
             hist = sanitize(dataset, method, t, max_depth, seed=tseed, support=support,
@@ -319,12 +319,7 @@ class MstComparison:
     gap_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "actual_cost": self.actual_cost,
-            "hist_cost": self.hist_cost,
-            "gap": self.gap,
-            "gap_bound": self.gap_bound,
-        }
+        return asdict(self)
 
 
 def _prim(n: int, weights):

@@ -23,7 +23,7 @@ sampling each such probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -437,15 +437,7 @@ class PrivacyConditionReport:
     degenerate_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "cells_checked": self.cells_checked,
-            "probes_per_cell": self.probes_per_cell,
-            "c": self.c,
-            "epsilon_observed": self.epsilon_observed,
-            "containment_count": self.containment_count,
-            "ratio_count": self.ratio_count,
-            "degenerate_count": self.degenerate_count,
-        }
+        return asdict(self)
 
 
 def _misses_cell(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -592,10 +584,6 @@ class SplitAudit:
 
     def cover_spread_bound(self, slack: float = 1.1) -> float:
         return 4.0 * self.r1 * self.parent_k / self.r2 * slack
-
-    def children_within_bound(self, slack: float = 1.1) -> bool:
-        bound = self.cover_spread_bound(slack)
-        return all(k <= bound for k in self.child_ks)
 
 
 def audit_voronoi_splits(

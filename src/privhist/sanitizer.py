@@ -42,6 +42,9 @@ from .roundness import CERT_SAMPLES, RoundnessCertificate, certify_children, cer
 NODE_BUDGET = 2_000_000  # nodes per build, root included, read as each build starts
 DEFAULT_PROBE_SAMPLES = 100_000
 DEFAULT_DEPTH = {"cube": 8, "grid": 8, "voronoi-greedy": 3, "voronoi-uniform": 3}
+# the parameters each published method reads beyond t, max_depth, seed and support
+PARAMETERS = {"cube": (), "grid": (), "voronoi-greedy": ("probe_samples",),
+              "voronoi-uniform": ("override_m",)}
 
 
 class MeshSplit:
@@ -273,8 +276,6 @@ def _mesh_root(dataset: Dataset, t: int, max_depth: int, root: Box | None) -> Bo
     if t < 1 or max_depth < 1:
         raise InputError("t and max_depth must be positive")
     if root is None:
-        if not dataset.n:
-            raise InputError("empty dataset requires an explicit root box")
         root = default_root_box(dataset.d)
     _require_inside(dataset, root, "root box")
     return root
@@ -468,7 +469,7 @@ def method2_center_count(d: int) -> int:
 def pick_centers_greedy(
     region: Region,
     cert: RoundnessCertificate,
-    probe_samples: int = DEFAULT_PROBE_SAMPLES,
+    probe_samples: int | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Well-spread centers: scan a uniform probe stream, keeping the first
@@ -477,6 +478,8 @@ def pick_centers_greedy(
     After one pass every probe is within R/4 of a kept center, so the kept
     set is R/4-well-spread and R/4-covers the cell up to probe resolution.
     """
+    if probe_samples is None:
+        probe_samples = DEFAULT_PROBE_SAMPLES
     if probe_samples < 1:
         raise InputError("probe_samples must be positive")
     rng = substream(seed, "greedy-centers")
@@ -517,7 +520,7 @@ def build_voronoi(
     max_depth: int = 3,
     method: str = "greedy",
     override_m: int | None = None,
-    probe_samples: int = DEFAULT_PROBE_SAMPLES,
+    probe_samples: int | None = None,
     seed: int = 0,
 ) -> SanitizedHistogram:
     """Voronoi histogram: cells holding more than t points subdivide.  The
@@ -646,6 +649,47 @@ def component_seed(seed: int, index: int) -> int:
     return int(substream(seed, "mixture", index).integers(0, 2**62))
 
 
+def resolve_method(dataset: Dataset, method: str, max_depth: int | None = None,
+                   support: Region | None = None, **params) -> tuple[int, Region]:
+    """(max_depth, support) of a published method name (a ``DEFAULT_DEPTH``
+    key), None giving the method's default, once ``params`` hold no value
+    but None for a parameter it does not read (``PARAMETERS``).  A mesh
+    support is a box, ``[-1, 1]^d`` by default; a Voronoi support is a ball
+    or a box, by default the unit ball when every row lies in it (as an
+    empty dataset's do), else the centred hull ball x 1.0001."""
+    if method not in DEFAULT_DEPTH:
+        raise InputError(f"unknown sanitizer method {method!r}")
+    for name, value in params.items():
+        if value is not None and name not in PARAMETERS[method]:
+            raise InputError(f"{method} does not read {name}")
+    mesh = method in ("cube", "grid")
+    if support is None:
+        support = default_root_box(dataset.d) if mesh else _enclosing_ball(dataset)
+    if mesh and not isinstance(support, Box):
+        raise InputError(f"{method} sanitizer needs a box support; use voronoi for balls")
+    if not isinstance(support, (Ball, Box)):
+        raise InputError(f"{method} sanitizer needs a ball or box support")
+    return DEFAULT_DEPTH[method] if max_depth is None else max_depth, support
+
+
+def _enclosing_ball(dataset: Dataset) -> Ball:
+    unit = Ball(np.zeros(dataset.d), 1.0)
+    if unit.contains_many(dataset.points).all():
+        return unit
+    center = 0.5 * (dataset.points.min(axis=0) + dataset.points.max(axis=0))
+    return Ball(center, float(np.linalg.norm(dataset.points - center, axis=1).max()) * 1.0001)
+
+
+def method_name(family: str, centers: str | None = None) -> str:
+    """The published method name of a builder family and its center rule,
+    which only ``voronoi`` reads (greedy by default)."""
+    if family == "voronoi":
+        return f"voronoi-{centers or 'greedy'}"
+    if centers is not None:
+        raise InputError(f"{family} does not read centers")
+    return family
+
+
 def sanitize(
     dataset: Dataset,
     method: str,
@@ -654,24 +698,18 @@ def sanitize(
     seed: int = 0,
     support: Region | None = None,
     override_m: int | None = None,
-    probe_samples: int = DEFAULT_PROBE_SAMPLES,
+    probe_samples: int | None = None,
 ) -> SanitizedHistogram:
-    """The histogram of a published method name (a ``DEFAULT_DEPTH`` key),
-    from its builder.  A mesh's support is a box, or None for ``[-1, 1]^d``;
-    a Voronoi support is a ball or a box.  Uniform centers at their default
-    count are refused where that count alone exceeds ``NODE_BUDGET``."""
-    if method not in DEFAULT_DEPTH:
-        raise InputError(f"unknown sanitizer method {method!r}")
-    if max_depth is None:
-        max_depth = DEFAULT_DEPTH[method]
-    if method in ("cube", "grid"):
-        if support is not None and not isinstance(support, Box):
-            raise InputError(f"{method} sanitizer needs a box support; use voronoi for balls")
-        if method == "cube":
-            return build_recursive_cube(dataset, t, max_depth, root=support)
+    """The histogram of a published method name from its builder, at the
+    depth and over the support of ``resolve_method``.  Uniform centers at
+    their default count are refused where that count alone exceeds
+    ``NODE_BUDGET``."""
+    max_depth, support = resolve_method(dataset, method, max_depth, support,
+                                        override_m=override_m, probe_samples=probe_samples)
+    if method == "cube":
+        return build_recursive_cube(dataset, t, max_depth, root=support)
+    if method == "grid":
         return build_shifted_grid(dataset, t, max_depth, seed=seed, root=support)
-    if not isinstance(support, (Ball, Box)):
-        raise InputError(f"{method} sanitizer needs a ball or box support")
     m = method2_center_count(support.dim)
     if method == "voronoi-uniform" and override_m is None and m > NODE_BUDGET:
         raise InputError(f"the default uniform center count 4*d*8^d = {m} at d={support.dim} "

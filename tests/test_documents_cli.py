@@ -321,7 +321,8 @@ class TestCli:
         assert not os.path.exists("p.json")
 
     @pytest.mark.parametrize("flag,value", [("--m", "0"), ("--trials", "0"),
-                                            ("--trials", "-1"), ("--r-list", "0.01,nan")])
+                                            ("--trials", "-1"), ("--r-list", "0.01,nan"),
+                                            ("--support", "auto")])
     def test_cut_prob_rejects_invalid_arguments(self, workspace, flag, value):
         argv = ["cut-prob", "--support", "unit-ball", "--x", "0,0", "--r-list", "0.01,0.03",
                 "--m", "16", "--trials", "5", "--seed", "1", "--out", "cut.json"]
@@ -385,6 +386,116 @@ class TestCli:
         assert doc["pass"] is True
         line = f"criterion 03 [lemma21-decay]: PASS ({doc['summary']})"
         assert captured.err.startswith(line + "\n")
+
+
+@pytest.fixture
+def region_files(workspace):
+    """d.json, 40 rows uniform in [-0.9, 0.9]^2 (some outside the unit ball),
+    and box.json, the region [-0.95, 0.95]^2, which no method takes by default."""
+    data, _ = sample(single(UniformCube(np.zeros(2), 0.9)), 40, seed=11)
+    write_json_atomic("d.json", dataset_to_doc(data))
+    write_json_atomic("box.json", {"kind": "box", "low": [-0.95, -0.95], "high": [0.95, 0.95],
+                                   "closed_high": [True, True]})
+    return workspace
+
+
+def _body(path):
+    doc = read_json(path)
+    del doc["manifest"]
+    return doc
+
+
+SANITIZE_METHODS = {
+    "cube": ["--method", "cube"],
+    "grid": ["--method", "grid"],
+    "voronoi-greedy": ["--method", "voronoi"],
+    "voronoi-uniform": ["--method", "voronoi", "--centers", "uniform"],
+}
+# the centers option names the rule the base run does not use
+SANITIZE_OPTIONS = {
+    "support-box": ["--support", "box.json"],
+    "support-unit-ball": ["--support", "unit-ball"],
+    "centers": ["--centers", "uniform"],
+    "override-m": ["--override-m", "24"],
+    "probe-samples": ["--probe-samples", "2000"],
+}
+# the options each method reads; unit-ball reads as a support that the data
+# leaves (Voronoi) or that is no box (meshes)
+READS = {"cube": {"support-box"}, "grid": {"support-box"},
+         "voronoi-greedy": {"support-box", "centers", "probe-samples"},
+         "voronoi-uniform": {"support-box", "centers", "override-m"}}
+
+
+def _guard(base, extra, reads, capsys):
+    """Run ``base`` with and without ``extra``: an option the command reads
+    changes the document, and any other exits 1 with one line and no file."""
+    assert main(base + ["--out", "base.json"]) == 0
+    capsys.readouterr()
+    code = main(base + extra + ["--out", "o.json"])
+    err = capsys.readouterr().err
+    if reads:
+        assert code == 0, err
+        assert _body("o.json") != _body("base.json")
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists("o.json")
+
+
+@pytest.mark.parametrize("option", SANITIZE_OPTIONS)
+@pytest.mark.parametrize("method", SANITIZE_METHODS)
+def test_no_sanitize_option_is_silently_ignored(region_files, capsys, method, option):
+    extra = SANITIZE_OPTIONS[option]
+    if option == "centers" and method == "voronoi-uniform":
+        extra = ["--centers", "greedy"]
+    base = ["sanitize", *SANITIZE_METHODS[method], "--t", "4", "--max-depth", "1",
+            "--seed", "3", "--in", "d.json"]
+    _guard(base, extra, option in READS[method], capsys)
+
+
+@pytest.mark.parametrize("support,reads", [("box.json", True), ("unit-ball", False)])
+def test_measure_diameters_grid_reads_its_support(region_files, capsys, support, reads):
+    base = ["measure-diameters", "--data", "d.json", "--method", "grid", "--t", "2",
+            "--trials", "2", "--seed", "1", "--max-depth", "4"]
+    _guard(base, ["--support", support], reads, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sanitize", "--method", "voronoi", "--t", "4", "--max-depth", "1", "--probe-samples",
+     "2000", "--in", "d.json", "--support", "box.json"],
+    ["sanitize", "--method", "grid", "--t", "2", "--in", "d.json", "--support", "box.json"],
+    ["measure-diameters", "--data", "d.json", "--method", "grid", "--t", "2", "--trials", "1",
+     "--support", "box.json"],
+    ["cut-prob", "--support", "box.json", "--x", "0,0", "--r-list", "0.1", "--m", "8",
+     "--trials", "3"],
+], ids=["sanitize-voronoi", "sanitize-grid", "measure-diameters", "cut-prob"])
+def test_manifest_digests_the_support_file(region_files, capsys, argv):
+    assert main(argv + ["--out", "o.json"]) == 0
+    manifest = read_json("o.json")["manifest"]
+    assert "box.json" in manifest["inputs"]
+    write_json_atomic("m.json", {"manifest": manifest})
+    os.unlink("o.json")
+    write_json_atomic("box.json", {"kind": "box", "low": [-0.96, -0.96], "high": [0.96, 0.96],
+                                   "closed_high": [True, True]})
+    capsys.readouterr()
+    assert main(["repro", "--manifest", "m.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error: input box.json no longer matches its manifest digest\n")
+    assert not os.path.exists("o.json")
+
+
+@pytest.mark.parametrize("method", SANITIZE_METHODS)
+def test_empty_dataset_gives_a_root_only_histogram(workspace, method):
+    write_json_atomic("e.json", {"schema_version": 2, "kind": "dataset", "d": 2, "n": 0,
+                                 "points": []})
+    assert main(["sanitize", *SANITIZE_METHODS[method], "--t", "2", "--in", "e.json",
+                 "--out", "h.json"]) == 0
+    root = read_json("h.json")["root"]
+    assert (root["count"], root["children"]) == (0, [])
+    assert root["region"] == ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+                              if method.startswith("voronoi") else
+                              {"kind": "box", "low": [-1.0, -1.0], "high": [1.0, 1.0],
+                               "closed_high": [True, True]})
 
 
 def test_cli_import_leaves_out_scipy_stats():

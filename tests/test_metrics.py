@@ -136,12 +136,12 @@ class TestMeasureDiameters:
         assert [mean for _, _, mean, _ in stats.per_point] == (sums / 3).tolist()
 
     @staticmethod
-    def _reference_grid_report(data, t, trials, seed, max_depth):
+    def _reference_grid_report(data, t, trials, seed, max_depth, root=None):
         """measure_diameters(method="grid") as a rebuild-and-descend loop."""
         sums = np.zeros(data.n)
         for trial in range(trials):
             tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
-            hist = build_shifted_grid(data, t, max_depth, seed=tseed)
+            hist = build_shifted_grid(data, t, max_depth, seed=tseed, root=root)
             ids, leaves, bounds = _descend(hist, data.points)
             sums += _diameters(True, *bounds)[ids]
         radii = t_radii(data, t)
@@ -170,6 +170,18 @@ class TestMeasureDiameters:
         monkeypatch.setattr(metrics, "_descend", no_descent)
         stats = measure_diameters(data, t=2, trials=3, seed=63, method="grid", max_depth=6)
         assert stats.to_dict() == expected
+
+    def test_grid_trials_build_over_the_support(self):
+        data, _ = sample(single(UniformCube(np.zeros(2), 0.9)), 90, seed=66)
+        box = Box(np.full(2, -0.95), np.full(2, 0.95), closed_high=np.ones(2, dtype=bool))
+        stats = measure_diameters(data, t=2, trials=2, seed=67, method="grid", max_depth=6,
+                                  support=box)
+        assert stats.to_dict() == self._reference_grid_report(data, 2, 2, 67, 6, root=box)
+        assert stats.to_dict() != self._reference_grid_report(data, 2, 2, 67, 6)
+        with pytest.raises(InputError, match="needs a box support"):
+            measure_diameters(data, t=2, trials=1, method="grid", support=Ball(np.zeros(2), 2.0))
+        with pytest.raises(InputError, match="^grid does not read probe_samples$"):
+            measure_diameters(data, t=2, trials=1, method="grid", probe_samples=2_000)
 
     @pytest.mark.parametrize("method,depth", [("grid", 8), ("voronoi-uniform", 3)])
     def test_max_depth_defaults_to_the_method_default(self, method, depth):

@@ -220,7 +220,7 @@ class TestSplitAudits:
         audits = audit_voronoi_splits(hist.root, probes=15_000, seed=14)
         assert audits
         for audit in audits:
-            assert audit.children_within_bound(1.1)
+            assert max(audit.child_ks) <= audit.cover_spread_bound(1.1)
 
     def test_greedy_roundness_recurrence(self):
         # level-l cells certify k_l <= 4^l * k_root * 1.1

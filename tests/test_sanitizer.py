@@ -9,7 +9,7 @@ import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.documents import histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError, InternalError, ResourceError
-from privhist.geometry import Ball, Box, Dataset, uniform_in_region
+from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
 from privhist.rng import substream
 from privhist.sanitizer import (
     HistogramNode,
@@ -22,6 +22,7 @@ from privhist.sanitizer import (
     certify_nodes,
     component_seed,
     method2_center_count,
+    method_name,
     pick_centers_greedy,
     pick_centers_uniform,
     sanitize,
@@ -391,8 +392,9 @@ class TestSanitize:
         else:
             built = build_voronoi(data, root, 2, 3, method=method[8:], override_m=24,
                                   probe_samples=2_000, seed=7)
-        hist = sanitize(data, method, 2, seed=7, support=root, override_m=24,
-                        probe_samples=2_000)
+        params = {"voronoi-greedy": {"probe_samples": 2_000},
+                  "voronoi-uniform": {"override_m": 24}}.get(method, {})
+        hist = sanitize(data, method, 2, seed=7, support=root, **params)
         assert hist.method == method
         assert histogram_to_doc(hist) == histogram_to_doc(built)
 
@@ -404,13 +406,39 @@ class TestSanitize:
     @pytest.mark.parametrize("method,support,message", [
         ("cube", Ball(np.zeros(2), 1.0), "needs a box support"),
         ("grid", Ball(np.zeros(2), 1.0), "needs a box support"),
-        ("voronoi-greedy", None, "needs a ball or box support"),
+        ("voronoi-greedy", VoronoiClip(np.array([[0.0, 0.0], [0.5, 0.5]]), 0,
+                                       Ball(np.zeros(2), 1.0)), "needs a ball or box support"),
         ("voronoi", Ball(np.zeros(2), 1.0), "unknown sanitizer method"),
     ])
     def test_rejects_unknown_methods_and_support_kinds(self, method, support, message):
         data = Dataset([[0.1, 0.2], [0.3, -0.1]])
         with pytest.raises(InputError, match=message):
             sanitize(data, method, 1, support=support)
+
+    @pytest.mark.parametrize("method", ["voronoi-greedy", "voronoi-uniform"])
+    def test_voronoi_support_defaults_to_the_unit_ball_else_the_hull_ball(self, method):
+        inside = sanitize(Dataset([[0.1, 0.2], [0.3, -0.1]]), method, 2).root.region
+        assert (inside.center.tolist(), inside.radius) == ([0.0, 0.0], 1.0)
+        outside = sanitize(Dataset([[0.5, 0.2], [1.5, -0.1]]), method, 2).root.region
+        assert outside.center.tolist() == [1.0, 0.05]
+        assert outside.radius == float(np.linalg.norm([0.5, 0.15])) * 1.0001
+
+    @pytest.mark.parametrize("method,param", [
+        ("cube", "override_m"), ("cube", "probe_samples"), ("grid", "override_m"),
+        ("grid", "probe_samples"), ("voronoi-greedy", "override_m"),
+        ("voronoi-uniform", "probe_samples")])
+    def test_a_parameter_the_method_does_not_read_is_an_input_error(self, method, param):
+        data = Dataset([[0.1, 0.2], [0.3, -0.1]])
+        with pytest.raises(InputError, match=f"^{method} does not read {param}$"):
+            sanitize(data, method, 1, **{param: 24})
+
+    def test_method_names_of_the_cli_families(self):
+        assert [method_name("cube"), method_name("grid"), method_name("voronoi"),
+                method_name("voronoi", "uniform")] == [
+            "cube", "grid", "voronoi-greedy", "voronoi-uniform"]
+        for family in ("cube", "grid"):
+            with pytest.raises(InputError, match=f"^{family} does not read centers$"):
+                method_name(family, "greedy")
 
     def test_default_uniform_count_over_the_budget_is_an_input_error(self):
         support = Ball(np.zeros(6), 1.0)
