@@ -86,7 +86,7 @@ def _reading(kind: str):
     the wrong type or shape) surfaces as an input error."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise InputError(f"malformed {kind} document: {detail}") from exc
 
@@ -204,12 +204,21 @@ def region_from_doc(doc: dict) -> Region:
 
 
 def _node_to_doc(node: HistogramNode) -> dict:
+    """A node and its subtree.  A child without a split (made or not) is
+    written from its parent's count array, so no child node is made."""
     doc = {"count": node.count, "level": node.level}
-    if isinstance(node.split, MeshSplit):
-        doc["split"] = {"kind": "mesh", "cuts": [c.tolist() for c in node.split.cuts]}
-    elif isinstance(node.split, VoronoiSplit):
-        doc["split"] = {"kind": "voronoi", "centers": node.split.centers.tolist()}
-    doc["children"] = [_node_to_doc(ch) for ch in node.children]
+    split = node.split
+    if split is None:
+        doc["children"] = []
+        return doc
+    if isinstance(split, MeshSplit):
+        doc["split"] = {"kind": "mesh", "cuts": [c.tolist() for c in split.cuts]}
+    else:
+        doc["split"] = {"kind": "voronoi", "centers": split.centers.tolist()}
+    divided, level = node.divided_children(), node.child_level
+    doc["children"] = [_node_to_doc(divided[k]) if k in divided
+                       else {"count": count, "level": level, "children": []}
+                       for k, count in enumerate(node.counts.tolist())]
     return doc
 
 
@@ -239,7 +248,9 @@ def _split_from_doc(doc: dict, d: int, box):
 
 def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     """Attach the split and children of ``doc`` to ``node``; ``box`` is as
-    for ``_split_from_doc``, and only needed when the node has a split."""
+    for ``_split_from_doc``, and only needed when the node has a split.  The
+    children of one split share one level, and only those with a split of
+    their own get a node."""
     kids = doc["children"]
     if "split" not in doc:
         if kids:
@@ -248,11 +259,16 @@ def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     split = _split_from_doc(doc["split"], d, box)
     if len(kids) != split.size:
         raise InputError(f"a split into {split.size} cells has {len(kids)} children")
+    levels = {int(kid["level"]) for kid in kids}
+    if len(levels) != 1:
+        raise InputError(f"the children of one split carry levels {sorted(levels)}, not one")
+    node.divide(split, [int(kid["count"]) for kid in kids], levels.pop())
     mesh = isinstance(split, MeshSplit)
-    for k, (child, kid) in enumerate(zip(node.divide(split, [int(c["count"]) for c in kids]),
-                                         kids)):
-        child.level = int(kid["level"])
-        _read_subtree(kid, child, d, split.child_bounds(k) if mesh and "split" in kid else None)
+    for k, kid in enumerate(kids):
+        if "split" in kid:
+            _read_subtree(kid, node.child(k), d, split.child_bounds(k) if mesh else None)
+        elif kid["children"]:
+            raise InputError("a node with children needs a split")
 
 
 def histogram_to_doc(hist: SanitizedHistogram) -> dict:

@@ -87,7 +87,7 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
             mesh = False
             keys = split.assign(X[rows])
         parts = _partition(keys, split.size)
-        stack.extend((child, rows[part]) for child, part in zip(node.children, parts) if part.size)
+        stack.extend((node.child(k), rows[part]) for k, part in enumerate(parts) if part.size)
     # rows ascend within every part, so a leaf's first row is its smallest
     firsts = np.array(firsts, dtype=int)
     order = np.argsort(firsts)

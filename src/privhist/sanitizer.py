@@ -12,8 +12,9 @@ Three constructions:
   partition of centers chosen greedily (well-spread) or uniformly at random.
 
 Each split is stored once, on the node it divides: per-axis cut arrays for
-the cube and the grid, one center array for Voronoi.  Child regions are
-derived from the split on first use.  All published geometry is
+the cube and the grid, one center array for Voronoi, and the children's
+counts as one integer array.  Child nodes are made on demand, and child
+regions are derived from the split on first use.  All published geometry is
 construction artifacts (mesh lines, centers); a final scan aborts if any
 dataset coordinate vector appears in it.
 """
@@ -123,17 +124,23 @@ class HistogramNode:
     """One cell of a histogram tree.
 
     The root holds its region; every other node holds the split it came from
-    and its index there, and derives its region on first use.  Its roundness
-    certificate is computed once, by ``certify_nodes``, and kept.
+    and its index there, and derives its region on first use.  A divided
+    node keeps its children's counts as one integer array and makes a child
+    node only when asked for it (``child``, ``children``), so a build makes
+    nodes only where a split continues.  Its roundness certificate is
+    computed once, by ``certify_nodes``, and kept.
     """
 
-    __slots__ = ("count", "level", "children", "split", "_region", "_source", "_certificate")
+    __slots__ = ("count", "level", "split", "counts", "child_level", "_kids", "_region",
+                 "_source", "_certificate")
 
     def __init__(self, region: Region | None = None, count: int = 0, level: int = 0):
         self.count = count
         self.level = level
-        self.children: list[HistogramNode] = []
         self.split: Split | None = None
+        self.counts: np.ndarray | None = None  # child counts, once divided
+        self.child_level: int | None = None
+        self._kids: dict[int, HistogramNode] = {}  # the children made so far
         self._region = region
         self._source = None  # (split, child index) for non-root nodes
         self._certificate = None
@@ -155,22 +162,34 @@ class HistogramNode:
             certify_nodes([self])
         return self._certificate
 
-    def divide(self, split: Split, counts, level: int | None = None) -> list:
-        """Split this node; child k gets counts[k] points and the given level
-        (default: one below this node)."""
+    def divide(self, split: Split, counts, level: int | None = None):
+        """Split this node; child k holds counts[k] points at the given level
+        (default: one below this node).  No child node is made here."""
         split._source = self._region if self._region is not None else self._source
         self.split = split
-        level = self.level + 1 if level is None else level
-        children = []
-        for k, count in enumerate(counts):
-            child = HistogramNode(count=count, level=level)
-            child._source = (split, k)
-            children.append(child)
-        self.children = children
-        return children
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.child_level = self.level + 1 if level is None else level
+
+    def child(self, k: int) -> HistogramNode:
+        """Child k of this node's split, made on first use and kept."""
+        node = self._kids.get(k)
+        if node is None:
+            node = self._kids[k] = HistogramNode(count=int(self.counts[k]), level=self.child_level)
+            node._source = (self.split, k)
+        return node
+
+    @property
+    def children(self) -> list[HistogramNode]:
+        """Every child in split order, each made once; none for a leaf."""
+        return [] if self.split is None else [self.child(k) for k in range(self.split.size)]
+
+    def divided_children(self) -> dict[int, HistogramNode]:
+        """The children that have a split of their own, by index.  A child
+        that was never made has none."""
+        return {k: node for k, node in self._kids.items() if node.split is not None}
 
     def is_leaf(self) -> bool:
-        return not self.children
+        return self.split is None
 
     def walk(self):
         """Nodes in depth-first pre-order."""
@@ -243,7 +262,9 @@ class SanitizedHistogram:
 
 
 class _Budget:
-    """The nodes of one build against ``NODE_BUDGET``; the root is charged."""
+    """The nodes of one build against ``NODE_BUDGET``: the root and every
+    child of a split, made into a node or not, since documents publish each
+    child's count."""
 
     def __init__(self):
         self.limit, self.used = NODE_BUDGET, 1
@@ -314,19 +335,18 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
     corners of each dataset row's leaf.  The corners are written from the cut
     arrays as the rows are split, by the same writes ``metrics._descend``
     makes, so ``measure_diameters`` reads grid leaf diameters from them
-    without a second descent.  Every child gets a node and its count; only a
-    child holding at least 2t rows gets its rows and is split in turn.
+    without a second descent.  Every child gets its count; only a child
+    holding at least 2t rows that ``next_cuts`` divides gets a node and its
+    rows, and is split in turn.
     """
     n = dataset.n
     tree = HistogramNode(region=root, count=n, level=0)
     low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
-    stack = [(tree, root.low, root.high, np.arange(n))] if n >= 2 * t else []
+    step = next_cuts(root.low, root.high, 0) if n >= 2 * t else None
+    stack = [(tree, step, np.arange(n))] if step is not None else []
     while stack:
-        node, node_low, node_high, idx = stack.pop()
-        step = next_cuts(node_low, node_high, node.level)
-        if step is None:
-            continue
-        split = MeshSplit(step[0])
+        node, (cuts, level), idx = stack.pop()
+        split = MeshSplit(cuts)
         budget.charge(split.size)
         digits = split.digits(dataset.points[idx])
         for j, (c, digit) in enumerate(zip(split.cuts, digits)):
@@ -334,7 +354,7 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
             high[idx, j] = c[digit + 1]
         keys = np.ravel_multi_index(digits, split.shape)
         counts = np.bincount(keys, minlength=split.size)
-        children = node.divide(split, counts.tolist(), step[1])
+        node.divide(split, counts, level)
         big = np.flatnonzero(counts >= 2 * t)
         if not big.size:
             continue
@@ -342,7 +362,9 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
         ends = np.cumsum(counts)
         for k, a, b in zip(big.tolist(), (ends - counts)[big].tolist(), ends[big].tolist()):
             rows = idx[order[a:b]]
-            stack.append((children[k], low[rows[0]].copy(), high[rows[0]].copy(), rows))
+            step = next_cuts(low[rows[0]], high[rows[0]], level)
+            if step is not None:
+                stack.append((node.child(k), step, rows))
     return tree, low, high
 
 
@@ -547,13 +569,13 @@ def build_voronoi(
                                            envelope=cert.envelope)
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(dataset.points[idx]), split.size)
-        children = node.divide(split, [part.size for part in parts])
+        node.divide(split, [part.size for part in parts])
         if node.level + 1 >= max_depth:
             return
         growing = [i for i, part in enumerate(parts) if part.size > t]
-        certify_nodes([children[i] for i in growing])
+        certify_nodes([node.child(i) for i in growing])
         for i in growing:
-            grow(children[i], idx[parts[i]], path + (i,))
+            grow(node.child(i), idx[parts[i]], path + (i,))
 
     tree = HistogramNode(region=support, count=dataset.n, level=0)
     if dataset.n > t:
@@ -575,37 +597,30 @@ def _path_seed(seed: int, label: str, path: tuple) -> int:
 # sanitized output
 
 
-def _leaks(root: Region, splits: list, points: np.ndarray) -> bool:
-    """Does a dataset row equal a published vector?
-
-    Published vectors are the root region's, every Voronoi center, and the
-    low and high corners of every mesh child.  A row can only be a corner of
-    a mesh split when each of its coordinates is a cut value on that axis.
-    """
-    vectors = [root.low, root.high] if isinstance(root, Box) else [root.center]
-    meshes = []
-    for split in splits:
-        if isinstance(split, VoronoiSplit):
-            vectors.extend(split.centers)
-        else:
-            meshes.append(split.cuts)
+def _on_published(points: np.ndarray, vectors: list, meshes: list) -> np.ndarray:
+    """Which rows of ``points`` equal one of ``vectors`` or the low or high
+    corner of a child of a mesh split (given by its cuts).  A row can only
+    be a corner of a mesh split when each of its coordinates is a cut value
+    on that axis."""
+    hits = np.zeros(len(points), dtype=bool)
     # + 0.0 maps -0.0 to 0.0, so byte equality is value equality
-    rows = {row.tobytes() for row in points + 0.0}
-    if any((vec + 0.0).tobytes() in rows for vec in vectors):
-        return True
+    rows = {row.tobytes() for row in points + 0.0} if vectors else set()
+    for vec in vectors:
+        if (vec + 0.0).tobytes() in rows:
+            hits |= (points == vec).all(axis=1)
     if not meshes:
-        return False
+        return hits
     on_cuts = [np.isin(points[:, j], np.concatenate([cuts[j] for cuts in meshes]))
                for j in range(points.shape[1])]
-    suspects = points[np.logical_and.reduce(on_cuts)]
+    suspects = np.flatnonzero(np.logical_and.reduce(on_cuts))
     if not suspects.size:
-        return False
+        return hits
     for cuts in meshes:
-        low = np.logical_and.reduce([np.isin(suspects[:, j], c[:-1]) for j, c in enumerate(cuts)])
-        high = np.logical_and.reduce([np.isin(suspects[:, j], c[1:]) for j, c in enumerate(cuts)])
-        if (low | high).any():
-            return True
-    return False
+        for ends in (slice(None, -1), slice(1, None)):  # low, then high corners
+            corner = np.logical_and.reduce([np.isin(points[suspects, j], c[ends])
+                                            for j, c in enumerate(cuts)])
+            hits[suspects[corner]] = True
+    return hits
 
 
 def strip_to_sanitized(
@@ -618,15 +633,36 @@ def strip_to_sanitized(
     extra: dict | None = None,
 ) -> SanitizedHistogram:
     """Publish a built tree (regions, splits, counts and levels only) after
-    asserting that no dataset coordinate vector appears in its geometry."""
-    nodes = list(tree.walk())
-    splits = [node.split for node in nodes if node.split is not None]
-    if dataset.n and _leaks(tree.region, splits, dataset.points):
-        raise InternalError(
-            "sanitization aborted: a dataset point coordinate appeared "
-            "in the output geometry"
-        )
-    total = sum(node.count for node in nodes if node.is_leaf())
+    asserting that no dataset coordinate vector appears in its geometry.  A
+    row on a vector that every seed publishes (a root region's, or a cube
+    mesh corner) is an input error; a row on a random one is an internal
+    error.  Only the nodes that have a split are visited: the leaf counts sum
+    to every split's counts, less those of its children that split again."""
+    splits, total, stack = [], 0, [tree]
+    if tree.split is None:
+        total, stack = tree.count, []
+    while stack:
+        node = stack.pop()
+        splits.append(node.split)
+        total += int(node.counts.sum())
+        for k, kid in node.divided_children().items():
+            total -= int(node.counts[k])
+            stack.append(kid)
+    if dataset.n:
+        root = tree.region
+        fixed = [root.low, root.high] if isinstance(root, Box) else [root.center]
+        centers = [c for split in splits if isinstance(split, VoronoiSplit) for c in split.centers]
+        meshes = [split.cuts for split in splits if isinstance(split, MeshSplit)]
+        cube = method == "cube"  # the one build whose mesh corners are fixed
+        if (hits := _on_published(dataset.points, fixed, meshes if cube else [])).any():
+            raise InputError(
+                f"sanitization aborted: dataset row {int(np.argmax(hits))} equals a coordinate "
+                "vector the output publishes at every seed; the model assumes no atoms, so no "
+                "row may lie on a support corner or center or on a cube mesh corner")
+        if (hits := _on_published(dataset.points, centers, [] if cube else meshes)).any():
+            raise InternalError(
+                f"sanitization aborted: dataset row {int(np.argmax(hits))}'s coordinate "
+                "vector appeared in the output geometry")
     if total != dataset.n:
         raise InternalError("leaf counts do not sum to the dataset size")
     return SanitizedHistogram(

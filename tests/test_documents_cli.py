@@ -138,6 +138,21 @@ class TestCli:
         assert "index 1" in capsys.readouterr().err
         assert not os.path.exists("h.json")
 
+    @pytest.mark.parametrize("points,method", [
+        ([[0.0, 0.0], [0.5, 0.1], [0.2, 0.3]], "cube"),     # a dyadic corner
+        ([[0.0, 0.0], [0.5, 0.1], [0.2, 0.3]], "voronoi"),  # the unit ball's center
+        ([[-1.0, -1.0], [0.5, 0.1], [0.2, 0.3]], "cube"),   # the root box's low corner
+    ])
+    def test_row_on_a_fixed_published_vector_exits_one(self, workspace, capsys, points,
+                                                       method):
+        write_json_atomic("atom.json", dataset_to_doc(Dataset(np.array(points))))
+        code = main(["sanitize", "--method", method, "--t", "1", "--in", "atom.json",
+                     "--out", "h.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 0" in err and "no atoms" in err
+        assert not os.path.exists("h.json")
+
     @pytest.mark.parametrize("argv", [
         ["sanitize", "--method", "cube", "--t", "2", "--max-depth", "0",
          "--in", "d.json", "--out", "h.json"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.documents import histogram_from_doc, histogram_to_doc
-from privhist.errors import InputError, InternalError, ResourceError
+from privhist.errors import InputError, ResourceError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
 from privhist.rng import substream
 from privhist.sanitizer import (
@@ -349,7 +349,7 @@ class TestSanitizedOutput:
         poisoned = HistogramNode(
             region=Ball(np.array([0.25, 0.25]), 0.5), count=1, level=0
         )
-        with pytest.raises(InternalError):
+        with pytest.raises(InputError, match="row 0"):
             strip_to_sanitized(poisoned, data, method="cube", t=2, max_depth=1,
                                seed=None)
 

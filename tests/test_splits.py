@@ -11,7 +11,7 @@ from privhist import sanitizer
 from privhist.documents import encode, histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError, InternalError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
-from privhist.metrics import _descend, locate_leaves
+from privhist.metrics import _descend, locate_leaves, measure_diameters
 from privhist.sanitizer import (
     HistogramNode,
     MeshSplit,
@@ -249,12 +249,17 @@ def _mutate(doc, defect):
         doc["root"]["split"]["cuts"][0][0] = -0.5
     elif defect == "unknown_split":
         node["split"]["kind"] = "hexagon"
+    elif defect == "sibling_levels":
+        node["children"][0]["level"] += 1
+    elif defect == "count_overflow":
+        node["children"][0]["count"] = 2**64
     else:
         del node["split"]
 
 
 @pytest.mark.parametrize("defect", ["schema_v1", "missing_child", "cuts_off_box",
-                                    "unknown_split", "children_without_split"])
+                                    "unknown_split", "sibling_levels", "count_overflow",
+                                    "children_without_split"])
 def test_malformed_histogram_documents_rejected(defect):
     data = Dataset(np.random.default_rng(7).uniform(-1.0, 1.0, (80, 2)))
     doc = histogram_to_doc(build_recursive_cube(data, t=2, max_depth=3))
@@ -287,8 +292,8 @@ class TestLeakageScan:
     ])
     def test_mesh_corner(self, point, leaks):
         root = HistogramNode(region=default_root_box(2), count=1)
-        children = root.divide(MeshSplit([[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]]), [0, 0, 0, 1])
-        children[3].divide(MeshSplit([[0.0, 0.5, 1.0], [0.5, 0.75, 1.0]]), [1, 0, 0, 0])
+        root.divide(MeshSplit([[-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0]]), [0, 0, 0, 1])
+        root.children[3].divide(MeshSplit([[0.0, 0.5, 1.0], [0.5, 0.75, 1.0]]), [1, 0, 0, 0])
         if leaks:
             with pytest.raises(InternalError, match="coordinate"):
                 self._strip(root, point)
@@ -297,5 +302,96 @@ class TestLeakageScan:
 
     def test_data_point_on_a_dyadic_corner_aborts_the_cube_build(self):
         data = Dataset([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.7], [0.2, -0.9]])
-        with pytest.raises(InternalError, match="coordinate"):
+        with pytest.raises(InputError, match="row 0 .*coordinate.*no atoms"):
             build_recursive_cube(data, t=1, max_depth=2)
+
+
+class TestCountCheck:
+    """The leaf-count check of ``strip_to_sanitized`` on hand-built trees: a
+    root split of [-1, 1]^2 at 0, and a nested split of its quadrant 3."""
+
+    DATA = Dataset([[0.3, 0.2], [0.6, 0.7], [-0.4, 0.1]])
+
+    def _strip(self, root_counts, nested_counts):
+        root = HistogramNode(region=default_root_box(2), count=3)
+        root.divide(MeshSplit([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]), root_counts)
+        root.child(3).divide(MeshSplit([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]), nested_counts)
+        return strip_to_sanitized(root, self.DATA, method="test", t=1, max_depth=2, seed=None)
+
+    def test_correct_counts_pass(self):
+        assert self._strip([0, 1, 0, 2], [1, 0, 0, 1]).leaf_count_sum() == 3
+
+    @pytest.mark.parametrize("root_counts,nested_counts", [
+        ([0, 2, 0, 2], [1, 0, 0, 1]),  # the root split's counts sum to n + 1
+        ([0, 1, 0, 2], [1, 1, 0, 1]),  # the nested split's counts sum past its parent's count
+    ], ids=["root", "nested"])
+    def test_wrong_counts_abort(self, root_counts, nested_counts):
+        with pytest.raises(InternalError, match="leaf counts"):
+            self._strip(root_counts, nested_counts)
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """A one-item list counting ``HistogramNode`` constructions."""
+    count = [0]
+    init = HistogramNode.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HistogramNode, "__init__", counted)
+    return count
+
+
+def _split_count(tree):
+    return sum(node.split is not None for node in tree.walk())
+
+
+class TestNodesOnDemand:
+    """Builds make a node only where a split continues: a child without a
+    split of its own lives in its parent's count array."""
+
+    @staticmethod
+    def _data(d):
+        return Dataset(np.random.default_rng(40 + d).uniform(-1.0, 1.0, (600, d)))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_mesh_build_makes_a_node_per_split(self, method, d, made):
+        if method == "cube":
+            hist = build_recursive_cube(self._data(d), t=2, max_depth=6)
+        else:
+            hist = build_shifted_grid(self._data(d), t=2, max_depth=6, seed=d)
+        built = made[0]
+        splits = _split_count(hist.root)
+        assert splits > 10
+        assert built <= 1 + splits < made[0]
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_grid_diameters_make_a_node_per_split(self, d, made, monkeypatch):
+        trees = []
+        grow = sanitizer._grow_mesh
+
+        def recording(*args):
+            grown = grow(*args)
+            trees.append(grown[0])
+            return grown
+
+        monkeypatch.setattr(sanitizer, "_grow_mesh", recording)
+        measure_diameters(self._data(d), t=2, trials=3, seed=d, method="grid", max_depth=6)
+        built = made[0]
+        assert len(trees) == 3
+        assert built <= 3 + sum(_split_count(tree) for tree in trees)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_document_does_not_depend_on_made_nodes(self, method, d):
+        def build():
+            if method == "cube":
+                return build_recursive_cube(self._data(d), t=2, max_depth=6)
+            return build_shifted_grid(self._data(d), t=2, max_depth=6, seed=d)
+
+        walked = build()
+        assert len(list(walked.root.walk())) > 1 + _split_count(walked.root)
+        assert encode(histogram_to_doc(build())) == encode(histogram_to_doc(walked))
