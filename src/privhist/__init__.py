@@ -19,7 +19,6 @@ from .geometry import (
     count_in_region,
     distance,
     intersection_volume_ratio,
-    region_volume,
     t_radius,
 )
 from .metrics import (
@@ -59,7 +58,7 @@ __all__ = [
     "DistributionSpec", "TruncatedGaussian", "UniformBall", "UniformCube",
     "sample", "single",
     "Ball", "Box", "Dataset", "VoronoiClip", "count_in_region", "distance",
-    "intersection_volume_ratio", "region_volume", "t_radius",
+    "intersection_volume_ratio", "t_radius",
     "DiameterStats", "MstComparison", "cut_probability", "hist_distance",
     "measure_diameters", "mst_compare",
     "PrivacyConditionReport", "RoundnessCertificate", "certify_roundness",

@@ -58,6 +58,15 @@ def _emit(doc: dict, out: str | None, argv: list[str], seed: int | None,
         sys.stdout.write(encode(doc))
 
 
+def _floats(text: str) -> list[float]:
+    """argparse type of a comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _region(arg: str, d: int) -> tuple[Region | None, list[str]]:
     """The region a ``--support`` value names in d dimensions, and the files
     read for it; ``auto`` is None, the method's default support."""
@@ -120,10 +129,12 @@ def _cmd_check_privacy(args, argv):
 
 
 def _cmd_attack(args, argv):
+    if args.aux_frac is not None and not 0.0 <= args.aux_frac <= 1.0:
+        raise InputError(f"--aux-frac {args.aux_frac} is not a fraction in [0, 1]")
     hist = histogram_from_doc(read_json(args.hist))
     data = dataset_from_doc(read_json(args.data))
     aux = None
-    if args.strategy == "aux-informed":
+    if args.aux_frac is not None:
         k = int(args.aux_frac * data.n)
         aux = substream(args.seed, "aux-subset").choice(data.n, size=k, replace=False)
     report = attack(hist, data, IsolationParams(c=args.c, t=args.t), args.strategy,
@@ -144,12 +155,11 @@ def _cmd_measure_diameters(args, argv):
 
 
 def _cmd_cut_prob(args, argv):
-    x = np.array([float(v) for v in args.x.split(",")])
+    x = np.array(args.x)
     support, files = _region(args.support, x.size)
     if support is None:
         raise InputError("cut-prob needs a support: unit-ball, unit-cube or a region JSON path")
-    rs = [float(v) for v in args.r_list.split(",")]
-    rows = cut_probability(support, x, rs, m=args.m, trials=args.trials,
+    rows = cut_probability(support, x, args.r_list, m=args.m, trials=args.trials,
                            seed=args.seed)
     body = {
         "m": args.m,
@@ -172,6 +182,11 @@ def _cmd_mst_compare(args, argv):
 
 def _cmd_repro(args, argv):
     if args.manifest:
+        given = [flag for flag, value in (("--seed", args.seed), ("--out", args.out))
+                 if value is not None]
+        if given:
+            raise InputError(f"--manifest replays its own command; {' and '.join(given)} "
+                             "would be ignored")
         manifest = read_json(args.manifest).get("manifest")
         inputs = manifest.get("inputs") if isinstance(manifest, dict) else None
         command = manifest.get("command") if isinstance(manifest, dict) else None
@@ -183,9 +198,10 @@ def _cmd_repro(args, argv):
             if sha256_file(path) != digest:
                 raise InputError(f"input {path} no longer matches its manifest digest")
         return main(command, replay=True)
-    report = run_suite(args.suite, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    report = run_suite(args.suite, seed=seed)
     sys.stderr.write(verdict_line(args.suite, report) + "\n")
-    _emit(report_doc("repro_suite", report), args.out, argv, args.seed, [])
+    _emit(report_doc("repro_suite", report), args.out, argv, seed, [])
     return 0
 
 
@@ -250,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES), required=True)
     p.add_argument("--queries", type=int, required=True)
-    p.add_argument("--aux-frac", type=float, default=0.0)
+    p.add_argument("--aux-frac", type=float, default=None,
+                   help="share of rows the aux-informed attacker knows; default none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_attack)
@@ -271,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut-prob", help="cut probability of balls under random Voronoi partitions")
     p.add_argument("--support", required=True,
                    help="unit-ball, unit-cube, or a region JSON path")
-    p.add_argument("--x", required=True, help="comma-separated coordinates")
-    p.add_argument("--r-list", required=True, help="comma-separated radii")
+    p.add_argument("--x", type=_floats, required=True, help="comma-separated coordinates")
+    p.add_argument("--r-list", type=_floats, required=True, help="comma-separated radii")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -286,10 +303,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mst_compare)
 
     p = sub.add_parser("repro", help="run a pinned experiment suite or replay a manifest")
-    p.add_argument("--suite", choices=list(SUITES), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--manifest", default=None, help="replay the command embedded in a document")
-    p.add_argument("--out", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--suite", choices=list(SUITES))
+    source.add_argument("--manifest", help="replay the command embedded in a document")
+    p.add_argument("--seed", type=int, default=None, help="suite seed; default 0")
+    p.add_argument("--out", default=None, help="suite report path; default stdout")
     p.set_defaults(func=_cmd_repro)
     return parser
 
@@ -301,9 +319,6 @@ def main(argv=None, replay: bool = False) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command == "repro" and not args.suite and not args.manifest:
-        sys.stderr.write("error: repro needs --suite or --manifest\n")
-        return 1
     if replay and args.command == "repro" and args.manifest:  # would recurse
         sys.stderr.write("error: a replayed manifest command cannot replay a manifest\n")
         return 1

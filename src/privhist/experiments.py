@@ -35,7 +35,6 @@ from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, 
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
 UNIFORM_SPLIT_K_FACTOR = 32.0
 RADIUS_SLACK = 1.1
-SPLIT_BOUND_SLACK = 1.1
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
@@ -185,12 +184,12 @@ def suite_greedy_split_roundness(seed: int) -> dict:
             audits = audit_voronoi_splits(hist.root, probes=20_000, seed=seed + 31 * s)
             for a in audits:
                 splits += 1
-                ratio = max(a.child_ks) / a.cover_spread_bound(SPLIT_BOUND_SLACK)
+                ratio = max(a.child_ks) / a.cover_spread_bound()
                 worst = max(worst, ratio)
                 if ratio > 1.0:
                     failures.append({"d": d, "seed": s, "level": a.level,
                                      "k_max": max(a.child_ks),
-                                     "bound": a.cover_spread_bound(SPLIT_BOUND_SLACK)})
+                                     "bound": a.cover_spread_bound()})
     return {
         "suite": "greedy-split-roundness",
         "splits_audited": splits,

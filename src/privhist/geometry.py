@@ -507,28 +507,6 @@ def uniform_in_region(
 # volumes
 
 
-def region_volume(
-    region: Region, oracle_samples: int = 200_000, seed: int = 0
-) -> tuple[float, float]:
-    """(volume estimate, standard error).
-
-    Boxes and balls are exact (stderr 0).  VoronoiClip cells use hit-or-miss
-    Monte Carlo from the closed-form root support, deterministic given seed.
-    """
-    if isinstance(region, Box):
-        return region.volume(), 0.0
-    if isinstance(region, Ball):
-        return region.volume(), 0.0
-    if not isinstance(region, VoronoiClip):
-        raise InputError(f"unsupported region type {type(region).__name__}")
-    root = root_support(region)
-    base_volume = root.volume()
-    cand = uniform_in_region(root, oracle_samples, substream(seed, "region-volume"))
-    hits = int(region.contains_many(cand).sum())
-    p = hits / oracle_samples
-    return base_volume * p, base_volume * math.sqrt(p * (1.0 - p) / oracle_samples)
-
-
 def intersection_volume_ratio(
     q,
     r: float,

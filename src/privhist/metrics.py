@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import (Box, Dataset, Region, as_point, root_support, t_radii, uniform_in_region,
                        voronoi_assign)
-from .rng import substream
+from .rng import child_seed, substream
 from .roundness import CellKernel, certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition, _shifted_grid,
                         certify_nodes, resolve_method, sanitize)
@@ -50,7 +50,7 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     and ``ids[r]`` indexes row r's leaf there.  Each split assigns the rows
     that reached it at once.  When the root is a box and every split crossed
     is a mesh, ``bounds`` holds the (L, d) low and high corner arrays of the
-    leaves, filled from the cut arrays as rows descend (no ``Box`` per leaf);
+    leaves, filled by ``MeshSplit.route`` as rows descend (no ``Box`` per leaf);
     otherwise it is None.
     """
     X = np.asarray(X, dtype=float)
@@ -78,11 +78,7 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
             firsts.append(rows[0])
             continue
         if mesh and isinstance(split, MeshSplit):
-            digits = split.digits(X[rows])
-            for j, (c, digit) in enumerate(zip(split.cuts, digits)):
-                lo[rows, j] = c[digit]
-                hi[rows, j] = c[digit + 1]
-            keys = np.ravel_multi_index(digits, split.shape)
+            keys = split.route(X, rows, lo, hi)
         else:
             mesh = False
             keys = split.assign(X[rows])
@@ -233,7 +229,7 @@ def measure_diameters(
 
     sums = np.zeros(dataset.n)
     for trial in range(trials):
-        tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
+        tseed = child_seed(seed, "trial", trial)
         if method == "grid":
             _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed, root=support)
             sums += _diameters(True, low, high)

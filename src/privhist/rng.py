@@ -33,6 +33,12 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def child_seed(seed: int, *path) -> int:
+    """A 62-bit seed for the child operation at ``path``: the first integer
+    of ``substream(seed, *path)``."""
+    return int(substream(seed, *path).integers(0, 2**62))
+
+
 def seed_commitment(seed: int) -> str:
     """Published commitment to a seed (the seed itself is never released)."""
     import hashlib

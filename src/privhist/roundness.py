@@ -44,6 +44,7 @@ from .rng import substream
 OUTER_SAFETY = 1.01
 INNER_SAFETY = 1.001
 CERT_SAMPLES = 128  # ray-exit directions per certificate
+SPLIT_BOUND_SLACK = 1.1  # slack on the cover/spread bound of a split's children
 
 
 @dataclass(frozen=True)
@@ -471,21 +472,6 @@ def _misses_cell(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray) -> np.nda
     return -margin[:, None] > radii + slack
 
 
-def _leaf_parent_pairs(root_node):
-    """DFS (leaf, parent) pairs; a root leaf is its own parent."""
-    out = []
-
-    def walk(node, parent):
-        if node.children:
-            for ch in node.children:
-                walk(ch, node)
-        else:
-            out.append((node, parent if parent is not None else node))
-
-    walk(root_node, None)
-    return out
-
-
 def check_privacy_condition(
     root_node,
     c: float,
@@ -521,9 +507,14 @@ def check_privacy_condition(
     for name, value in counts.items():
         if value is not None and value < 1:
             raise InputError(f"{name} must be at least 1")
-    pairs = _leaf_parent_pairs(root_node)
-    if max_cells is not None:
-        pairs = pairs[:max_cells]
+    pairs, parent = [], {}  # (leaf, parent) in walk order; a root leaf is its own parent
+    for node in root_node.walk():
+        if len(pairs) == max_cells:
+            break
+        if node.split is None:
+            pairs.append((node, parent.get(node, node)))
+        else:
+            parent.update(dict.fromkeys(node.children, node))
     certs = certify_nodes([node for pair in pairs for node in pair])
 
     eps = 0.0
@@ -573,17 +564,15 @@ def check_privacy_condition(
 
 @dataclass
 class SplitAudit:
-    path: tuple
     level: int
     r1: float
     r2: float
     parent_k: float
-    parent_radius: float
     child_ks: list
     child_radii: list
 
-    def cover_spread_bound(self, slack: float = 1.1) -> float:
-        return 4.0 * self.r1 * self.parent_k / self.r2 * slack
+    def cover_spread_bound(self) -> float:
+        return 4.0 * self.r1 * self.parent_k / self.r2 * SPLIT_BOUND_SLACK
 
 
 def audit_voronoi_splits(
@@ -591,44 +580,26 @@ def audit_voronoi_splits(
     probes: int = 20_000,
     seed: int = 0,
 ) -> list[SplitAudit]:
-    """Audit every split of a Voronoi-built tree.
+    """Audit every split of a Voronoi-built tree, in walk order.
 
     For each subdivided cell: read the parent's and every child's
     certificate, measure the emitted centers' exact spread radius r2 and
-    probe-audited cover radius r1.  Consumers check the roundness
-    recurrences against these records.
+    probe-audited cover radius r1, the i-th split's probes seeded by
+    ``seed + 104729 * i``.  Consumers check the roundness recurrences
+    against these records.
     """
     from .sanitizer import VoronoiSplit, certify_nodes  # the sanitizer imports this module
 
     split_nodes = [node for node in root_node.walk() if isinstance(node.split, VoronoiSplit)]
     certify_nodes(split_nodes + [ch for node in split_nodes for ch in node.children])
     audits = []
-
-    def walk(node, path):
-        if not node.children:
-            return
-        if isinstance(node.split, VoronoiSplit):
-            centers = node.split.centers
-            parent_cert = node.certificate
-            r2 = _min_pair_distance(centers)
-            _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
-                                seed=seed + 104729 * len(audits),
-                                envelope=parent_cert.envelope, polish=True)
-            certs = [ch.certificate for ch in node.children]
-            audits.append(
-                SplitAudit(
-                    path=tuple(path),
-                    level=node.level,
-                    r1=r1,
-                    r2=r2,
-                    parent_k=parent_cert.k,
-                    parent_radius=parent_cert.radius,
-                    child_ks=[c.k for c in certs],
-                    child_radii=[c.radius for c in certs],
-                )
-            )
-        for i, ch in enumerate(node.children):
-            walk(ch, path + [i])
-
-    walk(root_node, [])
+    for i, node in enumerate(split_nodes):
+        centers = node.split.centers
+        parent_cert = node.certificate
+        _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
+                            seed=seed + 104729 * i, envelope=parent_cert.envelope, polish=True)
+        certs = [ch.certificate for ch in node.children]
+        audits.append(SplitAudit(level=node.level, r1=r1, r2=_min_pair_distance(centers),
+                                 parent_k=parent_cert.k, child_ks=[c.k for c in certs],
+                                 child_radii=[c.radius for c in certs]))
     return audits

@@ -37,7 +37,7 @@ from .geometry import (
     uniform_in_region,
     voronoi_assign,
 )
-from .rng import seed_commitment, substream
+from .rng import child_seed, seed_commitment, substream
 from .roundness import CERT_SAMPLES, RoundnessCertificate, certify_children, certify_roundness
 
 NODE_BUDGET = 2_000_000  # nodes per build, root included, read as each build starts
@@ -73,6 +73,16 @@ class MeshSplit:
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Child index of each row of X, for rows inside the parent box."""
         return np.ravel_multi_index(self.digits(X), self.shape)
+
+    def route(self, X: np.ndarray, rows: np.ndarray, low: np.ndarray,
+              high: np.ndarray) -> np.ndarray:
+        """Child index of each row ``X[rows]``, for rows inside the parent
+        box; writes that child's corners into ``low[rows]`` and ``high[rows]``."""
+        digits = self.digits(X[rows])
+        for j, (c, digit) in enumerate(zip(self.cuts, digits)):
+            low[rows, j] = c[digit]
+            high[rows, j] = c[digit + 1]
+        return np.ravel_multi_index(digits, self.shape)
 
     def child_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) corners of child k."""
@@ -192,7 +202,9 @@ class HistogramNode:
         return self.split is None
 
     def walk(self):
-        """Nodes in depth-first pre-order."""
+        """Nodes in depth-first pre-order, children in split order.  This is
+        the one walk order: the privacy check seeds its i-th leaf and the
+        split audits their i-th split by position in it."""
         stack = [self]
         while stack:
             node = stack.pop()
@@ -258,7 +270,24 @@ class SanitizedHistogram:
         return self.root.region.dim
 
     def leaf_count_sum(self) -> int:
-        return sum(n.count for n in self.root.leaves())
+        return _splits_and_leaf_total(self.root)[1]
+
+
+def _splits_and_leaf_total(tree: HistogramNode) -> tuple[list, int]:
+    """The tree's splits and the sum of its leaf counts, visiting only the
+    nodes that have a split: the leaf counts sum to every split's counts,
+    less those of its children that split again."""
+    if tree.split is None:
+        return [], tree.count
+    splits, total, stack = [], 0, [tree]
+    while stack:
+        node = stack.pop()
+        splits.append(node.split)
+        total += int(node.counts.sum())
+        for k, kid in node.divided_children().items():
+            total -= int(node.counts[k])
+            stack.append(kid)
+    return splits, total
 
 
 class _Budget:
@@ -332,10 +361,9 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
     ``next_cuts(low, high, level)`` returns (per-axis cuts, child level).
 
     Returns ``(tree, low, high)``: the tree, and the (n, d) low and high
-    corners of each dataset row's leaf.  The corners are written from the cut
-    arrays as the rows are split, by the same writes ``metrics._descend``
-    makes, so ``measure_diameters`` reads grid leaf diameters from them
-    without a second descent.  Every child gets its count; only a child
+    corners of each dataset row's leaf, written by ``MeshSplit.route`` as the
+    rows are split, so ``measure_diameters`` reads grid leaf diameters from
+    them without a second descent.  Every child gets its count; only a child
     holding at least 2t rows that ``next_cuts`` divides gets a node and its
     rows, and is split in turn.
     """
@@ -348,11 +376,7 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
         node, (cuts, level), idx = stack.pop()
         split = MeshSplit(cuts)
         budget.charge(split.size)
-        digits = split.digits(dataset.points[idx])
-        for j, (c, digit) in enumerate(zip(split.cuts, digits)):
-            low[idx, j] = c[digit]
-            high[idx, j] = c[digit + 1]
-        keys = np.ravel_multi_index(digits, split.shape)
+        keys = split.route(dataset.points, idx, low, high)
         counts = np.bincount(keys, minlength=split.size)
         node.divide(split, counts, level)
         big = np.flatnonzero(counts >= 2 * t)
@@ -561,11 +585,11 @@ def build_voronoi(
         cert = node.certificate
         if method == "greedy":
             centers = pick_centers_greedy(region, cert, probe_samples,
-                                          seed=_path_seed(seed, "centers", path))
+                                          seed=child_seed(seed, "centers", *path))
             budget.charge(len(centers))
         else:
             budget.charge(m, f" for m={m} uniform centers per split in d={support.dim}")
-            centers = pick_centers_uniform(region, m, seed=_path_seed(seed, "centers", path),
+            centers = pick_centers_uniform(region, m, seed=child_seed(seed, "centers", *path),
                                            envelope=cert.envelope)
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(dataset.points[idx]), split.size)
@@ -587,10 +611,6 @@ def build_voronoi(
             extra["uniform_center_guarantee_voided"] = True
     return strip_to_sanitized(tree, dataset, method=f"voronoi-{method}", t=t,
                               max_depth=max_depth, seed=seed, extra=extra)
-
-
-def _path_seed(seed: int, label: str, path: tuple) -> int:
-    return int(substream(seed, label, *path).integers(0, 2**62))
 
 
 # ---------------------------------------------------------------------------
@@ -636,18 +656,8 @@ def strip_to_sanitized(
     asserting that no dataset coordinate vector appears in its geometry.  A
     row on a vector that every seed publishes (a root region's, or a cube
     mesh corner) is an input error; a row on a random one is an internal
-    error.  Only the nodes that have a split are visited: the leaf counts sum
-    to every split's counts, less those of its children that split again."""
-    splits, total, stack = [], 0, [tree]
-    if tree.split is None:
-        total, stack = tree.count, []
-    while stack:
-        node = stack.pop()
-        splits.append(node.split)
-        total += int(node.counts.sum())
-        for k, kid in node.divided_children().items():
-            total -= int(node.counts[k])
-            stack.append(kid)
+    error.  Only the nodes that have a split are visited."""
+    splits, total = _splits_and_leaf_total(tree)
     if dataset.n:
         root = tree.region
         fixed = [root.low, root.high] if isinstance(root, Box) else [root.center]
@@ -682,7 +692,7 @@ def strip_to_sanitized(
 def component_seed(seed: int, index: int) -> int:
     """Seed used for one mixture component; exposed so that single-component
     sanitizations can be reproduced exactly."""
-    return int(substream(seed, "mixture", index).integers(0, 2**62))
+    return child_seed(seed, "mixture", index)
 
 
 def resolve_method(dataset: Dataset, method: str, max_depth: int | None = None,
@@ -691,8 +701,8 @@ def resolve_method(dataset: Dataset, method: str, max_depth: int | None = None,
     key), None giving the method's default, once ``params`` hold no value
     but None for a parameter it does not read (``PARAMETERS``).  A mesh
     support is a box, ``[-1, 1]^d`` by default; a Voronoi support is a ball
-    or a box, by default the unit ball when every row lies in it (as an
-    empty dataset's do), else the centred hull ball x 1.0001."""
+    or a box, by default the origin-centred ball of the smallest radius 2^j
+    (j >= 0) that holds every row (``_enclosing_ball``)."""
     if method not in DEFAULT_DEPTH:
         raise InputError(f"unknown sanitizer method {method!r}")
     for name, value in params.items():
@@ -709,11 +719,14 @@ def resolve_method(dataset: Dataset, method: str, max_depth: int | None = None,
 
 
 def _enclosing_ball(dataset: Dataset) -> Ball:
-    unit = Ball(np.zeros(dataset.d), 1.0)
-    if unit.contains_many(dataset.points).all():
-        return unit
-    center = 0.5 * (dataset.points.min(axis=0) + dataset.points.max(axis=0))
-    return Ball(center, float(np.linalg.norm(dataset.points - center, axis=1).max()) * 1.0001)
+    """The ball centred at the origin whose radius is the smallest 2^j,
+    j >= 0, that holds every row (the row norms ``Ball.contains_many``
+    compares), so the data's extent is revealed only to a factor of 2."""
+    reach = float(np.linalg.norm(dataset.points, axis=1).max(initial=0.0))
+    radius = 1.0
+    while radius < reach:
+        radius *= 2.0
+    return Ball(np.zeros(dataset.d), radius)
 
 
 def method_name(family: str, centers: str | None = None) -> str:

@@ -513,6 +513,89 @@ def test_empty_dataset_gives_a_root_only_histogram(workspace, method):
                                "closed_high": [True, True]})
 
 
+@pytest.mark.parametrize("points,radius", [([[1.5, 0.2]], 2.0),
+                                           ([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]], 8.0)])
+def test_voronoi_auto_support_is_the_smallest_power_of_two_ball(workspace, points, radius):
+    # the data's extent is published only to a factor of 2
+    write_json_atomic("p.json", dataset_to_doc(Dataset(np.array(points))))
+    assert main(["sanitize", "--method", "voronoi", "--t", "1", "--max-depth", "1",
+                 "--probe-samples", "2000", "--in", "p.json", "--out", "h.json"]) == 0
+    assert read_json("h.json")["root"]["region"] == {"kind": "ball", "center": [0.0, 0.0],
+                                                     "radius": radius}
+
+
+def test_voronoi_auto_support_refuses_a_row_at_its_center(workspace, capsys):
+    write_json_atomic("p.json", dataset_to_doc(Dataset(np.array([[0.0, 0.0], [3.0, 0.5]]))))
+    assert main(["sanitize", "--method", "voronoi", "--t", "1", "--in", "p.json",
+                 "--out", "h.json"]) == 1
+    err = capsys.readouterr().err
+    assert "row 0" in err and "no atoms" in err
+    assert not os.path.exists("h.json")
+
+
+@pytest.fixture
+def attack_inputs(workspace):
+    assert main(["generate", "--dist", "spec.json", "--n", "60", "--seed", "1",
+                 "--out", "d.json"]) == 0
+    assert main(["sanitize", "--method", "grid", "--t", "2", "--max-depth", "4", "--seed", "2",
+                 "--in", "d.json", "--out", "h.json"]) == 0
+    return workspace
+
+
+ATTACK = ["attack", "--hist", "h.json", "--data", "d.json", "--c", "4", "--t", "2",
+          "--queries", "50", "--seed", "3"]
+
+
+@pytest.mark.parametrize("strategy,frac,message", [
+    ("uniform-in-leaf", "0.5", "aux_indices is only valid for the aux-informed strategy"),
+    ("leaf-center-weighted", "0", "aux_indices is only valid for the aux-informed strategy"),
+    ("aux-informed", "1.5", "--aux-frac 1.5 is not a fraction in [0, 1]"),
+    ("aux-informed", "-0.1", "--aux-frac -0.1 is not a fraction in [0, 1]"),
+    ("aux-informed", "nan", "--aux-frac nan is not a fraction in [0, 1]"),
+])
+def test_attack_refuses_an_aux_fraction_it_cannot_use(attack_inputs, capsys, strategy, frac,
+                                                      message):
+    capsys.readouterr()
+    assert main(ATTACK + ["--strategy", strategy, "--aux-frac", frac, "--out", "a.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists("a.json")
+
+
+def test_aux_informed_attack_reads_its_fraction(attack_inputs):
+    aux = ATTACK + ["--strategy", "aux-informed"]
+    assert main(aux + ["--out", "none.json"]) == 0
+    assert main(aux + ["--aux-frac", "0", "--out", "zero.json"]) == 0
+    assert main(aux + ["--aux-frac", "1", "--out", "all.json"]) == 0
+    assert _body("none.json") == _body("zero.json")
+    assert _body("none.json")["aux_subset_size"] == 0
+    assert _body("all.json")["aux_subset_size"] == 60
+
+
+@pytest.mark.parametrize("flag,value", [("--x", "0,abc"), ("--r-list", "0.01,zz")])
+def test_cut_prob_refuses_a_malformed_number_list(workspace, capsys, flag, value):
+    argv = ["cut-prob", "--support", "unit-ball", "--x", "0,0", "--r-list", "0.01,0.03",
+            "--m", "16", "--trials", "5", "--seed", "1", "--out", "cut.json"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    assert f"not a comma-separated list of numbers: '{value}'" in capsys.readouterr().err
+    assert not os.path.exists("cut.json")
+
+
+@pytest.mark.parametrize("extra", [[], ["--suite", "lemma21-decay"], ["--seed", "0"],
+                                   ["--out", "r.json"]],
+                         ids=["no-source", "suite", "seed", "out"])
+def test_repro_refuses_suite_options_with_a_manifest(workspace, capsys, extra):
+    assert main(["generate", "--dist", "spec.json", "--n", "5", "--seed", "9",
+                 "--out", "g.json"]) == 0
+    write_json_atomic("m.json", {"manifest": read_json("g.json")["manifest"]})
+    os.unlink("g.json")
+    capsys.readouterr()
+    argv = ["repro"] + (["--manifest", "m.json"] + extra if extra else [])
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+    assert not os.path.exists("g.json") and not os.path.exists("r.json")
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a cold import; only one repro suite uses it
     src = os.path.dirname(os.path.dirname(privhist.__file__))

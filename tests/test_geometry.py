@@ -18,7 +18,6 @@ from privhist.geometry import (
     count_in_region,
     distance,
     intersection_volume_ratio,
-    region_volume,
     t_radii,
     t_radius,
     uniform_in_region,
@@ -197,30 +196,13 @@ class TestTRadii:
             t_radii(Dataset([[0.0], [1.0]]), 0)
 
 
-class TestRegionVolume:
+class TestVolume:
     def test_box_exact(self):
         box = Box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        assert region_volume(box) == (2.0, 0.0)
+        assert box.volume() == 2.0
 
     def test_ball_d2_exact(self):
-        assert region_volume(Ball(np.zeros(2), 1.0))[0] == pytest.approx(math.pi)
-
-    def test_voronoi_cell_mc_matches_ball_slice(self):
-        # two symmetric centers split the ball in half: MC volume of one cell
-        # must match half the ball volume within 3 standard errors
-        parent = Ball(np.zeros(3), 1.0)
-        centers = np.array([[-0.3, 0.0, 0.0], [0.3, 0.0, 0.0]])
-        cell = VoronoiClip(centers, 0, parent)
-        est, stderr = region_volume(cell, oracle_samples=400_000, seed=4)
-        half = parent.volume() / 2.0
-        assert abs(est - half) <= 3 * stderr
-
-    def test_mc_seeded_determinism(self):
-        parent = Ball(np.zeros(2), 1.0)
-        cell = VoronoiClip(np.array([[0.2, 0.0], [-0.4, 0.1]]), 0, parent)
-        a = region_volume(cell, oracle_samples=50_000, seed=99)
-        b = region_volume(cell, oracle_samples=50_000, seed=99)
-        assert a == b
+        assert Ball(np.zeros(2), 1.0).volume() == pytest.approx(math.pi)
 
 
 class TestIntersectionVolumeRatio:

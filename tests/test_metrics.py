@@ -24,7 +24,7 @@ from privhist.metrics import (
     measure_diameters,
     mst_compare,
 )
-from privhist.rng import substream
+from privhist.rng import child_seed, substream
 from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
 
 
@@ -129,7 +129,7 @@ class TestMeasureDiameters:
         stats = measure_diameters(data, t=2, trials=3, seed=41, method="grid", max_depth=6)
         sums = np.zeros(data.n)
         for trial in range(3):
-            tseed = int(substream(41, "trial", trial).integers(0, 2**62))
+            tseed = child_seed(41, "trial", trial)
             hist = build_shifted_grid(data, 2, 6, seed=tseed)
             for i, leaf in enumerate(locate_leaves(hist, data.points)):
                 sums[i] += leaf.region.diameter()
@@ -140,7 +140,7 @@ class TestMeasureDiameters:
         """measure_diameters(method="grid") as a rebuild-and-descend loop."""
         sums = np.zeros(data.n)
         for trial in range(trials):
-            tseed = int(substream(seed, "trial", trial).integers(0, 2**62))
+            tseed = child_seed(seed, "trial", trial)
             hist = build_shifted_grid(data, t, max_depth, seed=tseed, root=root)
             ids, leaves, bounds = _descend(hist, data.points)
             sums += _diameters(True, *bounds)[ids]

@@ -9,7 +9,8 @@ import privhist.roundness
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import DegenerateGeometryError, InputError
-from privhist.geometry import Ball, Box, VoronoiClip, intersection_volume_ratio, uniform_in_region
+from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, intersection_volume_ratio,
+                               uniform_in_region)
 from privhist.rng import substream
 from privhist.roundness import (
     CellKernel,
@@ -27,6 +28,7 @@ from privhist.sanitizer import (
     HistogramNode,
     VoronoiSplit,
     build_recursive_cube,
+    build_shifted_grid,
     build_voronoi,
     default_root_box,
 )
@@ -220,7 +222,7 @@ class TestSplitAudits:
         audits = audit_voronoi_splits(hist.root, probes=15_000, seed=14)
         assert audits
         for audit in audits:
-            assert max(audit.child_ks) <= audit.cover_spread_bound(1.1)
+            assert max(audit.child_ks) <= audit.cover_spread_bound()
 
     def test_greedy_roundness_recurrence(self):
         # level-l cells certify k_l <= 4^l * k_root * 1.1
@@ -252,6 +254,88 @@ class TestSplitAudits:
             assert solo.k == pytest.approx(batch[i].k, rel=1e-12)
             assert solo.radius == pytest.approx(batch[i].radius, rel=1e-12)
             assert np.allclose(solo.witness, batch[i].witness, rtol=1e-12, atol=0.0)
+
+
+def _greedy_tree():
+    """A depth-3 greedy Voronoi tree in the unit disc whose leaves sit at
+    levels 1 to 3."""
+    data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 300, seed=61)
+    return build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=3, method="greedy",
+                         probe_samples=3_000, seed=62).root
+
+
+def _grid_tree():
+    """A depth-5 shifted grid at d = 3 on data crowding the origin."""
+    rng = np.random.default_rng(63)
+    X = rng.uniform(-1.0, 1.0, (300, 3)) * rng.uniform(0.0, 1.0, (300, 1)) ** 2
+    return build_shifted_grid(Dataset(X), t=2, max_depth=5, seed=64).root
+
+
+class _Stop(Exception):
+    """Raised by a spy once it has recorded its call."""
+
+
+def _stop_at_certify(monkeypatch):
+    """Make the next ``certify_nodes`` call record its nodes and raise
+    ``_Stop``; returns the record."""
+    seen = []
+
+    def spy(batch):
+        seen.extend(batch)
+        raise _Stop
+
+    monkeypatch.setattr(privhist.sanitizer, "certify_nodes", spy)
+    return seen
+
+
+class TestWalkOrder:
+    """Per-cell seeds follow ``walk()``: the privacy check's i-th (leaf,
+    parent) pair and the audits' i-th split are the i-th of their kind in
+    walk order."""
+
+    TREES = {"greedy-depth-3": _greedy_tree, "grid-depth-5-d3": _grid_tree}
+
+    @pytest.mark.parametrize("tree", TREES)
+    def test_privacy_check_certifies_leaf_parent_pairs_in_walk_order(self, tree, monkeypatch):
+        root = self.TREES[tree]()
+        nodes = list(root.walk())
+        leaves = [node for node in nodes if node.is_leaf()]
+        parent_of = {id(child): node for node in nodes for child in node.children}
+        first_leaf = next(i for i, node in enumerate(nodes) if node.is_leaf())
+        assert any(node.split is not None for node in nodes[first_leaf:])  # interleaved
+        assert len({leaf.level for leaf in leaves}) > 1
+        certified = _stop_at_certify(monkeypatch)
+        with pytest.raises(_Stop):
+            check_privacy_condition(root, c=8.0)
+        assert len(certified) == 2 * len(leaves)
+        assert all(got is leaf for got, leaf in zip(certified[0::2], leaves))
+        assert all(got is parent_of[id(leaf)] for got, leaf in zip(certified[1::2], leaves))
+
+    def test_a_root_leaf_is_its_own_parent(self, monkeypatch):
+        root = HistogramNode(region=Ball(np.zeros(2), 1.0), count=3)
+        certified = _stop_at_certify(monkeypatch)
+        with pytest.raises(_Stop):
+            check_privacy_condition(root, c=8.0)
+        assert len(certified) == 2 and certified[0] is root and certified[1] is root
+
+    def test_audits_follow_walk_order_and_seed_by_position(self, monkeypatch):
+        root = _greedy_tree()
+        splits = [node for node in root.walk() if isinstance(node.split, VoronoiSplit)]
+        calls = []
+
+        def cover(centers, region, r1, **kwargs):
+            calls.append((centers, kwargs["seed"]))
+            return True, 0.5
+
+        monkeypatch.setattr(privhist.roundness, "cover_check", cover)
+        audits = audit_voronoi_splits(root, probes=100, seed=5)
+        assert len(audits) == len(calls) == len(splits) > 2
+        assert all(centers is node.split.centers for (centers, _), node in zip(calls, splits))
+        assert [seed for _, seed in calls] == [5 + 104729 * i for i in range(len(splits))]
+        assert [a.level for a in audits] == [node.level for node in splits]
+        assert [a.child_radii for a in audits] == [
+            [child.certificate.radius for child in node.children] for node in splits]
+        assert audit_voronoi_splits(_grid_tree()) == []
 
 
 # ---------------------------------------------------------------------------

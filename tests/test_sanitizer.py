@@ -416,12 +416,17 @@ class TestSanitize:
             sanitize(data, method, 1, support=support)
 
     @pytest.mark.parametrize("method", ["voronoi-greedy", "voronoi-uniform"])
-    def test_voronoi_support_defaults_to_the_unit_ball_else_the_hull_ball(self, method):
-        inside = sanitize(Dataset([[0.1, 0.2], [0.3, -0.1]]), method, 2).root.region
-        assert (inside.center.tolist(), inside.radius) == ([0.0, 0.0], 1.0)
-        outside = sanitize(Dataset([[0.5, 0.2], [1.5, -0.1]]), method, 2).root.region
-        assert outside.center.tolist() == [1.0, 0.05]
-        assert outside.radius == float(np.linalg.norm([0.5, 0.15])) * 1.0001
+    @pytest.mark.parametrize("rows,radius", [
+        ([[0.1, 0.2], [0.3, -0.1]], 1.0),
+        ([[0.0, 1.0], [0.3, -0.1]], 1.0),   # a row on the unit sphere
+        ([[0.5, 0.2], [1.5, -0.1]], 2.0),
+        ([[2.0, 0.0], [0.3, -0.1]], 2.0),   # a row on the radius-2 sphere
+        ([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]], 8.0),
+    ])
+    def test_voronoi_support_defaults_to_the_smallest_power_of_two_ball(self, method, rows,
+                                                                         radius):
+        region = sanitize(Dataset(rows), method, 2).root.region
+        assert (region.center.tolist(), region.radius) == ([0.0, 0.0], radius)
 
     @pytest.mark.parametrize("method,param", [
         ("cube", "override_m"), ("cube", "probe_samples"), ("grid", "override_m"),

@@ -98,27 +98,56 @@ def _clipped_assign(split, X):
     return np.ravel_multi_index(digits, split.shape)
 
 
+def _rows_of_split(split, d, rng):
+    """Rows inside a mesh split's parent box: uniform ones, ones on every
+    cut value (both ends included), and ones on every subset of axes of the
+    high face."""
+    low = np.array([c[0] for c in split.cuts])
+    high = np.array([c[-1] for c in split.cuts])
+    X = [rng.uniform(low, high, (20, d))]
+    for j, c in enumerate(split.cuts):
+        on_cut = rng.uniform(low, high, (c.size, d))
+        on_cut[:, j] = c
+        X.append(on_cut)
+    face = rng.uniform(low, high, (2**d, d))
+    subsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1
+    face[subsets] = np.broadcast_to(high, face.shape)[subsets]
+    X.append(face)
+    return np.concatenate(X)
+
+
+def _mesh_splits(method, d, seed):
+    hist = _mesh_hist(method, d, seed)
+    splits = [node.split for node in hist.root.walk() if node.split is not None]
+    assert splits
+    return splits
+
+
 @given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_mesh_assign_matches_clipped_search(method, d, seed):
-    hist = _mesh_hist(method, d, seed)
     rng = np.random.default_rng(seed + 1)
-    splits = [node.split for node in hist.root.walk() if node.split is not None]
-    assert splits
-    for split in splits:
-        low = np.array([c[0] for c in split.cuts])
-        high = np.array([c[-1] for c in split.cuts])
-        X = [rng.uniform(low, high, (20, d))]
-        for j, c in enumerate(split.cuts):  # every cut value, both ends included
-            on_cut = rng.uniform(low, high, (c.size, d))
-            on_cut[:, j] = c
-            X.append(on_cut)
-        face = rng.uniform(low, high, (2**d, d))  # every subset of axes on the high face
-        subsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1
-        face[subsets] = np.broadcast_to(high, face.shape)[subsets]
-        X.append(face)
-        X = np.concatenate(X)
+    for split in _mesh_splits(method, d, seed):
+        X = _rows_of_split(split, d, rng)
         assert np.array_equal(split.assign(X), _clipped_assign(split, X))
+
+
+@given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_mesh_route_writes_each_rows_child_bounds(method, d, seed):
+    rng = np.random.default_rng(seed + 2)
+    for split in _mesh_splits(method, d, seed):
+        X = _rows_of_split(split, d, rng)
+        rows = np.flatnonzero(rng.random(len(X)) < 0.6)
+        low, high = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
+        keys = split.route(X, rows, low, high)
+        assert np.array_equal(keys, split.assign(X[rows]))
+        for row, key in zip(rows.tolist(), keys.tolist()):
+            child_low, child_high = split.child_bounds(key)
+            assert low[row].tobytes() == child_low.tobytes()
+            assert high[row].tobytes() == child_high.tobytes()
+        untouched = np.setdiff1d(np.arange(len(X)), rows)
+        assert np.isnan(low[untouched]).all() and np.isnan(high[untouched]).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
@@ -364,6 +393,8 @@ class TestNodesOnDemand:
         else:
             hist = build_shifted_grid(self._data(d), t=2, max_depth=6, seed=d)
         built = made[0]
+        assert hist.leaf_count_sum() == 600
+        assert made[0] == built
         splits = _split_count(hist.root)
         assert splits > 10
         assert built <= 1 + splits < made[0]
