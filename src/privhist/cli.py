@@ -67,6 +67,28 @@ def _floats(text: str) -> list[float]:
             f"not a comma-separated list of numbers: {text!r}") from None
 
 
+def _attach_number_lists(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """``--x -0.5,0.2`` as ``--x=-0.5,0.2``.  argparse reads a value that
+    starts with ``-`` and is not one plain number as an option, so a number
+    list that starts with a negative number is attached to its option.  The
+    options are those of ``parser``'s subcommands whose type is ``_floats``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    lists = {flag for p in sub.choices.values() for a in p._actions if a.type is _floats
+             for flag in a.option_strings}
+    out = []
+    for arg in argv:
+        if out and out[-1] in lists and arg.startswith("-"):
+            try:
+                _floats(arg)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def _region(arg: str, d: int) -> tuple[Region | None, list[str]]:
     """The region a ``--support`` value names in d dimensions, and the files
     read for it; ``auto`` is None, the method's default support."""
@@ -315,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None, replay: bool = False) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # the manifest records argv as given; a replay attaches again
+        args = parser.parse_args(_attach_number_lists(argv, parser))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if replay and args.command == "repro" and args.manifest:  # would recurse

@@ -18,10 +18,9 @@ from .adversary import IsolationParams, attack
 from .datagen import UniformBall, UniformCube, sample, single
 from .documents import histogram_to_doc
 from .errors import InputError
-from .geometry import (Ball, Dataset, intersection_volume_ratio, uniform_in_region,
-                       unit_ball_volume)
+from .geometry import (Ball, Dataset, intersection_volume_ratio, row_norms_dot,
+                       uniform_in_region, unit_ball_volume)
 from .metrics import (
-    _row_norms,
     cut_probability,
     hist_distance_with_diameters,
     measure_diameters,
@@ -78,7 +77,7 @@ def suite_distance_sandwich(seed: int) -> dict:
         idx = rng.integers(0, n, size=(pairs, 2))
         X, Y = data.points[idx[:, 0]], data.points[idx[:, 1]]
         dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
-        base = _row_norms(X - Y)
+        base = row_norms_dot(X - Y)
         slack = 8 * np.spacing(np.maximum(base + dx + dy, 1.0))
         bad = int(np.count_nonzero(~((base - slack <= dh) & (dh <= base + dx + dy + slack))))
         checked += pairs

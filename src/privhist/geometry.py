@@ -65,6 +65,36 @@ class Dataset:
         return self._points.shape[1]
 
 
+def row_norms(X: np.ndarray, center=None) -> np.ndarray:
+    """``np.linalg.norm(X - center, axis=1)`` of an (n, d) array, bit for
+    bit; no center is the origin.  ``row_norms_dot`` matches the norm of a
+    single vector instead, and the two can differ in the last bit.
+
+    numpy adds a row's squares one after another while the row has fewer
+    than 8 entries and pairwise from 8 on.  Below d = 8 the squares are
+    added here one column at a time, in the same order, and the differences
+    are taken a column at a time too: numpy's per-row loops over a few
+    columns cost several times the arithmetic.  From d = 8 numpy computes
+    the norms.
+    """
+    d = X.shape[1]
+    if d >= 8:
+        return np.linalg.norm(X if center is None else X - center, axis=1)
+    total = np.zeros(X.shape[0])
+    for k in range(d):
+        col = X[:, k] if center is None else X[:, k] - center[k]
+        total += col * col
+    return np.sqrt(total, out=total)
+
+
+def row_norms_dot(V: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row as ``sqrt(v @ v)``, the same dot product
+    ``np.linalg.norm`` takes of a single vector, so bit for bit equal to it.
+    ``row_norms`` matches ``norm(axis=1)`` instead, which (like ``einsum``)
+    sums in another order and can differ in the last bit."""
+    return np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
 def distance(x, y) -> float:
     """Euclidean distance; raises InputError on dimension mismatch."""
     a, b = as_point(x), as_point(y)
@@ -170,7 +200,7 @@ class Ball(Region):
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.linalg.norm(X - self.center, axis=1) <= self.radius
+        return row_norms(X, self.center) <= self.radius
 
     def bounding_ball(self):
         return self.center, self.radius
@@ -294,14 +324,17 @@ class VoronoiClip(Region):
         # the norm of the per-axis largest |x_k|.  Stage 1 and the full
         # argmin evaluate the two scores separately, so a neighbour's lead
         # of more than 4 times that is conclusive; tau doubles it for the
-        # rounding of tau itself.
+        # rounding of tau itself.  Both reductions run one column at a
+        # time, as row_norms does and for its reason.
         c_max = self.neighbours.radius
-        x_max = float(np.linalg.norm(np.abs(X).max(axis=0)))
+        x_max = float(np.linalg.norm([np.abs(X[:, k]).max() for k in range(X.shape[1])]))
         tau = 4.0 * (X.shape[1] + 2) * np.finfo(float).eps * (
             c_max * c_max + 2.0 * c_max * x_max)
         scores = center_scores(self.centers[cols], X)
-        scores[:, 0] -= tau
-        rejected = (scores[:, 1:] < scores[:, :1]).any(axis=1)
+        own = scores[:, 0] - tau
+        rejected = np.zeros(X.shape[0], dtype=bool)
+        for j in range(1, scores.shape[1]):
+            rejected |= scores[:, j] < own
         keep = np.flatnonzero(~rejected)
         inside = np.zeros(X.shape[0], dtype=bool)
         if keep.size:
@@ -455,10 +488,17 @@ def uniform_in_ball(center, radius: float, n: int, rng: np.random.Generator) -> 
     center = np.asarray(center, float)
     d = center.size
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = row_norms(g)
     norms[norms == 0] = 1.0
     radii = radius * rng.random(n) ** (1.0 / d)
-    return center + g / norms * radii[:, None]
+    # center + g / norms * radii, each double as broadcasting gives it, one
+    # column at a time for the reason row_norms gives
+    for k in range(d):
+        col = g[:, k]
+        col /= norms
+        col *= radii
+        col += center[k]
+    return g
 
 
 def uniform_in_region(
@@ -520,20 +560,51 @@ def intersection_volume_ratio(
     Samples uniformly in the enclosing ball B(q, c*r); the estimate is the
     fraction of in-C samples that also fall in B(q, r).  Deterministic given
     seed.  Raises DegenerateGeometryError when no sample lands in C.
+
+    m is q's minimum margin over C's constraints and e its rounding slack at
+    radius c*r, from ``roundness.probe_margins`` on a one-row ``CellKernel``
+    of C.  A sample at computed distance D from q (one ``row_norms`` double,
+    which also decides the hit) is in C when D < m - e and out of C when
+    D < -m - e; only the rest take ``region.contains_many``.  This is sound
+    in both directions.
+    Each margin is a signed distance to a bisector hyperplane or a root
+    face, or the root radius less the distance to the root center, so it is
+    1-Lipschitz: at a sample s, every constraint's exact margin is at least
+    m - |s - q|, and the constraint that attains m has at most m + |s - q|.
+    The slack covers the rounding of m, of D (the differences s - q and
+    their norm) and of m - e, plus how far from zero an exact margin must be
+    for membership's doubles to read its sign.  Inside, every other
+    center's computed score then exceeds the own center's strictly, so the
+    own center is the argmin alone and the tie rule toward the lowest index
+    never applies; the root's comparisons pass, closed faces or not.
+    Outside, some other center's score is strictly below the own one, or a
+    root face or the ball is strictly violated.  Samples within the slack of
+    a boundary, ties and closed faces included, go to the membership test,
+    which reads each row as in any batch (see ``VoronoiClip``), so both
+    counts, and the estimate, are those of testing every sample.
     """
     qp = as_point(q)
     if qp.size != region.dim:
         raise InputError("dimension mismatch")
-    if not (r > 0 and c > 1):
-        raise InputError("requires r > 0 and c > 1")
+    if not (r > 0 and c > 1 and math.isfinite(c * r)):
+        raise InputError("requires r > 0, c > 1 and a finite c*r")
+    if samples < 1:
+        raise InputError("samples must be at least 1")
+    from .roundness import CellKernel, probe_margins  # roundness imports this module
+
+    margin, slack = probe_margins(CellKernel.of(region, 1), qp[None, :], np.array([c * r]))
+    margin, slack = margin[0], slack[0, 0]
     rng = substream(seed, "volume-ratio")
     pts = uniform_in_ball(qp, c * r, samples, rng)
-    in_c = region.contains_many(pts)
+    dist = row_norms(pts, qp)
+    in_c = dist < margin - slack
+    test = np.flatnonzero(~(in_c | (dist < -margin - slack)))
+    if test.size:
+        in_c[test] = region.contains_many(pts[test])
     denom = int(in_c.sum())
     if denom == 0:
         raise DegenerateGeometryError("no samples of B(q, c*r) fell inside the cell")
-    in_small = np.linalg.norm(pts[in_c] - qp, axis=1) <= r
-    hits = int(in_small.sum())
+    hits = int(np.count_nonzero(dist[in_c] <= r))
     ratio = hits / denom
     stderr = math.sqrt(ratio * (1.0 - ratio) / denom)
     return ratio, stderr

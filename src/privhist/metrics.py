@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Box, Dataset, Region, as_point, root_support, t_radii, uniform_in_region,
-                       voronoi_assign)
+from .geometry import (Box, Dataset, Region, as_point, root_support, row_norms_dot, t_radii,
+                       uniform_in_region, voronoi_assign)
 from .rng import child_seed, substream
 from .roundness import CellKernel, certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition, _shifted_grid,
@@ -94,14 +94,6 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     return rank[ids], leaves, bounds
 
 
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean length of each row as ``sqrt(v @ v)``, the same dot product
-    ``np.linalg.norm`` takes of a single vector, so bit for bit equal to it
-    (``norm(axis=...)`` and ``einsum`` sum in another order and can differ in
-    the last bit)."""
-    return np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
-
-
 def _leaf_arrays(hist: SanitizedHistogram, leaves: list, bounds):
     """The descent's leaves as arrays of one kind: ``(True, low, high)``, the
     (L, d) corners of mesh leaves or of a box root that never split, or
@@ -121,7 +113,7 @@ def _leaf_arrays(hist: SanitizedHistogram, leaves: list, bounds):
 
 def _diameters(boxes: bool, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Each leaf's diameter: the box diagonal, or twice the ball radius."""
-    return _row_norms(B - A) if boxes else 2.0 * B
+    return row_norms_dot(B - A) if boxes else 2.0 * B
 
 
 def _pair_distances(boxes: bool, A: np.ndarray, B: np.ndarray, i, j) -> np.ndarray:
@@ -129,8 +121,8 @@ def _pair_distances(boxes: bool, A: np.ndarray, B: np.ndarray, i, j) -> np.ndarr
     index and a slice, broadcast): the norm of the farthest-corner span of
     two boxes, or ``(|p_i - p_j| + R_i) + R_j`` for two balls."""
     if boxes:
-        return _row_norms(np.maximum(B[i] - A[j], B[j] - A[i]))
-    return _row_norms(A[i] - A[j]) + B[i] + B[j]
+        return row_norms_dot(np.maximum(B[i] - A[j], B[j] - A[i]))
+    return row_norms_dot(A[i] - A[j]) + B[i] + B[j]
 
 
 def _pair_matrix(geometry) -> np.ndarray:

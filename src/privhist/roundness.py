@@ -13,11 +13,15 @@ per dimension), with a 1% safety factor.  The cover polish slides along the
 same kernel's nearest constraint.  Certificates are approximate witnesses
 and all downstream checks carry explicit slack.
 
-The privacy check reads the same kernel once per leaf: a probe ball that
-lies farther from the cell than its radius plus a rounding slack
-(``_misses_cell``) is counted as degenerate without sampling, because no
-sample could have landed in the cell.  Every report is byte-identical to
-sampling each such probe.
+The privacy check reads the same kernel once per leaf, for each probe's
+minimum margin and a rounding slack (``probe_margins``).  A probe ball that
+lies farther from the cell than its radius plus the slack is counted as
+degenerate without sampling, because no sample could have landed in the
+cell.  Every other probe ball's volume ratio reads a one-row kernel of the
+cell at its probe: a sample nearer to the probe than its margin less the
+slack is in the cell, and one nearer than minus the margin less the slack
+is out of it, so only the rest take the membership test.  Every report is
+byte-identical to sampling each probe and testing each sample.
 """
 
 from __future__ import annotations
@@ -441,21 +445,25 @@ class PrivacyConditionReport:
         return asdict(self)
 
 
-def _misses_cell(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Whether no point within radii[j] of Y[i] can pass the cell's
-    membership test, as a (len(Y), len(radii)) boolean array; row i of Y is
-    read against the kernel's cell i.
+def probe_margins(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray):
+    """Minimum margin m at each row of Y, shape (len(Y),), and the rounding
+    slack e of each (row, radius) pair, shape (len(Y), len(radii)); row i of
+    Y is read against the kernel's cell i.
 
-    Every constraint is a halfspace or the root ball, so ``-min_margin(y)``
-    is a lower bound on dist(y, cell), and the test is that it exceeds the
-    radius by more than a rounding slack.  With L the largest norm of a
-    center, a root point or a point of the ball, and u = eps / 2, each
-    ``center_scores`` double is within 3 (d + 2) u L^2 of exact.  A margin
-    divides a score difference by 2|c_own - c_j| >= s, the smallest span
-    over the cell's levels, so the margin at y and the test at a sampled
-    point each move a bisector by at most 6 (d + 2) u L^2 / s.  The root's
-    faces and ball, the margin's division and the sampled radius add less
-    than 4 (d + 5) u L.  The slack, 16 (d + 2) u (L + L^2 / s), covers both.
+    Every constraint is a halfspace or the root ball, so a point at distance
+    t from y has margins no lower than m(y) - t and, on the constraint that
+    attains m(y), no higher than m(y) + t.  The slack bounds the rounding of
+    both sides of such a comparison for any point within a radius of y.
+    With L the largest norm of a center, a root point or a point of the
+    ball, and u = eps / 2, each ``center_scores`` double is within
+    3 (d + 2) u L^2 of exact.  A margin divides a score difference by
+    2|c_own - c_j| >= s, the smallest span over the cell's levels, so the
+    margin at y and the membership test at a point each move a bisector by
+    at most 6 (d + 2) u L^2 / s.  The root's faces and ball, the margin's
+    division, a sampled radius, a computed distance |x - y| (the coordinate
+    differences and the norm, at most (d + 3) u |x - y|) and the subtraction
+    of e itself add less than (6 d + 28) u L.  The slack,
+    16 (d + 2) u (L + L^2 / s), covers both.
     """
     margin = kernel.min_margin(Y)[0]
     root = kernel.root
@@ -469,7 +477,7 @@ def _misses_cell(kernel: CellKernel, Y: np.ndarray, radii: np.ndarray) -> np.nda
         span = min(span, float(level_span.min()))
     reach = np.maximum(np.linalg.norm(Y, axis=1)[:, None] + radii, extent)
     slack = 8.0 * (Y.shape[1] + 2) * np.finfo(float).eps * (reach + reach * reach / span)
-    return -margin[:, None] > radii + slack
+    return margin, slack
 
 
 def check_privacy_condition(
@@ -489,14 +497,16 @@ def check_privacy_condition(
     c*r >= |q - p_P| + R_P or contributes a Monte Carlo volume ratio.  The
     report's epsilon is the worst ratio observed.
 
-    A probe that fails the containment test, and whose separation bound
-    -min_margin(q) from one ``CellKernel`` of the leaf exceeds c*r plus the
-    rounding slack derived in ``_misses_cell``, is counted as degenerate
-    without sampling: ``intersection_volume_ratio`` would have found no
-    sample in the cell and raised ``DegenerateGeometryError``.  Every probe
-    has its own pre-drawn seed, so skipping one shifts no other stream, and
-    the report is byte-identical to sampling every probe.  Leaf and parent
-    certificates come from one ``certify_nodes`` call.
+    The probes' margins m and rounding slacks e come from one ``CellKernel``
+    of the leaf (``probe_margins``).  A probe that fails the containment
+    test and has -m > c*r + e is counted as degenerate without sampling:
+    ``intersection_volume_ratio`` would have found no sample in the cell
+    and raised ``DegenerateGeometryError``.  Every probe has its own
+    pre-drawn seed, so skipping one shifts no other stream.  Every other
+    probe's ``intersection_volume_ratio`` places most of its samples from
+    the same margin and slack, without the membership test.  The report is
+    byte-identical to sampling every probe and testing every sample.  Leaf
+    and parent certificates come from one ``certify_nodes`` call.
     """
     from .sanitizer import certify_nodes  # the sanitizer imports this module
 
@@ -525,7 +535,8 @@ def check_privacy_condition(
         qs = uniform_in_ball(cert_c.witness, 2.0 * cert_c.radius, q_probes, rng)
         rs = np.geomspace(cert_c.radius / 1e4, 2.0 * cert_c.radius, r_grid_size)
         sub_seeds = rng.integers(0, 2**62, size=(q_probes, r_grid_size))
-        missed = _misses_cell(CellKernel.of(leaf.region, q_probes), qs, c * rs)
+        margin, slack = probe_margins(CellKernel.of(leaf.region, q_probes), qs, c * rs)
+        missed = -margin[:, None] > c * rs + slack
         for qi in range(q_probes):
             dist_qp = float(np.linalg.norm(qs[qi] - cert_p.witness))
             for ri in range(r_grid_size):

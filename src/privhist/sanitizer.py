@@ -34,6 +34,7 @@ from .geometry import (
     Region,
     VoronoiClip,
     VoronoiNeighbours,
+    row_norms,
     uniform_in_region,
     voronoi_assign,
 )
@@ -532,7 +533,7 @@ def pick_centers_greedy(
     probes = uniform_in_region(region, probe_samples, rng, envelope=cert.envelope)
     threshold = cert.radius / 4.0
     selected = [0]
-    mind = np.linalg.norm(probes - probes[0], axis=1)
+    mind = row_norms(probes, probes[0])
     ptr = 1
     while ptr < probe_samples:
         ahead = np.flatnonzero(mind[ptr:] >= threshold)
@@ -540,7 +541,7 @@ def pick_centers_greedy(
             break
         i = ptr + int(ahead[0])
         selected.append(i)
-        np.minimum(mind, np.linalg.norm(probes - probes[i], axis=1), out=mind)
+        np.minimum(mind, row_norms(probes, probes[i]), out=mind)
         ptr = i + 1
     return probes[np.array(selected)]
 

@@ -7,12 +7,15 @@ deletion or rename in privhist would break traced benchmark runs, which only
 Every workload step must also parse as a ``privhist`` command line, so that
 deleting an option the benchmark passes fails here and not in a benchmark
 run.  The perfbench files are loaded read-only, without writing bytecode
-next to them.
+next to them.  The benchmark's ``setup_s`` times a fresh ``import
+privhist.cli``, so that import must load no scipy.
 """
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +69,14 @@ def test_workload_steps_parse(name, size):
                 for arg in step.argv]
         args = parser.parse_args(argv)  # an unknown option exits here
         assert args.command == argv[0]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, privhist.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

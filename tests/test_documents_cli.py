@@ -581,6 +581,27 @@ def test_cut_prob_refuses_a_malformed_number_list(workspace, capsys, flag, value
     assert not os.path.exists("cut.json")
 
 
+@pytest.mark.parametrize("x", ["-0.5,0.2", "-1e-1,0.2", "-0.5"])
+def test_cut_prob_reads_a_negative_first_coordinate(workspace, x):
+    # argparse reads "-0.5,0.2" as an option unless it is attached to --x;
+    # the manifest records the command line as it was given
+    tail = ["--r-list", "0.01,0.03", "--m", "16", "--trials", "5", "--seed", "1",
+            "--out", "cut.json"]
+    docs = []
+    for given in (["--x=" + x], ["--x", x]):
+        argv = ["cut-prob", "--support", "unit-ball"] + given + tail
+        assert main(argv) == 0
+        docs.append(read_json("cut.json"))
+        assert docs[-1]["manifest"].pop("command") == argv
+    assert docs[0] == docs[1]
+    assert docs[0]["x"] == [float(v) for v in x.split(",")]
+    with open("cut.json", "rb") as handle:
+        written = handle.read()
+    assert main(["repro", "--manifest", "cut.json"]) == 0  # the replay attaches again
+    with open("cut.json", "rb") as handle:
+        assert handle.read() == written
+
+
 @pytest.mark.parametrize("extra", [[], ["--suite", "lemma21-decay"], ["--seed", "0"],
                                    ["--out", "r.json"]],
                          ids=["no-source", "suite", "seed", "out"])

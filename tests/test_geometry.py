@@ -18,6 +18,7 @@ from privhist.geometry import (
     count_in_region,
     distance,
     intersection_volume_ratio,
+    row_norms,
     t_radii,
     t_radius,
     uniform_in_region,
@@ -238,6 +239,55 @@ class TestIntersectionVolumeRatio:
     def test_seeded_determinism(self):
         args = (np.zeros(3), 0.2, 2.0, Ball(np.zeros(3), 1.0), 50_000, 7)
         assert intersection_volume_ratio(*args) == intersection_volume_ratio(*args)
+
+    @pytest.mark.parametrize("r,c,samples", [
+        (math.inf, 2.0, 100), (0.1, math.inf, 100), (math.nan, 2.0, 100),
+        (1e200, 1e200, 100), (0.1, 2.0, 0), (0.1, 2.0, -5)])
+    def test_refuses_bad_input(self, r, c, samples):
+        with pytest.raises(InputError):
+            intersection_volume_ratio(np.zeros(2), r, c, Ball(np.zeros(2), 1.0), samples)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_norms_equal_numpy_norm(d):
+    rng = np.random.default_rng(d)
+    for exponent in range(-150, 151, 25):
+        X = rng.standard_normal((300, d)) * 10.0**exponent
+        X[::11] = 0.0
+        X[5::13, rng.integers(d)] = 0.0
+        assert np.array_equal(row_norms(X), np.linalg.norm(X, axis=1))
+        center = X[1]
+        assert np.array_equal(row_norms(X, center), np.linalg.norm(X - center, axis=1))
+
+
+class _Replay:
+    """Hands back fixed draws in place of a Generator's."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms = normals, uniforms
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+    def random(self, n):
+        assert n == self.uniforms.size
+        return self.uniforms
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_ball_samples_equal_the_broadcast_formula(d):
+    # the reference combines the same draws by broadcasting over rows
+    for seed, scale in enumerate((1e-6, 1.0, 1e6)):
+        rng = np.random.default_rng(seed)
+        center = rng.standard_normal(d) * scale
+        g, u = rng.standard_normal((2_000, d)), rng.random(2_000)
+        g[7] = 0.0
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        expected = center + g / norms * (0.37 * scale * u ** (1.0 / d))[:, None]
+        got = geometry.uniform_in_ball(center, 0.37 * scale, 2_000, _Replay(g, u))
+        assert np.array_equal(got, expected)
 
 
 class TestUniformSampling:

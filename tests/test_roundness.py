@@ -10,18 +10,18 @@ import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import DegenerateGeometryError, InputError
 from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, intersection_volume_ratio,
-                               uniform_in_region)
+                               row_norms, uniform_in_region)
 from privhist.rng import substream
 from privhist.roundness import (
     CellKernel,
     RoundnessCertificate,
-    _misses_cell,
     audit_voronoi_splits,
     boundary_distances,
     certify_children,
     certify_roundness,
     check_privacy_condition,
     cover_check,
+    probe_margins,
     well_spread_check,
 )
 from privhist.sanitizer import (
@@ -104,6 +104,32 @@ class TestCoverCheck:
         assert covered
 
 
+def _privacy_tree(tree):
+    """(histogram, c, seed) of the two recorded privacy reports."""
+    if tree == "greedy-disc":
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 300, seed=21)
+        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
+                             method="greedy", probe_samples=4_000, seed=22)
+        return hist, 16.0, 23
+    data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 200, seed=24)
+    root = Box(-np.ones(3), np.ones(3), closed_high=np.ones(3, dtype=bool))
+    hist = build_voronoi(data, root, t=4, max_depth=2, method="uniform",
+                         override_m=24, seed=25)
+    return hist, 8.0, 26
+
+
+def _without_margin_shortcuts(monkeypatch):
+    """Force every probe's rounding slack to infinity: no probe is skipped
+    and every sample takes the membership test."""
+    real = privhist.roundness.probe_margins
+
+    def no_slack(kernel, Y, radii):
+        margin, slack = real(kernel, Y, radii)
+        return margin, np.full_like(slack, np.inf)
+
+    monkeypatch.setattr(privhist.roundness, "probe_margins", no_slack)
+
+
 class TestPrivacyCondition:
     def test_single_ball_nested_identity(self):
         # interior q, both balls nested: the measured ratio is c^-d
@@ -161,19 +187,11 @@ class TestPrivacyCondition:
     def test_reports_match_recorded_values(self, tree, monkeypatch):
         # values recorded with every probe sampled: skipping the probes
         # that miss the cell must leave every count and ratio as it was
+        hist, c, seed = _privacy_tree(tree)
         if tree == "greedy-disc":
-            data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 300, seed=21)
-            hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2,
-                                 method="greedy", probe_samples=4_000, seed=22)
-            c, seed = 16.0, 23
             expected = {"containment_count": 164, "ratio_count": 285,
                         "degenerate_count": 511, "epsilon_observed": 0.21518987341772153}
         else:
-            data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 200, seed=24)
-            root = Box(-np.ones(3), np.ones(3), closed_high=np.ones(3, dtype=bool))
-            hist = build_voronoi(data, root, t=4, max_depth=2, method="uniform",
-                                 override_m=24, seed=25)
-            c, seed = 8.0, 26
             expected = {"containment_count": 160, "ratio_count": 182,
                         "degenerate_count": 618, "epsilon_observed": 0.09090909090909091}
         calls = []
@@ -191,6 +209,26 @@ class TestPrivacyCondition:
         # most degenerate probes are decided without sampling
         assert report.ratio_count <= len(calls) < report.ratio_count + report.degenerate_count / 2
 
+    @pytest.mark.parametrize("tree", ["greedy-disc", "uniform-box"])
+    def test_margin_shortcuts_leave_the_report_unchanged(self, tree, monkeypatch):
+        hist, c, seed = _privacy_tree(tree)
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=3_000, seed=seed,
+                      max_cells=40)
+        tested = []
+        membership = VoronoiClip.contains_many
+
+        def counted(self, X):
+            tested.append(len(X))
+            return membership(self, X)
+
+        monkeypatch.setattr(VoronoiClip, "contains_many", counted)
+        report = check_privacy_condition(hist.root, **kwargs)
+        shortcut_rows = sum(tested)
+        tested.clear()
+        _without_margin_shortcuts(monkeypatch)
+        assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
+        assert shortcut_rows < 0.9 * sum(tested)
+
     def test_containment_is_decided_before_separation(self, monkeypatch):
         # witnesses far from every cell, and a parent certificate small
         # enough that probes both pass the containment test and miss the
@@ -207,8 +245,7 @@ class TestPrivacyCondition:
         monkeypatch.setattr(privhist.sanitizer, "certify_nodes", certify)
         kwargs = dict(c=16.0, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=28)
         report = check_privacy_condition(root, **kwargs)
-        monkeypatch.setattr(privhist.roundness, "_misses_cell",
-                            lambda kernel, Y, radii: np.zeros((Y.shape[0], radii.size), bool))
+        _without_margin_shortcuts(monkeypatch)
         sampled = check_privacy_condition(root, **kwargs)
         assert report.to_dict() == sampled.to_dict()
         assert 0 < report.containment_count < report.cells_checked * report.probes_per_cell
@@ -530,9 +567,55 @@ def test_missed_probes_would_find_no_sample(kind, d, snap, offset, seed):
             continue
         for factor in (1.0 - 1e-9, 1.0 + 1e-9, rng.uniform(0.3, 1.0)):
             r = sep * factor / c
-            if _misses_cell(kernel, q[None, :], np.array([c * r]))[0, 0]:
+            margin, slack = probe_margins(kernel, q[None, :], np.array([c * r]))
+            if -margin[0] > c * r + slack[0, 0]:
                 with pytest.raises(DegenerateGeometryError):
                     intersection_volume_ratio(q, r, c, leaf, samples=2_000, seed=seed + i)
+
+
+@given(st.sampled_from(["ball", "box"]), st.sampled_from([2, 3]), st.booleans(),
+       st.sampled_from([0.0, 1e7]), st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_margin_decided_samples_agree_with_membership(kind, d, snap, offset, seed):
+    # samples at 1 +- 1e-9 times the probe's margin from it, along the
+    # normal of the constraint that attains the margin and along random
+    # directions, straddle the cell's boundary: every sample the margin
+    # decides must get the same answer from the membership test
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    leaf = VoronoiClip(centers, int(rng.integers(centers.shape[0])), cell)
+    if offset:  # one level: the shifted outer cell may lose its own center
+        leaf = _shifted(VoronoiClip(centers, leaf.own_index, root), offset)
+    qs = offset + rng.uniform(-1.5, 1.5, (6, d))
+    kernel = CellKernel.of(leaf, 1)
+    c = 4.0
+    for i, q in enumerate(qs):
+        m, normal = kernel.min_margin(q[None, :])
+        if m[0] == 0:  # on a boundary: no step length to scale
+            continue
+        dirs = np.concatenate([normal, -normal, rng.standard_normal((16, d))])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        steps = abs(m[0]) * np.concatenate([[1.0 - 1e-9, 1.0 + 1e-9],
+                                            rng.uniform(0.0, 1.5, 6)])
+        S = (q + steps[:, None, None] * dirs).reshape(-1, d)
+        dist = row_norms(S - q)
+        radius = 1.5 * abs(m[0])
+        margin, slack = probe_margins(kernel, q[None, :], np.array([radius]))
+        inside = dist < margin[0] - slack[0, 0]
+        outside = dist < -margin[0] - slack[0, 0]
+        member = leaf.contains_many(S)
+        assert member[inside].all() and not member[outside].any()
+        # the estimator's counts are those of testing every sample
+        results = []
+        for shortcut in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not shortcut:
+                    _without_margin_shortcuts(mp)
+                try:
+                    results.append(intersection_volume_ratio(q, radius / c, c, leaf,
+                                                             samples=2_000, seed=seed + i))
+                except DegenerateGeometryError:
+                    results.append("degenerate")
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("d", range(1, 11))
