@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, sanitize
+from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes, sanitize
 
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1
@@ -167,7 +167,7 @@ def suite_greedy_split_roundness(seed: int) -> dict:
     d=2 and d=3).
 
     Every split's children must certify k <= (4 * r1 * k / r2) * 1.1 with
-    (r1, r2) audited from the emitted centers.
+    (r1, r2) audited exactly from the emitted centers.
     """
     builds_per_dim = 50
     splits = 0
@@ -180,7 +180,7 @@ def suite_greedy_split_roundness(seed: int) -> dict:
             hist = build_voronoi(data, Ball(np.zeros(d), 1.0), t=8, max_depth=2,
                                  method="greedy", probe_samples=20_000,
                                  seed=seed + 13 * s)
-            audits = audit_voronoi_splits(hist.root, probes=20_000, seed=seed + 31 * s)
+            audits = audit_voronoi_splits(hist.root)
             for a in audits:
                 splits += 1
                 ratio = max(a.child_ks) / a.cover_spread_bound()
@@ -220,9 +220,9 @@ def suite_uniform_split_roundness(seed: int) -> dict:
     for s in range(seeds):
         hist = build_voronoi(data, support, t=2, max_depth=1, method="uniform",
                              seed=seed * 7919 + s)
-        audit = audit_voronoi_splits(hist.root, probes=2_000, seed=seed * 104729 + s)[0]
-        kmax = max(audit.child_ks)
-        radmax = max(audit.child_radii)
+        certs = certify_nodes(hist.root.children)
+        kmax = max(cert.k for cert in certs)
+        radmax = max(cert.radius for cert in certs)
         ok = kmax <= k_threshold and radmax <= radius_threshold
         failures += not ok
         records.append({"seed": s, "k_max": kmax, "radius_max": radmax, "ok": bool(ok)})

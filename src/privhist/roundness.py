@@ -9,9 +9,12 @@ membership is, plus the root's box faces or ball.  Its witness maximizes the
 exact minimum margin (a concave subgradient ascent started at the cell's own
 center), the inner radius is that margin, and the outer radius is the
 largest exact ray exit over one fixed direction set (one seed-free stream
-per dimension), with a 1% safety factor.  The cover polish slides along the
-same kernel's nearest constraint.  Certificates are approximate witnesses
-and all downstream checks carry explicit slack.
+per dimension), with a 1% safety factor.  Certificates are approximate
+witnesses and all downstream checks carry explicit slack.
+
+A split's cover radius r1 is exact, read off each child cell's vertices
+(``CellKernel.vertices``, by qhull from the same kernel); on a ball root it
+can lean high by the Kelley tolerance, never low.
 
 The privacy check reads the same kernel once per leaf, for each probe's
 minimum margin and a rounding slack (``probe_margins``).  A probe ball that
@@ -26,7 +29,6 @@ byte-identical to sampling each probe and testing each sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,11 +39,12 @@ from .geometry import (
     Box,
     Region,
     VoronoiClip,
+    VoronoiNeighbours,
     as_point,
     center_scores,
     intersection_volume_ratio,
+    row_norms,
     uniform_in_ball,
-    uniform_in_region,
 )
 from .rng import substream
 
@@ -49,6 +52,7 @@ OUTER_SAFETY = 1.01
 INNER_SAFETY = 1.001
 CERT_SAMPLES = 128  # ray-exit directions per certificate
 SPLIT_BOUND_SLACK = 1.1  # slack on the cover/spread bound of a split's children
+KELLEY_TOL = 1e-4  # a ball root's tangent planes leave vertices within radius * (1 + this)
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,19 @@ class CellKernel:
     of each point array is read against cell b.  A margin's sign comes from
     the doubles that membership compares: min_margin > 0 implies
     ``contains_many`` and ``contains_many`` implies min_margin >= 0.
+    ``tables`` holds each level's Delaunay table: ``neighbours``, then each clip's.
     """
 
-    def __init__(self, parent: Region, own, centers=None):
+    def __init__(self, parent: Region, own, centers=None, neighbours=None):
         own = np.asarray(own, dtype=np.intp)
         self.rows = np.arange(own.size)
         self.levels = []  # (centers, own, 2|c_own - c_j|), innermost first
+        self.tables = []
         if centers is not None:
-            self._add_level(np.asarray(centers, dtype=float), own)
+            self._add_level(np.asarray(centers, dtype=float), own, neighbours)
         node = parent
         while isinstance(node, VoronoiClip):
-            self._add_level(node.centers, np.full(own.size, node.own_index))
+            self._add_level(node.centers, np.full(own.size, node.own_index), node.neighbours)
             node = node.parent
         if not isinstance(node, (Box, Ball)):
             raise InputError(f"unsupported root region {type(node).__name__}")
@@ -106,10 +112,12 @@ class CellKernel:
     def of(cls, region: Region, rows: int) -> CellKernel:
         """``rows`` copies of one region."""
         if isinstance(region, VoronoiClip):
-            return cls(region.parent, np.full(rows, region.own_index), region.centers)
+            return cls(region.parent, np.full(rows, region.own_index), region.centers,
+                       region.neighbours)
         return cls(region, np.zeros(rows, dtype=np.intp))
 
-    def _add_level(self, centers: np.ndarray, own: np.ndarray):
+    def _add_level(self, centers: np.ndarray, own: np.ndarray, neighbours):
+        self.tables.append(VoronoiNeighbours(centers) if neighbours is None else neighbours)
         # squares summed one axis at a time, as scipy's cdist sums them, so
         # span is 2 * cdist(centers[own], centers) bit for bit (.sum is not)
         mine = centers[own]
@@ -189,6 +197,45 @@ class CellKernel:
         acc += (active[:, :, None] * normals).sum(axis=1)
         return _unit_rows(acc)
 
+    def vertices(self, b: int, around: np.ndarray) -> np.ndarray:
+        """Vertices of a polytope that contains cell b, whose farthest vertex
+        from ``around`` is as far as the cell's farthest point (up to the
+        Kelley tolerance on a ball root).  Its halfspaces are
+        2 (c_j - c_own) x + |c_own|^2 - |c_j|^2 <= 0 for each level's Delaunay
+        neighbours j (all other centers where the table lists none; any
+        subset bounds a superset of the cell) and the root's box faces.  A
+        ball root starts from its bounding box and adds a tangent plane at
+        each vertex outside radius * (1 + KELLEY_TOL) that is farther from
+        ``around`` than all vertices within it, until none is (Kelley 1960).
+        """
+        root, ball = self.root, isinstance(self.root, Ball)
+        rows = []
+        for (centers, own, _), table in zip(self.levels, self.tables):
+            mine, cols = centers[own[b]], table.columns(own[b])
+            others = np.delete(centers, own[b], axis=0) if cols is None else centers[cols[1:]]
+            rows.append(np.hstack([2.0 * (others - mine),
+                                   (mine @ mine - (others * others).sum(axis=1))[:, None]]))
+        low, high = ((root.center - root.radius, root.center + root.radius) if ball
+                     else (root.low, root.high))
+        eye = np.eye(root.dim)
+        rows.append(np.hstack([np.vstack([eye, -eye]), np.concatenate([-high, low])[:, None]]))
+        halfspaces = np.vstack(rows)
+        inside = self.levels[0][0][self.levels[0][1][b]] if self.levels else root.center
+        V = _polytope_vertices(halfspaces, inside)
+        while ball:
+            rel = V - root.center
+            reach = row_norms(rel)
+            done = reach <= root.radius * (1.0 + KELLEY_TOL)
+            dist = row_norms(V, around)
+            far = ~done & (dist > dist[done].max(initial=-np.inf))
+            if not far.any():
+                break
+            normal = rel[far] / reach[far, None]
+            halfspaces = np.vstack([halfspaces, np.hstack(
+                [normal, -(normal @ root.center + root.radius)[:, None]])])
+            V = _polytope_vertices(halfspaces, inside)
+        return V
+
     def exits(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
         """Exact exit distance, shape (B, S), from row b of Y along each unit
         direction U[s]: each constraint that the ray runs toward contributes
@@ -219,6 +266,22 @@ class CellKernel:
                 t_lo = (root.low - Y)[:, None, :] / U
             t = np.where(U > 0, t_hi, np.where(U < 0, t_lo, np.inf)).min(axis=2)
         return np.minimum(t_exit, t)
+
+
+def _polytope_vertices(halfspaces: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Vertices of {x : A x + c <= 0}, rows [A, c], by qhull from a point
+    strictly inside (an interval in 1-D); a failure names that point."""
+    A, c = halfspaces[:, :-1], halfspaces[:, -1]
+    if A.shape[1] == 1:
+        ends = -c / A[:, 0]
+        return np.array([[ends[A[:, 0] < 0].max()], [ends[A[:, 0] > 0].min()]])
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    try:
+        return HalfspaceIntersection(halfspaces, inside).intersections
+    except QhullError as exc:
+        raise DegenerateGeometryError(f"qhull cannot bound the cell of center {inside.tolist()}: "
+                                      f"{str(exc).splitlines()[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -340,91 +403,34 @@ def well_spread_check(centers, r2: float) -> bool:
     return _min_pair_distance(pts) >= r2
 
 
-def cover_check(
-    centers,
-    region: Region,
-    r1: float,
-    probes: int = 10_000,
-    seed: int = 0,
-    envelope=None,
-    polish: bool = False,
-) -> tuple[bool, float]:
-    """Probe-based covering audit: (covered, worst nearest-center gap).
+def cover_check(centers, region: Region, r1: float) -> tuple[bool, float]:
+    """Exact covering audit: (covering radius <= r1, covering radius).
 
-    With ``polish`` the worst probes are refined by feasible local ascent on
-    the distance to the nearest center, sharpening the gap estimate (plain
-    probing converges slowly because the deepest uncovered pocket has tiny
-    volume).  Every evaluated point stays inside the region, so the result
-    remains a sound lower bound on the true covering radius.
+    The covering radius is the largest distance from a center to a vertex
+    of its Voronoi cell in ``region`` (``CellKernel.vertices``), each capped
+    at |c - c0| + radius on a ball.  It is exact on a box and high by at
+    most the Kelley tolerance on a ball, so a covered verdict is sound.
+    Centers outside ``region`` or repeated raise ``InputError``.
     """
     pts = np.asarray(centers, dtype=float)
-    if pts.shape[0] < 1:
-        raise InputError("cover check needs at least one center")
-    rng = substream(seed, "cover")
-    sample = uniform_in_region(region, probes, rng, envelope=envelope)
-    worst = 0.0
-    leaders = []
-    for lo in range(0, probes, 65536):
-        block = sample[lo : lo + 65536]
-        dmin = _nearest_center(pts, block)[1]
-        worst = max(worst, float(dmin.max()))
-        if polish:
-            take = np.argsort(dmin)[-32:]
-            leaders.append(block[take])
-    if polish and leaders:
-        starts = np.concatenate(leaders)
-        # pockets concentrate near the region boundary: push starts outward
-        # along the away-from-nearest-center direction to seed the ascent there
-        away = _unit_rows(starts - pts[_nearest_center(pts, starts)[0]])
-        shifted = []
-        for frac in (0.5, 1.0, 2.0):
-            cand = starts + frac * worst * away
-            keep = region.contains_many(cand)
-            if keep.any():
-                shifted.append(cand[keep])
-        if shifted:
-            starts = np.concatenate([starts] + shifted)
-        worst = max(worst, _polish_cover_gap(pts, region, starts, worst))
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != region.dim:
+        raise InputError(f"cover check needs an (m, {region.dim}) array of centers, m >= 1")
+    if not region.contains_many(pts).all():
+        raise InputError("every center must lie in the region")
+    if np.unique(pts, axis=0).shape[0] < pts.shape[0]:
+        raise InputError("cover check needs distinct centers")
+    worst = _cover_radius(CellKernel(region, np.arange(pts.shape[0]), pts))
     return worst <= r1, worst
 
 
-def _nearest_center(centers: np.ndarray, X: np.ndarray):
-    """(index, distance) of the nearest center to each row of X."""
-    scores = center_scores(centers, X)
-    near = np.argmin(scores, axis=1)
-    d2 = (X * X).sum(axis=1) + scores[np.arange(X.shape[0]), near]
-    return near, np.sqrt(np.maximum(d2, 0.0))
-
-
-def _polish_cover_gap(centers, region: Region, starts: np.ndarray, scale: float,
-                      iters: int = 60) -> float:
-    """Feasible ascent of min-distance-to-centers from the given starts.
-
-    The worst pocket usually sits on the region boundary, where the plain
-    away-from-center step exits the region; a second candidate slides along
-    the boundary (the away direction projected onto the tangent plane of the
-    nearest region constraint).
-    """
-    Y = starts.copy()
-    kernel = CellKernel.of(region, Y.shape[0])
-    near, best = _nearest_center(centers, Y)
-    step = np.full(Y.shape[0], 0.5 * scale)
-    for _ in range(iters):
-        away = _unit_rows(Y - centers[near])
-        normal = kernel.min_margin(Y)[1]
-        tang = _unit_rows(away - (away * normal).sum(axis=1, keepdims=True) * normal)
-        improved_any = np.zeros(Y.shape[0], dtype=bool)
-        for direction in (away, tang):
-            cand = Y + step[:, None] * direction
-            cand_near, gain = _nearest_center(centers, cand)
-            improved = region.contains_many(cand) & (gain > best)
-            Y[improved] = cand[improved]
-            best[improved] = gain[improved]
-            near[improved] = cand_near[improved]
-            improved_any |= improved
-        step[improved_any] *= 1.2
-        step[~improved_any] *= 0.5
-    return float(best.max())
+def _cover_radius(kernel: CellKernel) -> float:
+    """Largest distance from a cell's own center to a vertex of its polytope,
+    or on a ball root to the far side of the ball, over the kernel's cells."""
+    centers, own, _ = kernel.levels[0]
+    reach = [row_norms(kernel.vertices(b, c), c).max() for b, c in enumerate(centers[own])]
+    if isinstance(kernel.root, Ball):
+        reach = np.minimum(reach, row_norms(centers[own], kernel.root.center) + kernel.root.radius)
+    return float(max(reach))
 
 
 # ---------------------------------------------------------------------------
@@ -575,42 +581,35 @@ def check_privacy_condition(
 
 @dataclass
 class SplitAudit:
+    """One Voronoi split: its centers' exact cover radius r1 (high only by the
+    Kelley tolerance on ball roots) and spread r2, and its cells' roundness."""
+
     level: int
     r1: float
     r2: float
     parent_k: float
     child_ks: list
-    child_radii: list
 
     def cover_spread_bound(self) -> float:
         return 4.0 * self.r1 * self.parent_k / self.r2 * SPLIT_BOUND_SLACK
 
 
-def audit_voronoi_splits(
-    root_node,
-    probes: int = 20_000,
-    seed: int = 0,
-) -> list[SplitAudit]:
+def audit_voronoi_splits(root_node) -> list[SplitAudit]:
     """Audit every split of a Voronoi-built tree, in walk order.
 
     For each subdivided cell: read the parent's and every child's
-    certificate, measure the emitted centers' exact spread radius r2 and
-    probe-audited cover radius r1, the i-th split's probes seeded by
-    ``seed + 104729 * i``.  Consumers check the roundness recurrences
-    against these records.
+    certificate, and measure the emitted centers' exact spread radius r2
+    and exact cover radius r1, from the children's polytopes and the
+    split's shared Delaunay table.  No sample is drawn.  Consumers check
+    the roundness recurrences against these records.
     """
     from .sanitizer import VoronoiSplit, certify_nodes  # the sanitizer imports this module
 
     split_nodes = [node for node in root_node.walk() if isinstance(node.split, VoronoiSplit)]
     certify_nodes(split_nodes + [ch for node in split_nodes for ch in node.children])
-    audits = []
-    for i, node in enumerate(split_nodes):
-        centers = node.split.centers
-        parent_cert = node.certificate
-        _, r1 = cover_check(centers, node.region, math.inf, probes=probes,
-                            seed=seed + 104729 * i, envelope=parent_cert.envelope, polish=True)
-        certs = [ch.certificate for ch in node.children]
-        audits.append(SplitAudit(level=node.level, r1=r1, r2=_min_pair_distance(centers),
-                                 parent_k=parent_cert.k, child_ks=[c.k for c in certs],
-                                 child_radii=[c.radius for c in certs]))
-    return audits
+    return [SplitAudit(level=node.level,
+                       r1=_cover_radius(CellKernel(node.region, np.arange(node.split.size),
+                                                   node.split.centers, node.split.neighbours)),
+                       r2=_min_pair_distance(node.split.centers), parent_k=node.certificate.k,
+                       child_ks=[ch.certificate.k for ch in node.children])
+            for node in split_nodes]

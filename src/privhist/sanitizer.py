@@ -204,8 +204,8 @@ class HistogramNode:
 
     def walk(self):
         """Nodes in depth-first pre-order, children in split order.  This is
-        the one walk order: the privacy check seeds its i-th leaf and the
-        split audits their i-th split by position in it."""
+        the one walk order: the privacy check seeds its i-th leaf by
+        position in it, and the split audits list their splits in it."""
         stack = [self]
         while stack:
             node = stack.pop()

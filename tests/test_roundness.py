@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import privhist.roundness
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import DegenerateGeometryError, InputError
-from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, intersection_volume_ratio,
-                               row_norms, uniform_in_region)
+from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, VoronoiNeighbours,
+                               intersection_volume_ratio, row_norms, uniform_in_region)
 from privhist.rng import substream
 from privhist.roundness import (
     CellKernel,
@@ -82,15 +83,46 @@ class TestWellSpread:
         assert well_spread_check(np.array([[0.0], [0.5]]), 0.5)
 
 
+def _probe_cover(centers, region, seed, envelope):
+    """Reference cover estimate: the largest nearest-center distance over
+    20 000 uniform samples of the region, a lower bound on the covering
+    radius."""
+    X = uniform_in_region(region, 20_000, substream(seed, "probe-cover"), envelope=envelope)
+    return float(cKDTree(centers).query(X)[0].max())
+
+
+def _grid_cover(centers, region):
+    """The largest nearest-center distance over a grid of step at most 1e-3
+    on a 2-D region's bounding box, corners included, the points outside
+    the region left out."""
+    if isinstance(region, Box):
+        low, high = region.low, region.high
+    else:
+        cert = certify_roundness(region)
+        low, high = cert.witness - cert.radius, cert.witness + cert.radius
+    axes = [np.linspace(lo, hi, int(np.ceil((hi - lo) / 1e-3)) + 1) for lo, hi in zip(low, high)]
+    X = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 2)
+    if isinstance(region, Box):  # the closed high faces hold points of the closure
+        X = X[((X >= region.low) & (X <= region.high)).all(axis=1)]
+    else:
+        X = X[region.contains_many(X)]
+    return float(cKDTree(centers).query(X)[0].max())
+
+
+def _criterion_04_build(d):
+    """Criterion 04's first build at dimension d and seed 0."""
+    data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 150, seed=1000 * d)
+    return build_voronoi(data, Ball(np.zeros(d), 1.0), t=8, max_depth=2, method="greedy",
+                         probe_samples=20_000, seed=0)
+
+
 class TestCoverCheck:
     def test_single_center_covers_at_full_radius(self):
-        covered, worst = cover_check(np.zeros((1, 2)), Ball(np.zeros(2), 1.0),
-                                     1.0, probes=5_000, seed=0)
-        assert covered and worst <= 1.0
+        covered, worst = cover_check(np.zeros((1, 2)), Ball(np.zeros(2), 1.0), 1.0)
+        assert covered and worst == 1.0
 
     def test_single_center_fails_at_half_radius(self):
-        covered, worst = cover_check(np.zeros((1, 2)), Ball(np.zeros(2), 1.0),
-                                     0.5, probes=10_000, seed=1)
+        covered, worst = cover_check(np.zeros((1, 2)), Ball(np.zeros(2), 1.0), 0.5)
         assert not covered and worst > 0.5
 
     def test_grid_covering_radius(self):
@@ -99,9 +131,71 @@ class TestCoverCheck:
         centers = np.array([[a, b] for a in axis for b in axis])
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
                   closed_high=np.array([True, True]))
-        covered, worst = cover_check(centers, box, g * math.sqrt(2) / 2 * 1.001,
-                                     probes=20_000, seed=2)
+        covered, worst = cover_check(centers, box, g * math.sqrt(2) / 2 * 1.001)
         assert covered
+
+    def test_interval_covering_radius(self):
+        # cells [-1, -0.125] and [-0.125, 1]: the right end is 0.75 from 0.25
+        covered, worst = cover_check(np.array([[-0.5], [0.25]]), Ball(np.zeros(1), 1.0), 0.5)
+        assert not covered and worst == 0.75
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_r1_bounds_the_probe_estimate(self, d):
+        root = _criterion_04_build(d).root
+        splits = [node for node in root.walk() if isinstance(node.split, VoronoiSplit)]
+        audits = audit_voronoi_splits(root)
+        assert len(audits) == len(splits) >= 1
+        for i, (audit, node) in enumerate(zip(audits, splits)):
+            probe = _probe_cover(node.split.centers, node.region, seed=i,
+                                 envelope=node.certificate.envelope)
+            assert audit.r1 >= probe
+
+    @pytest.mark.parametrize("root", ["ball", "box"])
+    def test_r1_matches_a_dense_grid_scan_in_the_plane(self, root):
+        region = (Ball(np.array([0.1, -0.2]), 0.5) if root == "ball"
+                  else Box(np.array([-0.4, -0.3]), np.array([0.5, 0.4])))
+        centers = uniform_in_region(region, 12, substream(70, root))
+        covered, r1 = cover_check(centers, region, 1.0)
+        grid = _grid_cover(centers, region)
+        assert covered and r1 >= grid
+        assert r1 == pytest.approx(grid, abs=1e-3)
+
+    def test_a_split_of_a_voronoi_cell_reads_every_level(self):
+        root = _greedy_tree()
+        splits = [node for node in root.walk() if isinstance(node.split, VoronoiSplit)]
+        audit, node = next((a, node) for a, node in zip(audit_voronoi_splits(root), splits)
+                           if a.level == 1)
+        assert isinstance(node.region, VoronoiClip)
+        grid = _grid_cover(node.split.centers, node.region)
+        assert audit.r1 >= grid
+        assert audit.r1 == pytest.approx(grid, abs=1e-3)
+
+    @pytest.mark.parametrize("d,m,root,tabled", [
+        (2, 10, "ball", False),  # m < 8 (d + 1)
+        (5, 12, "box", False),   # no table past d = 4
+        (2, 60, "ball", True),
+        (3, 200, "box", True),
+    ])
+    def test_neighbour_table_gives_the_all_bisector_radius(self, d, m, root, tabled, monkeypatch):
+        region = Ball(np.zeros(d), 1.0) if root == "ball" else default_root_box(d)
+        centers = uniform_in_region(region, m, substream(71, d, m))
+        table = VoronoiNeighbours(centers)
+        assert any(table.columns(i) is not None for i in range(m)) == tabled
+        r1 = cover_check(centers, region, 1.0)[1]
+        monkeypatch.setattr(VoronoiNeighbours, "columns", lambda self, i: None)
+        assert cover_check(centers, region, 1.0)[1] == pytest.approx(r1, rel=1e-9)
+
+    def test_refuses_centers_outside_the_region_or_repeated(self):
+        disc = Ball(np.zeros(2), 1.0)
+        with pytest.raises(InputError, match="lie in the region"):
+            cover_check(np.array([[0.0, 0.0], [1.5, 0.0]]), disc, 1.0)
+        with pytest.raises(InputError, match="distinct"):
+            cover_check(np.array([[0.1, 0.0], [0.2, 0.3], [0.1, 0.0]]), disc, 1.0)
+
+    def test_a_center_on_the_boundary_is_named(self):
+        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(DegenerateGeometryError, match=r"\[-1\.0, 0\.25\]"):
+            cover_check(np.array([[0.5, 0.5], [-1.0, 0.25]]), box, 1.0)
 
 
 def _privacy_tree(tree):
@@ -256,7 +350,7 @@ class TestSplitAudits:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=12)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=8, max_depth=2,
                              method="greedy", probe_samples=15_000, seed=13)
-        audits = audit_voronoi_splits(hist.root, probes=15_000, seed=14)
+        audits = audit_voronoi_splits(hist.root)
         assert audits
         for audit in audits:
             assert max(audit.child_ks) <= audit.cover_spread_bound()
@@ -267,7 +361,7 @@ class TestSplitAudits:
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
                              method="greedy", probe_samples=15_000, seed=16)
         k_root = hist.root.certificate.k
-        audits = audit_voronoi_splits(hist.root, probes=10_000, seed=18)
+        audits = audit_voronoi_splits(hist.root)
         seen_levels = set()
         for audit in audits:
             child_level = audit.level + 1
@@ -326,9 +420,9 @@ def _stop_at_certify(monkeypatch):
 
 
 class TestWalkOrder:
-    """Per-cell seeds follow ``walk()``: the privacy check's i-th (leaf,
-    parent) pair and the audits' i-th split are the i-th of their kind in
-    walk order."""
+    """The privacy check's i-th (leaf, parent) pair, whose seed is drawn by
+    position, and the audits' i-th split are the i-th of their kind in walk
+    order."""
 
     TREES = {"greedy-depth-3": _greedy_tree, "grid-depth-5-d3": _grid_tree}
 
@@ -355,23 +449,24 @@ class TestWalkOrder:
             check_privacy_condition(root, c=8.0)
         assert len(certified) == 2 and certified[0] is root and certified[1] is root
 
-    def test_audits_follow_walk_order_and_seed_by_position(self, monkeypatch):
+    def test_audits_follow_walk_order(self, monkeypatch):
         root = _greedy_tree()
         splits = [node for node in root.walk() if isinstance(node.split, VoronoiSplit)]
-        calls = []
+        kernels = []
 
-        def cover(centers, region, r1, **kwargs):
-            calls.append((centers, kwargs["seed"]))
-            return True, 0.5
+        def cover(kernel):
+            kernels.append(kernel)
+            return 0.5
 
-        monkeypatch.setattr(privhist.roundness, "cover_check", cover)
-        audits = audit_voronoi_splits(root, probes=100, seed=5)
-        assert len(audits) == len(calls) == len(splits) > 2
-        assert all(centers is node.split.centers for (centers, _), node in zip(calls, splits))
-        assert [seed for _, seed in calls] == [5 + 104729 * i for i in range(len(splits))]
+        monkeypatch.setattr(privhist.roundness, "_cover_radius", cover)
+        audits = audit_voronoi_splits(root)
+        assert len(audits) == len(kernels) == len(splits) > 2
+        # each split's own centers, read with the table its children share
+        assert all(k.levels[0][0] is node.split.centers and k.tables[0] is node.split.neighbours
+                   for k, node in zip(kernels, splits))
         assert [a.level for a in audits] == [node.level for node in splits]
-        assert [a.child_radii for a in audits] == [
-            [child.certificate.radius for child in node.children] for node in splits]
+        assert [a.child_ks for a in audits] == [
+            [child.certificate.k for child in node.children] for node in splits]
         assert audit_voronoi_splits(_grid_tree()) == []
 
 
