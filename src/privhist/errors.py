@@ -29,3 +29,8 @@ class DegenerateGeometryError(PrivhistError):
 
 class InternalError(PrivhistError):
     """Invariant violation inside the library; output must not be emitted."""
+
+
+class CollisionError(InternalError):
+    """A dataset row equals a published vector drawn at random (a Voronoi
+    center or a shifted-grid mesh corner); a fresh draw can avoid it."""

@@ -16,7 +16,8 @@ the cube and the grid, one center array for Voronoi, and the children's
 counts as one integer array.  Child nodes are made on demand, and child
 regions are derived from the split on first use.  All published geometry is
 construction artifacts (mesh lines, centers); a final scan aborts if any
-dataset coordinate vector appears in it.
+dataset coordinate vector appears in it, except that a grid build whose mesh
+has a row on a cell corner draws its offset again instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import CollisionError, InputError, InternalError, ResourceError
 from .geometry import (
     Ball,
     Box,
@@ -49,12 +50,52 @@ PARAMETERS = {"cube": (), "grid": (), "voronoi-greedy": ("probe_samples",),
               "voronoi-uniform": ("override_m",)}
 
 
+def _mesh_digits(tables, ncuts, owner, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-axis child digits and child index (C order) of each row of X in
+    its node's split, for rows inside their node's box: the one routing rule
+    of mesh splits.
+
+    ``tables[j]`` holds each node's cuts on axis j as one row, both ends
+    included, padded with +inf; ``ncuts`` is the (F, d) count of each node's
+    cuts, and ``owner`` each row's node (an index array, or one index for
+    every row).  A row's digit on axis j is the number of its node's cuts at
+    positions 1... that are <= x, capped at ``ncuts - 2``: that is
+    ``searchsorted(cuts[1:-1], x, "right")``, so a row on the closed high
+    face falls in the last strip, with no clipping.
+    """
+    digits, keys = [], 0
+    for j, table in enumerate(tables):
+        x = X[:, j]
+        n = ncuts[owner, j]
+        digit = np.zeros(x.shape, dtype=np.intp)
+        for c in range(1, table.shape[1]):
+            digit += table[owner, c] <= x
+        np.minimum(digit, n - 2, out=digit)
+        digits.append(digit)
+        keys = keys * (n - 1) + digit
+    return digits, keys
+
+
+def _mesh_route(tables, ncuts, owner, X: np.ndarray, rows: np.ndarray, low: np.ndarray,
+                high: np.ndarray) -> np.ndarray:
+    """Child index of each row ``X[rows]`` in its node's split, as
+    ``_mesh_digits`` gives it; writes that child's corners, read from the
+    tables at the digit and the digit + 1, into ``low[rows]`` and
+    ``high[rows]``."""
+    digits, keys = _mesh_digits(tables, ncuts, owner, X[rows])
+    for j, (table, digit) in enumerate(zip(tables, digits)):
+        low[rows, j] = table[owner, digit]
+        high[rows, j] = table[owner, digit + 1]
+    return keys
+
+
 class MeshSplit:
     """Axis-aligned split of a box by per-axis cut arrays, both ends included.
 
     Child k has digits ``np.unravel_index(k, shape)`` (C order) and spans
     ``[cuts[j][digit_j], cuts[j][digit_j + 1])`` on axis j; its high face is
-    closed where the parent's is and the two coincide.
+    closed where the parent's is and the two coincide.  Rows are routed by
+    ``_mesh_digits``, with this split as a one-node table.
     """
 
     __slots__ = ("cuts", "shape", "size", "_source")
@@ -64,26 +105,18 @@ class MeshSplit:
         self.shape = tuple(c.size - 1 for c in self.cuts)
         self.size = math.prod(self.shape)
 
-    def digits(self, X: np.ndarray) -> list[np.ndarray]:
-        """Per-axis child digit of each row of X, for rows inside the parent
-        box.  Searching the interior cuts alone puts rows on the closed high
-        face in the last strip, with no clipping."""
-        return [np.searchsorted(c[1:-1], X[:, j], side="right")
-                for j, c in enumerate(self.cuts)]
+    def _table(self):
+        return [c[None] for c in self.cuts], np.array([self.shape]) + 1
 
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Child index of each row of X, for rows inside the parent box."""
-        return np.ravel_multi_index(self.digits(X), self.shape)
+        return _mesh_digits(*self._table(), 0, X)[1]
 
     def route(self, X: np.ndarray, rows: np.ndarray, low: np.ndarray,
               high: np.ndarray) -> np.ndarray:
         """Child index of each row ``X[rows]``, for rows inside the parent
         box; writes that child's corners into ``low[rows]`` and ``high[rows]``."""
-        digits = self.digits(X[rows])
-        for j, (c, digit) in enumerate(zip(self.cuts, digits)):
-            low[rows, j] = c[digit]
-            high[rows, j] = c[digit + 1]
-        return np.ravel_multi_index(digits, self.shape)
+        return _mesh_route(*self._table(), 0, X, rows, low, high)
 
     def child_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) corners of child k."""
@@ -342,14 +375,15 @@ def build_recursive_cube(
     max_depth: int = 8,
     root: Box | None = None,
 ) -> SanitizedHistogram:
-    """Deterministic dyadic histogram: split every cell with count >= 2t."""
+    """Deterministic dyadic histogram: split every cell with count >= 2t.
+    Its ``next_cuts`` (see ``_grow_mesh``) halves every box of a frontier
+    below ``max_depth``: each table row is [low, midpoint, high]."""
     root = _mesh_root(dataset, t, max_depth, root)
 
-    def halves(low, high, level):
-        if level >= max_depth:
-            return None
-        mid = 0.5 * (low + high)
-        return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
+    def halves(low, high, levels):
+        table = np.stack([low, 0.5 * (low + high), high], axis=2)
+        return ([table[:, j] for j in range(root.dim)], np.full(low.shape, 3), levels + 1,
+                levels < max_depth)
 
     tree, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
     return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
@@ -358,43 +392,76 @@ def build_recursive_cube(
 
 def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
                next_cuts) -> tuple[HistogramNode, np.ndarray, np.ndarray]:
-    """Mesh-split every cell holding at least 2t points while
-    ``next_cuts(low, high, level)`` returns (per-axis cuts, child level).
+    """Mesh-split every cell holding at least 2t points while ``next_cuts``
+    divides it, one depth of the tree at a time.
+
+    The frontier is the F nodes that split next: their nodes, the dataset
+    rows they hold (``rows``, with ``owner[i]`` the frontier index of row
+    ``rows[i]``), and their cut tables.  ``next_cuts(low, high, levels)``
+    takes F boxes as (F, d) corner arrays with their (F,) levels and returns
+    ``(tables, ncuts, child_levels, splits)``: per axis j an (F, W_j) table
+    whose row f holds box f's cuts, both ends included, then +inf padding;
+    the (F, d) cut counts; each box's child level; and which boxes split.
+
+    Each frontier is charged its children's count against the budget, then
+    its rows are routed at once by ``_mesh_digits``: a row's key is its
+    node's offset plus its child index there.  One ``bincount`` gives every
+    child's count, each node's ``MeshSplit`` holds views of its own table
+    rows, and ``next_cuts`` runs on the boxes of the children holding at
+    least 2t rows.  Only those that it divides get a node and their rows,
+    and make the next frontier.
 
     Returns ``(tree, low, high)``: the tree, and the (n, d) low and high
-    corners of each dataset row's leaf, written by ``MeshSplit.route`` as the
-    rows are split, so ``measure_diameters`` reads grid leaf diameters from
-    them without a second descent.  Every child gets its count; only a child
-    holding at least 2t rows that ``next_cuts`` divides gets a node and its
-    rows, and is split in turn.
+    corners of each dataset row's leaf, written as the rows are routed, so
+    ``measure_diameters`` reads grid leaf diameters from them without a
+    second descent.
     """
-    n = dataset.n
+    n, X = dataset.n, dataset.points
     tree = HistogramNode(region=root, count=n, level=0)
     low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
-    step = next_cuts(root.low, root.high, 0) if n >= 2 * t else None
-    stack = [(tree, step, np.arange(n))] if step is not None else []
-    while stack:
-        node, (cuts, level), idx = stack.pop()
-        split = MeshSplit(cuts)
-        budget.charge(split.size)
-        keys = split.route(dataset.points, idx, low, high)
-        counts = np.bincount(keys, minlength=split.size)
-        node.divide(split, counts, level)
+    if n < 2 * t:
+        return tree, low, high
+    tables, ncuts, levels, splits = next_cuts(root.low[None], root.high[None],
+                                              np.zeros(1, dtype=np.intp))
+    nodes = [tree] if splits[0] else []
+    rows, owner = np.arange(n), np.zeros(n, dtype=np.intp)
+    while nodes:
+        sizes = np.prod(ncuts - 1, axis=1)
+        total = int(sizes.sum())
+        budget.charge(total)
+        offset = np.cumsum(sizes) - sizes
+        keys = offset[owner] + _mesh_route(tables, ncuts, owner, X, rows, low, high)
+        counts = np.bincount(keys, minlength=total)
+        for f, (node, m, a, b, level) in enumerate(zip(
+                nodes, ncuts.tolist(), offset.tolist(), (offset + sizes).tolist(),
+                levels.tolist())):
+            node.divide(MeshSplit([table[f, :c] for table, c in zip(tables, m)]),
+                        counts[a:b], level)
         big = np.flatnonzero(counts >= 2 * t)
         if not big.size:
-            continue
-        order = np.argsort(keys, kind="stable")
-        ends = np.cumsum(counts)
-        for k, a, b in zip(big.tolist(), (ends - counts)[big].tolist(), ends[big].tolist()):
-            rows = idx[order[a:b]]
-            step = next_cuts(low[rows[0]], high[rows[0]], level)
-            if step is not None:
-                stack.append((node.child(k), step, rows))
+            break
+        # each big child's node and index there, and its box from any of its rows
+        parent = np.searchsorted(offset, big, side="right") - 1
+        k = big - offset[parent]
+        held = np.empty(total, dtype=np.intp)
+        held[keys] = rows
+        tables, ncuts, levels, splits = next_cuts(low[held[big]], high[held[big]],
+                                                  levels[parent])
+        keep = np.flatnonzero(splits)
+        nodes = [nodes[f].child(c) for f, c in zip(parent[keep].tolist(), k[keep].tolist())]
+        tables, ncuts, levels = [table[keep] for table in tables], ncuts[keep], levels[keep]
+        slot = np.full(total, -1)
+        slot[big[keep]] = np.arange(keep.size)
+        owner = slot[keys]
+        mine = owner >= 0
+        rows, owner = rows[mine], owner[mine]
     return tree, low, high
 
 
 # ---------------------------------------------------------------------------
 # randomized shifted grid
+
+GRID_OFFSET_DRAWS = 8  # offset centers a grid build draws before a mesh-corner row aborts it
 
 
 def _kept_lines(base: float, w: float, lo: float, hi: float) -> tuple[int, int] | None:
@@ -417,26 +484,60 @@ def _kept_lines(base: float, w: float, lo: float, hi: float) -> tuple[int, int] 
     return (first + 1, last - 1) if last - first >= 2 else None
 
 
-def _box_cuts(box, w: float, kept) -> list[list[float]] | None:
-    """Per-axis cuts of a cell by one level's kept lines, or None when no
-    kept line falls inside it.  ``box`` holds (base, lo, hi) per axis and
-    ``kept`` the level's ``_kept_lines`` per axis; an axis is cut at lo, the
-    kept lines strictly inside (lo, hi), and hi."""
-    cuts, split = [], False
-    for (base, lo, hi), ks in zip(box, kept):
-        axis = [lo]
-        if ks is not None:
-            ka = math.floor((lo - base) / w)
-            kb = math.ceil((hi - base) / w)
-            # conditional expressions: max() and min() cost more per cell
-            for k in range(ka if ka > ks[0] else ks[0], (kb if kb < ks[1] else ks[1]) + 1):
-                v = base + k * w
-                if lo < v < hi:
-                    axis.append(v)
-                    split = True
-        axis.append(hi)
-        cuts.append(axis)
-    return cuts if split else None
+def _grid_cuts(bases, levels, low: np.ndarray, high: np.ndarray, lv: np.ndarray):
+    """The ``next_cuts`` of a shifted grid (see ``_grow_mesh``): each of F
+    boxes, at levels ``lv``, is cut by the first mesh level below its own
+    that puts a kept line strictly inside it.
+
+    ``bases`` holds the mesh's per-axis offset and ``levels`` each mesh
+    level as (level, w, per-axis ``_kept_lines``), in order from level 1.
+    Level by level, for the boxes not yet resolved, an axis from lo to hi is
+    cut at lo, at the kept lines base + k*w with k from
+    max(floor((lo - base) / w), a) to min(ceil((hi - base) / w), b) that lie
+    strictly inside (lo, hi), and at hi.  A box is resolved at the first
+    level that cuts one of its axes; a box that no level cuts does not split.
+    """
+    F, d = low.shape
+    ncuts = np.zeros((F, d), dtype=np.intp)
+    child = np.zeros(F, dtype=np.intp)
+    splits = np.zeros(F, dtype=bool)
+    found = []  # (boxes, per-axis interior cuts, +inf padded) per resolving level
+    for level, w, kept in levels[int(lv.min(initial=len(levels))):]:
+        todo = np.flatnonzero(~splits & (lv < level))
+        if not todo.size:
+            continue
+        inner = []
+        for j, ks in enumerate(kept):
+            lo, hi = low[todo, j, None], high[todo, j, None]
+            if ks is None:
+                inner.append(np.empty((todo.size, 0)))
+                continue
+            first = np.maximum(np.floor((lo - bases[j]) / w), ks[0])
+            last = np.minimum(np.ceil((hi - bases[j]) / w), ks[1])
+            k = first + np.arange(max(int((last - first).max()) + 1, 0))
+            v = bases[j] + k * w
+            v[(k > last) | (v <= lo) | (v >= hi)] = np.inf
+            v.sort(axis=1)  # the kept lines, ascending, then the padding
+            inner.append(v)
+        got = np.stack([np.isfinite(v).sum(axis=1) for v in inner], axis=1)
+        cut = got.any(axis=1)
+        boxes = todo[cut]
+        ncuts[boxes] = got[cut] + 2
+        child[boxes] = level
+        splits[boxes] = True
+        found.append((boxes, [v[cut] for v in inner]))
+        if splits.all():
+            break
+    tables = []
+    for j in range(d):
+        table = np.full((F, int(ncuts[:, j].max(initial=2))), np.inf)
+        table[:, 0] = low[:, j]
+        for boxes, inner in found:
+            width = min(inner[j].shape[1], table.shape[1] - 2)
+            table[boxes, 1:1 + width] = inner[j][:, :width]
+        table[splits, ncuts[splits, j] - 1] = high[splits, j]
+        tables.append(table)
+    return tables, ncuts, child, splits
 
 
 def build_shifted_grid(
@@ -453,7 +554,8 @@ def build_shifted_grid(
     fixed offset, so raw cells nest across levels.  Cells refine while they
     hold at least 2t points and mesh levels remain; levels end at max_depth
     or where mesh lines would no longer be distinct doubles (about level 50
-    on [-1, 1]^d), whichever comes first.
+    on [-1, 1]^d), whichever comes first.  A dataset row on a corner of a
+    mesh cell makes the build draw its center again (``_shifted_grid``).
     """
     return _shifted_grid(dataset, t, max_depth, seed, root)[0]
 
@@ -466,42 +568,48 @@ def _shifted_grid(
     root: Box | None = None,
 ) -> tuple[SanitizedHistogram, np.ndarray, np.ndarray]:
     """``build_shifted_grid``, plus the (n, d) low and high corners of each
-    dataset row's leaf from ``_grow_mesh``; the corners are never published."""
+    dataset row's leaf from ``_grow_mesh``; the corners are never published.
+
+    Draw 0 of the offset center comes from ``substream(seed, "grid-offset")``
+    and draw i > 0 from ``substream(seed, "grid-offset", i)``.  A build whose
+    mesh has a dataset row on a cell corner (a ``CollisionError``) is made
+    again from the next draw, and the collision is raised once
+    ``GRID_OFFSET_DRAWS`` draws have collided.
+    """
     root = _mesh_root(dataset, t, max_depth, root)
     sides = root.sides
     if not np.allclose(sides, sides[0]):
         raise InputError("shifted grid requires a cubical root region")
     side = float(sides[0])
-    center = uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
-    bases = center - side  # low corner of the inflated cube, fixed across levels
-
-    # (level, w, per-axis kept line index ranges) down to the finest level whose
-    # spacing w is at least 4 ulps of |root| + 2*side, the largest magnitude
-    # the line arithmetic reaches, so that lines land on distinct increasing
-    # doubles (about level 50 on [-1, 1]^d, where each axis holds 2^49 lines)
+    # mesh levels end at the finest spacing w that is at least 4 ulps of
+    # |root| + 2*side, the largest magnitude the line arithmetic reaches, so
+    # that lines land on distinct increasing doubles (about level 50 on
+    # [-1, 1]^d, where each axis holds 2^49 lines)
     finest = 4.0 * float(np.spacing(float(np.abs([root.low, root.high]).max()) + 2.0 * side))
-    base_list = bases.tolist()
-    levels = []
-    for level in range(1, max_depth + 1):
-        w = side * 2.0 ** (1 - level)
-        if w < finest:
-            break
-        levels.append((level, w, [_kept_lines(b, w, lo, hi) for b, lo, hi in
-                                  zip(base_list, root.low.tolist(), root.high.tolist())]))
+    for draw in range(GRID_OFFSET_DRAWS):
+        stream = substream(seed, "grid-offset", *([draw] if draw else []))
+        center = uniform_in_region(root, 1, stream)[0]
+        bases = (center - side).tolist()  # low corner of the inflated cube, fixed across levels
+        levels = []
+        for level in range(1, max_depth + 1):
+            w = side * 2.0 ** (1 - level)
+            if w < finest:
+                break
+            levels.append((level, w, [_kept_lines(b, w, lo, hi) for b, lo, hi in
+                                      zip(bases, root.low.tolist(), root.high.tolist())]))
 
-    def next_mesh(low, high, level):
-        """Per-axis cuts of the first finer level that subdivides the box."""
-        box = list(zip(base_list, low.tolist(), high.tolist()))
-        for lvl, w, kept in levels[level:]:
-            cuts = _box_cuts(box, w, kept)
-            if cuts is not None:
-                return cuts, lvl
-        return None
+        def next_mesh(low, high, lv):
+            return _grid_cuts(bases, levels, low, high, lv)
 
-    tree, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
-    hist = strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
-                              seed=seed, extra={"offset_center": center.tolist()})
-    return hist, low, high
+        tree, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
+        try:
+            hist = strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
+                                      seed=seed, extra={"offset_center": center.tolist()})
+        except CollisionError:
+            if draw + 1 == GRID_OFFSET_DRAWS:
+                raise
+            continue
+        return hist, low, high
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +779,7 @@ def strip_to_sanitized(
                 "vector the output publishes at every seed; the model assumes no atoms, so no "
                 "row may lie on a support corner or center or on a cube mesh corner")
         if (hits := _on_published(dataset.points, centers, [] if cube else meshes)).any():
-            raise InternalError(
+            raise CollisionError(
                 f"sanitization aborted: dataset row {int(np.argmax(hits))}'s coordinate "
                 "vector appeared in the output geometry")
     if total != dataset.n:

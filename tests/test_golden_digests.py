@@ -2,9 +2,11 @@
 
 ``golden_digests.json`` holds the sha256 of every document and report that
 the CLI writes for a fixed set of small seeded runs, each without its
-manifest (which names temporary paths), and of every acceptance suite's
-report without its ``summary`` line (``tests/test_acceptance.py`` checks
-those).  A change that moves any published byte fails here, and says so in
+manifest (which names temporary paths), of every pinned histogram read
+back with ``histogram_from_doc`` and written again with
+``histogram_to_doc`` (which must give its own bytes), and of every
+acceptance suite's report without its ``summary`` line
+(``tests/test_acceptance.py`` checks those).  A change that moves any published byte fails here, and says so in
 CHANGES.md when it regenerates the fixture:
 
     python tests/test_golden_digests.py
@@ -27,7 +29,8 @@ import scipy
 
 from privhist.cli import main
 from privhist.datagen import UniformBall, single
-from privhist.documents import encode, spec_to_doc, write_json_atomic
+from privhist.documents import (encode, histogram_from_doc, histogram_to_doc, spec_to_doc,
+                                write_json_atomic)
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -84,13 +87,19 @@ def document_digests(workdir: Path) -> dict:
         path[name] = workdir / f"{name}.json"
         return path[name]
 
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3, 4, 8):
         spec = workdir / f"spec{d}.json"
         write_json_atomic(str(spec), spec_to_doc(single(UniformBall(np.zeros(d), 1.0))))
-        _run("generate", "--dist", spec, "--n", 150, "--seed", 40 + d, "--out", out(f"data{d}"))
+        # at d = 8, 150 rows would leave every root child below 2t
+        _run("generate", "--dist", spec, "--n", 1000 if d == 8 else 150, "--seed", 40 + d,
+             "--out", out(f"data{d}"))
         for method in ("cube", "grid"):
             _run("sanitize", *HISTOGRAMS[method], "--seed", 50 + d,
                  "--in", path[f"data{d}"], "--out", out(f"sanitize-{method}-d{d}"))
+        if d in (1, 3, 4):  # deep shifted-grid rebuilds
+            _run("measure-diameters", "--data", path[f"data{d}"], "--method", "grid", "--t", 4,
+                 "--trials", 2, "--max-depth", 8, "--seed", 60 + d,
+                 "--out", out(f"diameters-grid-depth8-d{d}"))
     data = path["data2"]
     for name, options in HISTOGRAMS.items():
         if name.startswith("voronoi"):
@@ -109,8 +118,13 @@ def document_digests(workdir: Path) -> dict:
              "--trials", 2, "--max-depth", 2, "--seed", 64, "--out", out(f"diameters-{method}"))
     _run("cut-prob", "--support", "unit-ball", "--x", "-0.2,0.1", "--r-list", "0.05,0.2",
          "--m", 16, "--trials", 40, "--seed", 65, "--out", out("cut-prob"))
-    return {name: digest(json.loads(p.read_text()), "manifest") for name, p in path.items()
-            if not name.startswith("spec")}
+    digests = {name: digest(json.loads(p.read_text()), "manifest") for name, p in path.items()
+               if not name.startswith("spec")}
+    for name, p in path.items():
+        if name.startswith("sanitize-"):  # the document read back and written again
+            again = histogram_to_doc(histogram_from_doc(json.loads(p.read_text())))
+            digests[f"round-trip-{name[9:]}"] = digest(again, "manifest")
+    return digests
 
 
 def test_cli_documents_match_the_fixture(tmp_path):
@@ -119,6 +133,9 @@ def test_cli_documents_match_the_fixture(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = sorted(name for name in got if got[name] != expected[name])
     assert not changed, f"these documents changed bytes: {changed}"
+    moved = sorted(name for name in got if name.startswith("round-trip-")
+                   and got[name] != got[f"sanitize-{name[11:]}"])
+    assert not moved, f"these histograms do not re-encode to their own bytes: {moved}"
 
 
 if __name__ == "__main__":

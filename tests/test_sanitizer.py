@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.documents import histogram_from_doc, histogram_to_doc
-from privhist.errors import InputError, ResourceError
+from privhist.errors import CollisionError, InputError, InternalError, ResourceError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
-from privhist.rng import substream
+from privhist.metrics import measure_diameters
+from privhist.rng import child_seed, substream
 from privhist.sanitizer import (
     HistogramNode,
-    _box_cuts,
+    _grid_cuts,
     _kept_lines,
     _shifted_grid,
     build_recursive_cube,
@@ -102,6 +103,19 @@ class TestRecursiveCube:
         with pytest.raises(ResourceError):
             build_recursive_cube(data, t=2, max_depth=3)
 
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_node_budget_admits_exactly_the_tree(self, method, monkeypatch):
+        # the budget counts the root and every child of every split
+        data = Dataset(substream(1, "budget").uniform(-1.0, 1.0, (400, 3)))
+        hist = sanitize(data, method, 2, 6, seed=5)
+        nodes = 1 + sum(node.split.size for node in hist.root.walk() if node.split is not None)
+        assert nodes > 100
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", nodes)
+        assert histogram_to_doc(sanitize(data, method, 2, 6, seed=5)) == histogram_to_doc(hist)
+        monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(ResourceError, match="node budget exceeded"):
+            sanitize(data, method, 2, 6, seed=5)
+
     def test_split_threshold_soundness(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 400, seed=8)
         hist = build_recursive_cube(data, t=3, max_depth=5)
@@ -167,8 +181,13 @@ class TestShiftedGridStrips:
         kept = _kept_lines(base, w, lo, hi)
         assert (kept is None) == (bounds.size == 2)
         expected = bounds[a:b + 1].tolist()
-        cuts = _box_cuts([(base, bounds[a], bounds[b])], w, [kept])
-        assert cuts == ([expected] if len(expected) > 2 else None)
+        tables, ncuts, child, splits = _grid_cuts(
+            [base], [(level, w, [kept])], np.array([[bounds[a]]]), np.array([[bounds[b]]]),
+            np.array([0]))
+        assert splits.tolist() == [len(expected) > 2]
+        if splits[0]:
+            assert child.tolist() == [level]
+            assert tables[0][0, :ncuts[0, 0]].tolist() == expected
 
 
 class TestShiftedGrid:
@@ -221,6 +240,50 @@ class TestShiftedGrid:
         _, low, high = _shifted_grid(data, t=1, max_depth=2000, seed=1)
         assert np.all(low <= data.points) and np.all(data.points < high)
         assert np.all(high - low < 1e-12)
+
+    @staticmethod
+    def _on_a_root_corner(seed):
+        """Rows of a seeded build, plus one on a corner of its root split,
+        which depends on the offset alone."""
+        X = substream(3, "corner").uniform(-1.0, 1.0, (200, 2))
+        first = build_shifted_grid(Dataset(X), t=2, max_depth=4, seed=seed)
+        corner = [cuts[1] for cuts in first.root.split.cuts]
+        return first, Dataset(np.vstack([X, corner]))
+
+    def test_a_row_on_a_mesh_corner_redraws_the_offset(self):
+        first, data = self._on_a_root_corner(seed=11)
+        hist = build_shifted_grid(data, t=2, max_depth=4, seed=11)
+        assert hist.extra["offset_center"] != first.extra["offset_center"]
+        assert hist.leaf_count_sum() == 201
+        # measure_diameters rebuilds through the same draws
+        trial = child_seed(5, "trial", 0)
+        _, data = self._on_a_root_corner(seed=trial)
+        stats = measure_diameters(data, t=2, trials=1, seed=5, method="grid", max_depth=4)
+        assert len(stats.per_point) == 201
+
+    def test_the_corner_collision_is_internal_once_the_draws_run_out(self, monkeypatch):
+        _, data = self._on_a_root_corner(seed=11)
+        monkeypatch.setattr(privhist.sanitizer, "GRID_OFFSET_DRAWS", 1)
+        with pytest.raises(CollisionError, match="coordinate"):
+            build_shifted_grid(data, t=2, max_depth=4, seed=11)
+
+    def test_a_leaf_count_error_is_not_redrawn(self, monkeypatch):
+        builds = []
+        grow = privhist.sanitizer._grow_mesh
+
+        def miscounted(*args):
+            tree, low, high = grow(*args)
+            leaf = min(set(range(tree.split.size)) - set(tree.divided_children()))
+            tree.counts[leaf] += 1
+            builds.append(tree)
+            return tree, low, high
+
+        monkeypatch.setattr(privhist.sanitizer, "_grow_mesh", miscounted)
+        data = Dataset(substream(3, "corner").uniform(-1.0, 1.0, (20, 2)))
+        with pytest.raises(InternalError) as raised:
+            build_shifted_grid(data, t=2, max_depth=4, seed=11)
+        assert not isinstance(raised.value, CollisionError)
+        assert len(builds) == 1
 
     def test_determinism(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 200, seed=4)

@@ -1,6 +1,7 @@
 """Split-level histograms: leaf location, schema-v2 documents, the leakage scan."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from privhist import sanitizer
 from privhist.documents import encode, histogram_from_doc, histogram_to_doc
-from privhist.errors import InputError, InternalError
+from privhist.errors import CollisionError, InputError, InternalError, PrivhistError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
 from privhist.metrics import _descend, locate_leaves, measure_diameters
+from privhist.rng import substream
 from privhist.sanitizer import (
     HistogramNode,
     MeshSplit,
@@ -169,7 +171,7 @@ def test_descent_bounds_equal_leaf_regions(method, d):
         assert high[k].tobytes() == leaf.region.high.tobytes()
 
 
-def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch):
+def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch, root=None):
     """A cube or grid build and the row corners its ``_grow_mesh`` returned."""
     grown = []
     grow = sanitizer._grow_mesh
@@ -180,9 +182,9 @@ def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch):
 
     monkeypatch.setattr(sanitizer, "_grow_mesh", recording)
     if method == "cube":
-        hist = build_recursive_cube(data, t=t, max_depth=depth)
+        hist = build_recursive_cube(data, t=t, max_depth=depth, root=root)
     else:
-        hist = build_shifted_grid(data, t=t, max_depth=depth, seed=seed)
+        hist = build_shifted_grid(data, t=t, max_depth=depth, seed=seed, root=root)
     (tree, low, high), = grown
     assert tree is hist.root
     return hist, low, high
@@ -426,3 +428,243 @@ class TestNodesOnDemand:
         walked = build()
         assert len(list(walked.root.walk())) > 1 + _split_count(walked.root)
         assert encode(histogram_to_doc(build())) == encode(histogram_to_doc(walked))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_next_cuts_runs_once_per_frontier(self, method, d, monkeypatch):
+        calls = []
+        grow = sanitizer._grow_mesh
+
+        def counting(dataset, root, t, budget, next_cuts):
+            def counted(low, high, levels):
+                calls.append(len(levels))
+                return next_cuts(low, high, levels)
+
+            return grow(dataset, root, t, budget, counted)
+
+        monkeypatch.setattr(sanitizer, "_grow_mesh", counting)
+        if method == "cube":
+            hist = build_recursive_cube(self._data(d), t=2, max_depth=6)
+        else:
+            hist = build_shifted_grid(self._data(d), t=2, max_depth=6, seed=d)
+        assert len(calls) <= 6 + 1 < _split_count(hist.root)
+        assert sum(calls) > len(calls)  # the calls take many boxes at once
+
+
+# ---------------------------------------------------------------------------
+# The per-node mesh builders that ``_grow_mesh`` replaced, kept as the
+# reference: each split routes its own rows with ``searchsorted`` and asks
+# for each big child's cuts on its own.
+
+
+def _reference_grow(dataset, root, t, next_cuts):
+    """(tree, low, high) of a mesh build, one split at a time, while
+    ``next_cuts(low, high, level)`` returns (per-axis cuts, child level)."""
+    n = dataset.n
+    tree = HistogramNode(region=root, count=n, level=0)
+    low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
+    step = next_cuts(root.low, root.high, 0) if n >= 2 * t else None
+    stack = [(tree, step, np.arange(n))] if step is not None else []
+    while stack:
+        node, (cuts, level), idx = stack.pop()
+        split = MeshSplit(cuts)
+        digits = [np.searchsorted(c[1:-1], dataset.points[idx, j], side="right")
+                  for j, c in enumerate(split.cuts)]
+        for j, (c, digit) in enumerate(zip(split.cuts, digits)):
+            low[idx, j] = c[digit]
+            high[idx, j] = c[digit + 1]
+        keys = np.ravel_multi_index(digits, split.shape)
+        counts = np.bincount(keys, minlength=split.size)
+        node.divide(split, counts, level)
+        big = np.flatnonzero(counts >= 2 * t)
+        if not big.size:
+            continue
+        order = np.argsort(keys, kind="stable")
+        ends = np.cumsum(counts)
+        for k, a, b in zip(big.tolist(), (ends - counts)[big].tolist(), ends[big].tolist()):
+            rows = idx[order[a:b]]
+            step = next_cuts(low[rows[0]], high[rows[0]], level)
+            if step is not None:
+                stack.append((node.child(k), step, rows))
+    return tree, low, high
+
+
+def _reference_cube(dataset, t, max_depth, root):
+    def halves(low, high, level):
+        if level >= max_depth:
+            return None
+        mid = 0.5 * (low + high)
+        return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
+
+    tree, low, high = _reference_grow(dataset, root, t, halves)
+    return (strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
+                               seed=None), low, high)
+
+
+def _reference_box_cuts(box, w, kept):
+    """Per-axis cuts of a cell by one level's kept lines, or None when no
+    kept line falls inside it; ``box`` holds (base, lo, hi) per axis."""
+    cuts, split = [], False
+    for (base, lo, hi), ks in zip(box, kept):
+        axis = [lo]
+        if ks is not None:
+            ka = math.floor((lo - base) / w)
+            kb = math.ceil((hi - base) / w)
+            for k in range(max(ka, ks[0]), min(kb, ks[1]) + 1):
+                v = base + k * w
+                if lo < v < hi:
+                    axis.append(v)
+                    split = True
+        axis.append(hi)
+        cuts.append(axis)
+    return cuts if split else None
+
+
+def _reference_levels(root, center, max_depth):
+    """(bases, levels) of a shifted grid with this offset center, as
+    ``_shifted_grid`` lists them."""
+    side = float(root.sides[0])
+    finest = 4.0 * float(np.spacing(float(np.abs([root.low, root.high]).max()) + 2.0 * side))
+    bases = (center - side).tolist()
+    levels = []
+    for level in range(1, max_depth + 1):
+        w = side * 2.0 ** (1 - level)
+        if w < finest:
+            break
+        levels.append((level, w, [sanitizer._kept_lines(b, w, lo, hi) for b, lo, hi in
+                                  zip(bases, root.low.tolist(), root.high.tolist())]))
+    return bases, levels
+
+
+def _reference_next_mesh(bases, levels):
+    def next_mesh(low, high, level):
+        box = list(zip(bases, low.tolist(), high.tolist()))
+        for lvl, w, kept in levels[level:]:
+            cuts = _reference_box_cuts(box, w, kept)
+            if cuts is not None:
+                return cuts, lvl
+        return None
+
+    return next_mesh
+
+
+def _reference_grid(dataset, t, max_depth, seed, center, root):
+    bases, levels = _reference_levels(root, center, max_depth)
+    tree, low, high = _reference_grow(dataset, root, t, _reference_next_mesh(bases, levels))
+    return (strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
+                               seed=seed, extra={"offset_center": center.tolist()}), low, high)
+
+
+def _first_center(root, seed):
+    return uniform_in_region(root, 1, substream(seed, "grid-offset"))[0]
+
+
+def _outcome(build):
+    """A build's document bytes and row corners, or the class of its error."""
+    try:
+        hist, low, high = build()
+    except PrivhistError as exc:
+        return type(exc)
+    return encode(histogram_to_doc(hist)), low.tobytes(), high.tobytes()
+
+
+def _assert_equals_reference(method, dataset, t, max_depth, seed, root):
+    if method == "cube":
+        with pytest.MonkeyPatch.context() as patch:
+            got = _outcome(lambda: _mesh_build_with_corners("cube", dataset, t, max_depth, None,
+                                                            patch, root))
+        assert got == _outcome(lambda: _reference_cube(dataset, t, max_depth, root))
+        return got
+    got = _outcome(lambda: sanitizer._shifted_grid(dataset, t, max_depth, seed, root))
+    center = _first_center(root, seed)
+    expected = _outcome(lambda: _reference_grid(dataset, t, max_depth, seed, center, root))
+    if expected is CollisionError:  # a row on a corner of the first mesh: drawn again
+        assert isinstance(got, tuple)
+        drawn = np.array(json.loads(got[0])["extra"]["offset_center"])
+        assert drawn.tobytes() != center.tobytes()
+        expected = _outcome(lambda: _reference_grid(dataset, t, max_depth, seed, drawn, root))
+    assert got == expected
+    return got
+
+
+@given(st.sampled_from(["cube", "grid"]), st.sampled_from([1, 2, 3, 4, 8]), st.integers(1, 3),
+       st.sampled_from([1, 2, 3, 4, 6, 8, 20, 60]), st.integers(0, 10_000), st.booleans(),
+       st.data())
+@settings(max_examples=120, deadline=None)
+def test_frontier_builds_equal_the_per_node_reference(method, d, t, max_depth, seed, custom,
+                                                      data):
+    rng = np.random.default_rng(seed)
+    if custom:
+        lo, side = float(rng.uniform(-4.0, 4.0)), float(rng.choice([0.5, 1.0, 3.0, 5.0]))
+        root = Box(np.full(d, lo), np.full(d, lo + side), closed_high=np.ones(d, dtype=bool))
+    else:
+        root = default_root_box(d)
+    n = data.draw(st.integers(0, 24 if d == 8 else 40))
+    X = uniform_in_region(root, n, rng)
+    # rows on lattice lines: the cube's dyadic lines, or the first offset's mesh lines
+    side = float(root.sides[0])
+    base = root.low if method == "cube" else _first_center(root, seed) - side
+    for i in range(n):
+        kind = data.draw(st.sampled_from(["uniform", "duplicate", "high face", "line",
+                                          "lattice corner"]))
+        if kind == "duplicate":
+            X[i] = X[data.draw(st.integers(0, i))]
+            continue
+        axes = [int(rng.integers(0, d))] if kind != "lattice corner" else range(d)
+        for j in axes:
+            if kind == "high face":
+                X[i, j] = root.high[j]
+            elif kind != "uniform":
+                w = side * 2.0 ** -int(rng.integers(0, 7 if method == "cube" else 5))
+                v = base[j] + (math.ceil((root.low[j] - base[j]) / w) + int(rng.integers(0, 4))) * w
+                X[i, j] = v if root.low[j] <= v <= root.high[j] else X[i, j]
+    _assert_equals_reference(method, Dataset(X), t, max_depth, seed, root)
+
+
+def test_the_grid_root_is_first_cut_two_levels_below_level_one():
+    # levels 1 and 2 put fewer than three lines inside the root on every
+    # axis, so its split skips them; every other box is cut one level below
+    X = np.random.default_rng(8).uniform(-1.0, 1.0, (60, 2))
+    _assert_equals_reference("grid", Dataset(X), 2, 5, 8, default_root_box(2))
+    hist = build_shifted_grid(Dataset(X), t=2, max_depth=5, seed=8)
+    assert hist.root.level == 0 and hist.root.child_level == 3
+    assert hist.root.divided_children()
+
+
+@pytest.mark.parametrize("low,side", [(-1.0, 2.0), (3.0, 5.0)])
+def test_deep_grid_builds_stop_at_the_finest_level(low, side):
+    # two equal rows split while mesh levels remain; levels end before 60,
+    # where lines would no longer be distinct doubles
+    root = Box(np.full(2, low), np.full(2, low + side), closed_high=np.ones(2, dtype=bool))
+    X = uniform_in_region(root, 12, np.random.default_rng(4))
+    X[6] = X[0]
+    doc, _, _ = _assert_equals_reference("grid", Dataset(X), 1, 60, 4, root)
+    levels, stack = [], [json.loads(doc)["root"]]
+    while stack:
+        node = stack.pop()
+        levels.append(node["level"])
+        stack.extend(node["children"])
+    assert 45 < max(levels) < 60
+
+
+def test_grid_cuts_of_a_mixed_level_frontier_equal_the_per_box_reference():
+    X = np.random.default_rng(9).uniform(-1.0, 1.0, (300, 3))
+    root = default_root_box(3)
+    hist = build_shifted_grid(Dataset(X), t=2, max_depth=5, seed=9)
+    bases, levels = _reference_levels(root, np.array(hist.extra["offset_center"]), 5)
+    nodes = list(hist.root.walk())[::-1]  # deepest first: rows of differing widths
+    assert len({node.level for node in nodes}) > 2
+    low = np.array([node.region.low for node in nodes])
+    high = np.array([node.region.high for node in nodes])
+    lv = np.array([node.level for node in nodes])
+    tables, ncuts, child, splits = sanitizer._grid_cuts(bases, levels, low, high, lv)
+    reference = _reference_next_mesh(bases, levels)
+    assert 0 < splits.sum() < splits.size  # level-5 boxes have no finer level
+    for f, node in enumerate(nodes):
+        step = reference(node.region.low, node.region.high, node.level)
+        assert splits[f] == (step is not None)
+        if step is not None:
+            cuts, level = step
+            assert child[f] == level
+            assert [table[f, :m].tolist() for table, m in zip(tables, ncuts[f])] == cuts
+            assert all(np.isinf(table[f, m:]).all() for table, m in zip(tables, ncuts[f]))
