@@ -100,6 +100,15 @@ def document_digests(workdir: Path) -> dict:
             _run("measure-diameters", "--data", path[f"data{d}"], "--method", "grid", "--t", 4,
                  "--trials", 2, "--max-depth", 8, "--seed", 60 + d,
                  "--out", out(f"diameters-grid-depth8-d{d}"))
+        if d in (4, 8):  # attacks and MSTs that reach divided children at many positions
+            for method in ("cube", "grid"):
+                hist = path[f"sanitize-{method}-d{d}"]
+                for strategy, extra in ATTACKS.items():
+                    _run("attack", "--hist", hist, "--data", path[f"data{d}"], "--c", 4,
+                         "--t", 2, "--strategy", strategy, "--queries", 200, *extra,
+                         "--seed", 66, "--out", out(f"attack-{strategy}-{method}-d{d}"))
+                _run("mst-compare", "--hist", hist, "--data", path[f"data{d}"],
+                     "--out", out(f"mst-{method}-d{d}"))
     data = path["data2"]
     for name, options in HISTOGRAMS.items():
         if name.startswith("voronoi"):
