@@ -5,6 +5,12 @@ it is evidence of weakness when high, and is not proof of privacy when low.
 Every report carries that framing.  Attacks read only the published fields
 of a sanitized histogram; the raw dataset is held by the harness purely to
 score candidate points.
+
+A mesh histogram is read through its ``LeafTable``: leaves are picked by
+count from its arrays, all uniform-in-leaf queries are filled from one
+block of random numbers (``_fill_uniform``), and a node is made only for a
+leaf whose certificate is asked for.  Any other histogram is read as its
+leaf nodes in walk order.  Both give the same queries from the same seed.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import Dataset, _knn_candidates, as_point, uniform_in_region
+from .geometry import Dataset, _knn_candidates, as_point, row_norms_dot, uniform_in_region
 from .rng import substream
-from .sanitizer import certify_nodes
+from .sanitizer import LeafTable, certify_nodes, leaf_table
 
 RATE_INTERPRETATION = (
     "observed success rate is a lower-bound probe over sampled adversary "
@@ -122,21 +128,30 @@ def attack(
         raise InputError("queries must be positive")
     aux = np.zeros(dataset.n, dtype=bool)
     if strategy == "aux-informed" and aux_indices is not None:
-        aux[np.fromiter(aux_indices, dtype=int)] = True
+        known = np.fromiter(aux_indices, dtype=int)
+        if known.size and not (0 <= known.min() and known.max() < dataset.n):
+            raise InputError(f"aux_indices must lie in 0..{dataset.n - 1}")
+        aux[known] = True
     allowed = ~aux
 
     rng = substream(seed, "attack", {"uniform-in-leaf": 0,
                                      "leaf-center-weighted": 1,
                                      "aux-informed": 2}[strategy])
-    leaves = hist.root.leaves()
-    counts = np.array([leaf.count for leaf in leaves], dtype=float)
+    table = leaf_table(hist)
+    if table is None:
+        leaves = hist.root.leaves()
+        counts = np.array([leaf.count for leaf in leaves], dtype=float)
+    else:
+        leaves, counts = table, table.count.astype(float)
     if counts.sum() <= 0:
         raise InputError("histogram has no populated leaves to attack")
 
     if strategy == "uniform-in-leaf":
-        Q = _sample_count_weighted(leaves, counts, queries, rng)
+        chosen = rng.choice(counts.size, size=queries, p=counts / counts.sum())
+        Q = np.empty((queries, hist.d))
+        _fill_uniform(Q, np.arange(queries), chosen, leaves, rng)
     elif strategy == "leaf-center-weighted":
-        Q = _sample_leaf_centers(leaves, counts, queries, rng)
+        Q = _sample_leaf_centers(hist.d, leaves, counts, queries, rng)
     else:
         Q = _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng)
 
@@ -153,22 +168,32 @@ def attack(
     )
 
 
-def _sample_count_weighted(leaves, counts, queries, rng):
-    probs = counts / counts.sum()
-    chosen = rng.choice(len(leaves), size=queries, p=probs)
-    Q = np.empty((queries, leaves[0].region.dim))
+def _fill_uniform(Q, rows, chosen, leaves, rng):
+    """Write a point uniform in leaf ``chosen[i]`` into ``Q[rows[i]]``, leaf
+    by leaf in ascending order and row by row within a leaf.  A
+    ``LeafTable``'s boxes take one ``rng.random`` block for all rows, sorted
+    stably by leaf: that consumes the generator exactly as one
+    ``uniform_in_region`` call per leaf does, so every double is the same."""
+    if isinstance(leaves, LeafTable):
+        order = np.argsort(chosen, kind="stable")
+        picked = chosen[order]
+        low = leaves.low[picked]
+        Q[rows[order]] = low + (leaves.high[picked] - low) * rng.random((rows.size, Q.shape[1]))
+        return
     for li in np.unique(chosen):
-        rows = np.flatnonzero(chosen == li)
-        Q[rows] = uniform_in_region(leaves[li].region, rows.size, rng)
-    return Q
+        mine = rows[chosen == li]
+        Q[mine] = uniform_in_region(leaves[li].region, mine.size, rng)
 
 
-def _sample_leaf_centers(leaves, counts, queries, rng):
+def _sample_leaf_centers(d, leaves, counts, queries, rng):
+    """Certified centers of count-weighted leaves; a ``LeafTable`` makes
+    nodes for the picked leaves only."""
     probs = counts / counts.sum()
-    chosen = rng.choice(len(leaves), size=queries, p=probs)
-    picked = np.unique(chosen)
-    Q = np.empty((queries, leaves[0].region.dim))
-    for li, cert in zip(picked, certify_nodes([leaves[li] for li in picked])):
+    chosen = rng.choice(counts.size, size=queries, p=probs)
+    picked = np.unique(chosen).tolist()
+    nodes = [leaves.node(li) if isinstance(leaves, LeafTable) else leaves[li] for li in picked]
+    Q = np.empty((queries, d))
+    for li, cert in zip(picked, certify_nodes(nodes)):
         Q[chosen == li] = cert.witness
     return Q
 
@@ -176,7 +201,7 @@ def _sample_leaf_centers(leaves, counts, queries, rng):
 def _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng):
     """Aim at leaves holding the fewest unknown points; occasionally emit
     small offsets from known points to probe their neighbourhoods."""
-    d = leaves[0].region.dim
+    d = hist.d
     known = dataset.points[aux]
     unknown = counts - _points_per_leaf(hist, leaves, known)
     cand = np.flatnonzero(unknown >= 1)
@@ -192,25 +217,24 @@ def _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng):
     n_off = int(use_offset.sum())
     if n_off:
         picks = rng.choice(known.shape[0], size=n_off)
-        leaf_sizes = np.array([_leaf_scale(leaves[i]) for i in rng.choice(cand, size=n_off, p=probs)])
+        leaf_sizes = _leaf_scales(leaves, rng.choice(cand, size=n_off, p=probs))
         dirs = rng.standard_normal((n_off, d))
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
         Q[use_offset] = known[picks] + 0.05 * leaf_sizes[:, None] * dirs
     rest = np.flatnonzero(~use_offset)
-    chosen = rng.choice(cand, size=rest.size, p=probs)
-    for li in np.unique(chosen):
-        rows = rest[chosen == li]
-        Q[rows] = uniform_in_region(leaves[li].region, rows.size, rng)
+    _fill_uniform(Q, rest, rng.choice(cand, size=rest.size, p=probs), leaves, rng)
     return Q
 
 
 def _points_per_leaf(hist, leaves, X: np.ndarray) -> np.ndarray:
-    """Rows of X inside each leaf, in ``leaves`` order.  The leaves partition
-    the root, so one leaf location pass counts them; rows outside the root
-    count in no leaf."""
+    """Rows of X inside each leaf, in ``leaves`` order (a ``LeafTable`` or
+    the leaf nodes in walk order).  The leaves partition the root, so one
+    leaf location pass counts them; rows outside the root count in no leaf."""
+    inside = X[hist.root.region.contains_many(X)]
+    if isinstance(leaves, LeafTable):
+        return np.bincount(leaves.locate(inside), minlength=leaves.count.size)
     from .metrics import _descend
 
-    inside = X[hist.root.region.contains_many(X)]
     ids, reached, _ = _descend(hist, inside)
     leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
     out = np.zeros(len(leaves), dtype=int)
@@ -218,6 +242,9 @@ def _points_per_leaf(hist, leaves, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leaf_scale(leaf) -> float:
-    center, radius = leaf.region.bounding_ball()
-    return 2.0 * radius
+def _leaf_scales(leaves, ids: np.ndarray) -> np.ndarray:
+    """Diameter of the bounding ball of each leaf ``ids[i]``: a box's
+    diagonal."""
+    if isinstance(leaves, LeafTable):
+        return row_norms_dot(leaves.high[ids] - leaves.low[ids])
+    return np.array([2.0 * leaves[i].region.bounding_ball()[1] for i in ids])

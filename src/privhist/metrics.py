@@ -4,12 +4,14 @@ and MST cost comparison against sanitized histograms.
 The histogram distance between two points is the furthest distance between
 their smallest containing cells (sup-sup).  One descent of all points gives
 each point's leaf, and the leaves are read as arrays of one of two kinds.
-Mesh leaves, and a box root that never split, are boxes (low and high
-corners); two boxes are the norm of their per-axis farthest spans apart,
-which is exact.  Every other leaf is a ball (p, R) containing it, a ball
-root's own or a Voronoi cell's certificate, and two balls are the upper
-bound |p_x - p_y| + R_x + R_y apart.  A box's diameter is its diagonal, a
-ball's 2R.  Both kinds satisfy the two-sided sandwich
+A mesh histogram descends through its ``LeafTable`` a whole depth at a time
+and reads its leaves' corners there, making no node; any other histogram
+descends node by node.  Mesh leaves, and a box root that never split, are
+boxes (low and high corners); two boxes are the norm of their per-axis
+farthest spans apart, which is exact.  Every other leaf is a ball (p, R)
+containing it, a ball root's own or a Voronoi cell's certificate, and two
+balls are the upper bound |p_x - p_y| + R_x + R_y apart.  A box's diameter
+is its diagonal, a ball's 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 
 Expected grid diameters skip the descent: the grid builder already writes
@@ -25,12 +27,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Box, Dataset, Region, as_point, root_support, row_norms_dot, t_radii,
-                       uniform_in_region, voronoi_assign)
+from .geometry import (Box, Dataset, Region, as_point, root_support, row_norms, row_norms_dot,
+                       t_radii, uniform_in_region, voronoi_assign)
 from .rng import child_seed, substream
 from .roundness import CellKernel, certify_roundness
 from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition, _shifted_grid,
-                        certify_nodes, resolve_method, sanitize)
+                        certify_nodes, leaf_table, resolve_method, sanitize)
 
 
 # ---------------------------------------------------------------------------
@@ -43,29 +45,45 @@ def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode
     return [leaves[i] for i in ids.tolist()]
 
 
-def _descend(hist: SanitizedHistogram, X: np.ndarray):
-    """One descent of all rows of X: (ids, leaves, bounds).
-
-    ``leaves`` are the distinct leaves reached, in order of their first row,
-    and ``ids[r]`` indexes row r's leaf there.  Each split assigns the rows
-    that reached it at once.  When the root is a box and every split crossed
-    is a mesh, ``bounds`` holds the (L, d) low and high corner arrays of the
-    leaves, filled by ``MeshSplit.route`` as rows descend (no ``Box`` per leaf);
-    otherwise it is None.
-    """
+def _checked_rows(hist: SanitizedHistogram, X) -> np.ndarray:
+    """X as an (n, d) float array of rows inside the root."""
     X = np.asarray(X, dtype=float)
-    root = hist.root
-    region = root.region
+    region = hist.root.region
     if X.ndim != 2 or X.shape[1] != region.dim:
         raise InputError(f"points must form an (n, {region.dim}) array")
     inside = region.contains_many(X)
     if not inside.all():
         raise InputError(f"point index {int(np.flatnonzero(~inside)[0])} is outside the root")
+    return X
+
+
+def _descend(hist: SanitizedHistogram, X: np.ndarray):
+    """One descent of all rows of X: (ids, leaves, bounds).
+
+    ``leaves`` are the distinct leaves reached, in order of their first row,
+    and ``ids[r]`` indexes row r's leaf there.  A mesh histogram routes every
+    row one depth at a time through its ``LeafTable``, which also gives
+    ``bounds``, the (L, d) low and high corner arrays of the leaves; only the
+    reached leaves get a node.  Any other tree is descended node by node,
+    each split assigning the rows that reached it at once; ``bounds`` is
+    then None, unless every split crossed was a mesh below a box root, whose
+    ``MeshSplit.route`` fills the corners as rows descend.
+    """
+    X = _checked_rows(hist, X)
+    table = leaf_table(hist)
+    if table is not None:
+        reached, firsts, ids = np.unique(table.locate(X), return_index=True,
+                                         return_inverse=True)
+        ids, order = _by_first_row(ids, firsts)
+        reached = reached[order]
+        return (ids, [table.node(i) for i in reached.tolist()],
+                (table.low[reached], table.high[reached]))
+    root = hist.root
     n = X.shape[0]
-    mesh = isinstance(region, Box)
+    mesh = isinstance(root.region, Box)
     if mesh:
-        lo = np.tile(region.low, (n, 1))
-        hi = np.tile(region.high, (n, 1))
+        lo = np.tile(root.region.low, (n, 1))
+        hi = np.tile(root.region.high, (n, 1))
     ids = np.empty(n, dtype=int)
     leaves, firsts = [], []
     stack = [(root, np.arange(n))] if n else []
@@ -86,12 +104,31 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
         stack.extend((node.child(k), rows[part]) for k, part in enumerate(parts) if part.size)
     # rows ascend within every part, so a leaf's first row is its smallest
     firsts = np.array(firsts, dtype=int)
-    order = np.argsort(firsts)
-    rank = np.empty(len(leaves), dtype=int)
-    rank[order] = np.arange(len(leaves))
-    leaves = [leaves[i] for i in order.tolist()]
+    ids, order = _by_first_row(ids, firsts)
     bounds = (lo[firsts[order]], hi[firsts[order]]) if mesh else None
-    return rank[ids], leaves, bounds
+    return ids, [leaves[i] for i in order.tolist()], bounds
+
+
+def _by_first_row(ids: np.ndarray, firsts: np.ndarray):
+    """(ids, order): leaf ids renumbered so that the leaves are in order of
+    their first row ``firsts``, and the old ids in that order."""
+    order = np.argsort(firsts)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return rank[ids], order
+
+
+def _leaf_geometry(hist: SanitizedHistogram, X: np.ndarray):
+    """(ids, geometry): each row's index among the leaves reached, and those
+    leaves as ``_leaf_arrays`` gives them.  A mesh histogram reads both from
+    its ``LeafTable``, numbering the reached leaves in walk order and making
+    no node."""
+    table = leaf_table(hist)
+    if table is None:
+        ids, leaves, bounds = _descend(hist, X)
+        return ids, _leaf_arrays(hist, leaves, bounds)
+    reached, ids = np.unique(table.locate(_checked_rows(hist, X)), return_inverse=True)
+    return ids, (True, table.low[reached], table.high[reached])
 
 
 def _leaf_arrays(hist: SanitizedHistogram, leaves: list, bounds):
@@ -148,8 +185,7 @@ def hist_distance_with_diameters(hist: SanitizedHistogram, X, Y):
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if X.shape != Y.shape:
         raise InputError(f"point arrays differ in shape: {X.shape} vs {Y.shape}")
-    ids, leaves, bounds = _descend(hist, np.concatenate([X, Y]))
-    geometry = _leaf_arrays(hist, leaves, bounds)
+    ids, geometry = _leaf_geometry(hist, np.concatenate([X, Y]))
     ix, iy = ids[:len(X)], ids[len(X):]
     diam = _diameters(*geometry)
     return _pair_distances(*geometry, ix, iy), diam[ix], diam[iy]
@@ -228,8 +264,8 @@ def measure_diameters(
         else:
             hist = sanitize(dataset, method, t, max_depth, seed=tseed, support=support,
                             **builder_kwargs)
-            ids, leaves, bounds = _descend(hist, dataset.points)
-            sums += _diameters(*_leaf_arrays(hist, leaves, bounds))[ids]
+            ids, geometry = _leaf_geometry(hist, dataset.points)
+            sums += _diameters(*geometry)[ids]
     means = sums / trials
 
     fitted = None
@@ -344,10 +380,10 @@ def mst_compare(hist: SanitizedHistogram, dataset: Dataset) -> MstComparison:
     if n < 2:
         raise InputError("MST comparison needs at least two points")
     pts = dataset.points
-    actual, _ = _prim(n, lambda j: np.linalg.norm(pts[j] - pts, axis=1))
+    # row_norms is norm(axis=1) bit for bit, and |x - y| = |y - x| exactly
+    actual, _ = _prim(n, lambda j: row_norms(pts, pts[j]))
 
-    leaf_of, leaves, bounds = _descend(hist, pts)
-    geometry = _leaf_arrays(hist, leaves, bounds)
+    leaf_of, geometry = _leaf_geometry(hist, pts)
     pair = _pair_matrix(geometry)
     hist_cost, edges = _prim(n, lambda j: pair[leaf_of[j]][leaf_of])
 

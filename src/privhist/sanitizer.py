@@ -14,10 +14,11 @@ Three constructions:
 Each split is stored once, on the node it divides: per-axis cut arrays for
 the cube and the grid, one center array for Voronoi, and the children's
 counts as one integer array.  Child nodes are made on demand, and child
-regions are derived from the split on first use.  All published geometry is
-construction artifacts (mesh lines, centers); a final scan aborts if any
-dataset coordinate vector appears in it, except that a grid build whose mesh
-has a row on a cell corner draws its offset again instead.
+regions are derived from the split on first use; readers of a mesh
+histogram take every leaf from one ``LeafTable`` instead.  All published
+geometry is construction artifacts (mesh lines, centers); a final scan
+aborts if any dataset coordinate vector appears in it, except that a grid
+build whose mesh has a row on a cell corner draws its offset again instead.
 """
 
 from __future__ import annotations
@@ -324,6 +325,125 @@ def _splits_and_leaf_total(tree: HistogramNode) -> tuple[list, int]:
     return splits, total
 
 
+class LeafTable:
+    """Every leaf of a mesh histogram (a box root divided by ``MeshSplit``s
+    only) as arrays, built by ``leaf_table`` from its splits without making
+    a leaf node.
+
+    ``count`` and the (L, d) corners ``low`` and ``high`` list the leaves in
+    ``walk()`` order, zero-count leaves included.  ``depths`` holds one
+    routing table per depth of the tree, for the F nodes divided there:
+    ``(tables, ncuts, offset, target)``, where ``tables`` and ``ncuts`` are
+    the +inf-padded per-axis cut tables of ``_mesh_digits``, ``offset[f]``
+    is the position of node f's first child, and ``target`` holds, per
+    child, its frontier index at the next depth or ``~leaf`` (negative) for
+    a leaf.  ``locate`` routes rows through these one depth at a time, and
+    ``node`` makes the node of one leaf on demand.
+    """
+
+    def __init__(self, root: HistogramNode, layers: list):
+        """``layers`` lists the divided nodes one depth at a time, each depth
+        as (nodes, kids): kids are (node index, child index, child) of the
+        children that divide again, in walk order."""
+        box, d = root.region, root.region.dim
+        self._root, self._divided = root, [node for nodes, _ in layers for node in nodes]
+        self.depths = []
+        if not layers:  # a root that never split is the one leaf
+            self.count = np.array([root.count], dtype=np.int64)
+            self.low, self.high = box.low[None], box.high[None]
+            self._owner, self._key = np.full(1, -1), np.zeros(1, dtype=np.intp)
+            return
+        depths = []  # (tables, ncuts, sizes, offset, inner: kids' positions, child counts)
+        for nodes, kids in layers:
+            cuts = [node.split.cuts for node in nodes]
+            ncuts = np.array([[c.size for c in node_cuts] for node_cuts in cuts], dtype=np.intp)
+            tables = []
+            for j in range(d):
+                table = np.full((len(nodes), int(ncuts[:, j].max())), np.inf)
+                row = np.repeat(np.arange(len(nodes)), ncuts[:, j])
+                ends = np.cumsum(ncuts[:, j])
+                table[row, np.arange(row.size) - (ends - ncuts[:, j])[row]] = \
+                    np.concatenate([node_cuts[j] for node_cuts in cuts])
+                tables.append(table)
+            sizes = np.prod(ncuts - 1, axis=1)
+            offset = np.cumsum(sizes) - sizes
+            inner = np.array([offset[f] + k for f, k, _ in kids], dtype=np.intp)
+            depths.append((tables, ncuts, sizes, offset, inner,
+                           np.concatenate([node.counts for node in nodes])))
+        # deepest first, the leaves below each divided node, and the leaves
+        # beyond its own one that each child holds (nonzero for the kids)
+        below, extras = [None] * len(depths), [None] * len(depths)
+        for t in range(len(depths) - 1, -1, -1):
+            _, _, sizes, offset, inner, _ = depths[t]
+            extras[t] = np.zeros(int(sizes.sum()), dtype=np.int64)
+            extras[t][inner] = below[t + 1] - 1 if inner.size else 0
+            below[t] = sizes + np.add.reduceat(extras[t], offset)
+        # each child's walk position from its node's, one depth at a time:
+        # its node's first, plus one per earlier sibling, plus the extra
+        # leaves of the earlier siblings
+        L = int(below[0][0])
+        self.count = np.empty(L, dtype=np.int64)
+        self.low, self.high = np.empty((L, d)), np.empty((L, d))
+        self._owner, self._key = np.empty(L, dtype=np.intp), np.empty(L, dtype=np.intp)
+        start, base = np.zeros(1, dtype=np.int64), 0
+        for (tables, ncuts, sizes, offset, inner, counts), extra in zip(depths, extras):
+            owner = np.repeat(np.arange(sizes.size), sizes)
+            key = np.arange(owner.size) - offset[owner]
+            skipped = np.cumsum(extra) - extra
+            position = start[owner] + key + skipped - skipped[offset][owner]
+            target = ~position
+            target[inner] = np.arange(inner.size)
+            leaf = target < 0
+            at, owner, key = position[leaf], owner[leaf], key[leaf]
+            self.count[at] = counts[leaf]
+            self._owner[at], self._key[at] = base + owner, key
+            for j in range(d - 1, -1, -1):  # the C-order digits of each leaf's key
+                radix = ncuts[owner, j] - 1
+                digit = key % radix
+                key = key // radix
+                self.low[at, j] = tables[j][owner, digit]
+                self.high[at, j] = tables[j][owner, digit + 1]
+            self.depths.append((tables, ncuts, offset, target))
+            start, base = position[inner], base + sizes.size
+
+    def locate(self, X: np.ndarray) -> np.ndarray:
+        """Walk-order leaf index of each row of X, for rows inside the root:
+        the rows still above a leaf are routed by ``_mesh_digits`` through
+        one depth's tables at a time."""
+        out = np.zeros(X.shape[0], dtype=np.intp)
+        rows, owner = np.arange(X.shape[0]), np.zeros(X.shape[0], dtype=np.intp)
+        for tables, ncuts, offset, target in self.depths:
+            if not rows.size:
+                break
+            to = target[offset[owner] + _mesh_digits(tables, ncuts, owner, X[rows])[1]]
+            leaf = to < 0
+            out[rows[leaf]] = ~to[leaf]
+            rows, owner = rows[~leaf], to[~leaf]
+        return out
+
+    def node(self, i: int) -> HistogramNode:
+        """The node of leaf i, made by its parent on first use."""
+        f = int(self._owner[i])
+        return self._root if f < 0 else self._divided[f].child(int(self._key[i]))
+
+
+def leaf_table(hist: SanitizedHistogram) -> LeafTable | None:
+    """The ``LeafTable`` of a mesh histogram, None for any other.  Only the
+    nodes that have a split are visited."""
+    root = hist.root
+    if not isinstance(root.region, Box):
+        return None
+    layers, nodes = [], [root] if root.split is not None else []
+    while nodes:
+        if not all(isinstance(node.split, MeshSplit) for node in nodes):
+            return None
+        kids = [(f, k, kid) for f, node in enumerate(nodes)
+                for k, kid in sorted(node.divided_children().items())]
+        layers.append((nodes, kids))
+        nodes = [kid for _, _, kid in kids]
+    return LeafTable(root, layers)
+
+
 class _Budget:
     """The nodes of one build against ``NODE_BUDGET``: the root and every
     child of a split, made into a node or not, since documents publish each
@@ -354,6 +474,13 @@ def default_root_box(d: int) -> Box:
     return Box(-np.ones(d), np.ones(d), closed_high=np.ones(d, dtype=bool))
 
 
+def _finest(magnitude: float) -> float:
+    """The narrowest mesh spacing a build cuts at: 4 ulps of ``magnitude``,
+    the largest coordinate its cut arithmetic reaches, so that every cut
+    lands on a distinct increasing double."""
+    return 4.0 * float(np.spacing(magnitude))
+
+
 def _mesh_root(dataset: Dataset, t: int, max_depth: int, root: Box | None) -> Box:
     """The root box of a mesh build, ``[-1, 1]^d`` by default, once the
     arguments are checked."""
@@ -377,13 +504,16 @@ def build_recursive_cube(
 ) -> SanitizedHistogram:
     """Deterministic dyadic histogram: split every cell with count >= 2t.
     Its ``next_cuts`` (see ``_grow_mesh``) halves every box of a frontier
-    below ``max_depth``: each table row is [low, midpoint, high]."""
+    below ``max_depth`` that is at least ``_finest`` of the root's largest
+    coordinate wide on every axis (about level 51 on [-1, 1]^d): each table
+    row is [low, midpoint, high]."""
     root = _mesh_root(dataset, t, max_depth, root)
+    finest = _finest(float(np.abs([root.low, root.high]).max()))
 
     def halves(low, high, levels):
         table = np.stack([low, 0.5 * (low + high), high], axis=2)
         return ([table[:, j] for j in range(root.dim)], np.full(low.shape, 3), levels + 1,
-                levels < max_depth)
+                (levels < max_depth) & ((high - low).min(axis=1) >= finest))
 
     tree, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
     return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
@@ -581,11 +711,10 @@ def _shifted_grid(
     if not np.allclose(sides, sides[0]):
         raise InputError("shifted grid requires a cubical root region")
     side = float(sides[0])
-    # mesh levels end at the finest spacing w that is at least 4 ulps of
-    # |root| + 2*side, the largest magnitude the line arithmetic reaches, so
-    # that lines land on distinct increasing doubles (about level 50 on
-    # [-1, 1]^d, where each axis holds 2^49 lines)
-    finest = 4.0 * float(np.spacing(float(np.abs([root.low, root.high]).max()) + 2.0 * side))
+    # mesh levels end at the finest spacing w at or above _finest of
+    # |root| + 2*side, the largest magnitude the line arithmetic reaches
+    # (about level 50 on [-1, 1]^d, where each axis holds 2^49 lines)
+    finest = _finest(float(np.abs([root.low, root.high]).max()) + 2.0 * side)
     for draw in range(GRID_OFFSET_DRAWS):
         stream = substream(seed, "grid-offset", *([draw] if draw else []))
         center = uniform_in_region(root, 1, stream)[0]
@@ -732,11 +861,11 @@ def _on_published(points: np.ndarray, vectors: list, meshes: list) -> np.ndarray
     be a corner of a mesh split when each of its coordinates is a cut value
     on that axis."""
     hits = np.zeros(len(points), dtype=bool)
-    # + 0.0 maps -0.0 to 0.0, so byte equality is value equality
-    rows = {row.tobytes() for row in points + 0.0} if vectors else set()
-    for vec in vectors:
-        if (vec + 0.0).tobytes() in rows:
-            hits |= (points == vec).all(axis=1)
+    if vectors:
+        # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
+        row = np.dtype((np.void, 8 * points.shape[1]))
+        hits = np.isin((points + 0.0).view(row).ravel(),
+                       (np.array(vectors, dtype=float) + 0.0).view(row).ravel())
     if not meshes:
         return hits
     on_cuts = [np.isin(points[:, j], np.concatenate([cuts[j] for cuts in meshes]))

@@ -1,10 +1,12 @@
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privhist import adversary
 from privhist.adversary import (
     STRATEGIES,
     IsolationParams,
@@ -17,9 +19,10 @@ from privhist.adversary import (
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.documents import encode, histogram_from_doc, histogram_to_doc
 from privhist.errors import InputError
-from privhist.geometry import Dataset, count_in_region, Ball
+from privhist.geometry import Ball, Dataset, count_in_region, uniform_in_region
 from privhist.rng import substream
-from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
+from privhist.roundness import certify_roundness
+from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, leaf_table
 
 
 class TestIsolates:
@@ -243,9 +246,166 @@ class TestPointsPerLeaf:
         X = np.concatenate([data.points[::3], outside, data.points[:5]])
         expected = [int(leaf.region.contains_many(X).sum()) for leaf in leaves]
         assert _points_per_leaf(hist, leaves, X).tolist() == expected
+        assert _points_per_leaf(hist, leaf_table(hist), X).tolist() == expected
 
     def test_no_points_counts_zero(self):
         data, hist = _toy_attack_setup(n=50, d=2, seed=13)
         leaves = hist.root.leaves()
-        counts = _points_per_leaf(hist, leaves, np.empty((0, 2)))
-        assert counts.tolist() == [0] * len(leaves)
+        for table in (leaves, leaf_table(hist)):
+            counts = _points_per_leaf(hist, table, np.empty((0, 2)))
+            assert counts.tolist() == [0] * len(leaves)
+
+
+class TestAuxIndices:
+    @pytest.mark.parametrize("index", [-1, 50, 51])
+    def test_an_index_outside_the_rows_is_an_input_error(self, index):
+        data, hist = _toy_attack_setup(n=50, d=2, seed=17)
+        with pytest.raises(InputError, match="aux_indices"):
+            attack(hist, data, IsolationParams(c=4.0, t=2), "aux-informed", queries=10,
+                   seed=0, aux_indices=[3, index])
+
+    def test_the_first_and_last_rows_are_accepted(self):
+        data, hist = _toy_attack_setup(n=50, d=2, seed=17)
+        report = attack(hist, data, IsolationParams(c=4.0, t=2), "aux-informed", queries=10,
+                        seed=0, aux_indices=[0, 49])
+        assert report.aux_subset_size == 2
+
+
+# ---------------------------------------------------------------------------
+# The node-path samplers that the leaf table replaced, kept as the reference:
+# every leaf is a node from ``walk()``, each sampled leaf is filled by its own
+# ``uniform_in_region`` call, leaf sizes come from each leaf's bounding ball,
+# and known rows are counted by membership in each leaf.
+
+
+def _reference_fill(Q, rows, chosen, leaves, rng):
+    for li in np.unique(chosen):
+        mine = rows[chosen == li]
+        Q[mine] = uniform_in_region(leaves[li].region, mine.size, rng)
+
+
+def _reference_queries(hist, dataset, strategy, queries, seed, aux_indices):
+    """The query array the node-path attack scored."""
+    rng = substream(seed, "attack", STRATEGIES.index(strategy))
+    leaves = hist.root.leaves()
+    d = leaves[0].region.dim
+    counts = np.array([leaf.count for leaf in leaves], dtype=float)
+    Q = np.empty((queries, d))
+    if strategy != "aux-informed":
+        chosen = rng.choice(len(leaves), size=queries, p=counts / counts.sum())
+        if strategy == "uniform-in-leaf":
+            _reference_fill(Q, np.arange(queries), chosen, leaves, rng)
+        else:
+            for li in np.unique(chosen):
+                Q[chosen == li] = certify_roundness(leaves[li].region).witness
+        return Q
+    known = dataset.points[np.fromiter(aux_indices, dtype=int)]
+    unknown = counts - np.array([leaf.region.contains_many(known).sum() for leaf in leaves])
+    cand = np.flatnonzero(unknown >= 1)
+    if cand.size == 0:
+        cand = np.flatnonzero(counts > 0)
+        weights = counts[cand]
+    else:
+        weights = 1.0 / unknown[cand]
+    probs = weights / weights.sum()
+    use_offset = (known.shape[0] > 0) & (rng.random(queries) < 0.25)
+    n_off = int(use_offset.sum())
+    if n_off:
+        picks = rng.choice(known.shape[0], size=n_off)
+        leaf_sizes = np.array([2.0 * leaves[i].region.bounding_ball()[1]
+                               for i in rng.choice(cand, size=n_off, p=probs)])
+        dirs = rng.standard_normal((n_off, d))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        Q[use_offset] = known[picks] + 0.05 * leaf_sizes[:, None] * dirs
+    rest = np.flatnonzero(~use_offset)
+    _reference_fill(Q, rest, rng.choice(cand, size=rest.size, p=probs), leaves, rng)
+    return Q
+
+
+def _scored_queries(hist, data, strategy, queries, seed, aux_indices):
+    """The report of ``attack`` and the query array it scored."""
+    scored = []
+
+    def recording(Q, *args):
+        scored.append(Q.copy())
+        return _score_queries(Q, *args)
+
+    with patch.object(adversary, "_score_queries", recording):
+        report = attack(hist, data, IsolationParams(c=4.0, t=2), strategy, queries=queries,
+                        seed=seed, aux_indices=aux_indices)
+    return report, scored[0]
+
+
+def _mesh_attack_setup(method, d, n, depth, seed):
+    """A cube or grid build over uniform rows plus a tight cluster, so that
+    leaves lie at many depths, with rows on the closed high face (at d = 1
+    that is the root's corner, which no row may be)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    X[: n // 3] = 0.3 + 1e-3 * rng.standard_normal((n // 3, d))
+    if d > 1:
+        X[n // 3: n // 3 + 2, rng.integers(0, d)] = 1.0
+    data = Dataset(X)
+    if method == "cube":
+        return data, build_recursive_cube(data, t=1, max_depth=depth)
+    return data, build_shifted_grid(data, t=1, max_depth=depth, seed=seed)
+
+
+class TestLeafTableSampling:
+    @given(st.sampled_from(["cube", "grid"]), st.sampled_from([1, 2, 3, 4, 8]),
+           st.integers(1, 8), st.sampled_from(STRATEGIES), st.integers(0, 10_000),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_equal_the_node_path_reference(self, method, d, depth, strategy, seed,
+                                                   round_trip):
+        data, hist = _mesh_attack_setup(method, d, 40 if d < 8 else 90, depth, seed)
+        if round_trip:
+            hist = histogram_from_doc(json.loads(encode(histogram_to_doc(hist))))
+        aux = np.arange(seed % 3, data.n, 3) if strategy == "aux-informed" else None
+        report, Q = _scored_queries(hist, data, strategy, 300, seed, aux)
+        reference = _reference_queries(hist, data, strategy, 300, seed, aux)
+        assert Q.tobytes() == reference.tobytes()
+        victims = _score_queries(reference, data, IsolationParams(c=4.0, t=2),
+                                 np.isin(np.arange(data.n), aux, invert=True))
+        assert report.successes == int((victims >= 0).sum())
+        assert report.per_point_hits.tolist() == np.bincount(
+            victims[victims >= 0], minlength=data.n).tolist()
+
+    def test_a_root_that_never_split_is_one_leaf(self):
+        data = Dataset(np.array([[0.1, 0.2], [0.3, -0.4]]))
+        hist = build_recursive_cube(data, t=2, max_depth=4)
+        assert hist.root.split is None
+        for strategy in STRATEGIES:
+            aux = [1] if strategy == "aux-informed" else None
+            _, Q = _scored_queries(hist, data, strategy, 50, 3, aux)
+            assert Q.tobytes() == _reference_queries(hist, data, strategy, 50, 3,
+                                                     aux).tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_an_attack_makes_no_node_for_a_leaf_it_does_not_pick(self, method, strategy):
+        data, hist = _mesh_attack_setup(method, 3, 300, 6, 5)
+        divided = [node for node in hist.root.walk() if node.split is not None]
+        made = sum(len(node._kids) for node in divided)
+        hist = histogram_from_doc(histogram_to_doc(hist))
+        divided = _divided_nodes(hist.root)
+        assert sum(len(node._kids) for node in divided) == len(divided) - 1 < made
+        aux = np.arange(0, data.n, 4) if strategy == "aux-informed" else None
+        attack(hist, data, IsolationParams(c=4.0, t=2), strategy, queries=200, seed=6,
+               aux_indices=aux)
+        leaves_made = sum(len(node._kids) for node in _divided_nodes(hist.root)) - \
+            (len(divided) - 1)
+        if strategy == "leaf-center-weighted":  # one node per picked leaf
+            assert 0 < leaves_made <= 200
+        else:
+            assert leaves_made == 0
+
+
+def _divided_nodes(root):
+    """The nodes that have a split, reached through made nodes only."""
+    out, stack = [], [root] if root.split is not None else []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.divided_children().values())
+    return out

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
-from privhist.documents import histogram_from_doc, histogram_to_doc
+from privhist.cli import main
+from privhist.documents import (dataset_to_doc, histogram_from_doc, histogram_to_doc,
+                                write_json_atomic)
 from privhist.errors import CollisionError, InputError, InternalError, ResourceError
 from privhist.geometry import Ball, Box, Dataset, VoronoiClip, uniform_in_region
 from privhist.metrics import measure_diameters
@@ -16,6 +18,7 @@ from privhist.sanitizer import (
     HistogramNode,
     _grid_cuts,
     _kept_lines,
+    _on_published,
     _shifted_grid,
     build_recursive_cube,
     build_shifted_grid,
@@ -115,6 +118,26 @@ class TestRecursiveCube:
         monkeypatch.setattr(privhist.sanitizer, "NODE_BUDGET", nodes - 1)
         with pytest.raises(ResourceError, match="node budget exceeded"):
             sanitize(data, method, 2, 6, seed=5)
+
+    @pytest.mark.parametrize("depth", [55, 56, 60])
+    def test_deep_build_on_duplicate_rows_stops_at_the_finest_level(self, depth, tmp_path):
+        # two equal rows never separate; halving stops at cells 2^-50 wide on
+        # [-1, 1]^2 (level 51), before a midpoint could land on the rows
+        data = Dataset(np.array([[0.3, -0.2], [0.3, -0.2], [0.5, 0.5]]))
+        hist = build_recursive_cube(data, t=1, max_depth=depth)
+        levels = [node.level for node in hist.root.walk()]
+        assert max(levels) == 52
+        assert all(node.region.sides.min() >= 2.0**-50
+                   for node in hist.root.walk() if node.split is not None)
+        write_json_atomic(str(tmp_path / "data.json"), dataset_to_doc(data))
+        assert main(["sanitize", "--method", "cube", "--t", "1", "--max-depth", str(depth),
+                     "--in", str(tmp_path / "data.json"),
+                     "--out", str(tmp_path / "hist.json")]) == 0
+
+    def test_a_normal_depth_keeps_every_level(self):
+        data = Dataset(np.array([[0.3, -0.2], [0.3, -0.2], [0.5, 0.5]]))
+        hist = build_recursive_cube(data, t=1, max_depth=40)
+        assert max(node.level for node in hist.root.walk()) == 40
 
     def test_split_threshold_soundness(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 400, seed=8)
@@ -414,6 +437,20 @@ class TestSanitizedOutput:
         with pytest.raises(InputError, match="row 0"):
             strip_to_sanitized(poisoned, data, method="cube", t=2, max_depth=1,
                                seed=None)
+
+    def test_rows_on_fixed_vectors_match_by_value(self):
+        # -0.0 and 0.0 are one value; a row equals a vector only on every axis
+        rng = np.random.default_rng(18)
+        points = rng.uniform(-1.0, 1.0, (300, 3))
+        vectors = [np.array([-1.0, -1.0, -1.0]), np.array([0.0, -0.0, 0.5]), points[7]]
+        points[[3, 40]] = vectors[0]
+        points[90] = [-0.0, 0.0, 0.5]
+        points[91] = [0.0, 0.0, 0.25]
+        hits = _on_published(points, vectors, [])
+        expected = [i for i, row in enumerate(points)
+                    if any((row == vec).all() for vec in vectors)]
+        assert np.flatnonzero(hits).tolist() == expected == [3, 7, 40, 90]
+        assert not _on_published(points, [], []).any()
 
     def test_cube_regions_are_data_independent(self):
         d1, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 200, seed=16)

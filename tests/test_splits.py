@@ -171,6 +171,54 @@ def test_descent_bounds_equal_leaf_regions(method, d):
         assert high[k].tobytes() == leaf.region.high.tobytes()
 
 
+def _reference_descend(hist, X):
+    """The per-node descent that the leaf table replaced for mesh histograms:
+    (ids, leaves, low, high), each split routing the rows that reached it
+    with ``MeshSplit.route`` and leaves numbered by their first row."""
+    n = X.shape[0]
+    low, high = np.tile(hist.root.region.low, (n, 1)), np.tile(hist.root.region.high, (n, 1))
+    ids = np.empty(n, dtype=int)
+    leaves, firsts = [], []
+    stack = [(hist.root, np.arange(n))] if n else []
+    while stack:
+        node, rows = stack.pop()
+        if node.split is None:
+            ids[rows] = len(leaves)
+            leaves.append(node)
+            firsts.append(rows[0])
+            continue
+        keys = node.split.route(X, rows, low, high)
+        stack.extend((node.child(k), rows[keys == k]) for k in np.unique(keys).tolist())
+    order = np.argsort(firsts)
+    rank = np.empty(len(leaves), dtype=int)
+    rank[order] = np.arange(len(leaves))
+    firsts = np.array(firsts, dtype=int)[order]
+    return rank[ids], [leaves[i] for i in order.tolist()], low[firsts], high[firsts]
+
+
+@given(st.sampled_from(["cube", "grid"]), st.sampled_from([1, 2, 3, 4, 8]), st.integers(1, 8),
+       st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_table_descent_equals_the_per_node_reference(method, d, depth, seed, round_trip):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (60 if d < 8 else 120, d))
+    X[:20] = 0.3 + 1e-3 * rng.standard_normal((20, d))  # a cluster split to the last depth
+    data = Dataset(X)
+    if method == "cube":
+        hist = build_recursive_cube(data, t=1, max_depth=depth)
+    else:
+        hist = build_shifted_grid(data, t=1, max_depth=depth, seed=seed)
+    if round_trip:
+        hist = histogram_from_doc(json.loads(encode(histogram_to_doc(hist))))
+    Q = np.concatenate([X, _query_points(hist, rng)])  # cut values and closed high faces
+    ids, reached, (low, high) = _descend(hist, Q)
+    expected_ids, expected, expected_low, expected_high = _reference_descend(hist, Q)
+    assert ids.tolist() == expected_ids.tolist()
+    assert len(reached) == len(expected)
+    assert all(a is b for a, b in zip(reached, expected))
+    assert low.tobytes() == expected_low.tobytes() and high.tobytes() == expected_high.tobytes()
+
+
 def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch, root=None):
     """A cube or grid build and the row corners its ``_grow_mesh`` returned."""
     grown = []
@@ -490,8 +538,10 @@ def _reference_grow(dataset, root, t, next_cuts):
 
 
 def _reference_cube(dataset, t, max_depth, root):
+    finest = 4.0 * float(np.spacing(float(np.abs([root.low, root.high]).max())))
+
     def halves(low, high, level):
-        if level >= max_depth:
+        if level >= max_depth or (high - low).min() < finest:
             return None
         mid = 0.5 * (low + high)
         return [np.array([lo, m, hi]) for lo, m, hi in zip(low, mid, high)], level + 1
