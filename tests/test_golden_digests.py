@@ -6,10 +6,14 @@ manifest (which names temporary paths), of every pinned histogram read
 back with ``histogram_from_doc`` and written again with
 ``histogram_to_doc`` (which must give its own bytes), and of every
 acceptance suite's report without its ``summary`` line
-(``tests/test_acceptance.py`` checks those).  A change that moves any published byte fails here, and says so in
-CHANGES.md when it regenerates the fixture:
+(``tests/test_acceptance.py`` checks those).  A change that moves any
+published byte fails here, and says so in CHANGES.md when it regenerates
+the fixture:
 
     python tests/test_golden_digests.py
+
+which prints the keys it added, removed and moved against the fixture it
+replaces.
 
 The fixture records the numpy and scipy versions and the BLAS thread count
 it was made with; a run under others fails with a message naming the
@@ -109,6 +113,21 @@ def document_digests(workdir: Path) -> dict:
                          "--seed", 66, "--out", out(f"attack-{strategy}-{method}-d{d}"))
                 _run("mst-compare", "--hist", hist, "--data", path[f"data{d}"],
                      "--out", out(f"mst-{method}-d{d}"))
+        # Voronoi trees off the d = 2 ball: other dimensions, and box supports
+        supports = {1: ("",), 2: ("unit-cube",), 3: ("", "unit-cube"), 4: ("",)}.get(d, ())
+        for support in supports:
+            for centers in ("voronoi-greedy", "voronoi-uniform"):
+                name = f"{centers}-{support}-d{d}" if support else f"{centers}-d{d}"
+                where = ("--support", support) if support else ()
+                _run("sanitize", *HISTOGRAMS[centers], *where, "--seed", 70 + d,
+                     "--in", path[f"data{d}"], "--out", out(f"sanitize-{name}"))
+                hist = path[f"sanitize-{name}"]
+                for strategy, extra in ATTACKS.items():
+                    _run("attack", "--hist", hist, "--data", path[f"data{d}"], "--c", 4,
+                         "--t", 2, "--strategy", strategy, "--queries", 200, *extra,
+                         "--seed", 66, "--out", out(f"attack-{strategy}-{name}"))
+                _run("mst-compare", "--hist", hist, "--data", path[f"data{d}"],
+                     "--out", out(f"mst-{name}"))
     data = path["data2"]
     for name, options in HISTOGRAMS.items():
         if name.startswith("voronoi"):
@@ -155,6 +174,15 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         documents = document_digests(Path(tmp))
     suites = {name: digest(run_suite(name, seed=0), "summary") for name in SUITES}
-    FIXTURE.write_text(json.dumps({"environment": environment(), "documents": documents,
-                                   "suites": suites}, indent=1, sort_keys=True) + "\n")
+    before = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    after = {"documents": documents, "suites": suites}
+    FIXTURE.write_text(json.dumps({"environment": environment(), **after},
+                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}: {len(documents)} documents, {len(suites)} suites")
+    for part, new in after.items():
+        old = before.get(part, {})
+        for change, keys in (("added", sorted(new.keys() - old.keys())),
+                             ("removed", sorted(old.keys() - new.keys())),
+                             ("moved", sorted(k for k in new.keys() & old.keys()
+                                              if new[k] != old[k]))):
+            print(f"{part} {change}: {len(keys)}" + "".join(f"\n  {k}" for k in keys))
