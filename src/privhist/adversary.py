@@ -6,11 +6,11 @@ Every report carries that framing.  Attacks read only the published fields
 of a sanitized histogram; the raw dataset is held by the harness purely to
 score candidate points.
 
-A mesh histogram is read through its ``LeafTable``: leaves are picked by
-count from its arrays, all uniform-in-leaf queries are filled from one
-block of random numbers (``_fill_uniform``), and a node is made only for a
-leaf whose certificate is asked for.  Any other histogram is read as its
-leaf nodes in walk order.  Both give the same queries from the same seed.
+Every histogram is read through its ``LeafTable``: leaves are picked by
+count from its arrays in walk order, and a node is made only for a leaf
+whose certificate or Voronoi region is asked for.  Box leaves take all
+their uniform-in-leaf queries from one block of random numbers
+(``_fill_uniform``), the same doubles as one draw per leaf.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import Dataset, _knn_candidates, as_point, row_norms_dot, uniform_in_region
 from .rng import substream
-from .sanitizer import LeafTable, certify_nodes, leaf_table
+from .sanitizer import certify_nodes, leaf_table
 
 RATE_INTERPRETATION = (
     "observed success rate is a lower-bound probe over sampled adversary "
@@ -137,12 +137,8 @@ def attack(
     rng = substream(seed, "attack", {"uniform-in-leaf": 0,
                                      "leaf-center-weighted": 1,
                                      "aux-informed": 2}[strategy])
-    table = leaf_table(hist)
-    if table is None:
-        leaves = hist.root.leaves()
-        counts = np.array([leaf.count for leaf in leaves], dtype=float)
-    else:
-        leaves, counts = table, table.count.astype(float)
+    leaves = leaf_table(hist)
+    counts = leaves.count.astype(float)
     if counts.sum() <= 0:
         raise InputError("histogram has no populated leaves to attack")
 
@@ -169,31 +165,30 @@ def attack(
 
 
 def _fill_uniform(Q, rows, chosen, leaves, rng):
-    """Write a point uniform in leaf ``chosen[i]`` into ``Q[rows[i]]``, leaf
-    by leaf in ascending order and row by row within a leaf.  A
-    ``LeafTable``'s boxes take one ``rng.random`` block for all rows, sorted
-    stably by leaf: that consumes the generator exactly as one
+    """Write a point uniform in leaf ``chosen[i]`` of the ``LeafTable``
+    ``leaves`` into ``Q[rows[i]]``, leaf by leaf in ascending order and row
+    by row within a leaf.  Box leaves take one ``rng.random`` block for all
+    rows, sorted stably by leaf: that consumes the generator exactly as one
     ``uniform_in_region`` call per leaf does, so every double is the same."""
-    if isinstance(leaves, LeafTable):
-        order = np.argsort(chosen, kind="stable")
-        picked = chosen[order]
-        low = leaves.low[picked]
-        Q[rows[order]] = low + (leaves.high[picked] - low) * rng.random((rows.size, Q.shape[1]))
+    if leaves.low is None:
+        for li in np.unique(chosen):
+            mine = rows[chosen == li]
+            Q[mine] = uniform_in_region(leaves.node(li).region, mine.size, rng)
         return
-    for li in np.unique(chosen):
-        mine = rows[chosen == li]
-        Q[mine] = uniform_in_region(leaves[li].region, mine.size, rng)
+    order = np.argsort(chosen, kind="stable")
+    picked = chosen[order]
+    low = leaves.low[picked]
+    Q[rows[order]] = low + (leaves.high[picked] - low) * rng.random((rows.size, Q.shape[1]))
 
 
 def _sample_leaf_centers(d, leaves, counts, queries, rng):
-    """Certified centers of count-weighted leaves; a ``LeafTable`` makes
-    nodes for the picked leaves only."""
+    """Certified centers of count-weighted leaves; only the picked leaves
+    get a node."""
     probs = counts / counts.sum()
     chosen = rng.choice(counts.size, size=queries, p=probs)
     picked = np.unique(chosen).tolist()
-    nodes = [leaves.node(li) if isinstance(leaves, LeafTable) else leaves[li] for li in picked]
     Q = np.empty((queries, d))
-    for li, cert in zip(picked, certify_nodes(nodes)):
+    for li, cert in zip(picked, certify_nodes([leaves.node(li) for li in picked])):
         Q[chosen == li] = cert.witness
     return Q
 
@@ -227,24 +222,16 @@ def _sample_aux_informed(hist, leaves, counts, dataset, aux, queries, rng):
 
 
 def _points_per_leaf(hist, leaves, X: np.ndarray) -> np.ndarray:
-    """Rows of X inside each leaf, in ``leaves`` order (a ``LeafTable`` or
-    the leaf nodes in walk order).  The leaves partition the root, so one
-    leaf location pass counts them; rows outside the root count in no leaf."""
+    """Rows of X inside each leaf of the ``LeafTable`` ``leaves``.  The
+    leaves partition the root, so one ``locate`` counts them; rows outside
+    the root count in no leaf."""
     inside = X[hist.root.region.contains_many(X)]
-    if isinstance(leaves, LeafTable):
-        return np.bincount(leaves.locate(inside), minlength=leaves.count.size)
-    from .metrics import _descend
-
-    ids, reached, _ = _descend(hist, inside)
-    leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
-    out = np.zeros(len(leaves), dtype=int)
-    out[[leaf_index[id(leaf)] for leaf in reached]] = np.bincount(ids, minlength=len(reached))
-    return out
+    return np.bincount(leaves.locate(inside), minlength=leaves.count.size)
 
 
 def _leaf_scales(leaves, ids: np.ndarray) -> np.ndarray:
     """Diameter of the bounding ball of each leaf ``ids[i]``: a box's
-    diagonal."""
-    if isinstance(leaves, LeafTable):
+    diagonal, else twice its region's bounding radius."""
+    if leaves.low is not None:
         return row_norms_dot(leaves.high[ids] - leaves.low[ids])
-    return np.array([2.0 * leaves[i].region.bounding_ball()[1] for i in ids])
+    return np.array([2.0 * leaves.node(i).region.bounding_ball()[1] for i in ids])

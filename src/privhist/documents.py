@@ -224,16 +224,18 @@ def _node_to_doc(node: HistogramNode) -> dict:
 
 def _split_from_doc(doc: dict, d: int, box):
     """A node's split.  ``box`` is the node's (low, high) when it is a box,
-    else None: a mesh split must span its node's box exactly."""
+    else None: a mesh split must span its node's box exactly.  Mesh cuts are
+    checked on the decoded lists, where a comparison with NaN or with a
+    value that is not a number fails, and converted once."""
     kind = doc["kind"]
     if kind == "mesh":
         if box is None:
             raise InputError("a mesh split needs a box-shaped node")
-        cuts = [np.array(c, float) for c in doc["cuts"]]
-        if len(cuts) != d or any(c.ndim != 1 or c.size < 2 or not np.all(c[1:] > c[:-1])
-                                 for c in cuts):
+        cuts = doc["cuts"]
+        if len(cuts) != d or not all(len(c) >= 2 and all(a < b for a, b in zip(c, c[1:]))
+                                     for c in cuts):
             raise InputError("mesh cuts must be d strictly increasing arrays")
-        if any(c[0] != lo or c[-1] != hi for c, lo, hi in zip(cuts, *box)):
+        if any(c[0] != lo or c[-1] != hi for c, lo, hi in zip(cuts, *(b.tolist() for b in box))):
             raise InputError("mesh cuts do not span their node's box")
         return MeshSplit(cuts)
     if kind == "voronoi":

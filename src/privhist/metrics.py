@@ -2,15 +2,14 @@
 and MST cost comparison against sanitized histograms.
 
 The histogram distance between two points is the furthest distance between
-their smallest containing cells (sup-sup).  One descent of all points gives
-each point's leaf, and the leaves are read as arrays of one of two kinds.
-A mesh histogram descends through its ``LeafTable`` a whole depth at a time
-and reads its leaves' corners there, making no node; any other histogram
-descends node by node.  Mesh leaves, and a box root that never split, are
-boxes (low and high corners); two boxes are the norm of their per-axis
-farthest spans apart, which is exact.  Every other leaf is a ball (p, R)
-containing it, a ball root's own or a Voronoi cell's certificate, and two
-balls are the upper bound |p_x - p_y| + R_x + R_y apart.  A box's diameter
+their smallest containing cells (sup-sup).  One pass of all points through
+the histogram's ``LeafTable``, a whole depth at a time, gives each point's
+leaf, and the leaves are read as arrays of one of two kinds.  Mesh leaves,
+and a box root that never split, are boxes whose corners the table holds;
+two boxes are the norm of their per-axis farthest spans apart, which is
+exact.  Every other leaf is a ball (p, R) containing it, a ball root's own
+or a Voronoi cell's certificate, and two balls are the upper bound
+|p_x - p_y| + R_x + R_y apart.  A box's diameter
 is its diagonal, a ball's 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 
@@ -27,12 +26,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Box, Dataset, Region, as_point, root_support, row_norms, row_norms_dot,
+from .geometry import (Dataset, Region, as_point, root_support, row_norms, row_norms_dot,
                        t_radii, uniform_in_region, voronoi_assign)
 from .rng import child_seed, substream
 from .roundness import CellKernel, certify_roundness
-from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition, _shifted_grid,
-                        certify_nodes, leaf_table, resolve_method, sanitize)
+from .sanitizer import (HistogramNode, SanitizedHistogram, _shifted_grid, certify_nodes,
+                        leaf_table, resolve_method, sanitize)
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +39,9 @@ from .sanitizer import (HistogramNode, MeshSplit, SanitizedHistogram, _partition
 
 
 def locate_leaves(hist: SanitizedHistogram, X: np.ndarray) -> list[HistogramNode]:
-    """Leaf per row of X."""
-    ids, leaves, _ = _descend(hist, X)
+    """Leaf per row of X; only the leaves that rows reach get a node."""
+    table, ids, reached = _descend(hist, X)
+    leaves = [table.node(i) for i in reached.tolist()]
     return [leaves[i] for i in ids.tolist()]
 
 
@@ -58,94 +58,38 @@ def _checked_rows(hist: SanitizedHistogram, X) -> np.ndarray:
 
 
 def _descend(hist: SanitizedHistogram, X: np.ndarray):
-    """One descent of all rows of X: (ids, leaves, bounds).
+    """One location of all rows of X through the histogram's ``LeafTable``:
+    (table, ids, reached), making no node.
 
-    ``leaves`` are the distinct leaves reached, in order of their first row,
-    and ``ids[r]`` indexes row r's leaf there.  A mesh histogram routes every
-    row one depth at a time through its ``LeafTable``, which also gives
-    ``bounds``, the (L, d) low and high corner arrays of the leaves; only the
-    reached leaves get a node.  Any other tree is descended node by node,
-    each split assigning the rows that reached it at once; ``bounds`` is
-    then None, unless every split crossed was a mesh below a box root, whose
-    ``MeshSplit.route`` fills the corners as rows descend.
+    ``reached`` lists the walk-order indices of the leaves that rows reach,
+    in order of each leaf's first row, and ``ids[r]`` indexes row r's leaf
+    there.
     """
-    X = _checked_rows(hist, X)
     table = leaf_table(hist)
-    if table is not None:
-        reached, firsts, ids = np.unique(table.locate(X), return_index=True,
-                                         return_inverse=True)
-        ids, order = _by_first_row(ids, firsts)
-        reached = reached[order]
-        return (ids, [table.node(i) for i in reached.tolist()],
-                (table.low[reached], table.high[reached]))
-    root = hist.root
-    n = X.shape[0]
-    mesh = isinstance(root.region, Box)
-    if mesh:
-        lo = np.tile(root.region.low, (n, 1))
-        hi = np.tile(root.region.high, (n, 1))
-    ids = np.empty(n, dtype=int)
-    leaves, firsts = [], []
-    stack = [(root, np.arange(n))] if n else []
-    while stack:
-        node, rows = stack.pop()
-        split = node.split
-        if split is None:
-            ids[rows] = len(leaves)
-            leaves.append(node)
-            firsts.append(rows[0])
-            continue
-        if mesh and isinstance(split, MeshSplit):
-            keys = split.route(X, rows, lo, hi)
-        else:
-            mesh = False
-            keys = split.assign(X[rows])
-        parts = _partition(keys, split.size)
-        stack.extend((node.child(k), rows[part]) for k, part in enumerate(parts) if part.size)
-    # rows ascend within every part, so a leaf's first row is its smallest
-    firsts = np.array(firsts, dtype=int)
-    ids, order = _by_first_row(ids, firsts)
-    bounds = (lo[firsts[order]], hi[firsts[order]]) if mesh else None
-    return ids, [leaves[i] for i in order.tolist()], bounds
-
-
-def _by_first_row(ids: np.ndarray, firsts: np.ndarray):
-    """(ids, order): leaf ids renumbered so that the leaves are in order of
-    their first row ``firsts``, and the old ids in that order."""
+    reached, firsts, ids = np.unique(table.locate(_checked_rows(hist, X)), return_index=True,
+                                     return_inverse=True)
     order = np.argsort(firsts)
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)
-    return rank[ids], order
+    return table, rank[ids], reached[order]
 
 
 def _leaf_geometry(hist: SanitizedHistogram, X: np.ndarray):
-    """(ids, geometry): each row's index among the leaves reached, and those
-    leaves as ``_leaf_arrays`` gives them.  A mesh histogram reads both from
-    its ``LeafTable``, numbering the reached leaves in walk order and making
-    no node."""
-    table = leaf_table(hist)
-    if table is None:
-        ids, leaves, bounds = _descend(hist, X)
-        return ids, _leaf_arrays(hist, leaves, bounds)
-    reached, ids = np.unique(table.locate(_checked_rows(hist, X)), return_inverse=True)
-    return ids, (True, table.low[reached], table.high[reached])
-
-
-def _leaf_arrays(hist: SanitizedHistogram, leaves: list, bounds):
-    """The descent's leaves as arrays of one kind: ``(True, low, high)``, the
-    (L, d) corners of mesh leaves or of a box root that never split, or
-    ``(False, P, R)``, the (L, d) centers and (L,) radii of balls containing
-    the leaves.  A ball root gives its own; a Voronoi cell gives its
-    certificate's witness and radius, from one ``certify_nodes`` batch per
-    split."""
-    if bounds is not None:
-        return True, *bounds
+    """(ids, geometry): each row's index among the leaves reached, as
+    ``_descend`` numbers them, and those leaves as arrays of one kind:
+    ``(True, low, high)``, the (L, d) corners of box leaves, or ``(False, P,
+    R)``, the (L, d) centers and (L,) radii of balls containing the leaves.
+    A ball root gives its own; a Voronoi cell gives its certificate's
+    witness and radius, from one ``certify_nodes`` batch per split."""
+    table, ids, reached = _descend(hist, X)
+    if table.low is not None:
+        return ids, (True, table.low[reached], table.high[reached])
     root = hist.root
     if root.split is None:  # a ball root that never split
-        return False, root.region.center[None], np.array([root.region.radius])
-    certs = certify_nodes(leaves)
-    return (False, np.array([c.witness for c in certs]).reshape(-1, hist.d),
-            np.array([c.radius for c in certs]))
+        return ids, (False, root.region.center[None], np.array([root.region.radius]))
+    certs = certify_nodes([table.node(i) for i in reached.tolist()])
+    return ids, (False, np.array([c.witness for c in certs]).reshape(-1, hist.d),
+                 np.array([c.radius for c in certs]))
 
 
 def _diameters(boxes: bool, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -240,8 +184,8 @@ def measure_diameters(
     defaulted once by ``resolve_method``, as ``sanitize`` does.  A grid
     build hands back the corners of each row's leaf, which it wrote while
     splitting the rows, so grid diameters take no descent.  A Voronoi build,
-    made by ``sanitize``, is descended once per trial and its leaves read as
-    certificate balls.  Grid bounds are closed-form; Voronoi bounds fit one
+    made by ``sanitize``, locates the rows once per trial through its leaf
+    table and reads its leaves as certificate balls.  Grid bounds are closed-form; Voronoi bounds fit one
     coefficient kappa to mean ~ kappa * (max_depth * d * r + 2^-max_depth)
     and report it.
     """

@@ -13,12 +13,13 @@ Three constructions:
 
 Each split is stored once, on the node it divides: per-axis cut arrays for
 the cube and the grid, one center array for Voronoi, and the children's
-counts as one integer array.  Child nodes are made on demand, and child
-regions are derived from the split on first use; readers of a mesh
-histogram take every leaf from one ``LeafTable`` instead.  All published
-geometry is construction artifacts (mesh lines, centers); a final scan
-aborts if any dataset coordinate vector appears in it, except that a grid
-build whose mesh has a row on a cell corner draws its offset again instead.
+counts as one integer array.  Every split of a tree is of one kind.  Child
+nodes are made on demand, and child regions are derived from the split on
+first use; readers take every leaf from one ``LeafTable`` instead.  All
+published geometry is construction artifacts (mesh lines, centers); a final
+scan aborts if any dataset coordinate vector appears in it, except that a
+grid build whose mesh has a row on a cell corner draws its offset again
+instead.
 """
 
 from __future__ import annotations
@@ -77,26 +78,13 @@ def _mesh_digits(tables, ncuts, owner, X: np.ndarray) -> tuple[list[np.ndarray],
     return digits, keys
 
 
-def _mesh_route(tables, ncuts, owner, X: np.ndarray, rows: np.ndarray, low: np.ndarray,
-                high: np.ndarray) -> np.ndarray:
-    """Child index of each row ``X[rows]`` in its node's split, as
-    ``_mesh_digits`` gives it; writes that child's corners, read from the
-    tables at the digit and the digit + 1, into ``low[rows]`` and
-    ``high[rows]``."""
-    digits, keys = _mesh_digits(tables, ncuts, owner, X[rows])
-    for j, (table, digit) in enumerate(zip(tables, digits)):
-        low[rows, j] = table[owner, digit]
-        high[rows, j] = table[owner, digit + 1]
-    return keys
-
-
 class MeshSplit:
     """Axis-aligned split of a box by per-axis cut arrays, both ends included.
 
     Child k has digits ``np.unravel_index(k, shape)`` (C order) and spans
     ``[cuts[j][digit_j], cuts[j][digit_j + 1])`` on axis j; its high face is
     closed where the parent's is and the two coincide.  Rows are routed by
-    ``_mesh_digits``, with this split as a one-node table.
+    ``_mesh_digits``, a whole depth of splits at a time.
     """
 
     __slots__ = ("cuts", "shape", "size", "_source")
@@ -105,19 +93,6 @@ class MeshSplit:
         self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
         self.shape = tuple(c.size - 1 for c in self.cuts)
         self.size = math.prod(self.shape)
-
-    def _table(self):
-        return [c[None] for c in self.cuts], np.array([self.shape]) + 1
-
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        """Child index of each row of X, for rows inside the parent box."""
-        return _mesh_digits(*self._table(), 0, X)[1]
-
-    def route(self, X: np.ndarray, rows: np.ndarray, low: np.ndarray,
-              high: np.ndarray) -> np.ndarray:
-        """Child index of each row ``X[rows]``, for rows inside the parent
-        box; writes that child's corners into ``low[rows]`` and ``high[rows]``."""
-        return _mesh_route(*self._table(), 0, X, rows, low, high)
 
     def child_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) corners of child k."""
@@ -209,7 +184,11 @@ class HistogramNode:
 
     def divide(self, split: Split, counts, level: int | None = None):
         """Split this node; child k holds counts[k] points at the given level
-        (default: one below this node).  No child node is made here."""
+        (default: one below this node).  No child node is made here.  A
+        split of another kind than the one this node came from is refused."""
+        if self._source is not None and type(self._source[0]) is not type(split):
+            raise InputError(f"a {type(split).__name__} cannot divide a cell of a "
+                             f"{type(self._source[0]).__name__}")
         split._source = self._region if self._region is not None else self._source
         self.split = split
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -326,19 +305,21 @@ def _splits_and_leaf_total(tree: HistogramNode) -> tuple[list, int]:
 
 
 class LeafTable:
-    """Every leaf of a mesh histogram (a box root divided by ``MeshSplit``s
-    only) as arrays, built by ``leaf_table`` from its splits without making
-    a leaf node.
+    """Every leaf of a histogram as arrays, built by ``leaf_table`` from its
+    splits without making a leaf node.
 
-    ``count`` and the (L, d) corners ``low`` and ``high`` list the leaves in
-    ``walk()`` order, zero-count leaves included.  ``depths`` holds one
-    routing table per depth of the tree, for the F nodes divided there:
-    ``(tables, ncuts, offset, target)``, where ``tables`` and ``ncuts`` are
-    the +inf-padded per-axis cut tables of ``_mesh_digits``, ``offset[f]``
-    is the position of node f's first child, and ``target`` holds, per
-    child, its frontier index at the next depth or ``~leaf`` (negative) for
-    a leaf.  ``locate`` routes rows through these one depth at a time, and
-    ``node`` makes the node of one leaf on demand.
+    ``count`` lists the leaves in ``walk()`` order, zero-count leaves
+    included.  When the leaves are boxes (a tree of ``MeshSplit``s, or a
+    box root that never split), ``low`` and ``high`` are their (L, d)
+    corners; otherwise both are None.  ``depths`` holds one routing table
+    per depth of the tree, for the F nodes divided there: ``(route, offset,
+    target)``, where ``offset[f]`` is the position of node f's first child
+    and ``target`` holds, per child, its frontier index at the next depth or
+    ``~leaf`` (negative) for a leaf.  A mesh depth's ``route`` is the tuple
+    ``(tables, ncuts)`` of +inf-padded per-axis cut tables that
+    ``_mesh_digits`` reads; a Voronoi depth's is the list of its
+    ``VoronoiSplit``s.  ``locate`` routes rows through these one depth at a
+    time, and ``node`` makes the node of one leaf on demand.
     """
 
     def __init__(self, root: HistogramNode, layers: list):
@@ -347,34 +328,40 @@ class LeafTable:
         children that divide again, in walk order."""
         box, d = root.region, root.region.dim
         self._root, self._divided = root, [node for nodes, _ in layers for node in nodes]
-        self.depths = []
+        self.depths, self.low, self.high = [], None, None
         if not layers:  # a root that never split is the one leaf
             self.count = np.array([root.count], dtype=np.int64)
-            self.low, self.high = box.low[None], box.high[None]
+            if isinstance(box, Box):
+                self.low, self.high = box.low[None], box.high[None]
             self._owner, self._key = np.full(1, -1), np.zeros(1, dtype=np.intp)
             return
-        depths = []  # (tables, ncuts, sizes, offset, inner: kids' positions, child counts)
+        mesh = isinstance(root.split, MeshSplit)
+        depths = []  # (route, sizes, offset, inner: kids' positions, child counts)
         for nodes, kids in layers:
-            cuts = [node.split.cuts for node in nodes]
-            ncuts = np.array([[c.size for c in node_cuts] for node_cuts in cuts], dtype=np.intp)
-            tables = []
-            for j in range(d):
-                table = np.full((len(nodes), int(ncuts[:, j].max())), np.inf)
-                row = np.repeat(np.arange(len(nodes)), ncuts[:, j])
-                ends = np.cumsum(ncuts[:, j])
-                table[row, np.arange(row.size) - (ends - ncuts[:, j])[row]] = \
-                    np.concatenate([node_cuts[j] for node_cuts in cuts])
-                tables.append(table)
-            sizes = np.prod(ncuts - 1, axis=1)
+            splits = [node.split for node in nodes]
+            sizes = np.array([split.size for split in splits], dtype=np.intp)
+            route = splits
+            if mesh:
+                ncuts = np.array([[c.size for c in split.cuts] for split in splits],
+                                 dtype=np.intp)
+                tables = []
+                for j in range(d):
+                    table = np.full((len(nodes), int(ncuts[:, j].max())), np.inf)
+                    row = np.repeat(np.arange(len(nodes)), ncuts[:, j])
+                    ends = np.cumsum(ncuts[:, j])
+                    table[row, np.arange(row.size) - (ends - ncuts[:, j])[row]] = \
+                        np.concatenate([split.cuts[j] for split in splits])
+                    tables.append(table)
+                route = (tables, ncuts)
             offset = np.cumsum(sizes) - sizes
             inner = np.array([offset[f] + k for f, k, _ in kids], dtype=np.intp)
-            depths.append((tables, ncuts, sizes, offset, inner,
+            depths.append((route, sizes, offset, inner,
                            np.concatenate([node.counts for node in nodes])))
         # deepest first, the leaves below each divided node, and the leaves
         # beyond its own one that each child holds (nonzero for the kids)
         below, extras = [None] * len(depths), [None] * len(depths)
         for t in range(len(depths) - 1, -1, -1):
-            _, _, sizes, offset, inner, _ = depths[t]
+            _, sizes, offset, inner, _ = depths[t]
             extras[t] = np.zeros(int(sizes.sum()), dtype=np.int64)
             extras[t][inner] = below[t + 1] - 1 if inner.size else 0
             below[t] = sizes + np.add.reduceat(extras[t], offset)
@@ -383,10 +370,11 @@ class LeafTable:
         # leaves of the earlier siblings
         L = int(below[0][0])
         self.count = np.empty(L, dtype=np.int64)
-        self.low, self.high = np.empty((L, d)), np.empty((L, d))
+        if mesh:
+            self.low, self.high = np.empty((L, d)), np.empty((L, d))
         self._owner, self._key = np.empty(L, dtype=np.intp), np.empty(L, dtype=np.intp)
         start, base = np.zeros(1, dtype=np.int64), 0
-        for (tables, ncuts, sizes, offset, inner, counts), extra in zip(depths, extras):
+        for (route, sizes, offset, inner, counts), extra in zip(depths, extras):
             owner = np.repeat(np.arange(sizes.size), sizes)
             key = np.arange(owner.size) - offset[owner]
             skipped = np.cumsum(extra) - extra
@@ -397,25 +385,35 @@ class LeafTable:
             at, owner, key = position[leaf], owner[leaf], key[leaf]
             self.count[at] = counts[leaf]
             self._owner[at], self._key[at] = base + owner, key
-            for j in range(d - 1, -1, -1):  # the C-order digits of each leaf's key
-                radix = ncuts[owner, j] - 1
-                digit = key % radix
-                key = key // radix
-                self.low[at, j] = tables[j][owner, digit]
-                self.high[at, j] = tables[j][owner, digit + 1]
-            self.depths.append((tables, ncuts, offset, target))
+            if mesh:
+                tables, ncuts = route
+                for j in range(d - 1, -1, -1):  # the C-order digits of each leaf's key
+                    radix = ncuts[owner, j] - 1
+                    digit = key % radix
+                    key = key // radix
+                    self.low[at, j] = tables[j][owner, digit]
+                    self.high[at, j] = tables[j][owner, digit + 1]
+            self.depths.append((route, offset, target))
             start, base = position[inner], base + sizes.size
 
     def locate(self, X: np.ndarray) -> np.ndarray:
-        """Walk-order leaf index of each row of X, for rows inside the root:
-        the rows still above a leaf are routed by ``_mesh_digits`` through
-        one depth's tables at a time."""
+        """Walk-order leaf index of each row of X, for rows inside the root.
+        The rows still above a leaf are routed one depth at a time: through
+        a mesh depth's tables by ``_mesh_digits``, or by each Voronoi split's
+        ``assign`` on the rows that reached it, in ascending order."""
         out = np.zeros(X.shape[0], dtype=np.intp)
         rows, owner = np.arange(X.shape[0]), np.zeros(X.shape[0], dtype=np.intp)
-        for tables, ncuts, offset, target in self.depths:
+        for route, offset, target in self.depths:
             if not rows.size:
                 break
-            to = target[offset[owner] + _mesh_digits(tables, ncuts, owner, X[rows])[1]]
+            if isinstance(route, list):
+                keys = np.empty(rows.size, dtype=np.intp)
+                for split, part in zip(route, _partition(owner, len(route))):
+                    if part.size:
+                        keys[part] = split.assign(X[rows[part]])
+            else:
+                keys = _mesh_digits(*route, owner, X[rows])[1]
+            to = target[offset[owner] + keys]
             leaf = to < 0
             out[rows[leaf]] = ~to[leaf]
             rows, owner = rows[~leaf], to[~leaf]
@@ -427,21 +425,16 @@ class LeafTable:
         return self._root if f < 0 else self._divided[f].child(int(self._key[i]))
 
 
-def leaf_table(hist: SanitizedHistogram) -> LeafTable | None:
-    """The ``LeafTable`` of a mesh histogram, None for any other.  Only the
-    nodes that have a split are visited."""
-    root = hist.root
-    if not isinstance(root.region, Box):
-        return None
-    layers, nodes = [], [root] if root.split is not None else []
+def leaf_table(hist: SanitizedHistogram) -> LeafTable:
+    """The ``LeafTable`` of a histogram.  Only the nodes that have a split
+    are visited."""
+    layers, nodes = [], [hist.root] if hist.root.split is not None else []
     while nodes:
-        if not all(isinstance(node.split, MeshSplit) for node in nodes):
-            return None
         kids = [(f, k, kid) for f, node in enumerate(nodes)
                 for k, kid in sorted(node.divided_children().items())]
         layers.append((nodes, kids))
         nodes = [kid for _, _, kid in kids]
-    return LeafTable(root, layers)
+    return LeafTable(hist.root, layers)
 
 
 class _Budget:
@@ -560,7 +553,11 @@ def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
         total = int(sizes.sum())
         budget.charge(total)
         offset = np.cumsum(sizes) - sizes
-        keys = offset[owner] + _mesh_route(tables, ncuts, owner, X, rows, low, high)
+        digits, keys = _mesh_digits(tables, ncuts, owner, X[rows])
+        for j, (table, digit) in enumerate(zip(tables, digits)):
+            low[rows, j] = table[owner, digit]
+            high[rows, j] = table[owner, digit + 1]
+        keys += offset[owner]
         counts = np.bincount(keys, minlength=total)
         for f, (node, m, a, b, level) in enumerate(zip(
                 nodes, ncuts.tolist(), offset.tolist(), (offset + sizes).tolist(),

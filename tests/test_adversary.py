@@ -234,26 +234,26 @@ class TestAttackReadsPublishedFields:
 
 
 class TestPointsPerLeaf:
-    @pytest.mark.parametrize("builder", ["cube", "grid"])
+    @pytest.mark.parametrize("builder", ["cube", "grid", "voronoi"])
     def test_equals_per_leaf_membership_counts(self, builder):
         data, _ = sample(single(UniformCube(np.zeros(3), 1.0)), 400, seed=11)
         if builder == "cube":
             hist = build_recursive_cube(data, t=2, max_depth=6)
-        else:
+        elif builder == "grid":
             hist = build_shifted_grid(data, t=2, max_depth=6, seed=12)
+        else:
+            hist = build_voronoi(data, Ball(np.zeros(3), 2.0), t=8, max_depth=2,
+                                 method="uniform", override_m=10, seed=12)
         leaves = hist.root.leaves()
-        outside = np.array([[3.0, 0.0, 0.0], [0.0, -1.5, 0.2]])
+        outside = np.array([[3.0, 0.0, 0.0], [0.0, -2.5, 0.2]])
         X = np.concatenate([data.points[::3], outside, data.points[:5]])
         expected = [int(leaf.region.contains_many(X).sum()) for leaf in leaves]
-        assert _points_per_leaf(hist, leaves, X).tolist() == expected
         assert _points_per_leaf(hist, leaf_table(hist), X).tolist() == expected
 
     def test_no_points_counts_zero(self):
         data, hist = _toy_attack_setup(n=50, d=2, seed=13)
-        leaves = hist.root.leaves()
-        for table in (leaves, leaf_table(hist)):
-            counts = _points_per_leaf(hist, table, np.empty((0, 2)))
-            assert counts.tolist() == [0] * len(leaves)
+        counts = _points_per_leaf(hist, leaf_table(hist), np.empty((0, 2)))
+        assert counts.tolist() == [0] * len(hist.root.leaves())
 
 
 class TestAuxIndices:

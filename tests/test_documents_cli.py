@@ -571,6 +571,46 @@ def test_aux_informed_attack_reads_its_fraction(attack_inputs):
     assert _body("all.json")["aux_subset_size"] == 60
 
 
+def _break_split(doc, defect):
+    """Give a grid histogram document one malformed split: a defect in the
+    root's cuts on axis 0, or a Voronoi split on a leaf of the root's mesh."""
+    cuts = doc["root"]["split"]["cuts"]
+    if defect == "nan-cut":
+        cuts[0][1] = float("nan")
+    elif defect == "repeated-cut":
+        cuts[0][1] = cuts[0][0]
+    elif defect == "text-cut":
+        cuts[0][1] = str(cuts[0][1])
+    elif defect == "axis-count":
+        cuts.pop()
+    else:
+        leaf = next(kid for kid in doc["root"]["children"] if "split" not in kid)
+        leaf["split"] = {"kind": "voronoi", "centers": [[0.1, 0.2], [0.3, 0.4]]}
+        leaf["children"] = [{"count": leaf["count"], "level": leaf["level"] + 1, "children": []},
+                            {"count": 0, "level": leaf["level"] + 1, "children": []}]
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("nan-cut", "mesh cuts must be d strictly increasing arrays"),
+    ("repeated-cut", "mesh cuts must be d strictly increasing arrays"),
+    ("text-cut", "malformed sanitized_histogram document"),
+    ("axis-count", "mesh cuts must be d strictly increasing arrays"),
+    ("voronoi-under-mesh", "a VoronoiSplit cannot divide a cell of a MeshSplit"),
+])
+@pytest.mark.parametrize("command", ["attack", "mst-compare"])
+def test_a_malformed_split_exits_one(attack_inputs, capsys, command, defect, message):
+    doc = read_json("h.json")
+    _break_split(doc, defect)
+    write_json_atomic("h.json", doc)
+    argv = ATTACK + ["--strategy", "uniform-in-leaf"] if command == "attack" else \
+        ["mst-compare", "--hist", "h.json", "--data", "d.json"]
+    capsys.readouterr()
+    assert main(argv + ["--out", "o.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not os.path.exists("o.json")
+
+
 @pytest.mark.parametrize("flag,value", [("--x", "0,abc"), ("--r-list", "0.01,zz")])
 def test_cut_prob_refuses_a_malformed_number_list(workspace, capsys, flag, value):
     argv = ["cut-prob", "--support", "unit-ball", "--x", "0,0", "--r-list", "0.01,0.03",

@@ -14,7 +14,7 @@ from privhist.geometry import (Ball, Box, Dataset, distance, t_radii, uniform_in
 from privhist.metrics import (
     _descend,
     _diameters,
-    _leaf_arrays,
+    _leaf_geometry,
     _pair_matrix,
     cut_probability,
     grid_diameter_bound,
@@ -142,8 +142,8 @@ class TestMeasureDiameters:
         for trial in range(trials):
             tseed = child_seed(seed, "trial", trial)
             hist = build_shifted_grid(data, t, max_depth, seed=tseed, root=root)
-            ids, leaves, bounds = _descend(hist, data.points)
-            sums += _diameters(True, *bounds)[ids]
+            table, ids, reached = _descend(hist, data.points)
+            sums += _diameters(True, table.low[reached], table.high[reached])[ids]
         radii = t_radii(data, t)
         return {
             "method": "grid", "t": t, "trials": trials, "fitted_coeff": None,
@@ -355,8 +355,8 @@ class TestMstCompare:
         cmp_ = mst_compare(hist, data)
         pts = data.points
         W = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        leaf_of, leaves, bounds = _descend(hist, pts)
-        WH = _pair_matrix(_leaf_arrays(hist, leaves, bounds))[leaf_of][:, leaf_of]
+        leaf_of, geometry = _leaf_geometry(hist, pts)
+        WH = _pair_matrix(geometry)[leaf_of][:, leaf_of]
         assert cmp_.actual_cost == pytest.approx(minimum_spanning_tree(W).sum(), rel=1e-12)
         assert cmp_.hist_cost == pytest.approx(minimum_spanning_tree(WH).sum(), rel=1e-12)
 
@@ -449,21 +449,23 @@ class TestLeafGeometry:
 
     def test_pair_matrix_equals_pairwise_reference(self, case):
         hist, points = _geometry_case(case)
-        _, leaves, bounds = _descend(hist, points)
+        table, _, reached = _descend(hist, points)
+        leaves = [table.node(i) for i in reached.tolist()]
         if case in ("cube", "grid"):
             assert len(leaves) > 100
         if case.endswith("leaf"):
             assert leaves == [hist.root]
         else:
-            assert (bounds is None) == case.startswith(("ball", "box"))
-        pair = _pair_matrix(_leaf_arrays(hist, leaves, bounds))
-        assert np.array_equal(pair, _reference_pair_matrix(leaves))
+            assert (table.low is None) == case.startswith(("ball", "box"))
+        _, geometry = _leaf_geometry(hist, points)
+        assert geometry[0] == (table.low is not None)
+        assert np.array_equal(_pair_matrix(geometry), _reference_pair_matrix(leaves))
 
     def test_diameters_equal_per_leaf_reference(self, case):
         hist, points = _geometry_case(case)
-        _, leaves, bounds = _descend(hist, points)
-        diam = _diameters(*_leaf_arrays(hist, leaves, bounds))
-        assert diam.tolist() == [_reference_diameter(leaf) for leaf in leaves]
+        table, _, reached = _descend(hist, points)
+        diam = _diameters(*_leaf_geometry(hist, points)[1])
+        assert diam.tolist() == [_reference_diameter(table.node(i)) for i in reached.tolist()]
 
     def test_batched_distances_equal_pairwise_reference(self, case):
         hist, points = _geometry_case(case)

@@ -17,11 +17,13 @@ from privhist.rng import substream
 from privhist.sanitizer import (
     HistogramNode,
     MeshSplit,
+    SanitizedHistogram,
     VoronoiSplit,
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
     default_root_box,
+    leaf_table,
     strip_to_sanitized,
 )
 
@@ -94,7 +96,8 @@ def _mesh_hist(method, d, seed):
 
 
 def _clipped_assign(split, X):
-    """The clipped search over all cuts that ``MeshSplit.assign`` replaced."""
+    """Child index of each row of X in a mesh split, by a clipped search over
+    all its cuts: the one-node routing rule that ``_mesh_digits`` keeps."""
     digits = [np.clip(np.searchsorted(c, X[:, j], side="right") - 1, 0, c.size - 2)
               for j, c in enumerate(split.cuts)]
     return np.ravel_multi_index(digits, split.shape)
@@ -125,31 +128,29 @@ def _mesh_splits(method, d, seed):
     return splits
 
 
+def _one_split_table(split):
+    """The ``LeafTable`` of a tree whose root box is divided by one split
+    (its leaves in walk order are the split's children)."""
+    box = Box(np.array([c[0] for c in split.cuts]), np.array([c[-1] for c in split.cuts]),
+              closed_high=np.ones(len(split.cuts), dtype=bool))
+    root = HistogramNode(region=box)
+    root.divide(MeshSplit(split.cuts), np.zeros(split.size, dtype=np.int64))
+    return leaf_table(SanitizedHistogram(root, "test", 1, 1, "deterministic"))
+
+
 @given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_mesh_assign_matches_clipped_search(method, d, seed):
     rng = np.random.default_rng(seed + 1)
     for split in _mesh_splits(method, d, seed):
         X = _rows_of_split(split, d, rng)
-        assert np.array_equal(split.assign(X), _clipped_assign(split, X))
-
-
-@given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_mesh_route_writes_each_rows_child_bounds(method, d, seed):
-    rng = np.random.default_rng(seed + 2)
-    for split in _mesh_splits(method, d, seed):
-        X = _rows_of_split(split, d, rng)
-        rows = np.flatnonzero(rng.random(len(X)) < 0.6)
-        low, high = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
-        keys = split.route(X, rows, low, high)
-        assert np.array_equal(keys, split.assign(X[rows]))
-        for row, key in zip(rows.tolist(), keys.tolist()):
-            child_low, child_high = split.child_bounds(key)
-            assert low[row].tobytes() == child_low.tobytes()
-            assert high[row].tobytes() == child_high.tobytes()
-        untouched = np.setdiff1d(np.arange(len(X)), rows)
-        assert np.isnan(low[untouched]).all() and np.isnan(high[untouched]).all()
+        table = _one_split_table(split)
+        keys = table.locate(X)
+        assert np.array_equal(keys, _clipped_assign(split, X))
+        for k in range(split.size):
+            child_low, child_high = split.child_bounds(k)
+            assert table.low[k].tobytes() == child_low.tobytes()
+            assert table.high[k].tobytes() == child_high.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
@@ -157,14 +158,15 @@ def test_mesh_route_writes_each_rows_child_bounds(method, d, seed):
 def test_descent_bounds_equal_leaf_regions(method, d):
     hist = _mesh_hist(method, d, 10 + d)
     X = _query_points(hist, np.random.default_rng(d))
-    ids, reached, bounds = _descend(hist, X)
+    table, ids, walked = _descend(hist, X)
+    reached = [table.node(i) for i in walked.tolist()]
     leaves = hist.root.leaves()
     member = np.array([leaf.region.contains_many(X) for leaf in leaves])
-    assert len(reached) > 1 and bounds is not None
+    assert len(reached) > 1 and table.low is not None
     assert all(reached[k] is leaves[i] for k, i in zip(ids, member.argmax(axis=0)))
     # leaves are numbered by first row
     assert (np.diff(np.unique(ids, return_index=True)[1]) > 0).all()
-    low, high = bounds
+    low, high = table.low[walked], table.high[walked]
     assert low.shape == high.shape == (len(reached), d)
     for k, leaf in enumerate(reached):
         assert low[k].tobytes() == leaf.region.low.tobytes()
@@ -172,27 +174,40 @@ def test_descent_bounds_equal_leaf_regions(method, d):
 
 
 def _reference_descend(hist, X):
-    """The per-node descent that the leaf table replaced for mesh histograms:
-    (ids, leaves, low, high), each split routing the rows that reached it
-    with ``MeshSplit.route`` and leaves numbered by their first row."""
-    n = X.shape[0]
-    low, high = np.tile(hist.root.region.low, (n, 1)), np.tile(hist.root.region.high, (n, 1))
+    """The per-node descent that the leaf table replaced: (ids, leaves, low,
+    high).  Each split routes the rows that reached it, in ascending order,
+    by ``_clipped_assign`` (a mesh, whose child corners come from
+    ``MeshSplit.child_bounds``) or ``VoronoiSplit.assign``, and leaves are
+    numbered by their first row.  ``low`` and ``high`` are None once a row
+    crosses a Voronoi split or the root is a ball."""
+    n, region = X.shape[0], hist.root.region
+    boxes = isinstance(region, Box)
+    low = np.tile(region.low, (n, 1)) if boxes else None
+    high = np.tile(region.high, (n, 1)) if boxes else None
     ids = np.empty(n, dtype=int)
     leaves, firsts = [], []
     stack = [(hist.root, np.arange(n))] if n else []
     while stack:
         node, rows = stack.pop()
-        if node.split is None:
+        split = node.split
+        if split is None:
             ids[rows] = len(leaves)
             leaves.append(node)
             firsts.append(rows[0])
             continue
-        keys = node.split.route(X, rows, low, high)
+        if isinstance(split, MeshSplit):
+            keys = _clipped_assign(split, X[rows])
+            for row, key in zip(rows.tolist(), keys.tolist()):
+                low[row], high[row] = split.child_bounds(key)
+        else:
+            boxes, keys = False, split.assign(X[rows])
         stack.extend((node.child(k), rows[keys == k]) for k in np.unique(keys).tolist())
     order = np.argsort(firsts)
     rank = np.empty(len(leaves), dtype=int)
     rank[order] = np.arange(len(leaves))
     firsts = np.array(firsts, dtype=int)[order]
+    if not boxes:
+        return rank[ids], [leaves[i] for i in order.tolist()], None, None
     return rank[ids], [leaves[i] for i in order.tolist()], low[firsts], high[firsts]
 
 
@@ -211,12 +226,43 @@ def test_table_descent_equals_the_per_node_reference(method, d, depth, seed, rou
     if round_trip:
         hist = histogram_from_doc(json.loads(encode(histogram_to_doc(hist))))
     Q = np.concatenate([X, _query_points(hist, rng)])  # cut values and closed high faces
-    ids, reached, (low, high) = _descend(hist, Q)
+    table, ids, walked = _descend(hist, Q)
     expected_ids, expected, expected_low, expected_high = _reference_descend(hist, Q)
     assert ids.tolist() == expected_ids.tolist()
-    assert len(reached) == len(expected)
-    assert all(a is b for a, b in zip(reached, expected))
-    assert low.tobytes() == expected_low.tobytes() and high.tobytes() == expected_high.tobytes()
+    assert len(walked) == len(expected)
+    assert all(table.node(i) is b for i, b in zip(walked.tolist(), expected))
+    assert table.low[walked].tobytes() == expected_low.tobytes()
+    assert table.high[walked].tobytes() == expected_high.tobytes()
+
+
+@given(st.sampled_from(["greedy", "uniform"]), st.sampled_from(["ball", "box"]),
+       st.integers(1, 4), st.integers(1, 3), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_voronoi_leaf_table_equals_the_per_node_reference(centers, shape, d, depth, seed,
+                                                          round_trip):
+    rng = np.random.default_rng(seed)
+    support = default_root_box(d) if shape == "box" else Ball(np.zeros(d), 1.0)
+    X = uniform_in_region(support, 50, rng)
+    X[:15] = 0.3 + 1e-2 * rng.standard_normal((15, d))  # a cluster split to the last depth
+    built = build_voronoi(Dataset(X), support, t=3, max_depth=depth, method=centers,
+                          override_m=8, probe_samples=400, seed=seed)
+    # the table of a tree read back from its document, against the nodes built
+    hist = histogram_from_doc(json.loads(encode(histogram_to_doc(built)))) if round_trip \
+        else built
+    table = leaf_table(hist)
+    leaves = built.root.leaves()
+    assert table.count.tolist() == [leaf.count for leaf in leaves]
+    assert (table.low is None) == (built.root.split is not None or shape == "ball")
+    for i, leaf in enumerate(leaves):
+        assert _region_bits(table.node(i).region) == _region_bits(leaf.region)
+    Q = np.concatenate([X, _query_points(built, rng)])  # centers and bisector points
+    expected_ids, expected, _, _ = _reference_descend(built, Q)
+    walk_index = {id(leaf): i for i, leaf in enumerate(leaves)}
+    located = table.locate(Q)
+    assert located.tolist() == [walk_index[id(expected[k])] for k in expected_ids.tolist()]
+    _, ids, walked = _descend(hist, Q)
+    assert ids.tolist() == expected_ids.tolist()
+    assert walked.tolist() == [walk_index[id(leaf)] for leaf in expected]
 
 
 def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch, root=None):
@@ -252,16 +298,16 @@ def test_builder_row_corners_equal_descent_bounds(method, d, n, monkeypatch):
     hist, low, high = _mesh_build_with_corners(method, data, t, 3 if d == 8 else 5, d,
                                                monkeypatch)
     assert (hist.root.split is None) == (n < 2 * t)
-    ids, _, (leaf_low, leaf_high) = _descend(hist, data.points)
+    table, ids, walked = _descend(hist, data.points)
     assert low.shape == high.shape == (n, d)
-    assert low.tobytes() == leaf_low[ids].tobytes()
-    assert high.tobytes() == leaf_high[ids].tobytes()
+    assert low.tobytes() == table.low[walked][ids].tobytes()
+    assert high.tobytes() == table.high[walked][ids].tobytes()
 
 
 def test_descent_of_no_rows():
     hist = _build("grid", 3)
-    ids, reached, bounds = _descend(hist, np.empty((0, hist.d)))
-    assert ids.size == 0 and reached == [] and bounds[0].shape == (0, hist.d)
+    table, ids, reached = _descend(hist, np.empty((0, hist.d)))
+    assert ids.size == 0 and reached.size == 0 and table.low[reached].shape == (0, hist.d)
 
 
 def _region_bits(region):
@@ -345,6 +391,18 @@ def test_malformed_histogram_documents_rejected(defect):
     _mutate(doc, defect)
     with pytest.raises(InputError):
         histogram_from_doc(doc)
+
+
+def test_a_split_of_another_kind_cannot_divide_a_child():
+    mesh = HistogramNode(region=default_root_box(2), count=2)
+    mesh.divide(MeshSplit([[-1.0, 0.0, 1.0], [-1.0, 1.0]]), [1, 1])
+    with pytest.raises(InputError, match="VoronoiSplit cannot divide a cell of a MeshSplit"):
+        mesh.child(0).divide(VoronoiSplit([[-0.5, 0.2], [-0.5, -0.2]]), [1, 0])
+    voronoi = HistogramNode(region=default_root_box(2), count=2)
+    voronoi.divide(VoronoiSplit([[-0.5, 0.0], [0.5, 0.0]]), [1, 1])
+    with pytest.raises(InputError, match="MeshSplit cannot divide a cell of a VoronoiSplit"):
+        voronoi.child(1).divide(MeshSplit([[0.0, 0.5, 1.0], [-1.0, 1.0]]), [1, 0])
+    voronoi.child(1).divide(VoronoiSplit([[0.5, 0.5], [0.5, -0.5]]), [1, 0])  # the same kind
 
 
 class TestLeakageScan:
