@@ -9,8 +9,8 @@ and a box root that never split, are boxes whose corners the table holds;
 two boxes are the norm of their per-axis farthest spans apart, which is
 exact.  Every other leaf is a ball (p, R) containing it, a ball root's own
 or a Voronoi cell's certificate, and two balls are the upper bound
-|p_x - p_y| + R_x + R_y apart.  A box's diameter
-is its diagonal, a ball's 2R.  Both kinds satisfy the two-sided sandwich
+|p_x - p_y| + R_x + R_y apart.  A box's diameter is its diagonal, a ball's
+2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 
 Expected grid diameters skip the descent: the grid builder already writes
@@ -65,9 +65,9 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     in order of each leaf's first row, and ``ids[r]`` indexes row r's leaf
     there.
     """
+    X = _checked_rows(hist, X)
     table = leaf_table(hist)
-    reached, firsts, ids = np.unique(table.locate(_checked_rows(hist, X)), return_index=True,
-                                     return_inverse=True)
+    reached, firsts, ids = np.unique(table.locate(X), return_index=True, return_inverse=True)
     order = np.argsort(firsts)
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)

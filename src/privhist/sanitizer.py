@@ -326,13 +326,13 @@ class LeafTable:
         """``layers`` lists the divided nodes one depth at a time, each depth
         as (nodes, kids): kids are (node index, child index, child) of the
         children that divide again, in walk order."""
-        box, d = root.region, root.region.dim
+        region, d = root.region, root.region.dim
         self._root, self._divided = root, [node for nodes, _ in layers for node in nodes]
         self.depths, self.low, self.high = [], None, None
         if not layers:  # a root that never split is the one leaf
             self.count = np.array([root.count], dtype=np.int64)
-            if isinstance(box, Box):
-                self.low, self.high = box.low[None], box.high[None]
+            if isinstance(region, Box):
+                self.low, self.high = region.low[None], region.high[None]
             self._owner, self._key = np.full(1, -1), np.zeros(1, dtype=np.intp)
             return
         mesh = isinstance(root.split, MeshSplit)

@@ -583,9 +583,14 @@ def _break_split(doc, defect):
         cuts[0][1] = str(cuts[0][1])
     elif defect == "axis-count":
         cuts.pop()
-    else:
-        leaf = next(kid for kid in doc["root"]["children"] if "split" not in kid)
-        leaf["split"] = {"kind": "voronoi", "centers": [[0.1, 0.2], [0.3, 0.4]]}
+    else:  # two centers inside the leaf's box, which hold all its rows
+        k, leaf = next((k, kid) for k, kid in enumerate(doc["root"]["children"])
+                       if "split" not in kid)
+        digits = np.unravel_index(k, [len(c) - 1 for c in cuts])
+        low = np.array([c[i] for c, i in zip(cuts, digits)])
+        high = np.array([c[i + 1] for c, i in zip(cuts, digits)])
+        centers = low + (high - low) * np.array([[0.25, 0.25], [0.75, 0.75]])
+        leaf["split"] = {"kind": "voronoi", "centers": centers.tolist()}
         leaf["children"] = [{"count": leaf["count"], "level": leaf["level"] + 1, "children": []},
                             {"count": 0, "level": leaf["level"] + 1, "children": []}]
 
