@@ -6,9 +6,9 @@ Every report carries that framing.  Attacks read only the published fields
 of a sanitized histogram; the raw dataset is held by the harness purely to
 score candidate points.
 
-Every histogram is read through its ``LeafTable``: leaves are picked by
-count from its arrays in walk order, and a node is made only for a leaf
-whose certificate or Voronoi region is asked for.  Box leaves take all
+Every histogram is read through ``LeafTable(hist.root)``: leaves are
+picked by count from its arrays in walk order, and a node is made only for
+a leaf whose certificate or Voronoi region is asked for.  Box leaves take all
 their uniform-in-leaf queries from one block of random numbers
 (``_fill_uniform``), the same doubles as one draw per leaf.
 """
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import Dataset, _knn_candidates, as_point, row_norms_dot, uniform_in_region
 from .rng import substream
-from .sanitizer import certify_nodes, leaf_table
+from .sanitizer import LeafTable, certify_nodes
 
 RATE_INTERPRETATION = (
     "observed success rate is a lower-bound probe over sampled adversary "
@@ -134,10 +134,8 @@ def attack(
         aux[known] = True
     allowed = ~aux
 
-    rng = substream(seed, "attack", {"uniform-in-leaf": 0,
-                                     "leaf-center-weighted": 1,
-                                     "aux-informed": 2}[strategy])
-    leaves = leaf_table(hist)
+    rng = substream(seed, "attack", STRATEGIES.index(strategy))
+    leaves = LeafTable(hist.root)
     counts = leaves.count.astype(float)
     if counts.sum() <= 0:
         raise InputError("histogram has no populated leaves to attack")

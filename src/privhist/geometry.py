@@ -501,20 +501,23 @@ def uniform_in_ball(center, radius: float, n: int, rng: np.random.Generator) -> 
     return g
 
 
+MAX_BATCHES = 1000  # rejection batches before uniform_in_region gives up
+
+
 def uniform_in_region(
     region: Region,
     n: int,
     rng: np.random.Generator,
     *,
     envelope: tuple[np.ndarray, float] | None = None,
-    max_batches: int = 1000,
 ) -> np.ndarray:
     """n points uniform in the region.
 
     Boxes and balls are sampled exactly.  VoronoiClip cells are sampled by
     rejection from ``envelope`` (a (center, radius) ball) when given, else
     from the root support region, which is exact.  Raises
-    DegenerateGeometryError on rejection starvation.
+    DegenerateGeometryError on rejection starvation, after ``MAX_BATCHES``
+    batches.
     """
     if isinstance(region, Box):
         return uniform_in_box(region.low, region.high, n, rng)
@@ -527,7 +530,7 @@ def uniform_in_region(
     out = []
     got = 0
     batch = max(2048, 2 * n)
-    for _ in range(max_batches):
+    for _ in range(MAX_BATCHES):
         if envelope is not None:
             cand = uniform_in_ball(envelope[0], envelope[1], batch, rng)
         else:
@@ -539,7 +542,7 @@ def uniform_in_region(
         if got >= n:
             return np.concatenate(out)[:n]
     raise DegenerateGeometryError(
-        f"rejection starvation: {got}/{n} samples after {max_batches} batches"
+        f"rejection starvation: {got}/{n} samples after {MAX_BATCHES} batches"
     )
 
 

@@ -3,7 +3,7 @@ and MST cost comparison against sanitized histograms.
 
 The histogram distance between two points is the furthest distance between
 their smallest containing cells (sup-sup).  One pass of all points through
-the histogram's ``LeafTable``, a whole depth at a time, gives each point's
+``LeafTable(hist.root)``, a whole depth at a time, gives each point's
 leaf, and the leaves are read as arrays of one of two kinds.  Mesh leaves,
 and a box root that never split, are boxes whose corners the table holds;
 two boxes are the norm of their per-axis farthest spans apart, which is
@@ -30,8 +30,8 @@ from .geometry import (Dataset, Region, as_point, root_support, row_norms, row_n
                        t_radii, uniform_in_region, voronoi_assign)
 from .rng import child_seed, substream
 from .roundness import CellKernel, certify_roundness
-from .sanitizer import (HistogramNode, SanitizedHistogram, _shifted_grid, certify_nodes,
-                        leaf_table, resolve_method, sanitize)
+from .sanitizer import (HistogramNode, LeafTable, SanitizedHistogram, _shifted_grid,
+                        certify_nodes, resolve_method, sanitize)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _descend(hist: SanitizedHistogram, X: np.ndarray):
     there.
     """
     X = _checked_rows(hist, X)
-    table = leaf_table(hist)
+    table = LeafTable(hist.root)
     reached, firsts, ids = np.unique(table.locate(X), return_index=True, return_inverse=True)
     order = np.argsort(firsts)
     rank = np.empty(order.size, dtype=np.intp)

@@ -16,9 +16,11 @@ A split's cover radius r1 is exact, read off each child cell's vertices
 (``CellKernel.vertices``, by qhull from the same kernel); on a ball root it
 can lean high by the Kelley tolerance, never low.
 
-The privacy check reads the same kernel once per leaf, for each probe's
-minimum margin and a rounding slack (``probe_margins``).  A probe ball that
-lies farther from the cell than its radius plus the slack is counted as
+The privacy check takes each leaf and its parent from the tree's
+``LeafTable`` in walk order, so it makes a node only for the cells it
+checks.  It reads the same kernel once per leaf, for each probe's minimum
+margin and a rounding slack (``probe_margins``).  A probe ball that lies
+farther from the cell than its radius plus the slack is counted as
 degenerate without sampling, because no sample could have landed in the
 cell.  Every other probe ball's volume ratio reads a one-row kernel of the
 cell at its probe: a sample nearer to the probe than its margin less the
@@ -44,6 +46,7 @@ from .geometry import (
     center_scores,
     intersection_volume_ratio,
     row_norms,
+    row_norms_dot,
     uniform_in_ball,
 )
 from .rng import substream
@@ -503,18 +506,23 @@ def check_privacy_condition(
     c*r >= |q - p_P| + R_P or contributes a Monte Carlo volume ratio.  The
     report's epsilon is the worst ratio observed.
 
-    The probes' margins m and rounding slacks e come from one ``CellKernel``
-    of the leaf (``probe_margins``).  A probe that fails the containment
-    test and has -m > c*r + e is counted as degenerate without sampling:
-    ``intersection_volume_ratio`` would have found no sample in the cell
-    and raised ``DegenerateGeometryError``.  Every probe has its own
-    pre-drawn seed, so skipping one shifts no other stream.  Every other
-    probe's ``intersection_volume_ratio`` places most of its samples from
-    the same margin and slack, without the membership test.  The report is
-    byte-identical to sampling every probe and testing every sample.  Leaf
-    and parent certificates come from one ``certify_nodes`` call.
+    The i-th leaf of ``LeafTable(root_node)`` in walk order, seeded by i,
+    is checked for i < ``max_cells``, with P its ``parent(i)`` (a root leaf
+    is its own); only these cells get a node.  The probes' margins m and
+    rounding slacks e come from one ``CellKernel`` of the leaf
+    (``probe_margins``).  Containment is decided for every (q, r) at once,
+    |q - p_P| being the single-vector norm (``row_norms_dot``).  A probe
+    that fails it and has -m > c*r + e is counted as degenerate without
+    sampling: ``intersection_volume_ratio`` would have found no sample in
+    the cell and raised ``DegenerateGeometryError``.  Every probe has its
+    own pre-drawn seed, so skipping one shifts no other stream.  The rest,
+    in row-major (q, r) order, each take one ``intersection_volume_ratio``,
+    which places most of its samples from the same margin and slack,
+    without the membership test.  The report is byte-identical to sampling
+    every probe and testing every sample.  Leaf and parent certificates
+    come from one ``certify_nodes`` call.
     """
-    from .sanitizer import certify_nodes  # the sanitizer imports this module
+    from .sanitizer import LeafTable, certify_nodes  # the sanitizer imports this module
 
     if not c > 1:
         raise InputError("requires c > 1")
@@ -523,47 +531,32 @@ def check_privacy_condition(
     for name, value in counts.items():
         if value is not None and value < 1:
             raise InputError(f"{name} must be at least 1")
-    pairs, parent = [], {}  # (leaf, parent) in walk order; a root leaf is its own parent
-    for node in root_node.walk():
-        if len(pairs) == max_cells:
-            break
-        if node.split is None:
-            pairs.append((node, parent.get(node, node)))
-        else:
-            parent.update(dict.fromkeys(node.children, node))
+    leaves = LeafTable(root_node)
+    pairs = [(leaves.node(i), leaves.parent(i)) for i in range(leaves.count.size)[:max_cells]]
     certs = certify_nodes([node for pair in pairs for node in pair])
 
     eps = 0.0
     containment = ratio_n = degenerate = 0
-    for cell_id, (leaf, parent) in enumerate(pairs):
+    for cell_id, (leaf, _) in enumerate(pairs):
         cert_c, cert_p = certs[2 * cell_id], certs[2 * cell_id + 1]
         rng = substream(seed, "privacy-q", cell_id)
         qs = uniform_in_ball(cert_c.witness, 2.0 * cert_c.radius, q_probes, rng)
         rs = np.geomspace(cert_c.radius / 1e4, 2.0 * cert_c.radius, r_grid_size)
         sub_seeds = rng.integers(0, 2**62, size=(q_probes, r_grid_size))
         margin, slack = probe_margins(CellKernel.of(leaf.region, q_probes), qs, c * rs)
-        missed = -margin[:, None] > c * rs + slack
-        for qi in range(q_probes):
-            dist_qp = float(np.linalg.norm(qs[qi] - cert_p.witness))
-            for ri in range(r_grid_size):
-                r = float(rs[ri])
-                if c * r >= dist_qp + cert_p.radius:
-                    containment += 1
-                    continue
-                if missed[qi, ri]:
-                    degenerate += 1
-                    continue
-                try:
-                    ratio, _ = intersection_volume_ratio(
-                        qs[qi], r, c, leaf.region, volume_samples,
-                        seed=int(sub_seeds[qi, ri]),
-                    )
-                except DegenerateGeometryError:
-                    degenerate += 1
-                    continue
-                ratio_n += 1
-                if ratio > eps:
-                    eps = ratio
+        contained = c * rs >= row_norms_dot(qs - cert_p.witness)[:, None] + cert_p.radius
+        missed = ~contained & (-margin[:, None] > c * rs + slack)
+        containment += int(contained.sum())
+        degenerate += int(missed.sum())
+        for qi, ri in zip(*np.nonzero(~(contained | missed))):  # row-major
+            try:
+                ratio, _ = intersection_volume_ratio(qs[qi], float(rs[ri]), c, leaf.region,
+                                                     volume_samples, seed=int(sub_seeds[qi, ri]))
+            except DegenerateGeometryError:
+                degenerate += 1
+                continue
+            ratio_n += 1
+            eps = max(eps, ratio)
     return PrivacyConditionReport(
         cells_checked=len(pairs),
         probes_per_cell=q_probes * r_grid_size,

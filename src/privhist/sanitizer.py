@@ -15,11 +15,12 @@ Each split is stored once, on the node it divides: per-axis cut arrays for
 the cube and the grid, one center array for Voronoi, and the children's
 counts as one integer array.  Every split of a tree is of one kind.  Child
 nodes are made on demand, and child regions are derived from the split on
-first use; readers take every leaf from one ``LeafTable`` instead.  All
-published geometry is construction artifacts (mesh lines, centers); a final
-scan aborts if any dataset coordinate vector appears in it, except that a
-grid build whose mesh has a row on a cell corner draws its offset again
-instead.
+first use; the attacks, the metrics and the privacy check take every leaf
+from ``LeafTable(root)`` instead, read from one walk over the divided
+nodes (``_layers``).  All published geometry is construction artifacts
+(mesh lines, centers); a final scan over the same walk aborts if any
+dataset coordinate vector appears in it, except that a grid build whose
+mesh has a row on a cell corner draws its offset again instead.
 """
 
 from __future__ import annotations
@@ -216,9 +217,10 @@ class HistogramNode:
         return self.split is None
 
     def walk(self):
-        """Nodes in depth-first pre-order, children in split order.  This is
-        the one walk order: the privacy check seeds its i-th leaf by
-        position in it, and the split audits list their splits in it."""
+        """Nodes in depth-first pre-order, children in split order, making
+        every child node.  This is the one walk order: ``LeafTable`` lists
+        its leaves in it (so the privacy check seeds its i-th leaf by
+        position in it), and the split audits list their splits in it."""
         stack = [self]
         while stack:
             node = stack.pop()
@@ -287,26 +289,34 @@ class SanitizedHistogram:
         return _splits_and_leaf_total(self.root)[1]
 
 
+def _layers(root: HistogramNode) -> list:
+    """The nodes that have a split, one depth at a time, each depth as
+    (nodes, kids): kids are (node index, child index, child) of the children
+    that divide again, in walk order.  No other node is visited."""
+    layers, nodes = [], [root] if root.split is not None else []
+    while nodes:
+        kids = [(f, k, kid) for f, node in enumerate(nodes)
+                for k, kid in sorted(node.divided_children().items())]
+        layers.append((nodes, kids))
+        nodes = [kid for _, _, kid in kids]
+    return layers
+
+
 def _splits_and_leaf_total(tree: HistogramNode) -> tuple[list, int]:
-    """The tree's splits and the sum of its leaf counts, visiting only the
-    nodes that have a split: the leaf counts sum to every split's counts,
-    less those of its children that split again."""
-    if tree.split is None:
-        return [], tree.count
-    splits, total, stack = [], 0, [tree]
-    while stack:
-        node = stack.pop()
-        splits.append(node.split)
-        total += int(node.counts.sum())
-        for k, kid in node.divided_children().items():
-            total -= int(node.counts[k])
-            stack.append(kid)
+    """The tree's splits and the sum of its leaf counts, read from
+    ``_layers``: the leaf counts sum to every split's counts, less those of
+    its children that split again."""
+    splits, total = [], tree.count if tree.split is None else 0
+    for nodes, kids in _layers(tree):
+        splits += [node.split for node in nodes]
+        total += sum(int(node.counts.sum()) for node in nodes)
+        total -= sum(int(nodes[f].counts[k]) for f, k, _ in kids)
     return splits, total
 
 
 class LeafTable:
-    """Every leaf of a histogram as arrays, built by ``leaf_table`` from its
-    splits without making a leaf node.
+    """Every leaf of a built tree as arrays, read from its splits
+    (``_layers``) without making a leaf node.
 
     ``count`` lists the leaves in ``walk()`` order, zero-count leaves
     included.  When the leaves are boxes (a tree of ``MeshSplit``s, or a
@@ -319,13 +329,12 @@ class LeafTable:
     ``(tables, ncuts)`` of +inf-padded per-axis cut tables that
     ``_mesh_digits`` reads; a Voronoi depth's is the list of its
     ``VoronoiSplit``s.  ``locate`` routes rows through these one depth at a
-    time, and ``node`` makes the node of one leaf on demand.
+    time; ``node`` makes the node of one leaf on demand, and ``parent``
+    returns the node whose split holds it.
     """
 
-    def __init__(self, root: HistogramNode, layers: list):
-        """``layers`` lists the divided nodes one depth at a time, each depth
-        as (nodes, kids): kids are (node index, child index, child) of the
-        children that divide again, in walk order."""
+    def __init__(self, root: HistogramNode):
+        layers = _layers(root)
         region, d = root.region, root.region.dim
         self._root, self._divided = root, [node for nodes, _ in layers for node in nodes]
         self.depths, self.low, self.high = [], None, None
@@ -419,22 +428,15 @@ class LeafTable:
             rows, owner = rows[~leaf], to[~leaf]
         return out
 
+    def parent(self, i: int) -> HistogramNode:
+        """The node whose split holds leaf i; the root for a root that never
+        split, which is its own leaf."""
+        f = int(self._owner[i])
+        return self._root if f < 0 else self._divided[f]
+
     def node(self, i: int) -> HistogramNode:
         """The node of leaf i, made by its parent on first use."""
-        f = int(self._owner[i])
-        return self._root if f < 0 else self._divided[f].child(int(self._key[i]))
-
-
-def leaf_table(hist: SanitizedHistogram) -> LeafTable:
-    """The ``LeafTable`` of a histogram.  Only the nodes that have a split
-    are visited."""
-    layers, nodes = [], [hist.root] if hist.root.split is not None else []
-    while nodes:
-        kids = [(f, k, kid) for f, node in enumerate(nodes)
-                for k, kid in sorted(node.divided_children().items())]
-        layers.append((nodes, kids))
-        nodes = [kid for _, _, kid in kids]
-    return LeafTable(hist.root, layers)
+        return self._root if self._owner[i] < 0 else self.parent(i).child(int(self._key[i]))
 
 
 class _Budget:

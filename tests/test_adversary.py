@@ -22,7 +22,8 @@ from privhist.errors import InputError
 from privhist.geometry import Ball, Dataset, count_in_region, uniform_in_region
 from privhist.rng import substream
 from privhist.roundness import certify_roundness
-from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, leaf_table
+from privhist.sanitizer import (LeafTable, build_recursive_cube, build_shifted_grid,
+                                build_voronoi)
 
 
 class TestIsolates:
@@ -248,11 +249,11 @@ class TestPointsPerLeaf:
         outside = np.array([[3.0, 0.0, 0.0], [0.0, -2.5, 0.2]])
         X = np.concatenate([data.points[::3], outside, data.points[:5]])
         expected = [int(leaf.region.contains_many(X).sum()) for leaf in leaves]
-        assert _points_per_leaf(hist, leaf_table(hist), X).tolist() == expected
+        assert _points_per_leaf(hist, LeafTable(hist.root), X).tolist() == expected
 
     def test_no_points_counts_zero(self):
         data, hist = _toy_attack_setup(n=50, d=2, seed=13)
-        counts = _points_per_leaf(hist, leaf_table(hist), np.empty((0, 2)))
+        counts = _points_per_leaf(hist, LeafTable(hist.root), np.empty((0, 2)))
         assert counts.tolist() == [0] * len(hist.root.leaves())
 
 

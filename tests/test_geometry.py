@@ -298,14 +298,15 @@ class TestUniformSampling:
         pts = uniform_in_region(cell, 2_000, substream(4, "s"))
         assert cell.contains_many(pts).all()
 
-    def test_starvation_raises(self):
+    def test_starvation_raises(self, monkeypatch):
         parent = Ball(np.zeros(2), 1.0)
         centers = uniform_in_region(parent, 10, substream(5, "c"))
         cell = VoronoiClip(centers, 0, parent)
-        with pytest.raises(DegenerateGeometryError):
+        monkeypatch.setattr(geometry, "MAX_BATCHES", 3)
+        with pytest.raises(DegenerateGeometryError, match="after 3 batches"):
             # envelope nowhere near the cell: nothing is ever accepted
             uniform_in_region(cell, 100, substream(6, "s"),
-                              envelope=(np.array([100.0, 100.0]), 0.1), max_batches=3)
+                              envelope=(np.array([100.0, 100.0]), 0.1))
 
 
 # ---------------------------------------------------------------------------

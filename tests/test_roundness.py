@@ -290,9 +290,9 @@ class TestPrivacyCondition:
                         "degenerate_count": 618, "epsilon_observed": 0.09090909090909091}
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return intersection_volume_ratio(*args, **kwargs)
+        def counted(q, r, *args, **kwargs):
+            calls.append((tuple(q), r))
+            return intersection_volume_ratio(q, r, *args, **kwargs)
 
         monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", counted)
         report = check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
@@ -302,6 +302,10 @@ class TestPrivacyCondition:
                                     **expected}
         # most degenerate probes are decided without sampling
         assert report.ratio_count <= len(calls) < report.ratio_count + report.degenerate_count / 2
+        # sampled in row-major order: each probe's radii ascending, one probe at a time
+        runs = [q for i, (q, _) in enumerate(calls) if i == 0 or q != calls[i - 1][0]]
+        assert len(set(runs)) == len(runs) < len(calls)
+        assert all(r < s for (q, r), (p, s) in zip(calls, calls[1:]) if q == p)
 
     @pytest.mark.parametrize("tree", ["greedy-disc", "uniform-box"])
     def test_margin_shortcuts_leave_the_report_unchanged(self, tree, monkeypatch):
@@ -344,6 +348,17 @@ class TestPrivacyCondition:
         assert report.to_dict() == sampled.to_dict()
         assert 0 < report.containment_count < report.cells_checked * report.probes_per_cell
 
+    def test_a_check_makes_nodes_only_for_the_cells_it_checks(self):
+        # one split of 256 cells: only the first max_cells leaves, in walk
+        # order, get a node, and their parent is the root
+        root = HistogramNode(region=Ball(np.zeros(2), 1.0))
+        centers = uniform_in_region(root.region, 256, substream(29, "c"))
+        root.divide(VoronoiSplit(centers), [1] * 256)
+        report = check_privacy_condition(root, c=8.0, q_probes=2, r_grid_size=2,
+                                         volume_samples=500, seed=30, max_cells=3)
+        assert report.cells_checked == 3
+        assert sorted(root._kids) == [0, 1, 2]
+
 
 class TestSplitAudits:
     def test_greedy_split_satisfies_cover_spread_consequence(self):
@@ -368,6 +383,18 @@ class TestSplitAudits:
             seen_levels.add(child_level)
             assert max(audit.child_ks) <= 4.0**child_level * k_root * 1.1
         assert 1 in seen_levels
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_greedy_splits_below_the_root_at_d3(self, seed):
+        # criterion 04's d = 3 builds split only their root; these 800-row
+        # builds also split level-1 cells, whose parent is a Voronoi cell
+        data, _ = sample(single(UniformBall(np.zeros(3), 1.0)), 800, seed=40 + seed)
+        hist = build_voronoi(data, Ball(np.zeros(3), 1.0), t=8, max_depth=2,
+                             method="greedy", probe_samples=20_000, seed=50 + seed)
+        audits = audit_voronoi_splits(hist.root)
+        assert any(audit.level == 1 for audit in audits)
+        for audit in audits:
+            assert max(audit.child_ks) <= audit.cover_spread_bound()
 
     @pytest.mark.parametrize("root", ["ball", "box"])
     @pytest.mark.parametrize("d", [2, 3, 4])

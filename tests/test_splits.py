@@ -16,14 +16,13 @@ from privhist.metrics import _descend, locate_leaves, measure_diameters
 from privhist.rng import substream
 from privhist.sanitizer import (
     HistogramNode,
+    LeafTable,
     MeshSplit,
-    SanitizedHistogram,
     VoronoiSplit,
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
     default_root_box,
-    leaf_table,
     strip_to_sanitized,
 )
 
@@ -135,7 +134,7 @@ def _one_split_table(split):
               closed_high=np.ones(len(split.cuts), dtype=bool))
     root = HistogramNode(region=box)
     root.divide(MeshSplit(split.cuts), np.zeros(split.size, dtype=np.int64))
-    return leaf_table(SanitizedHistogram(root, "test", 1, 1, "deterministic"))
+    return LeafTable(root)
 
 
 @given(st.sampled_from(["cube", "grid"]), st.integers(1, 4), st.integers(0, 10_000))
@@ -249,7 +248,7 @@ def test_voronoi_leaf_table_equals_the_per_node_reference(centers, shape, d, dep
     # the table of a tree read back from its document, against the nodes built
     hist = histogram_from_doc(json.loads(encode(histogram_to_doc(built)))) if round_trip \
         else built
-    table = leaf_table(hist)
+    table = LeafTable(hist.root)
     leaves = built.root.leaves()
     assert table.count.tolist() == [leaf.count for leaf in leaves]
     assert (table.low is None) == (built.root.split is not None or shape == "ball")
