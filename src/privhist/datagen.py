@@ -126,7 +126,8 @@ def single(shape: Shape) -> DistributionSpec:
 
 def _sample_shape(shape: Shape, n: int, rng: np.random.Generator, budget: int) -> np.ndarray:
     if isinstance(shape, UniformCube):
-        return uniform_in_box(shape.center - shape.half_side, shape.center + shape.half_side, n, rng)
+        return uniform_in_box(shape.center - shape.half_side, shape.center + shape.half_side, n,
+                              rng)
     if isinstance(shape, UniformBall):
         return uniform_in_ball(shape.center, shape.radius, n, rng)
     # truncated Gaussian: rejection against the truncation ball
@@ -161,5 +162,6 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> tuple[Dataset, np.ndarr
     for idx, (_, shape) in enumerate(spec.components):
         rows = np.flatnonzero(labels == idx)
         if rows.size:
-            points[rows] = _sample_shape(shape, rows.size, substream(seed, "component", idx), budget)
+            points[rows] = _sample_shape(shape, rows.size, substream(seed, "component", idx),
+                                         budget)
     return Dataset(points), labels

@@ -28,7 +28,8 @@ from .metrics import (
 )
 from .roundness import audit_voronoi_splits, certify_roundness
 from .rng import substream
-from .sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes, sanitize
+from .sanitizer import (build_recursive_cube, build_shifted_grid, build_voronoi, certify_nodes,
+                        sanitize)
 
 # constant for the uniform-centers roundness audit: children must certify
 # k <= UNIFORM_SPLIT_K_FACTOR * k_parent^2 with radius <= R/2 * 1.1

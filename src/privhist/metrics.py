@@ -185,9 +185,9 @@ def measure_diameters(
     build hands back the corners of each row's leaf, which it wrote while
     splitting the rows, so grid diameters take no descent.  A Voronoi build,
     made by ``sanitize``, locates the rows once per trial through its leaf
-    table and reads its leaves as certificate balls.  Grid bounds are closed-form; Voronoi bounds fit one
-    coefficient kappa to mean ~ kappa * (max_depth * d * r + 2^-max_depth)
-    and report it.
+    table and reads its leaves as certificate balls.  Grid bounds are
+    closed-form; Voronoi bounds fit one coefficient kappa to mean ~ kappa *
+    (max_depth * d * r + 2^-max_depth) and report it.
     """
     if method not in ("grid", "voronoi-greedy", "voronoi-uniform"):
         raise InputError("measure_diameters needs a randomized builder (grid or voronoi)")

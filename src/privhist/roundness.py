@@ -371,8 +371,9 @@ def certify_children(
 
     All cells share the center list, so the witness ascent and the boundary
     exits run on one ``CellKernel`` for the whole batch.  Rows do not
-    interact, so a cell certifies alone as in any batch, up to the last bits
-    of the batched products.
+    interact, but the batched products can round differently in another
+    batch, so a cell's last bits depend on which cells share its batch;
+    ``certify_nodes`` keeps one batching rule for that reason.
     """
     centers = np.asarray(centers, dtype=float)
     m, d = centers.shape
@@ -590,19 +591,21 @@ class SplitAudit:
 def audit_voronoi_splits(root_node) -> list[SplitAudit]:
     """Audit every split of a Voronoi-built tree, in walk order.
 
-    For each subdivided cell: read the parent's and every child's
-    certificate, and measure the emitted centers' exact spread radius r2
-    and exact cover radius r1, from the children's polytopes and the
-    split's shared Delaunay table.  No sample is drawn.  Consumers check
-    the roundness recurrences against these records.
+    For each subdivided cell: take the parent's and every child's
+    certificate from one ``certify_nodes`` call, and measure the emitted
+    centers' exact spread radius r2 and exact cover radius r1, from the
+    children's polytopes and the split's shared Delaunay table.  No sample
+    is drawn.  Consumers check the roundness recurrences against these
+    records.
     """
     from .sanitizer import VoronoiSplit, certify_nodes  # the sanitizer imports this module
 
     split_nodes = [node for node in root_node.walk() if isinstance(node.split, VoronoiSplit)]
-    certify_nodes(split_nodes + [ch for node in split_nodes for ch in node.children])
+    certs = certify_nodes(split_nodes + [ch for node in split_nodes for ch in node.children])
+    child_ks = iter([cert.k for cert in certs[len(split_nodes):]])
     return [SplitAudit(level=node.level,
                        r1=_cover_radius(CellKernel(node.region, np.arange(node.split.size),
                                                    node.split.centers, node.split.neighbours)),
-                       r2=_min_pair_distance(node.split.centers), parent_k=node.certificate.k,
-                       child_ks=[ch.certificate.k for ch in node.children])
-            for node in split_nodes]
+                       r2=_min_pair_distance(node.split.centers), parent_k=cert.k,
+                       child_ks=[next(child_ks) for _ in range(node.split.size)])
+            for node, cert in zip(split_nodes, certs)]

@@ -20,7 +20,12 @@ from ``LeafTable(root)`` instead, read from one walk over the divided
 nodes (``_layers``).  All published geometry is construction artifacts
 (mesh lines, centers); a final scan over the same walk aborts if any
 dataset coordinate vector appears in it, except that a grid build whose
-mesh has a row on a cell corner draws its offset again instead.
+mesh has a row on a cell corner draws its offset again instead, and a
+Voronoi split whose centers hit one of its node's rows draws them again.
+
+No node keeps a roundness certificate.  ``certify_nodes`` computes them on
+request, one ``certify_children`` batch per Voronoi split, and the Voronoi
+builder hands each cell's certificate down with the cell.
 """
 
 from __future__ import annotations
@@ -148,12 +153,12 @@ class HistogramNode:
     and its index there, and derives its region on first use.  A divided
     node keeps its children's counts as one integer array and makes a child
     node only when asked for it (``child``, ``children``), so a build makes
-    nodes only where a split continues.  Its roundness certificate is
-    computed once, by ``certify_nodes``, and kept.
+    nodes only where a split continues.  A node keeps no certificate:
+    ``certify_nodes`` computes one on request.
     """
 
     __slots__ = ("count", "level", "split", "counts", "child_level", "_kids", "_region",
-                 "_source", "_certificate")
+                 "_source")
 
     def __init__(self, region: Region | None = None, count: int = 0, level: int = 0):
         self.count = count
@@ -164,7 +169,6 @@ class HistogramNode:
         self._kids: dict[int, HistogramNode] = {}  # the children made so far
         self._region = region
         self._source = None  # (split, child index) for non-root nodes
-        self._certificate = None
 
     @property
     def region(self) -> Region:
@@ -175,13 +179,6 @@ class HistogramNode:
                 split, k = self._source
                 self._region = split.child_region(_parent_region(split), k)
         return self._region
-
-    @property
-    def certificate(self) -> RoundnessCertificate:
-        """This cell's certificate; ``certify_nodes`` certifies many at once."""
-        if self._certificate is None:
-            certify_nodes([self])
-        return self._certificate
 
     def divide(self, split: Split, counts, level: int | None = None):
         """Split this node; child k holds counts[k] points at the given level
@@ -232,20 +229,17 @@ class HistogramNode:
 
 
 def certify_nodes(nodes, samples: int = CERT_SAMPLES) -> list[RoundnessCertificate]:
-    """The roundness certificate of each node, in order.
+    """The roundness certificate of each node, in order; no node keeps one.
 
-    The uncached children of one Voronoi split are certified in one
-    ``certify_children`` batch; a root or a mesh child (a box or a ball)
-    goes through ``certify_roundness``.  At the default ``samples`` each
-    certificate is stored on its node, so every node is certified once; any
-    other count gives fresh certificates and stores none.
+    The requested children of one Voronoi split are certified in one
+    ``certify_children`` batch, in the order first requested, and a node
+    requested twice is certified once; a root or a mesh child (a box or a
+    ball) goes through ``certify_roundness``.  A batch's members can move
+    the last bits of each other's certificates, so equal requests give
+    equal certificates, whatever ran before.
     """
-    stored = samples == CERT_SAMPLES
-    certs = {id(node): node._certificate for node in nodes
-             if stored and node._certificate is not None}
-    todo = {id(node): node for node in nodes if id(node) not in certs}
-    batches = {}
-    for key, node in todo.items():
+    certs, batches = {}, {}
+    for key, node in {id(node): node for node in nodes}.items():
         split, k = node._source or (None, None)
         if isinstance(split, VoronoiSplit):
             batches.setdefault(split, []).append((key, k))
@@ -255,9 +249,6 @@ def certify_nodes(nodes, samples: int = CERT_SAMPLES) -> list[RoundnessCertifica
         keys, indices = zip(*members)
         certs.update(zip(keys, certify_children(_parent_region(split), split.centers,
                                                 indices, samples)))
-    if stored:
-        for key, node in todo.items():
-            node._certificate = certs[key]
     return [certs[id(node)] for node in nodes]
 
 
@@ -744,6 +735,9 @@ def _shifted_grid(
 # Voronoi subdivision
 
 
+VORONOI_CENTER_DRAWS = 8  # center sets a Voronoi split draws before a row on a center aborts it
+
+
 def method2_center_count(d: int) -> int:
     """Default number of uniform centers per split: 4 * d * 8^d."""
     return 4 * d * 8**d
@@ -807,8 +801,15 @@ def build_voronoi(
     seed: int = 0,
 ) -> SanitizedHistogram:
     """Voronoi histogram: cells holding more than t points subdivide.  The
-    children of a split that divide again are certified in one batch.  A
-    split of m centers charges m nodes, a uniform one before drawing them."""
+    children of a split that divide again are certified in one batch, and
+    each takes its certificate down with it.  A split of m centers charges
+    m nodes once, a uniform one before drawing them.
+
+    Draw 0 of a split's centers takes ``child_seed(seed, "centers", *path)``
+    and draw i > 0 ``child_seed(seed, "centers", *path, "redraw", i)``.  A
+    split whose centers hit one of its node's rows draws them again, up to
+    ``VORONOI_CENTER_DRAWS`` draws; the last draw stands, and a row still on
+    a center then aborts the build in ``strip_to_sanitized``."""
     if t < 1 or max_depth < 1:
         raise InputError("t and max_depth must be positive")
     if method not in ("greedy", "uniform"):
@@ -817,30 +818,33 @@ def build_voronoi(
     m = override_m if override_m is not None else method2_center_count(support.dim)
     budget = _Budget()
 
-    def grow(node: HistogramNode, idx: np.ndarray, path: tuple):
-        region = node.region
-        cert = node.certificate
-        if method == "greedy":
-            centers = pick_centers_greedy(region, cert, probe_samples,
-                                          seed=child_seed(seed, "centers", *path))
-            budget.charge(len(centers))
-        else:
+    def grow(node: HistogramNode, cert: RoundnessCertificate, idx: np.ndarray, path: tuple):
+        region, rows = node.region, dataset.points[idx]
+        if method == "uniform":
             budget.charge(m, f" for m={m} uniform centers per split in d={support.dim}")
-            centers = pick_centers_uniform(region, m, seed=child_seed(seed, "centers", *path),
-                                           envelope=cert.envelope)
+        for draw in range(VORONOI_CENTER_DRAWS):
+            draw_seed = child_seed(seed, "centers", *path, *(["redraw", draw] if draw else []))
+            if method == "greedy":
+                centers = pick_centers_greedy(region, cert, probe_samples, seed=draw_seed)
+            else:
+                centers = pick_centers_uniform(region, m, seed=draw_seed, envelope=cert.envelope)
+            if not _on_published(rows, centers, []).any():
+                break
+        if method == "greedy":
+            budget.charge(len(centers))
         split = VoronoiSplit(centers)
-        parts = _partition(split.assign(dataset.points[idx]), split.size)
+        parts = _partition(split.assign(rows), split.size)
         node.divide(split, [part.size for part in parts])
         if node.level + 1 >= max_depth:
             return
         growing = [i for i, part in enumerate(parts) if part.size > t]
-        certify_nodes([node.child(i) for i in growing])
-        for i in growing:
-            grow(node.child(i), idx[parts[i]], path + (i,))
+        certs = certify_nodes([node.child(i) for i in growing])
+        for i, child_cert in zip(growing, certs):
+            grow(node.child(i), child_cert, idx[parts[i]], path + (i,))
 
     tree = HistogramNode(region=support, count=dataset.n, level=0)
     if dataset.n > t:
-        grow(tree, np.arange(dataset.n), ())
+        grow(tree, certify_nodes([tree])[0], np.arange(dataset.n), ())
     extra = {"center_method": method}
     if method == "uniform":
         extra["default_center_formula_used"] = override_m is None
@@ -854,13 +858,13 @@ def build_voronoi(
 # sanitized output
 
 
-def _on_published(points: np.ndarray, vectors: list, meshes: list) -> np.ndarray:
+def _on_published(points: np.ndarray, vectors: list | np.ndarray, meshes: list) -> np.ndarray:
     """Which rows of ``points`` equal one of ``vectors`` or the low or high
     corner of a child of a mesh split (given by its cuts).  A row can only
     be a corner of a mesh split when each of its coordinates is a cut value
     on that axis."""
     hits = np.zeros(len(points), dtype=bool)
-    if vectors:
+    if len(vectors):
         # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
         row = np.dtype((np.void, 8 * points.shape[1]))
         hits = np.isin((points + 0.0).view(row).ravel(),

@@ -153,6 +153,24 @@ class TestCli:
         assert "row 0" in err and "no atoms" in err
         assert not os.path.exists("h.json")
 
+    def test_a_row_on_a_voronoi_center_redraws_the_split(self, workspace):
+        # the root's 4th greedy center, added as row 150, is on draw 0 of the
+        # root split's centers, so the split draws its centers again
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=0)
+        argv = ["sanitize", "--method", "voronoi", "--centers", "greedy", "--t", "4",
+                "--max-depth", "2", "--probe-samples", "2000", "--support", "unit-ball",
+                "--seed", "5"]
+        write_json_atomic("d0.json", dataset_to_doc(data))
+        assert main(argv + ["--in", "d0.json", "--out", "h0.json"]) == 0
+        first = histogram_from_doc(read_json("h0.json")).root.split.centers
+        write_json_atomic("d.json", dataset_to_doc(Dataset(np.vstack([data.points, first[3]]))))
+        assert main(argv + ["--in", "d.json", "--out", "h.json"]) == 0
+        hist = histogram_from_doc(read_json("h.json"))
+        assert hist.leaf_count_sum() == 151
+        assert not np.array_equal(hist.root.split.centers, first)
+        published = np.vstack([node.split.centers for node in hist.root.walk() if node.split])
+        assert not (published == first[3]).all(axis=1).any()
+
     @pytest.mark.parametrize("argv", [
         ["sanitize", "--method", "cube", "--t", "2", "--max-depth", "0",
          "--in", "d.json", "--out", "h.json"],

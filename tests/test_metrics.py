@@ -9,8 +9,8 @@ from privhist import metrics
 from privhist.datagen import UniformBall, UniformCube, sample, single
 from privhist.errors import InputError
 from privhist.experiments import adversarial_corner_arrangement
-from privhist.geometry import (Ball, Box, Dataset, distance, t_radii, uniform_in_region,
-                               voronoi_assign)
+from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, distance, t_radii,
+                               uniform_in_region, voronoi_assign)
 from privhist.metrics import (
     _descend,
     _diameters,
@@ -25,7 +25,8 @@ from privhist.metrics import (
     mst_compare,
 )
 from privhist.rng import child_seed, substream
-from privhist.sanitizer import build_recursive_cube, build_shifted_grid, build_voronoi
+from privhist.sanitizer import (build_recursive_cube, build_shifted_grid, build_voronoi,
+                                certify_nodes)
 
 
 def _tiny_hist(points, t=2, depth=4):
@@ -380,41 +381,64 @@ class TestMstCompare:
             mst_compare(hist, Dataset(np.array([[0.1, 0.1]])))
 
 
-def _reference_diameter(leaf):
+def _reference_certificates(leaves):
+    """The certificate of each Voronoi leaf, by node id, from one
+    ``certify_nodes`` call over the leaves in the order given, which is the
+    batch ``_leaf_geometry`` certifies when given the same leaves; a box or
+    ball leaf takes none."""
+    cells = [leaf for leaf in leaves if isinstance(leaf.region, VoronoiClip)]
+    return dict(zip(map(id, cells), certify_nodes(cells)))
+
+
+def _reference_diameter(leaf, certs):
     """A leaf's diameter, node by node: a box's or ball's own, else twice the
     certificate radius."""
     region = leaf.region
     if isinstance(region, (Box, Ball)):
         return region.diameter()
-    return 2.0 * leaf.certificate.radius
+    return 2.0 * certs[id(leaf)].radius
 
 
-def _reference_pair_distance(a, b):
+def _reference_pair_distance(a, b, certs):
     """sup-sup distance of two leaves, pair by pair: the farthest-corner span
     of two boxes, else |p_a - p_b| + R_a + R_b over each leaf's own ball or
     its certificate."""
     ra, rb = a.region, b.region
     if isinstance(ra, Box) and isinstance(rb, Box):
         return float(np.linalg.norm(np.maximum(ra.high - rb.low, rb.high - ra.low)))
-    (pa, Ra), (pb, Rb) = _reference_ball(a), _reference_ball(b)
+    (pa, Ra), (pb, Rb) = _reference_ball(a, certs), _reference_ball(b, certs)
     return float(np.linalg.norm(pa - pb)) + Ra + Rb
 
 
-def _reference_ball(leaf):
+def _reference_ball(leaf, certs):
     if isinstance(leaf.region, Ball):
         return leaf.region.center, leaf.region.radius
-    return leaf.certificate.witness, leaf.certificate.radius
+    cert = certs[id(leaf)]
+    return cert.witness, cert.radius
 
 
 def _reference_pair_matrix(leaves):
     """Upper triangle pair by pair, mirrored: certificate sums are not
     bitwise symmetric, so the lower triangle copies the upper one."""
+    certs = _reference_certificates(leaves)
     L = len(leaves)
     pair = np.zeros((L, L))
     for a in range(L):
         for b in range(a, L):
-            pair[a, b] = pair[b, a] = _reference_pair_distance(leaves[a], leaves[b])
+            pair[a, b] = pair[b, a] = _reference_pair_distance(leaves[a], leaves[b], certs)
     return pair
+
+
+def _reference_rows(hist, X, Y):
+    """(d_H, diam(C_x), diam(C_y)) of each row pair, pair by pair, with the
+    certificates of one batch over the leaves that X and Y reach, in the
+    order ``hist_distance_with_diameters`` requests them."""
+    table, _, reached = _descend(hist, np.concatenate([X, Y]))
+    certs = _reference_certificates([table.node(i) for i in reached.tolist()])
+    lx, ly = locate_leaves(hist, X), locate_leaves(hist, Y)
+    return ([_reference_pair_distance(a, b, certs) for a, b in zip(lx, ly)],
+            [_reference_diameter(a, certs) for a in lx],
+            [_reference_diameter(b, certs) for b in ly])
 
 
 def _geometry_case(case):
@@ -465,20 +489,19 @@ class TestLeafGeometry:
         hist, points = _geometry_case(case)
         table, _, reached = _descend(hist, points)
         diam = _diameters(*_leaf_geometry(hist, points)[1])
-        assert diam.tolist() == [_reference_diameter(table.node(i)) for i in reached.tolist()]
+        leaves = [table.node(i) for i in reached.tolist()]
+        certs = _reference_certificates(leaves)
+        assert diam.tolist() == [_reference_diameter(leaf, certs) for leaf in leaves]
 
     def test_batched_distances_equal_pairwise_reference(self, case):
         hist, points = _geometry_case(case)
         idx = substream(26, "pairs").integers(0, len(points), size=(200, 2))
         X, Y = points[idx[:, 0]], points[idx[:, 1]]
         dh, dx, dy = hist_distance_with_diameters(hist, X, Y)
-        lx, ly = locate_leaves(hist, X), locate_leaves(hist, Y)
-        assert dh.tolist() == [_reference_pair_distance(a, b) for a, b in zip(lx, ly)]
-        assert dx.tolist() == [_reference_diameter(a) for a in lx]
-        assert dy.tolist() == [_reference_diameter(b) for b in ly]
+        assert [dh.tolist(), dx.tolist(), dy.tolist()] == list(_reference_rows(hist, X, Y))
         one = hist_distance_with_diameters(hist, X[:1], Y[:1])
-        assert [v.tolist() for v in one] == [[dh[0]], [dx[0]], [dy[0]]]
-        assert hist_distance(hist, X[0], Y[0]) == dh[0]
+        assert [v.tolist() for v in one] == list(_reference_rows(hist, X[:1], Y[:1]))
+        assert hist_distance(hist, X[0], Y[0]) == one[0][0]
         assert [v.shape for v in hist_distance_with_diameters(hist, X[:0], Y[:0])] == [(0,)] * 3
 
 

@@ -31,6 +31,7 @@ from privhist.sanitizer import (
     build_recursive_cube,
     build_shifted_grid,
     build_voronoi,
+    certify_nodes,
     default_root_box,
 )
 
@@ -91,6 +92,15 @@ def _probe_cover(centers, region, seed, envelope):
     return float(cKDTree(centers).query(X)[0].max())
 
 
+def _audit_certificates(splits):
+    """(parents, children): the certificate of each split node, and of each
+    of its children, from one ``certify_nodes`` call over the nodes that
+    ``audit_voronoi_splits`` requests, in its order."""
+    certs = certify_nodes(splits + [ch for node in splits for ch in node.children])
+    rest = iter(certs[len(splits):])
+    return certs[:len(splits)], [[next(rest) for _ in node.children] for node in splits]
+
+
 def _grid_cover(centers, region):
     """The largest nearest-center distance over a grid of step at most 1e-3
     on a 2-D region's bounding box, corners included, the points outside
@@ -145,9 +155,10 @@ class TestCoverCheck:
         splits = [node for node in root.walk() if isinstance(node.split, VoronoiSplit)]
         audits = audit_voronoi_splits(root)
         assert len(audits) == len(splits) >= 1
-        for i, (audit, node) in enumerate(zip(audits, splits)):
+        certs, _ = _audit_certificates(splits)
+        for i, (audit, node, cert) in enumerate(zip(audits, splits, certs)):
             probe = _probe_cover(node.split.centers, node.region, seed=i,
-                                 envelope=node.certificate.envelope)
+                                 envelope=cert.envelope)
             assert audit.r1 >= probe
 
     @pytest.mark.parametrize("root", ["ball", "box"])
@@ -375,8 +386,9 @@ class TestSplitAudits:
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 250, seed=15)
         hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
                              method="greedy", probe_samples=15_000, seed=16)
-        k_root = hist.root.certificate.k
         audits = audit_voronoi_splits(hist.root)
+        splits = [node for node in hist.root.walk() if isinstance(node.split, VoronoiSplit)]
+        k_root = _audit_certificates(splits)[0][0].k
         seen_levels = set()
         for audit in audits:
             child_level = audit.level + 1
@@ -492,8 +504,9 @@ class TestWalkOrder:
         assert all(k.levels[0][0] is node.split.centers and k.tables[0] is node.split.neighbours
                    for k, node in zip(kernels, splits))
         assert [a.level for a in audits] == [node.level for node in splits]
-        assert [a.child_ks for a in audits] == [
-            [child.certificate.k for child in node.children] for node in splits]
+        parents, children = _audit_certificates(splits)
+        assert [a.parent_k for a in audits] == [cert.k for cert in parents]
+        assert [a.child_ks for a in audits] == [[cert.k for cert in row] for row in children]
         assert audit_voronoi_splits(_grid_tree()) == []
 
 

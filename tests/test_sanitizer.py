@@ -33,7 +33,8 @@ from privhist.sanitizer import (
     sanitize_mixture,
     strip_to_sanitized,
 )
-from privhist.roundness import certify_children, certify_roundness, cover_check, well_spread_check
+from privhist.roundness import (certify_children, certify_roundness, check_privacy_condition,
+                                cover_check, well_spread_check)
 
 
 def leaves_of(hist):
@@ -372,36 +373,89 @@ class TestVoronoi:
             assert leaf.count <= 6 or leaf.level == 2
 
 
+def _values(certs):
+    """Each certificate as (k, R, witness bytes), for bit-for-bit equality."""
+    return [(cert.k, cert.radius, cert.witness.tobytes()) for cert in certs]
+
+
 class TestCertifyNodes:
     def test_one_batch_per_split_and_each_node_once(self, monkeypatch):
         data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 200, seed=30)
-        built = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
-                              method="greedy", probe_samples=4_000, seed=31)
-        hist = histogram_from_doc(histogram_to_doc(built))  # no stored certificates
+        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), t=6, max_depth=2,
+                             method="greedy", probe_samples=4_000, seed=31)
         nodes = list(hist.root.walk())
         splits = [node for node in nodes if node.children]
         assert len(splits) > 2
+        parent_of = {id(ch): (id(node), k) for node in splits
+                     for k, ch in enumerate(node.children)}
         calls = []
 
         def counted(parent, centers, indices=None, samples=128):
-            calls.append(len(indices))
+            calls.append((id(centers), list(indices), samples))
             return certify_children(parent, centers, indices, samples)
 
         monkeypatch.setattr(privhist.sanitizer, "certify_children", counted)
-        certs = certify_nodes(nodes + nodes[::-1])
-        assert sorted(calls) == sorted(len(node.children) for node in splits)
-        assert all(node.certificate is cert for node, cert in zip(nodes, certs))
-        again = certify_nodes(nodes)
-        assert len(calls) == len(splits)
-        assert all(a is b for a, b in zip(again, certs))
-        # another direction count computes fresh certificates and stores none
-        fresh = certify_nodes(nodes, samples=64)
-        assert len(calls) == 2 * len(splits)
-        assert all(node.certificate is cert for node, cert in zip(nodes, certs))
+        request = nodes[::-1] + nodes  # every node twice, in reverse walk order first
+        batches = {}  # each split's children in the order first requested
+        for node in nodes[::-1]:
+            if id(node) in parent_of:
+                split, k = parent_of[id(node)]
+                batches.setdefault(split, []).append(k)
+        centers = {id(node): id(node.split.centers) for node in splits}
+        certs = certify_nodes(request)
+        assert calls == [(centers[split], ks, 128) for split, ks in batches.items()]
+        assert all(a is b for a, b in zip(certs[len(nodes):], certs[len(nodes) - 1::-1]))
+        # another call makes its batches again and returns equal values
+        again = certify_nodes(request)
+        assert calls[len(batches):] == calls[:len(batches)]
+        assert _values(again) == _values(certs)
+        # another direction count gives other radii
+        fresh = certify_nodes(request, samples=64)
+        assert [samples for _, _, samples in calls[2 * len(batches):]] == [64] * len(batches)
         assert any(a.radius != b.radius for a, b in zip(fresh, certs))
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["as-built", "after-privacy-check"])
+    @pytest.mark.parametrize("d,method,seed", [(2, "greedy", 0), (2, "uniform", 4),
+                                               (3, "greedy", 2), (3, "uniform", 0)])
+    def test_a_built_tree_and_its_document_get_the_same_certificates(self, d, method, seed,
+                                                                     checked):
+        data, _ = sample(single(UniformBall(np.zeros(d), 1.0)), 300, seed=seed)
+        params = {"probe_samples": 5_000} if method == "greedy" else {"override_m": 24}
+        built = build_voronoi(data, Ball(np.zeros(d), 1.0), t=4, max_depth=3, method=method,
+                              seed=seed + 100, **params)
+        read = histogram_from_doc(histogram_to_doc(built))
+        if checked:
+            check_privacy_condition(built.root, c=8.0, q_probes=1, r_grid_size=1,
+                                    volume_samples=100)
+        assert (_values(certify_nodes(list(built.root.walk())))
+                == _values(certify_nodes(list(read.root.walk()))))
 
 
 class TestSanitizedOutput:
+    @staticmethod
+    def _on_a_root_center(method):
+        """Rows of a seeded Voronoi build, plus one on a center of its root
+        split, which depends on the seed and the support alone."""
+        data, _ = sample(single(UniformBall(np.zeros(2), 1.0)), 150, seed=0)
+        first = build_voronoi(data, Ball(np.zeros(2), 1.0), t=4, max_depth=2, method=method,
+                              probe_samples=2_000, override_m=24, seed=5)
+        center = first.root.split.centers[3]
+        return first, Dataset(np.vstack([data.points, center])), center
+
+    @pytest.mark.parametrize("method", ["greedy", "uniform"])
+    def test_a_row_on_a_voronoi_center_redraws_the_split(self, method, monkeypatch):
+        first, data, center = self._on_a_root_center(method)
+        kwargs = dict(t=4, max_depth=2, method=method, probe_samples=2_000, override_m=24,
+                      seed=5)
+        hist = build_voronoi(data, Ball(np.zeros(2), 1.0), **kwargs)
+        assert hist.leaf_count_sum() == 151
+        assert not np.array_equal(hist.root.split.centers, first.root.split.centers)
+        assert not (hist.root.split.centers == center).all(axis=1).any()
+        # the last draw stands, and a row still on a center aborts the build
+        monkeypatch.setattr(privhist.sanitizer, "VORONOI_CENTER_DRAWS", 1)
+        with pytest.raises(CollisionError, match="coordinate"):
+            build_voronoi(data, Ball(np.zeros(2), 1.0), **kwargs)
+
     def test_leaf_counts_sum_to_n(self):
         data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 321, seed=14)
         for hist in (
