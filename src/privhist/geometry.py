@@ -246,21 +246,26 @@ class VoronoiNeighbours:
         return None if self._columns is None else self._columns[i]
 
     def _build(self):
+        columns = self._delaunay_columns()
+        if columns is not None:
+            self.radius = float(np.linalg.norm(self.centers, axis=1).max())
+            self._columns = columns
+        # set last, so a thread that reads it set finds the whole table
         self._built = True
+
+    def _delaunay_columns(self):
         m, d = self.centers.shape
         if d == 1 or d > 4 or m < self.PREFILTER_RATIO * (d + 1):
-            return
+            return None
         from scipy.spatial import Delaunay, QhullError
 
         try:
             indptr, indices = Delaunay(self.centers).vertex_neighbor_vertices
         except QhullError:
-            return
+            return None
         limit = m // self.PREFILTER_RATIO
-        self._columns = [
-            np.concatenate(([i], indices[lo:hi])) if hi - lo + 1 <= limit else None
-            for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:]))]
-        self.radius = float(np.linalg.norm(self.centers, axis=1).max())
+        return [np.concatenate(([i], indices[lo:hi])) if hi - lo + 1 <= limit else None
+                for i, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:]))]
 
 
 class VoronoiClip(Region):
@@ -372,7 +377,7 @@ def center_scores(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
     return scores
 
 
-_ASSIGN_BLOCK = 1 << 20  # scores per block of rows in voronoi_assign
+_ASSIGN_BLOCK = 1 << 16  # scores (512 KB) per block of rows in voronoi_assign
 
 
 def voronoi_assign(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -557,6 +562,8 @@ def intersection_volume_ratio(
     region: Region,
     samples: int = 200_000,
     seed: int = 0,
+    *,
+    margin: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of Vol(B(q,r) n C) / Vol(B(q,cr) n C).
 
@@ -564,12 +571,14 @@ def intersection_volume_ratio(
     fraction of in-C samples that also fall in B(q, r).  Deterministic given
     seed.  Raises DegenerateGeometryError when no sample lands in C.
 
-    m is q's minimum margin over C's constraints and e its rounding slack at
-    radius c*r, from ``roundness.probe_margins`` on a one-row ``CellKernel``
-    of C.  A sample at computed distance D from q (one ``row_norms`` double,
-    which also decides the hit) is in C when D < m - e and out of C when
-    D < -m - e; only the rest take ``region.contains_many``.  This is sound
-    in both directions.
+    ``margin`` is (m, e): q's minimum margin over C's constraints and its
+    rounding slack at radius c*r, as ``roundness.probe_margins`` gives them
+    (the privacy check passes each probe its row of the leaf's batch); when
+    it is None, they come from a one-row ``CellKernel`` of C.  A sample at
+    computed distance D from q (one ``row_norms`` double, which also decides
+    the hit) is in C when D < m - e and out of C when D < -m - e; only the
+    rest take ``region.contains_many``.  This is sound in both directions,
+    for the (m, e) of any batch, so the result does not depend on it.
     Each margin is a signed distance to a bisector hyperplane or a root
     face, or the root radius less the distance to the root center, so it is
     1-Lipschitz: at a sample s, every constraint's exact margin is at least
@@ -593,10 +602,12 @@ def intersection_volume_ratio(
         raise InputError("requires r > 0, c > 1 and a finite c*r")
     if samples < 1:
         raise InputError("samples must be at least 1")
-    from .roundness import CellKernel, probe_margins  # roundness imports this module
+    if margin is None:
+        from .roundness import CellKernel, probe_margins  # roundness imports this module
 
-    margin, slack = probe_margins(CellKernel.of(region, 1), qp[None, :], np.array([c * r]))
-    margin, slack = margin[0], slack[0, 0]
+        m, e = probe_margins(CellKernel.of(region, 1), qp[None, :], np.array([c * r]))
+        margin = m[0], e[0, 0]
+    margin, slack = margin
     rng = substream(seed, "volume-ratio")
     pts = uniform_in_ball(qp, c * r, samples, rng)
     dist = row_norms(pts, qp)

@@ -22,15 +22,18 @@ checks.  It reads the same kernel once per leaf, for each probe's minimum
 margin and a rounding slack (``probe_margins``).  A probe ball that lies
 farther from the cell than its radius plus the slack is counted as
 degenerate without sampling, because no sample could have landed in the
-cell.  Every other probe ball's volume ratio reads a one-row kernel of the
-cell at its probe: a sample nearer to the probe than its margin less the
-slack is in the cell, and one nearer than minus the margin less the slack
-is out of it, so only the rest take the membership test.  Every report is
-byte-identical to sampling each probe and testing each sample.
+cell.  Every other probe ball's volume ratio takes the same margin and
+slack: a sample nearer to the probe than its margin less the slack is in
+the cell, and one nearer than minus the margin less the slack is out of it,
+so only the rest take the membership test.  These probes run on every
+usable core.  Every report is byte-identical to sampling each probe and
+testing each sample, on one thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -516,12 +519,14 @@ def check_privacy_condition(
     that fails it and has -m > c*r + e is counted as degenerate without
     sampling: ``intersection_volume_ratio`` would have found no sample in
     the cell and raised ``DegenerateGeometryError``.  Every probe has its
-    own pre-drawn seed, so skipping one shifts no other stream.  The rest,
-    in row-major (q, r) order, each take one ``intersection_volume_ratio``,
-    which places most of its samples from the same margin and slack,
-    without the membership test.  The report is byte-identical to sampling
-    every probe and testing every sample.  Leaf and parent certificates
-    come from one ``certify_nodes`` call.
+    own pre-drawn seed, so skipping one shifts no other stream.  The rest
+    each take one ``intersection_volume_ratio``, passed the same margin and
+    slack, which place most of its samples without the membership test.
+    They run on the usable cores (``_volume_ratios``), after the Delaunay
+    tables their membership tests read are built, and their results are
+    read back in row-major (cell, q, r) order.  The report is byte-identical to sampling
+    every probe and testing every sample, one after another.  Leaf and
+    parent certificates come from one ``certify_nodes`` call.
     """
     from .sanitizer import LeafTable, certify_nodes  # the sanitizer imports this module
 
@@ -536,8 +541,8 @@ def check_privacy_condition(
     pairs = [(leaves.node(i), leaves.parent(i)) for i in range(leaves.count.size)[:max_cells]]
     certs = certify_nodes([node for pair in pairs for node in pair])
 
-    eps = 0.0
-    containment = ratio_n = degenerate = 0
+    containment = degenerate = 0
+    probes = []  # (region, q, r, seed, (m, e)), row-major (cell, q, r)
     for cell_id, (leaf, _) in enumerate(pairs):
         cert_c, cert_p = certs[2 * cell_id], certs[2 * cell_id + 1]
         rng = substream(seed, "privacy-q", cell_id)
@@ -549,24 +554,83 @@ def check_privacy_condition(
         missed = ~contained & (-margin[:, None] > c * rs + slack)
         containment += int(contained.sum())
         degenerate += int(missed.sum())
-        for qi, ri in zip(*np.nonzero(~(contained | missed))):  # row-major
-            try:
-                ratio, _ = intersection_volume_ratio(qs[qi], float(rs[ri]), c, leaf.region,
-                                                     volume_samples, seed=int(sub_seeds[qi, ri]))
-            except DegenerateGeometryError:
-                degenerate += 1
-                continue
-            ratio_n += 1
-            eps = max(eps, ratio)
+        sampled = np.nonzero(~(contained | missed))
+        if sampled[0].size:
+            _build_tables(leaf.region)
+        probes += [(leaf.region, qs[qi], float(rs[ri]), int(sub_seeds[qi, ri]),
+                    (margin[qi], slack[qi, ri])) for qi, ri in zip(*sampled)]
+    ratios = [ratio for ratio in _volume_ratios(probes, c, volume_samples) if ratio is not None]
     return PrivacyConditionReport(
         cells_checked=len(pairs),
         probes_per_cell=q_probes * r_grid_size,
         c=c,
-        epsilon_observed=eps,
+        epsilon_observed=max([0.0, *ratios]),
         containment_count=containment,
-        ratio_count=ratio_n,
-        degenerate_count=degenerate,
+        ratio_count=len(ratios),
+        degenerate_count=degenerate + len(probes) - len(ratios),
     )
+
+
+def _build_tables(region: Region):
+    """Build the Delaunay table of a Voronoi cell and of every clip above
+    it, which membership builds on first use, so that threads only read them."""
+    while isinstance(region, VoronoiClip):
+        if region.neighbours is None:
+            region.neighbours = VoronoiNeighbours(region.centers)
+        region.neighbours.columns(region.own_index)
+        region = region.parent
+
+
+def _volume_ratios(probes, c: float, samples: int) -> list:
+    """Each probe's ``intersection_volume_ratio``, None where it is degenerate,
+    in the order given.
+
+    The caller and a pool of w - 1 threads, for w the usable cores (at most
+    one per probe), each take the next probe that no thread has taken, so a
+    thread whose core is busy elsewhere holds up no other; one core or one
+    probe starts no thread.  Each probe draws from its own seed and only
+    reads shared state, so the results depend neither on w nor on the
+    schedule; numpy releases the GIL in the sampling, the scoring and the
+    argmin, which lets the threads overlap.  A thread's exception,
+    ``MemoryError`` included, stops every thread at its next probe and is
+    raised here.
+    """
+    ratios = [None] * len(probes)
+    todo, taking = iter(range(len(probes))), threading.Lock()
+    failed = threading.Event()
+
+    def work():
+        try:
+            while not failed.is_set():
+                with taking:
+                    j = next(todo, None)
+                if j is None:
+                    break
+                region, q, r, seed, margin = probes[j]
+                try:
+                    ratios[j] = intersection_volume_ratio(q, r, c, region, samples, seed=seed,
+                                                          margin=margin)[0]
+                except DegenerateGeometryError:
+                    pass
+        except BaseException:
+            failed.set()
+            raise
+
+    try:
+        w = min(len(os.sched_getaffinity(0)), len(probes))
+    except AttributeError:  # no CPU affinity on this platform
+        w = min(os.cpu_count() or 1, len(probes))
+    if w <= 1:
+        work()
+        return ratios
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(w - 1) as pool:
+        futures = [pool.submit(work) for _ in range(w - 1)]
+        work()
+        for future in futures:
+            future.result()
+    return ratios
 
 
 # ---------------------------------------------------------------------------

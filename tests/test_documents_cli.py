@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import privhist
+import privhist.roundness
 from privhist.cli import main
 from privhist.datagen import DistributionSpec, TruncatedGaussian, UniformBall, UniformCube, sample, single
 from privhist.documents import (
@@ -319,6 +321,35 @@ class TestCli:
         spec_doc["components"][0]["shape"]["half_side"] = 0.9
         write_json_atomic("spec.json", spec_doc)
         assert main(["repro", "--manifest", "r.json"]) == 1
+
+    @pytest.mark.parametrize("exc,code,message", [(MemoryError, 2, "out of memory"),
+                                                  (RuntimeError, 3, "RuntimeError: boom")])
+    def test_an_exception_in_a_probe_thread_maps_to_exit_codes(self, workspace, monkeypatch,
+                                                                capsys, exc, code, message):
+        raised, pooled = [], threading.Event()
+
+        def explode(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                pooled.wait(10)  # a pool thread takes a probe and raises
+                pooled.set()
+                return ratio(*args, **kwargs)
+            raised.append(exc)
+            pooled.set()
+            raise exc("boom")
+
+        ratio = privhist.roundness.intersection_volume_ratio
+        monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", explode)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert main(["generate", "--dist", "spec.json", "--n", "60", "--seed", "2",
+                     "--out", "d.json"]) == 0
+        assert main(["sanitize", "--method", "cube", "--t", "3", "--max-depth", "3",
+                     "--seed", "1", "--in", "d.json", "--out", "h.json"]) == 0
+        capsys.readouterr()
+        assert main(["check-privacy", "--in", "h.json", "--c", "8", "--q-probes", "2",
+                     "--r-grid", "3", "--vol-samples", "2000", "--seed", "4",
+                     "--max-cells", "4", "--out", "p.json"]) == code
+        assert raised and message in capsys.readouterr().err
+        assert not os.path.exists("p.json")
 
     def test_certify_and_check_privacy(self, workspace):
         assert main(["generate", "--dist", "spec.json", "--n", "60", "--seed", "2",
@@ -680,24 +711,29 @@ def test_repro_refuses_suite_options_with_a_manifest(workspace, capsys, extra):
     assert not os.path.exists("g.json") and not os.path.exists("r.json")
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a cold import; only one repro suite uses it
+def _fresh_output(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(privhist.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, privhist.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a cold import; only one repro suite uses it
+    assert _fresh_output("import sys, privhist.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # only the privacy check's probe threads use it, about 10 ms of import
+    code = "import sys, privhist.cli; print('concurrent.futures' in sys.modules)"
+    assert _fresh_output(code) == "False"
 
 
 def test_cut_probability_leaves_out_scipy_spatial():
     # the cut rule needs only numpy; scipy.spatial is for triangulations and kd-trees
-    src = os.path.dirname(os.path.dirname(privhist.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, numpy as np; from privhist.geometry import Ball; "
             "from privhist.metrics import cut_probability; "
             "cut_probability(Ball(np.zeros(3), 1.0), [0.1, 0, 0], [0.01, 0.1], m=64, trials=5); "
             "print('scipy.spatial' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_output(code) == "False"

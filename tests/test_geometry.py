@@ -399,6 +399,26 @@ def test_two_stage_membership_equals_full_argmin(kind, d, layout, snap, two_leve
         VoronoiNeighbours.PREFILTER_RATIO = default
 
 
+def test_neighbour_table_is_marked_built_after_it_is_whole(monkeypatch):
+    # a thread that finds the table built reads its columns and radius
+    # without a lock, so the flag must go up only once both are in place
+    import scipy.spatial
+
+    centers = np.random.default_rng(6).uniform(-1.0, 1.0, (64, 2))
+    table = VoronoiNeighbours(centers)
+    seen = []
+    delaunay = scipy.spatial.Delaunay
+
+    def observed(points):
+        seen.append((table._built, table.radius))
+        return delaunay(points)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", observed)
+    assert any(table.columns(i) is not None for i in range(64))
+    assert seen == [(False, math.inf)]
+    assert table._built and table.radius == np.linalg.norm(centers, axis=1).max()
+
+
 def _check_two_stage_membership(kind, d, layout, snap, two_levels, seed):
     rng = np.random.default_rng(seed)
     if kind == "ball":

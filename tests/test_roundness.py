@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.spatial import cKDTree
 import privhist.roundness
 import privhist.sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
+from privhist.documents import histogram_from_doc, histogram_to_doc
 from privhist.errors import DegenerateGeometryError, InputError
 from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, VoronoiNeighbours,
                                intersection_volume_ratio, row_norms, uniform_in_region)
@@ -235,6 +239,54 @@ def _without_margin_shortcuts(monkeypatch):
     monkeypatch.setattr(privhist.roundness, "probe_margins", no_slack)
 
 
+def _count_probes(monkeypatch):
+    """Record (q, r) of every ``intersection_volume_ratio`` call the check makes."""
+    calls = []
+
+    def counted(q, r, *args, **kwargs):
+        calls.append((tuple(q), r))
+        return intersection_volume_ratio(q, r, *args, **kwargs)
+
+    monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", counted)
+    return calls
+
+
+def _far_witness_check(monkeypatch):
+    """A split of the unit disc into 8 cells whose certificates put every
+    witness far outside it, and the parent's radius small enough that
+    probes both pass the containment test and miss the leaf; no probe is
+    sampled.  Returns the root and the check's arguments."""
+    root = HistogramNode(region=Ball(np.zeros(2), 1.0))
+    centers = uniform_in_region(root.region, 8, substream(27, "c"))
+    root.divide(VoronoiSplit(centers), [1] * 8)
+    far = np.array([10.0, 0.0])
+
+    def certify(nodes):
+        return [RoundnessCertificate(1.0, 1e-3 if node is root else 1.0, far)
+                for node in nodes]
+
+    monkeypatch.setattr(privhist.sanitizer, "certify_nodes", certify)
+    return root, dict(c=16.0, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=28)
+
+
+def _pool_probes_first(monkeypatch, probe=intersection_volume_ratio):
+    """Patch the check's ``intersection_volume_ratio`` with ``probe``, made to
+    hold the calling thread (10 s at most in all) until a pool thread has
+    taken a probe.  Returns the idents of the threads that took one."""
+    threads = set()
+    pooled = threading.Event()
+
+    def patched(*args, **kwargs):
+        threads.add(threading.get_ident())
+        if threading.current_thread() is threading.main_thread():
+            pooled.wait(10)
+        pooled.set()
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", patched)
+    return threads
+
+
 class TestPrivacyCondition:
     def test_single_ball_nested_identity(self):
         # interior q, both balls nested: the measured ratio is c^-d
@@ -299,24 +351,142 @@ class TestPrivacyCondition:
         else:
             expected = {"containment_count": 160, "ratio_count": 182,
                         "degenerate_count": 618, "epsilon_observed": 0.09090909090909091}
-        calls = []
-
-        def counted(q, r, *args, **kwargs):
-            calls.append((tuple(q), r))
-            return intersection_volume_ratio(q, r, *args, **kwargs)
-
-        monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", counted)
-        report = check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
-                                         volume_samples=3_000, seed=seed,
-                                         max_cells=40)
+        calls = _count_probes(monkeypatch)
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=3_000, seed=seed,
+                      max_cells=40)
+        report = check_privacy_condition(hist.root, **kwargs)
         assert report.to_dict() == {"cells_checked": 40, "probes_per_cell": 24, "c": c,
                                     **expected}
         # most degenerate probes are decided without sampling
         assert report.ratio_count <= len(calls) < report.ratio_count + report.degenerate_count / 2
-        # sampled in row-major order: each probe's radii ascending, one probe at a time
+        # each sampled (q, r) once, in any order across threads
+        assert len(set(calls)) == len(calls)
+        threaded = sorted(calls)
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
+        assert sorted(calls) == threaded
+        # on one core, in row-major order: each probe's radii ascending, one probe at a time
         runs = [q for i, (q, _) in enumerate(calls) if i == 0 or q != calls[i - 1][0]]
         assert len(set(runs)) == len(runs) < len(calls)
         assert all(r < s for (q, r), (p, s) in zip(calls, calls[1:]) if q == p)
+
+    @pytest.mark.parametrize("tree", ["greedy-disc", "uniform-box"])
+    def test_one_core_and_four_give_the_same_report(self, tree, monkeypatch):
+        hist, c, seed = _privacy_tree(tree)
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=3_000, seed=seed,
+                      max_cells=40)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        report = check_privacy_condition(hist.root, **kwargs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        threads = _pool_probes_first(monkeypatch)
+        assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
+        assert len(threads) > 1
+
+    def test_one_core_or_no_sampled_probe_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        with pytest.MonkeyPatch.context() as mp:
+            root, kwargs = _far_witness_check(mp)
+            assert check_privacy_condition(root, **kwargs).ratio_count == 0
+        assert started == []
+        hist, c, seed = _privacy_tree("greedy-disc")
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=seed,
+                      max_cells=8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert check_privacy_condition(hist.root, **kwargs).ratio_count > 0
+        assert started == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        check_privacy_condition(hist.root, **kwargs)
+        assert len(started) == 1
+
+    def test_probes_read_their_row_of_the_leaf_margins(self, monkeypatch):
+        # one kernel per checked leaf, of q_probes rows; no probe builds its own
+        hist, c, seed = _privacy_tree("greedy-disc")
+        rows = []
+        of = CellKernel.of.__func__
+
+        def counted(cls, region, n):
+            rows.append(n)
+            return of(cls, region, n)
+
+        monkeypatch.setattr(CellKernel, "of", classmethod(counted))
+        report = check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
+                                         volume_samples=1_000, seed=seed, max_cells=8)
+        assert report.ratio_count > 0 and rows == [4] * 8
+
+    def test_tables_are_built_before_the_probes_fan_out(self, monkeypatch):
+        # a tree read back from its document has built no Delaunay table yet
+        hist, c, seed = _privacy_tree("greedy-disc")
+        root = histogram_from_doc(histogram_to_doc(hist)).root
+        on_caller = []
+        build = VoronoiNeighbours._build
+
+        def recorded(table):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            build(table)
+
+        monkeypatch.setattr(VoronoiNeighbours, "_build", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        _pool_probes_first(monkeypatch)
+        check_privacy_condition(root, c=c, q_probes=4, r_grid_size=6, volume_samples=3_000,
+                                seed=seed, max_cells=40)
+        assert len(on_caller) > 1 and all(on_caller)
+
+    def test_every_probe_runs_once_on_more_threads_than_cores(self, monkeypatch):
+        # a short switch interval: a probe taken twice or never, or a result
+        # written to another probe's slot, breaks the list
+        taken = []
+
+        def ratio(q, r, c, region, samples, seed, margin):
+            taken.append(seed)
+            if seed % 7 == 0:
+                raise DegenerateGeometryError("no sample in the cell")
+            return seed / 2.0, 0.0
+
+        monkeypatch.setattr(privhist.roundness, "intersection_volume_ratio", ratio)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        probes = [(None, None, None, j, None) for j in range(2_000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ratios = privhist.roundness._volume_ratios(probes, 2.0, 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(2_000))
+        assert ratios == [None if j % 7 == 0 else j / 2.0 for j in range(2_000)]
+
+    def test_probe_threads_end_with_the_call(self, monkeypatch):
+        # on success and when a worker's probe raises, which the caller re-raises
+        hist, c, seed = _privacy_tree("greedy-disc")
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=seed,
+                      max_cells=8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        before = threading.active_count()
+        report = check_privacy_condition(hist.root, **kwargs)
+        assert threading.active_count() == before
+
+        on_caller = []
+
+        def explode(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("boom")
+            on_caller.append(args)
+            return intersection_volume_ratio(*args, **kwargs)
+
+        _pool_probes_first(monkeypatch, explode)
+        with pytest.raises(RuntimeError, match="boom"):
+            check_privacy_condition(hist.root, **kwargs)
+        assert threading.active_count() == before
+        # the caller stops at its next probe, far short of the rest
+        assert len(on_caller) < 5 < report.ratio_count
 
     @pytest.mark.parametrize("tree", ["greedy-disc", "uniform-box"])
     def test_margin_shortcuts_leave_the_report_unchanged(self, tree, monkeypatch):
@@ -342,17 +512,7 @@ class TestPrivacyCondition:
         # witnesses far from every cell, and a parent certificate small
         # enough that probes both pass the containment test and miss the
         # leaf: they must count as containment, as when every probe is sampled
-        root = HistogramNode(region=Ball(np.zeros(2), 1.0))
-        centers = uniform_in_region(root.region, 8, substream(27, "c"))
-        root.divide(VoronoiSplit(centers), [1] * 8)
-        far = np.array([10.0, 0.0])
-
-        def certify(nodes):
-            return [RoundnessCertificate(1.0, 1e-3 if node is root else 1.0, far)
-                    for node in nodes]
-
-        monkeypatch.setattr(privhist.sanitizer, "certify_nodes", certify)
-        kwargs = dict(c=16.0, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=28)
+        root, kwargs = _far_witness_check(monkeypatch)
         report = check_privacy_condition(root, **kwargs)
         _without_margin_shortcuts(monkeypatch)
         sampled = check_privacy_condition(root, **kwargs)
