@@ -39,8 +39,11 @@ def _numpy_to_json(obj):
 
 def encode(doc: dict) -> str:
     """Compact JSON text of a document, newline-terminated; numpy scalars and
-    arrays are written as the Python numbers and lists they hold."""
-    return json.dumps(doc, separators=(",", ":"), default=_numpy_to_json) + "\n"
+    arrays are written as the Python numbers and lists they hold.  Every
+    document the package builds is an acyclic tree, so the encoder keeps no
+    record of the containers it has entered."""
+    return json.dumps(doc, separators=(",", ":"), default=_numpy_to_json,
+                      check_circular=False) + "\n"
 
 
 def write_json_atomic(path: str, doc: dict):

@@ -13,9 +13,10 @@ or a Voronoi cell's certificate, and two balls are the upper bound
 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 
-Expected grid diameters skip the descent: the grid builder already writes
-each dataset row's leaf corners as it splits the rows, and
-``measure_diameters`` takes the box diagonals from those.
+Expected grid diameters skip the tree: the grid's arrays (``_shifted_grid``)
+already hold each dataset row's leaf corners, written as the rows are
+split, and ``measure_diameters`` takes the box diagonals from those; a grid
+trial makes no node and no split.
 """
 
 from __future__ import annotations
@@ -182,12 +183,13 @@ def measure_diameters(
 
     ``max_depth``, ``support`` and ``builder_kwargs`` are checked and
     defaulted once by ``resolve_method``, as ``sanitize`` does.  A grid
-    build hands back the corners of each row's leaf, which it wrote while
-    splitting the rows, so grid diameters take no descent.  A Voronoi build,
-    made by ``sanitize``, locates the rows once per trial through its leaf
-    table and reads its leaves as certificate balls.  Grid bounds are
-    closed-form; Voronoi bounds fit one coefficient kappa to mean ~ kappa *
-    (max_depth * d * r + 2^-max_depth) and report it.
+    trial reads only the corners of each row's leaf from ``_shifted_grid``,
+    which wrote them while splitting the rows and runs the builder's checks
+    and offset redraws, so it makes no node and takes no descent.  A
+    Voronoi build, made by ``sanitize``, locates the rows once per trial
+    through its leaf table and reads its leaves as certificate balls.  Grid
+    bounds are closed-form; Voronoi bounds fit one coefficient kappa to
+    mean ~ kappa * (max_depth * d * r + 2^-max_depth) and report it.
     """
     if method not in ("grid", "voronoi-greedy", "voronoi-uniform"):
         raise InputError("measure_diameters needs a randomized builder (grid or voronoi)")
@@ -203,7 +205,7 @@ def measure_diameters(
     for trial in range(trials):
         tseed = child_seed(seed, "trial", trial)
         if method == "grid":
-            _, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed, root=support)
+            *_, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed, root=support)
             sums += _diameters(True, low, high)
         else:
             hist = sanitize(dataset, method, t, max_depth, seed=tseed, support=support,

@@ -13,15 +13,18 @@ Three constructions:
 
 Each split is stored once, on the node it divides: per-axis cut arrays for
 the cube and the grid, one center array for Voronoi, and the children's
-counts as one integer array.  Every split of a tree is of one kind.  Child
-nodes are made on demand, and child regions are derived from the split on
-first use; the attacks, the metrics and the privacy check take every leaf
-from ``LeafTable(root)`` instead, read from one walk over the divided
-nodes (``_layers``).  All published geometry is construction artifacts
-(mesh lines, centers); a final scan over the same walk aborts if any
-dataset coordinate vector appears in it, except that a grid build whose
-mesh has a row on a cell corner draws its offset again instead, and a
-Voronoi split whose centers hit one of its node's rows draws them again.
+counts as one integer array.  Every split of a tree is of one kind.  The
+mesh builders grow as per-depth arrays (``MeshDepth``), from which
+``_mesh_tree`` makes a node for the root and for each child that splits
+again; other child nodes are made on demand, and child regions are derived
+from the split on first use.  The attacks, the metrics and the privacy
+check take every leaf from ``LeafTable(root)`` instead, read from one walk
+over the divided nodes (``_layers``).  All published geometry is
+construction artifacts (mesh lines, centers); a final scan over the same
+walk aborts if any dataset coordinate vector appears in it, except that a
+grid whose mesh has a row on a cell corner draws its offset again instead
+(a scan of each draw's arrays, before any node is made), and a Voronoi
+split whose centers hit one of its node's rows draws them again.
 
 No node keeps a roundness certificate.  ``certify_nodes`` computes them on
 request, one ``certify_children`` batch per Voronoi split, and the Voronoi
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,7 +281,7 @@ class SanitizedHistogram:
         return self.root.region.dim
 
     def leaf_count_sum(self) -> int:
-        return _splits_and_leaf_total(self.root)[1]
+        return _leaf_total(self.root, _layers(self.root))
 
 
 def _layers(root: HistogramNode) -> list:
@@ -293,16 +297,31 @@ def _layers(root: HistogramNode) -> list:
     return layers
 
 
-def _splits_and_leaf_total(tree: HistogramNode) -> tuple[list, int]:
-    """The tree's splits and the sum of its leaf counts, read from
-    ``_layers``: the leaf counts sum to every split's counts, less those of
-    its children that split again."""
-    splits, total = [], tree.count if tree.split is None else 0
-    for nodes, kids in _layers(tree):
-        splits += [node.split for node in nodes]
+def _leaf_total(tree: HistogramNode, layers: list) -> int:
+    """The sum of the tree's leaf counts, read from its ``_layers``: the
+    leaf counts sum to every split's counts, less those of its children that
+    split again."""
+    total = tree.count if tree.split is None else 0
+    for nodes, kids in layers:
         total += sum(int(node.counts.sum()) for node in nodes)
         total -= sum(int(nodes[f].counts[k]) for f, k, _ in kids)
-    return splits, total
+    return total
+
+
+def _mesh_tables(splits: list) -> tuple[list[np.ndarray], np.ndarray]:
+    """The ``(tables, ncuts)`` of one depth's ``MeshSplit``s, as
+    ``_mesh_digits`` reads them: per axis j an (F, W_j) table whose row f
+    holds split f's cuts, then +inf padding, and the (F, d) cut counts."""
+    ncuts = np.array([[c.size for c in split.cuts] for split in splits], dtype=np.intp)
+    tables = []
+    for j in range(ncuts.shape[1]):
+        table = np.full((len(splits), int(ncuts[:, j].max())), np.inf)
+        row = np.repeat(np.arange(len(splits)), ncuts[:, j])
+        ends = np.cumsum(ncuts[:, j])
+        table[row, np.arange(row.size) - (ends - ncuts[:, j])[row]] = \
+            np.concatenate([split.cuts[j] for split in splits])
+        tables.append(table)
+    return tables, ncuts
 
 
 class LeafTable:
@@ -340,19 +359,7 @@ class LeafTable:
         for nodes, kids in layers:
             splits = [node.split for node in nodes]
             sizes = np.array([split.size for split in splits], dtype=np.intp)
-            route = splits
-            if mesh:
-                ncuts = np.array([[c.size for c in split.cuts] for split in splits],
-                                 dtype=np.intp)
-                tables = []
-                for j in range(d):
-                    table = np.full((len(nodes), int(ncuts[:, j].max())), np.inf)
-                    row = np.repeat(np.arange(len(nodes)), ncuts[:, j])
-                    ends = np.cumsum(ncuts[:, j])
-                    table[row, np.arange(row.size) - (ends - ncuts[:, j])[row]] = \
-                        np.concatenate([split.cuts[j] for split in splits])
-                    tables.append(table)
-                route = (tables, ncuts)
+            route = _mesh_tables(splits) if mesh else splits
             offset = np.cumsum(sizes) - sizes
             inner = np.array([offset[f] + k for f, k, _ in kids], dtype=np.intp)
             depths.append((route, sizes, offset, inner,
@@ -501,81 +508,118 @@ def build_recursive_cube(
         return ([table[:, j] for j in range(root.dim)], np.full(low.shape, 3), levels + 1,
                 (levels < max_depth) & ((high - low).min(axis=1) >= finest))
 
-    tree, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
-    return strip_to_sanitized(tree, dataset, method="cube", t=t, max_depth=max_depth,
-                              seed=None)
+    depths, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
+    return strip_to_sanitized(_mesh_tree(root, dataset.n, depths), dataset, method="cube", t=t,
+                              max_depth=max_depth, seed=None)
+
+
+class MeshDepth(NamedTuple):
+    """One depth of a mesh build, for the F frontier boxes that split there.
+
+    ``tables`` and ``ncuts`` are the split cut tables that ``_mesh_digits``
+    reads; ``counts`` holds every child's count, box f's children at its
+    offset (the sum of the child counts ``prod(ncuts - 1)`` before it) in C
+    order; ``levels`` is each box's child level, and ``kids`` the positions
+    in ``counts`` of the children that split again, ascending, so that kid i
+    is frontier box i of the next depth.
+    """
+
+    tables: list
+    ncuts: np.ndarray
+    counts: np.ndarray
+    levels: np.ndarray
+    kids: np.ndarray
+
+
+def _offsets(ncuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The child count of each split of one depth, and its first child's
+    position among the depth's children."""
+    sizes = np.prod(ncuts - 1, axis=1)
+    return sizes, np.cumsum(sizes) - sizes
 
 
 def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
-               next_cuts) -> tuple[HistogramNode, np.ndarray, np.ndarray]:
+               next_cuts) -> tuple[list[MeshDepth], np.ndarray, np.ndarray]:
     """Mesh-split every cell holding at least 2t points while ``next_cuts``
-    divides it, one depth of the tree at a time.
+    divides it, one depth of the tree at a time, making no node.
 
-    The frontier is the F nodes that split next: their nodes, the dataset
-    rows they hold (``rows``, with ``owner[i]`` the frontier index of row
-    ``rows[i]``), and their cut tables.  ``next_cuts(low, high, levels)``
-    takes F boxes as (F, d) corner arrays with their (F,) levels and returns
-    ``(tables, ncuts, child_levels, splits)``: per axis j an (F, W_j) table
-    whose row f holds box f's cuts, both ends included, then +inf padding;
-    the (F, d) cut counts; each box's child level; and which boxes split.
+    The frontier is the F boxes that split next: the dataset rows they hold
+    (``rows``, with ``owner[i]`` the frontier index of row ``rows[i]``) and
+    their cut tables.  ``next_cuts(low, high, levels)`` takes F boxes as
+    (F, d) corner arrays with their (F,) levels and returns ``(tables, ncuts,
+    child_levels, splits)``: per axis j an (F, W_j) table whose row f holds
+    box f's cuts, both ends included, then +inf padding; the (F, d) cut
+    counts; each box's child level; and which boxes split.
 
     Each frontier is charged its children's count against the budget, then
     its rows are routed at once by ``_mesh_digits``: a row's key is its
-    node's offset plus its child index there.  One ``bincount`` gives every
-    child's count, each node's ``MeshSplit`` holds views of its own table
-    rows, and ``next_cuts`` runs on the boxes of the children holding at
-    least 2t rows.  Only those that it divides get a node and their rows,
-    and make the next frontier.
+    box's offset plus its child index there.  One ``bincount`` gives every
+    child's count, and ``next_cuts`` runs on the boxes of the children
+    holding at least 2t rows.  Those that it divides keep their rows and
+    make the next frontier.
 
-    Returns ``(tree, low, high)``: the tree, and the (n, d) low and high
-    corners of each dataset row's leaf, written as the rows are routed, so
+    Returns ``(depths, low, high)``: one ``MeshDepth`` per depth, which only
+    ``_mesh_tree`` turns into nodes, and the (n, d) low and high corners of
+    each dataset row's leaf, written as the rows are routed, so
     ``measure_diameters`` reads grid leaf diameters from them without a
-    second descent.
+    tree.
     """
     n, X = dataset.n, dataset.points
-    tree = HistogramNode(region=root, count=n, level=0)
-    low, high = np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
+    depths, low, high = [], np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
     if n < 2 * t:
-        return tree, low, high
+        return depths, low, high
     tables, ncuts, levels, splits = next_cuts(root.low[None], root.high[None],
                                               np.zeros(1, dtype=np.intp))
-    nodes = [tree] if splits[0] else []
     rows, owner = np.arange(n), np.zeros(n, dtype=np.intp)
-    while nodes:
-        sizes = np.prod(ncuts - 1, axis=1)
+    while splits.any():
+        sizes, offset = _offsets(ncuts)
         total = int(sizes.sum())
         budget.charge(total)
-        offset = np.cumsum(sizes) - sizes
         digits, keys = _mesh_digits(tables, ncuts, owner, X[rows])
         for j, (table, digit) in enumerate(zip(tables, digits)):
             low[rows, j] = table[owner, digit]
             high[rows, j] = table[owner, digit + 1]
         keys += offset[owner]
         counts = np.bincount(keys, minlength=total)
+        depth = (tables, ncuts, counts, levels)
+        big = np.flatnonzero(counts >= 2 * t)
+        splits = np.zeros(0, dtype=bool)
+        if big.size:
+            # each big child's box from any of its rows, at its parent's child level
+            held = np.empty(total, dtype=np.intp)
+            held[keys] = rows
+            parent = np.searchsorted(offset, big, side="right") - 1
+            tables, ncuts, levels, splits = next_cuts(low[held[big]], high[held[big]],
+                                                      levels[parent])
+            keep = np.flatnonzero(splits)
+            tables, ncuts, levels = [table[keep] for table in tables], ncuts[keep], levels[keep]
+            slot = np.full(total, -1)
+            slot[big[keep]] = np.arange(keep.size)
+            owner = slot[keys]
+            mine = owner >= 0
+            rows, owner = rows[mine], owner[mine]
+        depths.append(MeshDepth(*depth, big[splits]))
+    return depths, low, high
+
+
+def _mesh_tree(root: Box, n: int, depths: list[MeshDepth]) -> HistogramNode:
+    """The tree of a mesh build's ``depths`` over a root box holding n rows:
+    each frontier box gets a node with a ``MeshSplit`` of views of its own
+    table rows and a view of its child counts, and a child gets a node only
+    when it splits again."""
+    tree = HistogramNode(region=root, count=n, level=0)
+    nodes = [tree]
+    for tables, ncuts, counts, levels, kids in depths:
+        sizes, offset = _offsets(ncuts)
         for f, (node, m, a, b, level) in enumerate(zip(
                 nodes, ncuts.tolist(), offset.tolist(), (offset + sizes).tolist(),
                 levels.tolist())):
             node.divide(MeshSplit([table[f, :c] for table, c in zip(tables, m)]),
                         counts[a:b], level)
-        big = np.flatnonzero(counts >= 2 * t)
-        if not big.size:
-            break
-        # each big child's node and index there, and its box from any of its rows
-        parent = np.searchsorted(offset, big, side="right") - 1
-        k = big - offset[parent]
-        held = np.empty(total, dtype=np.intp)
-        held[keys] = rows
-        tables, ncuts, levels, splits = next_cuts(low[held[big]], high[held[big]],
-                                                  levels[parent])
-        keep = np.flatnonzero(splits)
-        nodes = [nodes[f].child(c) for f, c in zip(parent[keep].tolist(), k[keep].tolist())]
-        tables, ncuts, levels = [table[keep] for table in tables], ncuts[keep], levels[keep]
-        slot = np.full(total, -1)
-        slot[big[keep]] = np.arange(keep.size)
-        owner = slot[keys]
-        mine = owner >= 0
-        rows, owner = rows[mine], owner[mine]
-    return tree, low, high
+        parent = np.searchsorted(offset, kids, side="right") - 1
+        nodes = [nodes[f].child(k) for f, k in zip(parent.tolist(),
+                                                    (kids - offset[parent]).tolist())]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +720,13 @@ def build_shifted_grid(
     or where mesh lines would no longer be distinct doubles (about level 50
     on [-1, 1]^d), whichever comes first.  A dataset row on a corner of a
     mesh cell makes the build draw its center again (``_shifted_grid``).
+    The nodes are made from the last draw's arrays, one for the root and
+    one for each child that splits again.
     """
-    return _shifted_grid(dataset, t, max_depth, seed, root)[0]
+    root, center, depths, _, _ = _shifted_grid(dataset, t, max_depth, seed, root)
+    return strip_to_sanitized(_mesh_tree(root, dataset.n, depths), dataset, method="grid", t=t,
+                              max_depth=max_depth, seed=seed,
+                              extra={"offset_center": center.tolist()})
 
 
 def _shifted_grid(
@@ -686,15 +735,20 @@ def _shifted_grid(
     max_depth: int = 8,
     seed: int = 0,
     root: Box | None = None,
-) -> tuple[SanitizedHistogram, np.ndarray, np.ndarray]:
-    """``build_shifted_grid``, plus the (n, d) low and high corners of each
-    dataset row's leaf from ``_grow_mesh``; the corners are never published.
+) -> tuple[Box, np.ndarray, list[MeshDepth], np.ndarray, np.ndarray]:
+    """The arrays of a shifted grid, checked as ``strip_to_sanitized``
+    checks a tree and with no node made: ``(root, center, depths, low,
+    high)``, the checked root box, the offset center drawn, the
+    ``MeshDepth``s of ``_grow_mesh``, and the (n, d) low and high corners of
+    each dataset row's leaf, which are never published.
 
     Draw 0 of the offset center comes from ``substream(seed, "grid-offset")``
-    and draw i > 0 from ``substream(seed, "grid-offset", i)``.  A build whose
-    mesh has a dataset row on a cell corner (a ``CollisionError``) is made
-    again from the next draw, and the collision is raised once
-    ``GRID_OFFSET_DRAWS`` draws have collided.
+    and draw i > 0 from ``substream(seed, "grid-offset", i)``.  Each draw's
+    arrays go through ``_check_published``: a row on a root corner raises
+    ``InputError``; a row on a corner of a mesh cell (a ``CollisionError``)
+    makes the grid again from the next draw, and the collision is raised
+    once ``GRID_OFFSET_DRAWS`` draws have collided; leaf counts that do not
+    sum to the rows raise ``InternalError`` and are not drawn again.
     """
     root = _mesh_root(dataset, t, max_depth, root)
     sides = root.sides
@@ -720,15 +774,17 @@ def _shifted_grid(
         def next_mesh(low, high, lv):
             return _grid_cuts(bases, levels, low, high, lv)
 
-        tree, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
+        depths, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
+        total = sum(int(depth.counts.sum()) - int(depth.counts[depth.kids].sum())
+                    for depth in depths) if depths else dataset.n
         try:
-            hist = strip_to_sanitized(tree, dataset, method="grid", t=t, max_depth=max_depth,
-                                      seed=seed, extra={"offset_center": center.tolist()})
+            _check_published(dataset.points, [root.low, root.high], [],
+                             [(depth.tables, depth.ncuts) for depth in depths], False, total)
         except CollisionError:
             if draw + 1 == GRID_OFFSET_DRAWS:
                 raise
             continue
-        return hist, low, high
+        return root, center, depths, low, high
 
 
 # ---------------------------------------------------------------------------
@@ -858,11 +914,16 @@ def build_voronoi(
 # sanitized output
 
 
+CORNER_BLOCK = 1 << 20  # row x cut comparisons per block of the mesh-corner scan
+
+
 def _on_published(points: np.ndarray, vectors: list | np.ndarray, meshes: list) -> np.ndarray:
     """Which rows of ``points`` equal one of ``vectors`` or the low or high
-    corner of a child of a mesh split (given by its cuts).  A row can only
-    be a corner of a mesh split when each of its coordinates is a cut value
-    on that axis."""
+    corner of a child of a mesh split.  ``meshes`` holds one ``(tables,
+    ncuts)`` per depth, as ``_mesh_digits`` reads them.  A row can only be a
+    corner of a mesh split when each of its coordinates is a cut value on
+    that axis, so only those rows are compared with each split's cuts, in
+    blocks of about ``CORNER_BLOCK`` comparisons."""
     hits = np.zeros(len(points), dtype=bool)
     if len(vectors):
         # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
@@ -871,17 +932,42 @@ def _on_published(points: np.ndarray, vectors: list | np.ndarray, meshes: list) 
                        (np.array(vectors, dtype=float) + 0.0).view(row).ravel())
     if not meshes:
         return hits
-    on_cuts = [np.isin(points[:, j], np.concatenate([cuts[j] for cuts in meshes]))
+    on_cuts = [np.isin(points[:, j], np.concatenate([tables[j].ravel() for tables, _ in meshes]))
                for j in range(points.shape[1])]
     suspects = np.flatnonzero(np.logical_and.reduce(on_cuts))
-    if not suspects.size:
-        return hits
-    for cuts in meshes:
-        for ends in (slice(None, -1), slice(1, None)):  # low, then high corners
-            corner = np.logical_and.reduce([np.isin(points[suspects, j], c[ends])
-                                            for j, c in enumerate(cuts)])
-            hits[suspects[corner]] = True
+    for tables, ncuts in meshes:
+        step = max(1, CORNER_BLOCK // sum(table.size for table in tables))
+        for a in range(0, suspects.size, step):
+            rows = suspects[a:a + step]
+            low = high = True  # per (row, split): a low, a high corner of one of its children
+            for j, table in enumerate(tables):
+                on = points[rows, j, None, None] == table  # (rows, F, W_j); never on the padding
+                low = low & (on & (np.arange(table.shape[1]) < ncuts[:, j, None] - 1)).any(axis=2)
+                high = high & on[:, :, 1:].any(axis=2)
+            hits[rows[(low | high).any(axis=1)]] = True
     return hits
+
+
+def _check_published(points: np.ndarray, fixed: list, centers, meshes: list, cube: bool,
+                     total: int):
+    """The checks that no dataset row appears in a tree's geometry and that
+    its leaf counts (summing to ``total``) sum to the rows, in this order.
+    A row on a vector that every seed publishes (``fixed``: a root region's
+    corners or center, and a cube's mesh corners) is an input error; a row
+    on a random one (a Voronoi center, a grid mesh corner) is a
+    ``CollisionError``."""
+    if len(points):
+        if (hits := _on_published(points, fixed, meshes if cube else [])).any():
+            raise InputError(
+                f"sanitization aborted: dataset row {int(np.argmax(hits))} equals a coordinate "
+                "vector the output publishes at every seed; the model assumes no atoms, so no "
+                "row may lie on a support corner or center or on a cube mesh corner")
+        if (hits := _on_published(points, centers, [] if cube else meshes)).any():
+            raise CollisionError(
+                f"sanitization aborted: dataset row {int(np.argmax(hits))}'s coordinate "
+                "vector appeared in the output geometry")
+    if total != len(points):
+        raise InternalError("leaf counts do not sum to the dataset size")
 
 
 def strip_to_sanitized(
@@ -893,29 +979,19 @@ def strip_to_sanitized(
     seed: int | None,
     extra: dict | None = None,
 ) -> SanitizedHistogram:
-    """Publish a built tree (regions, splits, counts and levels only) after
-    asserting that no dataset coordinate vector appears in its geometry.  A
-    row on a vector that every seed publishes (a root region's, or a cube
-    mesh corner) is an input error; a row on a random one is an internal
-    error.  Only the nodes that have a split are visited."""
-    splits, total = _splits_and_leaf_total(tree)
-    if dataset.n:
-        root = tree.region
-        fixed = [root.low, root.high] if isinstance(root, Box) else [root.center]
-        centers = [c for split in splits if isinstance(split, VoronoiSplit) for c in split.centers]
-        meshes = [split.cuts for split in splits if isinstance(split, MeshSplit)]
-        cube = method == "cube"  # the one build whose mesh corners are fixed
-        if (hits := _on_published(dataset.points, fixed, meshes if cube else [])).any():
-            raise InputError(
-                f"sanitization aborted: dataset row {int(np.argmax(hits))} equals a coordinate "
-                "vector the output publishes at every seed; the model assumes no atoms, so no "
-                "row may lie on a support corner or center or on a cube mesh corner")
-        if (hits := _on_published(dataset.points, centers, [] if cube else meshes)).any():
-            raise CollisionError(
-                f"sanitization aborted: dataset row {int(np.argmax(hits))}'s coordinate "
-                "vector appeared in the output geometry")
-    if total != dataset.n:
-        raise InternalError("leaf counts do not sum to the dataset size")
+    """Publish a built tree (regions, splits, counts and levels only) once
+    ``_check_published`` has passed it.  Only the nodes that have a split
+    are visited, one depth at a time; a mesh depth's cuts are read as its
+    ``_mesh_tables``."""
+    layers = _layers(tree)
+    root = tree.region
+    splits = [[node.split for node in nodes] for nodes, _ in layers]
+    mesh = isinstance(tree.split, MeshSplit)
+    centers = [] if mesh else [c for depth in splits for split in depth for c in split.centers]
+    _check_published(dataset.points, [root.low, root.high] if isinstance(root, Box)
+                     else [root.center], centers,
+                     [_mesh_tables(depth) for depth in splits] if mesh else [],
+                     method == "cube", _leaf_total(tree, layers))
     return SanitizedHistogram(
         root=tree,
         method=method,

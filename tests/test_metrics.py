@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import test_sanitizer
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,25 @@ class TestMeasureDiameters:
             measure_diameters(data, t=2, trials=1, method="grid", support=Ball(np.zeros(2), 2.0))
         with pytest.raises(InputError, match="^grid does not read probe_samples$"):
             measure_diameters(data, t=2, trials=1, method="grid", probe_samples=2_000)
+
+    def test_grid_trials_redraw_a_colliding_offset_as_the_builder_does(self):
+        # the first offset of trial 0 puts a row on a corner of its root split
+        trial = child_seed(5, "trial", 0)
+        first, data = test_sanitizer.TestShiftedGrid._on_a_root_corner(seed=trial)
+        redrawn = build_shifted_grid(data, t=2, max_depth=4, seed=trial)
+        assert redrawn.extra["offset_center"] != first.extra["offset_center"]
+        stats = measure_diameters(data, t=2, trials=2, seed=5, method="grid", max_depth=4)
+        assert stats.to_dict() == self._reference_grid_report(data, 2, 2, 5, 4)
+
+    def test_a_row_on_a_root_corner_is_the_builders_input_error(self):
+        X = substream(3, "corner").uniform(-1.0, 1.0, (200, 2))
+        X[17] = [1.0, 1.0]  # the closed high corner of the default root
+        data = Dataset(X)
+        with pytest.raises(InputError, match="row 17 equals") as built:
+            build_shifted_grid(data, t=2, max_depth=4, seed=5)
+        with pytest.raises(InputError) as measured:
+            measure_diameters(data, t=2, trials=3, seed=5, method="grid", max_depth=4)
+        assert str(measured.value) == str(built.value)
 
     @pytest.mark.parametrize("method,depth", [("grid", 8), ("voronoi-uniform", 3)])
     def test_max_depth_defaults_to_the_method_default(self, method, depth):

@@ -261,7 +261,7 @@ class TestShiftedGrid:
         assert 40 < max(levels) < 60
         doc = histogram_to_doc(hist)
         assert histogram_to_doc(histogram_from_doc(doc)) == doc
-        _, low, high = _shifted_grid(data, t=1, max_depth=2000, seed=1)
+        *_, low, high = _shifted_grid(data, t=1, max_depth=2000, seed=1)
         assert np.all(low <= data.points) and np.all(data.points < high)
         assert np.all(high - low < 1e-12)
 
@@ -296,11 +296,12 @@ class TestShiftedGrid:
         grow = privhist.sanitizer._grow_mesh
 
         def miscounted(*args):
-            tree, low, high = grow(*args)
-            leaf = min(set(range(tree.split.size)) - set(tree.divided_children()))
-            tree.counts[leaf] += 1
-            builds.append(tree)
-            return tree, low, high
+            depths, low, high = grow(*args)
+            root = depths[0]  # the root's split: one frontier box
+            leaf = min(set(range(root.counts.size)) - set(root.kids.tolist()))
+            root.counts[leaf] += 1
+            builds.append(depths)
+            return depths, low, high
 
         monkeypatch.setattr(privhist.sanitizer, "_grow_mesh", miscounted)
         data = Dataset(substream(3, "corner").uniform(-1.0, 1.0, (20, 2)))

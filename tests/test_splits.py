@@ -265,7 +265,10 @@ def test_voronoi_leaf_table_equals_the_per_node_reference(centers, shape, d, dep
 
 
 def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch, root=None):
-    """A cube or grid build and the row corners its ``_grow_mesh`` returned."""
+    """A cube or grid build and the row corners its last ``_grow_mesh``
+    returned: a cube grows once, a grid once per offset draw.  The published
+    tree is made from that grow's arrays: a divided node per frontier box,
+    whose counts and cuts are views of its depth's arrays."""
     grown = []
     grow = sanitizer._grow_mesh
 
@@ -278,8 +281,16 @@ def _mesh_build_with_corners(method, data, t, depth, seed, monkeypatch, root=Non
         hist = build_recursive_cube(data, t=t, max_depth=depth, root=root)
     else:
         hist = build_shifted_grid(data, t=t, max_depth=depth, seed=seed, root=root)
-    (tree, low, high), = grown
-    assert tree is hist.root
+    assert len(grown) == 1 or method == "grid"
+    depths, low, high = grown[-1]
+    layers = sanitizer._layers(hist.root)
+    assert len(layers) == len(depths)
+    for (nodes, _), grown_depth in zip(layers, depths):
+        assert len(nodes) == grown_depth.ncuts.shape[0]
+        for node in nodes:
+            assert np.shares_memory(node.counts, grown_depth.counts)
+            assert all(np.shares_memory(c, table)
+                       for c, table in zip(node.split.cuts, grown_depth.tables))
     return hist, low, high
 
 
@@ -436,6 +447,32 @@ class TestLeakageScan:
         else:
             self._strip(root, point)
 
+    @pytest.mark.parametrize("block", [1, 50, sanitizer.CORNER_BLOCK])
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_mesh_corners_equal_the_per_split_reference(self, method, block, monkeypatch):
+        # rows whose coordinates are cut values, read from per-depth tables in
+        # blocks of any size, against each split's low and high corners
+        monkeypatch.setattr(sanitizer, "CORNER_BLOCK", block)
+        for seed in range(6):
+            d = 2 + seed % 2
+            layers = sanitizer._layers(_mesh_hist(method, d, seed).root)
+            depths = [[node.split for node in nodes] for nodes, _ in layers]
+            splits = [split for depth in depths for split in depth]
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(-1.0, 1.0, (300, d))
+            for j in range(d):
+                values = np.concatenate([split.cuts[j] for split in splits])
+                X[:250, j] = rng.choice(values, 250)
+            expected = np.zeros(len(X), dtype=bool)
+            for split in splits:
+                for ends in (slice(None, -1), slice(1, None)):
+                    expected |= np.logical_and.reduce([np.isin(X[:, j], c[ends])
+                                                       for j, c in enumerate(split.cuts)])
+            got = sanitizer._on_published(X, [], [sanitizer._mesh_tables(depth)
+                                                  for depth in depths])
+            assert 0 < expected.sum() < 250
+            assert got.tolist() == expected.tolist()
+
     def test_data_point_on_a_dyadic_corner_aborts_the_cube_build(self):
         data = Dataset([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.7], [0.2, -0.9]])
         with pytest.raises(InputError, match="row 0 .*coordinate.*no atoms"):
@@ -507,20 +544,25 @@ class TestNodesOnDemand:
         assert built <= 1 + splits < made[0]
 
     @pytest.mark.parametrize("d", [2, 4])
-    def test_grid_diameters_make_a_node_per_split(self, d, made, monkeypatch):
-        trees = []
-        grow = sanitizer._grow_mesh
+    def test_grid_diameters_make_no_node(self, d, made, monkeypatch):
+        grown, splits = [], [0]
+        grow, init = sanitizer._grow_mesh, MeshSplit.__init__
 
         def recording(*args):
-            grown = grow(*args)
-            trees.append(grown[0])
-            return grown
+            grown.append(grow(*args))
+            return grown[-1]
+
+        def counted(self, *args, **kwargs):
+            splits[0] += 1
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(sanitizer, "_grow_mesh", recording)
+        monkeypatch.setattr(MeshSplit, "__init__", counted)
         measure_diameters(self._data(d), t=2, trials=3, seed=d, method="grid", max_depth=6)
-        built = made[0]
-        assert len(trees) == 3
-        assert built <= 3 + sum(_split_count(tree) for tree in trees)
+        assert len(grown) == 3
+        assert all(len(depths) > 1 for depths, _, _ in grown)  # every trial split below the root
+        assert made[0] == 0
+        assert splits[0] == 0
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("method", ["cube", "grid"])
@@ -682,7 +724,9 @@ def _assert_equals_reference(method, dataset, t, max_depth, seed, root):
                                                             patch, root))
         assert got == _outcome(lambda: _reference_cube(dataset, t, max_depth, root))
         return got
-    got = _outcome(lambda: sanitizer._shifted_grid(dataset, t, max_depth, seed, root))
+    with pytest.MonkeyPatch.context() as patch:
+        got = _outcome(lambda: _mesh_build_with_corners("grid", dataset, t, max_depth, seed,
+                                                        patch, root))
     center = _first_center(root, seed)
     expected = _outcome(lambda: _reference_grid(dataset, t, max_depth, seed, center, root))
     if expected is CollisionError:  # a row on a corner of the first mesh: drawn again
