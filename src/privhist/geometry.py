@@ -462,16 +462,34 @@ def _knn_candidates(points: np.ndarray, Q: np.ndarray, k: int):
     plus possibly a few more.  A kd-tree proposes the candidates, then their
     distances are recomputed with the brute-force arithmetic, so callers
     compare the same doubles as a full scan would.  Needs 1 <= k <= n.
+
+    The candidates of a query are its k + 2 nearest by one array-shaped
+    tree query, unless the last of them is no farther than the k-th by the
+    tree's distance with a margin of 1e-9 (ties, duplicate rows): then the
+    ball of that radius may hold more points, and ``query_ball_point``
+    lists them all.
     """
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    kd_kth = tree.query(Q, k=[k])[0][:, 0]
+    m, wanted = Q.shape[0], min(points.shape[0], k + 2)
+    near, idx = (a.reshape(m, wanted) for a in tree.query(Q, k=wanted))
     # the tree's distances may differ from norm() in the last bits
-    near = tree.query_ball_point(Q, kd_kth * (1.0 + 1e-9))
-    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    idx = np.concatenate(near).astype(np.intp)
-    rows = np.repeat(np.arange(Q.shape[0]), sizes)
+    radius = near[:, k - 1] * (1.0 + 1e-9)
+    tied = np.flatnonzero((near[:, -1] <= radius) & (wanted < points.shape[0]))
+    sizes = np.full(m, wanted, dtype=np.intp)
+    if tied.size:
+        ball = tree.query_ball_point(Q[tied], radius[tied])
+        sizes[tied] = np.fromiter(map(len, ball), dtype=np.intp, count=len(ball))
+        queried = np.ones(m, dtype=bool)
+        queried[tied] = False
+        listed = np.repeat(queried, sizes)
+        flat = np.empty(int(sizes.sum()), dtype=np.intp)
+        flat[listed] = idx[queried].ravel()
+        flat[~listed] = np.concatenate(ball)
+        idx = flat
+    idx = idx.ravel()
+    rows = np.repeat(np.arange(m), sizes)
     dists = np.linalg.norm(points[idx] - Q[rows], axis=1)
     order = np.lexsort((dists, rows))
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))

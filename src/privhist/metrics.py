@@ -13,10 +13,11 @@ or a Voronoi cell's certificate, and two balls are the upper bound
 2R.  Both kinds satisfy the two-sided sandwich
 |x - y| <= d_H(x, y) <= |x - y| + diam(C_x) + diam(C_y).
 
-Expected grid diameters skip the tree: the grid's arrays (``_shifted_grid``)
-already hold each dataset row's leaf corners, written as the rows are
-split, and ``measure_diameters`` takes the box diagonals from those; a grid
-trial makes no node and no split.
+Expected grid diameters skip the tree: the grids' arrays (``_shifted_grid``,
+which grows a group of trials as one frontier) already hold each dataset
+row's leaf corners in each trial, written as the rows are split, and
+``measure_diameters`` takes the box diagonals from those; a grid trial
+makes no node and no split.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ def hist_distance_with_diameters(hist: SanitizedHistogram, X, Y):
 # ---------------------------------------------------------------------------
 # expected diameters vs t-radius bounds
 
+GRID_GROUP_ROWS = 1 << 15  # dataset rows, summed over its trials, that one grid frontier holds
+
 
 def grid_diameter_bound(d: int, t: int, r: float) -> float:
     """Per-point diameter bound 2 * min(d^1.5, t*d) * r * log2(1/r), with the
@@ -182,10 +185,12 @@ def measure_diameters(
     mean smallest-cell diameter with its t-radius bound.
 
     ``max_depth``, ``support`` and ``builder_kwargs`` are checked and
-    defaulted once by ``resolve_method``, as ``sanitize`` does.  A grid
-    trial reads only the corners of each row's leaf from ``_shifted_grid``,
-    which wrote them while splitting the rows and runs the builder's checks
-    and offset redraws, so it makes no node and takes no descent.  A
+    defaulted once by ``resolve_method``, as ``sanitize`` does.  Grid
+    trials are grown together by ``_shifted_grid``, in groups of about
+    ``GRID_GROUP_ROWS`` rows summed over a group's trials; a trial reads
+    only the corners of each row's leaf, which ``_shifted_grid`` wrote
+    while splitting the rows and running the builder's checks and offset
+    redraws, so it makes no node and takes no descent.  A
     Voronoi build, made by ``sanitize``, locates the rows once per trial
     through its leaf table and reads its leaves as certificate balls.  Grid
     bounds are closed-form; Voronoi bounds fit one coefficient kappa to
@@ -202,14 +207,18 @@ def measure_diameters(
     radii = t_radii(dataset, t)
 
     sums = np.zeros(dataset.n)
-    for trial in range(trials):
-        tseed = child_seed(seed, "trial", trial)
-        if method == "grid":
-            *_, low, high = _shifted_grid(dataset, t, max_depth, seed=tseed, root=support)
-            sums += _diameters(True, low, high)
-        else:
-            hist = sanitize(dataset, method, t, max_depth, seed=tseed, support=support,
-                            **builder_kwargs)
+    if method == "grid":
+        group = max(1, GRID_GROUP_ROWS // dataset.n)
+        for first in range(0, trials, group):
+            seeds = [child_seed(seed, "trial", i) for i in range(first, min(first + group, trials))]
+            # the group's corners are dropped before the next group grows
+            diameters = _diameters(True, *_shifted_grid(dataset, t, max_depth, seeds, support)[3:])
+            for trial in diameters.reshape(len(seeds), dataset.n):
+                sums += trial
+    else:
+        for trial in range(trials):
+            hist = sanitize(dataset, method, t, max_depth, seed=child_seed(seed, "trial", trial),
+                            support=support, **builder_kwargs)
             ids, geometry = _leaf_geometry(hist, dataset.points)
             sums += _diameters(*geometry)[ids]
     means = sums / trials
@@ -294,23 +303,31 @@ class MstComparison:
 
 def _prim(n: int, weights):
     """Prim's MST over n vertices from ``weights(j)``, the (n,) weight row of
-    vertex j, asked for once per vertex as it joins the tree: O(n) memory."""
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = weights(0)
+    vertex j, asked for once per vertex as it joins the tree: O(n) memory.
+
+    One key array holds each free vertex's lightest edge to the tree, and
+    +inf for a vertex in it, set as the vertex joins; a row lowers the keys
+    of the free vertices it beats, so ties keep the earlier vertex's edge
+    and ``argmin`` takes the lowest index among equal keys."""
+    free = np.ones(n, dtype=bool)
+    free[0] = False
+    key = np.array(weights(0), dtype=float)
+    key[0] = np.inf
     best_from = np.zeros(n, dtype=int)
+    lower = np.empty(n, dtype=bool)
     cost = 0.0
     edges = []
     for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        j = int(np.argmin(masked))
-        cost += float(masked[j])
+        j = int(np.argmin(key))
+        cost += float(key[j])
         edges.append((int(best_from[j]), j))
-        in_tree[j] = True
+        free[j] = False
+        key[j] = np.inf
         row = weights(j)
-        upd = row < best
-        best = np.minimum(best, row)
-        best_from[upd] = j
+        np.less(row, key, out=lower)
+        lower &= free
+        np.copyto(key, row, where=lower)
+        best_from[lower] = j
     return cost, edges
 
 

@@ -62,26 +62,26 @@ PARAMETERS = {"cube": (), "grid": (), "voronoi-greedy": ("probe_samples",),
               "voronoi-uniform": ("override_m",)}
 
 
-def _mesh_digits(tables, ncuts, owner, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-axis child digits and child index (C order) of each row of X in
-    its node's split, for rows inside their node's box: the one routing rule
-    of mesh splits.
+def _mesh_digits(tables, ncuts, owner, X: np.ndarray,
+                 rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-axis child digits and child index (C order) of rows ``rows`` of
+    X in their nodes' splits, for rows inside their node's box: the one
+    routing rule of mesh splits.
 
     ``tables[j]`` holds each node's cuts on axis j as one row, both ends
     included, padded with +inf; ``ncuts`` is the (F, d) count of each node's
-    cuts, and ``owner`` each row's node (an index array, or one index for
-    every row).  A row's digit on axis j is the number of its node's cuts at
-    positions 1... that are <= x, capped at ``ncuts - 2``: that is
-    ``searchsorted(cuts[1:-1], x, "right")``, so a row on the closed high
-    face falls in the last strip, with no clipping.
+    cuts, and ``owner`` each row's node.  A row's digit on axis j is the
+    number of its node's cuts at positions 1... that are <= x, capped at
+    ``ncuts - 2``: that is ``searchsorted(cuts[1:-1], x, "right")``, so a
+    row on the closed high face falls in the last strip, with no clipping.
     """
     digits, keys = [], 0
     for j, table in enumerate(tables):
-        x = X[:, j]
-        n = ncuts[owner, j]
+        x = X[:, j].take(rows)
+        n = ncuts[:, j].take(owner)
         digit = np.zeros(x.shape, dtype=np.intp)
-        for c in range(1, table.shape[1]):
-            digit += table[owner, c] <= x
+        for column in table.T[1:].copy():  # each cut position's column, contiguous
+            digit += column.take(owner) <= x
         np.minimum(digit, n - 2, out=digit)
         digits.append(digit)
         keys = keys * (n - 1) + digit
@@ -419,7 +419,7 @@ class LeafTable:
                     if part.size:
                         keys[part] = split.assign(X[rows[part]])
             else:
-                keys = _mesh_digits(*route, owner, X[rows])[1]
+                keys = _mesh_digits(*route, owner, X, rows)[1]
             to = target[offset[owner] + keys]
             leaf = to < 0
             out[rows[leaf]] = ~to[leaf]
@@ -438,18 +438,31 @@ class LeafTable:
 
 
 class _Budget:
-    """The nodes of one build against ``NODE_BUDGET``: the root and every
-    child of a split, made into a node or not, since documents publish each
-    child's count."""
+    """The nodes of each of a build's trials against ``NODE_BUDGET``: the
+    root and every child of a split, made into a node or not, since
+    documents publish each child's count.  A trial that a charge takes over
+    the limit keeps its error in ``errors`` and is charged no more."""
 
-    def __init__(self):
-        self.limit, self.used = NODE_BUDGET, 1
+    def __init__(self, trials: int = 1):
+        self.limit, self.used = NODE_BUDGET, np.ones(trials, dtype=np.int64)
+        self.errors: list[ResourceError | None] = [None] * trials
 
-    def charge(self, n: int, why: str = ""):
-        self.used += n
-        if self.used > self.limit:
-            raise ResourceError(
-                f"node budget exceeded: {self.used} nodes requested{why}, limit {self.limit}")
+    def charge(self, n, why: str = "") -> np.ndarray:
+        """Add n nodes (one count, or one per trial) to each trial still
+        within the limit; which trials this took over it."""
+        live = np.array([error is None for error in self.errors])
+        self.used[live] += np.broadcast_to(n, live.shape)[live]
+        over = live & (self.used > self.limit)
+        for i in np.flatnonzero(over).tolist():
+            self.errors[i] = ResourceError(f"node budget exceeded: {int(self.used[i])} nodes "
+                                           f"requested{why}, limit {self.limit}")
+        return over
+
+    def check(self):
+        """Raise the first trial's error, if one went over."""
+        for error in self.errors:
+            if error is not None:
+                raise error
 
 
 def _require_inside(dataset: Dataset, region: Region, what: str):
@@ -503,12 +516,14 @@ def build_recursive_cube(
     root = _mesh_root(dataset, t, max_depth, root)
     finest = _finest(float(np.abs([root.low, root.high]).max()))
 
-    def halves(low, high, levels):
+    def halves(low, high, levels, trial):
         table = np.stack([low, 0.5 * (low + high), high], axis=2)
         return ([table[:, j] for j in range(root.dim)], np.full(low.shape, 3), levels + 1,
                 (levels < max_depth) & ((high - low).min(axis=1) >= finest))
 
-    depths, _, _ = _grow_mesh(dataset, root, t, _Budget(), halves)
+    budget = _Budget()
+    depths, _, _ = _grow_mesh(dataset, root, t, budget, halves)
+    budget.check()
     return strip_to_sanitized(_mesh_tree(root, dataset.n, depths), dataset, method="cube", t=t,
                               max_depth=max_depth, seed=None)
 
@@ -521,7 +536,8 @@ class MeshDepth(NamedTuple):
     offset (the sum of the child counts ``prod(ncuts - 1)`` before it) in C
     order; ``levels`` is each box's child level, and ``kids`` the positions
     in ``counts`` of the children that split again, ascending, so that kid i
-    is frontier box i of the next depth.
+    is frontier box i of the next depth; ``trial`` is each box's trial,
+    ascending.
     """
 
     tables: list
@@ -529,6 +545,7 @@ class MeshDepth(NamedTuple):
     counts: np.ndarray
     levels: np.ndarray
     kids: np.ndarray
+    trial: np.ndarray
 
 
 def _offsets(ncuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,75 +558,96 @@ def _offsets(ncuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grow_mesh(dataset: Dataset, root: Box, t: int, budget: _Budget,
                next_cuts) -> tuple[list[MeshDepth], np.ndarray, np.ndarray]:
     """Mesh-split every cell holding at least 2t points while ``next_cuts``
-    divides it, one depth of the tree at a time, making no node.
+    divides it, one depth of the tree at a time and for each of the
+    budget's T trials at once, making no node.
 
-    The frontier is the F boxes that split next: the dataset rows they hold
-    (``rows``, with ``owner[i]`` the frontier index of row ``rows[i]``) and
-    their cut tables.  ``next_cuts(low, high, levels)`` takes F boxes as
-    (F, d) corner arrays with their (F,) levels and returns ``(tables, ncuts,
-    child_levels, splits)``: per axis j an (F, W_j) table whose row f holds
-    box f's cuts, both ends included, then +inf padding; the (F, d) cut
-    counts; each box's child level; and which boxes split.
+    Each trial grows from its own root over its own copy of the rows:
+    stacked row r is dataset row r % n of trial r // n.  The frontier is
+    the F boxes that split next, each with its trial, ascending: the
+    stacked rows they hold (``rows``, with ``owner[i]`` the frontier index
+    of row ``rows[i]``) and their cut tables.  ``next_cuts(low, high,
+    levels, trial)`` takes F boxes as (F, d) corner arrays with their (F,)
+    levels and trials and returns ``(tables, ncuts, child_levels, splits)``:
+    per axis j an (F, W_j) table whose row f holds box f's cuts, both ends
+    included, then +inf padding; the (F, d) cut counts; each box's child
+    level; and which boxes split.
 
-    Each frontier is charged its children's count against the budget, then
-    its rows are routed at once by ``_mesh_digits``: a row's key is its
-    box's offset plus its child index there.  One ``bincount`` gives every
-    child's count, and ``next_cuts`` runs on the boxes of the children
-    holding at least 2t rows.  Those that it divides keep their rows and
-    make the next frontier.
+    The boxes that split charge their children's count to their trial's
+    budget, and a trial that this takes over the limit stops growing.  The
+    other boxes' rows are routed at once by ``_mesh_digits``: a row's key is
+    its box's offset plus its child index there.  One ``bincount`` gives
+    every child's count, and ``next_cuts`` runs once on the boxes of all
+    the children holding at least 2t rows.  Those that it divides keep
+    their rows and make the next frontier.
 
     Returns ``(depths, low, high)``: one ``MeshDepth`` per depth, which only
-    ``_mesh_tree`` turns into nodes, and the (n, d) low and high corners of
-    each dataset row's leaf, written as the rows are routed, so
+    ``_mesh_tree`` turns into nodes, and the (T * n, d) low and high corners
+    of each stacked row's leaf, written as the rows are routed, so
     ``measure_diameters`` reads grid leaf diameters from them without a
     tree.
     """
-    n, X = dataset.n, dataset.points
-    depths, low, high = [], np.tile(root.low, (n, 1)), np.tile(root.high, (n, 1))
+    n, X, trials = dataset.n, dataset.points, budget.used.size
+    depths, low, high = [], np.tile(root.low, (trials * n, 1)), np.tile(root.high, (trials * n, 1))
     if n < 2 * t:
         return depths, low, high
-    tables, ncuts, levels, splits = next_cuts(root.low[None], root.high[None],
-                                              np.zeros(1, dtype=np.intp))
-    rows, owner = np.arange(n), np.zeros(n, dtype=np.intp)
-    while splits.any():
+
+    def split(low, high, levels, trial):
+        tables, ncuts, levels, splits = next_cuts(low, high, levels, trial)
+        sizes, _ = _offsets(ncuts[splits])
+        totals = np.bincount(trial[splits], weights=sizes, minlength=trials)
+        splits &= ~budget.charge(totals.astype(np.int64))[trial]
+        keep = np.flatnonzero(splits)
+        return [table[keep] for table in tables], ncuts[keep], levels[keep], trial[keep], keep
+
+    def route(tables, ncuts, owner, rows):
+        # each row's child index in its box, whose corners become the row's
+        # leaf corners; the per-axis digits are dropped on return
+        digits, keys = _mesh_digits(tables, ncuts, owner, X, rows % n)
+        first = rows * root.dim  # each row's first coordinate in the flat corner arrays
+        for j, (table, digit) in enumerate(zip(tables, digits)):
+            at = owner * table.shape[1] + digit
+            low.reshape(-1)[first + j] = table.take(at)
+            high.reshape(-1)[first + j] = table.take(at + 1)
+        return keys
+
+    # each trial's root is its frontier box 0, and holds that trial's rows
+    rows, big, total = np.arange(trials * n), np.arange(trials), trials
+    keys, frontier = rows // n, (np.tile(root.low, (trials, 1)), np.tile(root.high, (trials, 1)),
+                                 np.zeros(trials, dtype=np.intp), big)
+    while True:
+        tables, ncuts, levels, trial, keep = split(*frontier)
+        if depths:  # the children that split again are known once they split
+            depths[-1] = depths[-1]._replace(kids=big[keep])
+        if not keep.size:
+            return depths, low, high
+        slot = np.full(total, -1)
+        slot[big[keep]] = np.arange(keep.size)
+        owner = slot[keys]
+        mine = owner >= 0
+        rows, owner = rows[mine], owner[mine]
         sizes, offset = _offsets(ncuts)
         total = int(sizes.sum())
-        budget.charge(total)
-        digits, keys = _mesh_digits(tables, ncuts, owner, X[rows])
-        for j, (table, digit) in enumerate(zip(tables, digits)):
-            low[rows, j] = table[owner, digit]
-            high[rows, j] = table[owner, digit + 1]
-        keys += offset[owner]
+        keys = route(tables, ncuts, owner, rows) + offset[owner]
         counts = np.bincount(keys, minlength=total)
-        depth = (tables, ncuts, counts, levels)
+        depths.append(MeshDepth(tables, ncuts, counts, levels, keep[:0], trial))
         big = np.flatnonzero(counts >= 2 * t)
-        splits = np.zeros(0, dtype=bool)
-        if big.size:
-            # each big child's box from any of its rows, at its parent's child level
-            held = np.empty(total, dtype=np.intp)
-            held[keys] = rows
-            parent = np.searchsorted(offset, big, side="right") - 1
-            tables, ncuts, levels, splits = next_cuts(low[held[big]], high[held[big]],
-                                                      levels[parent])
-            keep = np.flatnonzero(splits)
-            tables, ncuts, levels = [table[keep] for table in tables], ncuts[keep], levels[keep]
-            slot = np.full(total, -1)
-            slot[big[keep]] = np.arange(keep.size)
-            owner = slot[keys]
-            mine = owner >= 0
-            rows, owner = rows[mine], owner[mine]
-        depths.append(MeshDepth(*depth, big[splits]))
-    return depths, low, high
+        if not big.size:
+            return depths, low, high
+        # each big child's box from any of its rows, at its parent's child level
+        held = np.empty(total, dtype=np.intp)
+        held[keys] = rows
+        parent = np.searchsorted(offset, big, side="right") - 1
+        frontier = (low[held[big]], high[held[big]], levels[parent], trial[parent])
 
 
 def _mesh_tree(root: Box, n: int, depths: list[MeshDepth]) -> HistogramNode:
-    """The tree of a mesh build's ``depths`` over a root box holding n rows:
-    each frontier box gets a node with a ``MeshSplit`` of views of its own
-    table rows and a view of its child counts, and a child gets a node only
-    when it splits again."""
+    """The tree of a one-trial mesh build's ``depths`` over a root box
+    holding n rows: each frontier box gets a node with a ``MeshSplit`` of
+    views of its own table rows and a view of its child counts, and a child
+    gets a node only when it splits again."""
     tree = HistogramNode(region=root, count=n, level=0)
     nodes = [tree]
-    for tables, ncuts, counts, levels, kids in depths:
+    for tables, ncuts, counts, levels, kids, _ in depths:
         sizes, offset = _offsets(ncuts)
         for f, (node, m, a, b, level) in enumerate(zip(
                 nodes, ncuts.tolist(), offset.tolist(), (offset + sizes).tolist(),
@@ -648,18 +686,22 @@ def _kept_lines(base: float, w: float, lo: float, hi: float) -> tuple[int, int] 
     return (first + 1, last - 1) if last - first >= 2 else None
 
 
-def _grid_cuts(bases, levels, low: np.ndarray, high: np.ndarray, lv: np.ndarray):
-    """The ``next_cuts`` of a shifted grid (see ``_grow_mesh``): each of F
+def _grid_cuts(bases: np.ndarray, levels, low: np.ndarray, high: np.ndarray, lv: np.ndarray,
+               trial: np.ndarray):
+    """The ``next_cuts`` of shifted grids (see ``_grow_mesh``): each of F
     boxes, at levels ``lv``, is cut by the first mesh level below its own
-    that puts a kept line strictly inside it.
+    that puts a kept line of its trial's mesh strictly inside it.
 
-    ``bases`` holds the mesh's per-axis offset and ``levels`` each mesh
-    level as (level, w, per-axis ``_kept_lines``), in order from level 1.
-    Level by level, for the boxes not yet resolved, an axis from lo to hi is
-    cut at lo, at the kept lines base + k*w with k from
-    max(floor((lo - base) / w), a) to min(ceil((hi - base) / w), b) that lie
-    strictly inside (lo, hi), and at hi.  A box is resolved at the first
-    level that cuts one of its axes; a box that no level cuts does not split.
+    ``bases`` holds each trial's per-axis mesh offset as one (T, d) array,
+    and ``levels`` each mesh level as (level, w, kept), in order from level
+    1: ``kept`` is the (T, d, 2) array of each trial's ``_kept_lines`` index
+    range (a, b) per axis, (1, 0) where the axis stays whole.  ``trial`` is
+    each box's trial.  Level by level, for the boxes not yet resolved, an
+    axis from lo to hi is cut at lo, at the kept lines base + k*w with k
+    from max(floor((lo - base) / w), a) to min(ceil((hi - base) / w), b)
+    that lie strictly inside (lo, hi), and at hi.  A box is resolved at the
+    first level that cuts one of its axes; a box that no level cuts does not
+    split.
     """
     F, d = low.shape
     ncuts = np.zeros((F, d), dtype=np.intp)
@@ -670,16 +712,13 @@ def _grid_cuts(bases, levels, low: np.ndarray, high: np.ndarray, lv: np.ndarray)
         todo = np.flatnonzero(~splits & (lv < level))
         if not todo.size:
             continue
-        inner = []
-        for j, ks in enumerate(kept):
-            lo, hi = low[todo, j, None], high[todo, j, None]
-            if ks is None:
-                inner.append(np.empty((todo.size, 0)))
-                continue
-            first = np.maximum(np.floor((lo - bases[j]) / w), ks[0])
-            last = np.minimum(np.ceil((hi - bases[j]) / w), ks[1])
+        inner, mesh = [], trial[todo]
+        for j in range(d):
+            lo, hi, base = low[todo, j, None], high[todo, j, None], bases[mesh, j, None]
+            first = np.maximum(np.floor((lo - base) / w), kept[mesh, j, 0, None])
+            last = np.minimum(np.ceil((hi - base) / w), kept[mesh, j, 1, None])
             k = first + np.arange(max(int((last - first).max()) + 1, 0))
-            v = bases[j] + k * w
+            v = base + k * w
             v[(k > last) | (v <= lo) | (v >= hi)] = np.inf
             v.sort(axis=1)  # the kept lines, ascending, then the padding
             inner.append(v)
@@ -723,32 +762,38 @@ def build_shifted_grid(
     The nodes are made from the last draw's arrays, one for the root and
     one for each child that splits again.
     """
-    root, center, depths, _, _ = _shifted_grid(dataset, t, max_depth, seed, root)
+    root, centers, depths, _, _ = _shifted_grid(dataset, t, max_depth, [seed], root)
     return strip_to_sanitized(_mesh_tree(root, dataset.n, depths), dataset, method="grid", t=t,
                               max_depth=max_depth, seed=seed,
-                              extra={"offset_center": center.tolist()})
+                              extra={"offset_center": centers[0].tolist()})
 
 
 def _shifted_grid(
     dataset: Dataset,
     t: int,
-    max_depth: int = 8,
-    seed: int = 0,
+    max_depth: int,
+    seeds: list[int],
     root: Box | None = None,
 ) -> tuple[Box, np.ndarray, list[MeshDepth], np.ndarray, np.ndarray]:
-    """The arrays of a shifted grid, checked as ``strip_to_sanitized``
-    checks a tree and with no node made: ``(root, center, depths, low,
-    high)``, the checked root box, the offset center drawn, the
-    ``MeshDepth``s of ``_grow_mesh``, and the (n, d) low and high corners of
-    each dataset row's leaf, which are never published.
+    """The arrays of one shifted grid per seed, grown together as one
+    ``_grow_mesh`` frontier and checked as ``strip_to_sanitized`` checks a
+    tree, with no node made: ``(root, centers, depths, low, high)``, the
+    checked root box, the (T, d) offset centers drawn, the ``MeshDepth``s
+    of the last round of draws (with one seed, its grid), and the (T * n,
+    d) low and high corners of each trial's rows' leaves, trial i's at rows
+    i*n to (i+1)*n, which are never published.
 
-    Draw 0 of the offset center comes from ``substream(seed, "grid-offset")``
-    and draw i > 0 from ``substream(seed, "grid-offset", i)``.  Each draw's
-    arrays go through ``_check_published``: a row on a root corner raises
-    ``InputError``; a row on a corner of a mesh cell (a ``CollisionError``)
-    makes the grid again from the next draw, and the collision is raised
-    once ``GRID_OFFSET_DRAWS`` draws have collided; leaf counts that do not
-    sum to the rows raise ``InternalError`` and are not drawn again.
+    Draw 0 of a seed's offset center comes from ``substream(seed,
+    "grid-offset")`` and draw i > 0 from ``substream(seed, "grid-offset",
+    i)``.  Each round of draws grows the trials still drawing, charging
+    each trial's budget per depth, and checks them with one scan of the
+    round's arrays: a row on a root corner is an ``InputError``; a row on a
+    corner of a cell of a trial's mesh (a ``CollisionError``) makes that
+    trial draw again in the next round, and is raised once
+    ``GRID_OFFSET_DRAWS`` draws have collided; leaf counts that do not sum
+    to the rows are an ``InternalError`` and are not drawn again.  Once the
+    rounds end, the error of the first trial that has one is raised, as a
+    loop over the seeds, each grown then checked, would raise it.
     """
     root = _mesh_root(dataset, t, max_depth, root)
     sides = root.sides
@@ -759,32 +804,65 @@ def _shifted_grid(
     # |root| + 2*side, the largest magnitude the line arithmetic reaches
     # (about level 50 on [-1, 1]^d, where each axis holds 2^49 lines)
     finest = _finest(float(np.abs([root.low, root.high]).max()) + 2.0 * side)
+    n, X, bounds = dataset.n, dataset.points, (root.low.tolist(), root.high.tolist())
+    fixed = _on_published(X, [root.low, root.high], [])
+    centers, errors = np.empty((len(seeds), root.dim)), [None] * len(seeds)
+    drawing = list(range(len(seeds)))
     for draw in range(GRID_OFFSET_DRAWS):
-        stream = substream(seed, "grid-offset", *([draw] if draw else []))
-        center = uniform_in_region(root, 1, stream)[0]
-        bases = (center - side).tolist()  # low corner of the inflated cube, fixed across levels
+        centers[drawing] = [uniform_in_region(root, 1, substream(seeds[i], "grid-offset",
+                                                                 *([draw] if draw else [])))[0]
+                            for i in drawing]
+        bases = centers[drawing] - side  # low corners of the inflated cubes, fixed across levels
         levels = []
         for level in range(1, max_depth + 1):
             w = side * 2.0 ** (1 - level)
             if w < finest:
                 break
-            levels.append((level, w, [_kept_lines(b, w, lo, hi) for b, lo, hi in
-                                      zip(bases, root.low.tolist(), root.high.tolist())]))
+            levels.append((level, w, np.array([[_kept_lines(b, w, lo, hi) or (1, 0)
+                                                 for b, lo, hi in zip(base, *bounds)]
+                                                for base in bases.tolist()])))
 
-        def next_mesh(low, high, lv):
-            return _grid_cuts(bases, levels, low, high, lv)
+        def next_mesh(low, high, lv, trial):
+            return _grid_cuts(bases, levels, low, high, lv, trial)
 
-        depths, low, high = _grow_mesh(dataset, root, t, _Budget(), next_mesh)
-        total = sum(int(depth.counts.sum()) - int(depth.counts[depth.kids].sum())
-                    for depth in depths) if depths else dataset.n
-        try:
-            _check_published(dataset.points, [root.low, root.high], [],
-                             [(depth.tables, depth.ncuts) for depth in depths], False, total)
-        except CollisionError:
-            if draw + 1 == GRID_OFFSET_DRAWS:
-                raise
-            continue
-        return root, center, depths, low, high
+        budget = _Budget(len(drawing))
+        depths, grown_low, grown_high = _grow_mesh(dataset, root, t, budget, next_mesh)
+        hits = _mesh_corners(X, [(depth.tables, depth.ncuts, depth.trial) for depth in depths],
+                             len(drawing))
+        totals = _leaf_totals(depths, n, len(drawing))
+        if not draw:  # every trial, in order: a later round writes its trials in
+            low, high = grown_low, grown_high
+        again = []
+        for k, i in enumerate(drawing):
+            errors[i] = budget.errors[k] or _published_error(fixed, hits[k], int(totals[k]))
+            if isinstance(errors[i], CollisionError) and draw + 1 < GRID_OFFSET_DRAWS:
+                again.append(i)
+            elif draw:
+                low[i * n:(i + 1) * n] = grown_low[k * n:(k + 1) * n]
+                high[i * n:(i + 1) * n] = grown_high[k * n:(k + 1) * n]
+        drawing = again
+        if not drawing:
+            break
+    for error in errors:
+        if error is not None:
+            raise error
+    return root, centers, depths, low, high
+
+
+def _leaf_totals(depths: list[MeshDepth], n: int, trials: int) -> np.ndarray:
+    """The sum of each trial's leaf counts, read from a frontier's
+    ``depths``: a trial's split counts less those of its children that
+    split again, or n for a trial whose root never split."""
+    totals = np.zeros(trials, dtype=np.int64)
+    for depth in depths:
+        leaves = depth.counts.copy()
+        leaves[depth.kids] = 0
+        child_trial = np.repeat(depth.trial, _offsets(depth.ncuts)[0])
+        totals += np.bincount(child_trial, weights=leaves, minlength=trials).astype(np.int64)
+    split = np.zeros(trials, dtype=bool)
+    if depths:
+        split[depths[0].trial] = True
+    return np.where(split, totals, n)
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +956,7 @@ def build_voronoi(
         region, rows = node.region, dataset.points[idx]
         if method == "uniform":
             budget.charge(m, f" for m={m} uniform centers per split in d={support.dim}")
+            budget.check()
         for draw in range(VORONOI_CENTER_DRAWS):
             draw_seed = child_seed(seed, "centers", *path, *(["redraw", draw] if draw else []))
             if method == "greedy":
@@ -888,6 +967,7 @@ def build_voronoi(
                 break
         if method == "greedy":
             budget.charge(len(centers))
+            budget.check()
         split = VoronoiSplit(centers)
         parts = _partition(split.assign(rows), split.size)
         node.divide(split, [part.size for part in parts])
@@ -920,54 +1000,88 @@ CORNER_BLOCK = 1 << 20  # row x cut comparisons per block of the mesh-corner sca
 def _on_published(points: np.ndarray, vectors: list | np.ndarray, meshes: list) -> np.ndarray:
     """Which rows of ``points`` equal one of ``vectors`` or the low or high
     corner of a child of a mesh split.  ``meshes`` holds one ``(tables,
-    ncuts)`` per depth, as ``_mesh_digits`` reads them.  A row can only be a
-    corner of a mesh split when each of its coordinates is a cut value on
-    that axis, so only those rows are compared with each split's cuts, in
-    blocks of about ``CORNER_BLOCK`` comparisons."""
+    ncuts)`` per depth, as ``_mesh_digits`` reads them, and is scanned by
+    ``_mesh_corners`` as one trial's."""
     hits = np.zeros(len(points), dtype=bool)
     if len(vectors):
         # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
         row = np.dtype((np.void, 8 * points.shape[1]))
         hits = np.isin((points + 0.0).view(row).ravel(),
                        (np.array(vectors, dtype=float) + 0.0).view(row).ravel())
+    if meshes:
+        hits |= _mesh_corners(points, [(tables, ncuts, np.zeros(len(ncuts), dtype=np.intp))
+                                       for tables, ncuts in meshes], 1)[0]
+    return hits
+
+
+def _mesh_corners(points: np.ndarray, meshes: list, trials: int) -> np.ndarray:
+    """(trials, n): which rows of ``points`` are the low or high corner of a
+    child of a mesh split of each trial.  ``meshes`` holds one ``(tables,
+    ncuts, trial)`` per depth: the cut tables as ``_mesh_digits`` reads
+    them and each split's trial, ascending.  A row can only be a corner of
+    a mesh split when each of its coordinates is a cut value on that axis,
+    so only those rows are compared, each with its trial's splits of each
+    depth, in blocks of about ``CORNER_BLOCK`` comparisons."""
+    hits = np.zeros((trials, len(points)), dtype=bool)
     if not meshes:
         return hits
-    on_cuts = [np.isin(points[:, j], np.concatenate([tables[j].ravel() for tables, _ in meshes]))
+    on_cuts = [np.isin(points[:, j], np.concatenate([tables[j].ravel() for tables, _, _ in meshes]))
                for j in range(points.shape[1])]
     suspects = np.flatnonzero(np.logical_and.reduce(on_cuts))
-    for tables, ncuts in meshes:
-        step = max(1, CORNER_BLOCK // sum(table.size for table in tables))
-        for a in range(0, suspects.size, step):
-            rows = suspects[a:a + step]
+    if not suspects.size:
+        return hits
+    for tables, ncuts, trial in meshes:
+        first = np.searchsorted(trial, np.arange(trials + 1))  # trial i: first[i]:first[i + 1]
+        grown = np.flatnonzero(np.diff(first))
+        rows, owner = np.repeat(suspects, grown.size), np.tile(grown, suspects.size)
+        split = first[owner, None] + np.arange(int(np.diff(first).max()))  # (pairs, splits)
+        mine = split < first[owner + 1, None]
+        split = np.minimum(split, trial.size - 1)
+        step = max(1, CORNER_BLOCK // (split.shape[1] * sum(table.shape[1] for table in tables)))
+        for a in range(0, rows.size, step):
+            block = slice(a, a + step)
             low = high = True  # per (row, split): a low, a high corner of one of its children
             for j, table in enumerate(tables):
-                on = points[rows, j, None, None] == table  # (rows, F, W_j); never on the padding
-                low = low & (on & (np.arange(table.shape[1]) < ncuts[:, j, None] - 1)).any(axis=2)
+                # (rows, splits, W_j), never on the padding
+                on = points[rows[block], j, None, None] == table[split[block]]
+                low = low & (on & (np.arange(table.shape[1]) < ncuts[split[block], j, None] - 1)
+                             ).any(axis=2)
                 high = high & on[:, :, 1:].any(axis=2)
-            hits[rows[(low | high).any(axis=1)]] = True
+            hit = ((low | high) & mine[block]).any(axis=1)
+            hits[owner[block][hit], rows[block][hit]] = True
     return hits
+
+
+def _published_error(fixed: np.ndarray, drawn: np.ndarray, total: int):
+    """The first check that a tree's publication fails, or None: that no
+    row lies on a vector that every seed publishes (``fixed`` marks those
+    that do: a root region's corners or center, and a cube's mesh corners),
+    an input error; that none lies on a random one (``drawn``: a Voronoi
+    center, a grid mesh corner), a ``CollisionError``; and that its leaf
+    counts, summing to ``total``, sum to the rows."""
+    if fixed.any():
+        return InputError(
+            f"sanitization aborted: dataset row {int(np.argmax(fixed))} equals a coordinate "
+            "vector the output publishes at every seed; the model assumes no atoms, so no "
+            "row may lie on a support corner or center or on a cube mesh corner")
+    if drawn.any():
+        return CollisionError(
+            f"sanitization aborted: dataset row {int(np.argmax(drawn))}'s coordinate "
+            "vector appeared in the output geometry")
+    if total != fixed.size:
+        return InternalError("leaf counts do not sum to the dataset size")
+    return None
 
 
 def _check_published(points: np.ndarray, fixed: list, centers, meshes: list, cube: bool,
                      total: int):
-    """The checks that no dataset row appears in a tree's geometry and that
-    its leaf counts (summing to ``total``) sum to the rows, in this order.
-    A row on a vector that every seed publishes (``fixed``: a root region's
-    corners or center, and a cube's mesh corners) is an input error; a row
-    on a random one (a Voronoi center, a grid mesh corner) is a
-    ``CollisionError``."""
-    if len(points):
-        if (hits := _on_published(points, fixed, meshes if cube else [])).any():
-            raise InputError(
-                f"sanitization aborted: dataset row {int(np.argmax(hits))} equals a coordinate "
-                "vector the output publishes at every seed; the model assumes no atoms, so no "
-                "row may lie on a support corner or center or on a cube mesh corner")
-        if (hits := _on_published(points, centers, [] if cube else meshes)).any():
-            raise CollisionError(
-                f"sanitization aborted: dataset row {int(np.argmax(hits))}'s coordinate "
-                "vector appeared in the output geometry")
-    if total != len(points):
-        raise InternalError("leaf counts do not sum to the dataset size")
+    """Raise ``_published_error`` of a tree whose fixed vectors are
+    ``fixed`` (and its meshes, for a cube) and whose random ones are
+    ``centers`` (and its meshes, for a grid)."""
+    error = _published_error(_on_published(points, fixed, meshes if cube else []),
+                             _on_published(points, centers, [] if cube else meshes), total)
+    if error is not None:
+        raise error
 
 
 def strip_to_sanitized(

@@ -197,6 +197,59 @@ class TestTRadii:
             t_radii(Dataset([[0.0], [1.0]]), 0)
 
 
+class TestKnnCandidates:
+    """``_knn_candidates`` against a brute-force ``np.partition`` of each
+    query's distances: the exact k-th, and every point no farther in the
+    candidates, with the candidates' distances recomputed as a full scan
+    computes them."""
+
+    @staticmethod
+    def _assert_exact(points, Q, k):
+        kth, rows, idx, dists = geometry._knn_candidates(points, Q, k)
+        assert (np.diff(rows) >= 0).all()
+        for i, q in enumerate(Q):
+            full = np.linalg.norm(points - q, axis=1)
+            assert kth[i] == np.partition(full, k - 1)[k - 1]
+            mine = rows == i
+            assert set(np.flatnonzero(full <= kth[i]).tolist()) <= set(idx[mine].tolist())
+            assert dists[mine].tolist() == full[idx[mine]].tolist()
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=20),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_brute_force_on_a_lattice_with_duplicates(self, pts, data):
+        points = np.array(pts, dtype=float)
+        k = data.draw(st.integers(1, len(points)))
+        self._assert_exact(points, np.vstack([points, [[0.5, 0.5], [1.0, 3.0]]]), k)
+
+    def test_only_tied_queries_list_their_ball(self, monkeypatch):
+        import scipy.spatial
+
+        balls = []
+
+        class Recording(scipy.spatial.cKDTree):
+            def query_ball_point(self, x, r, *args, **kwargs):
+                balls.append(len(x))
+                return super().query_ball_point(x, r, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
+        # four copies of the origin, two of (3, 3), and two rows at distance 1 from it
+        points = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]], [4, 1, 1, 2], axis=0)
+        Q = np.vstack([points, [[0.5, 0.5], [2.0, 2.5]]])
+        for k in range(1, len(points) - 2):
+            self._assert_exact(points, Q, k)
+            assert 0 < balls.pop() < len(Q)
+        # from k = n - 2 the array query returns every point, and no ball is listed
+        for k in range(len(points) - 2, len(points) + 1):
+            self._assert_exact(points, Q, k)
+        assert not balls
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_equals_brute_force_at_random(self, k):
+        points = substream(k, "knn").standard_normal((50, 3))
+        self._assert_exact(points, substream(k, "knn-queries").standard_normal((40, 3)), k)
+
+
 class TestVolume:
     def test_box_exact(self):
         box = Box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))

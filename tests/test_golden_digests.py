@@ -104,6 +104,9 @@ def document_digests(workdir: Path) -> dict:
             _run("measure-diameters", "--data", path[f"data{d}"], "--method", "grid", "--t", 4,
                  "--trials", 2, "--max-depth", 8, "--seed", 60 + d,
                  "--out", out(f"diameters-grid-depth8-d{d}"))
+        if d in (1, 3, 8):  # many grid trials, grown together
+            _run("measure-diameters", "--data", path[f"data{d}"], "--method", "grid", "--t", 4,
+                 "--trials", 12, "--seed", 80 + d, "--out", out(f"diameters-grid-trials12-d{d}"))
         if d in (4, 8):  # attacks and MSTs that reach divided children at many positions
             for method in ("cube", "grid"):
                 hist = path[f"sanitize-{method}-d{d}"]

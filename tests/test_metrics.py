@@ -6,9 +6,9 @@ import test_sanitizer
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from privhist import metrics
+from privhist import metrics, sanitizer
 from privhist.datagen import UniformBall, UniformCube, sample, single
-from privhist.errors import InputError
+from privhist.errors import InputError, ResourceError
 from privhist.experiments import adversarial_corner_arrangement
 from privhist.geometry import (Ball, Box, Dataset, VoronoiClip, distance, t_radii,
                                uniform_in_region, voronoi_assign)
@@ -27,7 +27,7 @@ from privhist.metrics import (
 )
 from privhist.rng import child_seed, substream
 from privhist.sanitizer import (build_recursive_cube, build_shifted_grid, build_voronoi,
-                                certify_nodes)
+                                certify_nodes, default_root_box)
 
 
 def _tiny_hist(points, t=2, depth=4):
@@ -203,6 +203,84 @@ class TestMeasureDiameters:
         with pytest.raises(InputError) as measured:
             measure_diameters(data, t=2, trials=3, seed=5, method="grid", max_depth=4)
         assert str(measured.value) == str(built.value)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_grouped_trials_equal_the_descent_reference(self, d, monkeypatch):
+        # 60 rows and groups of 150 rows: two trials per shared frontier
+        data, _ = sample(single(UniformCube(np.zeros(d), 1.0)), 60, seed=70 + d)
+        groups, shifted_grid = [], metrics._shifted_grid
+
+        def recording(dataset, t, max_depth, seeds, root=None):
+            groups.append(len(seeds))
+            return shifted_grid(dataset, t, max_depth, seeds, root)
+
+        monkeypatch.setattr(metrics, "GRID_GROUP_ROWS", 150)
+        monkeypatch.setattr(metrics, "_shifted_grid", recording)
+        stats = measure_diameters(data, t=2, trials=7, seed=71, method="grid", max_depth=6)
+        assert groups == [2, 2, 2, 1]
+        assert stats.to_dict() == self._reference_grid_report(data, 2, 7, 71, 6)
+
+    def test_a_colliding_middle_trial_is_redrawn_alone(self):
+        # the first offset of trial 2 of 5 puts a row on a corner of its root split
+        seeds = [child_seed(5, "trial", i) for i in range(5)]
+        first, data = test_sanitizer.TestShiftedGrid._on_a_root_corner(seed=seeds[2])
+        _, centers, _, low, high = sanitizer._shifted_grid(data, 2, 4, seeds)
+        n = data.n
+        for i, seed in enumerate(seeds):
+            draw0 = uniform_in_region(default_root_box(2), 1, substream(seed, "grid-offset"))[0]
+            assert (centers[i].tolist() == draw0.tolist()) == (i != 2)
+            _, alone, _, alone_low, alone_high = sanitizer._shifted_grid(data, 2, 4, [seed])
+            assert centers[i].tolist() == alone[0].tolist()
+            assert low[i * n:(i + 1) * n].tolist() == alone_low.tolist()
+            assert high[i * n:(i + 1) * n].tolist() == alone_high.tolist()
+        assert centers[2].tolist() != first.extra["offset_center"]
+        stats = measure_diameters(data, t=2, trials=5, seed=5, method="grid", max_depth=4)
+        assert stats.to_dict() == self._reference_grid_report(data, 2, 5, 5, 4)
+
+    def test_a_trial_over_the_node_budget_raises_the_sequential_error(self, monkeypatch):
+        data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 300, seed=72)
+        seeds = [child_seed(73, "trial", i) for i in range(6)]
+        nodes = [1 + sum(node.split.size for node in build_shifted_grid(data, 2, 6, seed=s)
+                         .root.walk() if node.split is not None) for s in seeds]
+        # trial 0 fits; the first larger trial is the first the loop cannot build
+        limit = nodes[0]
+        assert sum(size > limit for size in nodes) > 1
+        monkeypatch.setattr(sanitizer, "NODE_BUDGET", limit)
+        with pytest.raises(ResourceError, match="node budget exceeded") as sequential:
+            for seed in seeds:
+                build_shifted_grid(data, 2, 6, seed=seed)
+        with pytest.raises(ResourceError) as measured:
+            measure_diameters(data, t=2, trials=6, seed=73, method="grid", max_depth=6)
+        assert str(measured.value) == str(sequential.value)
+
+    def test_next_cuts_runs_once_per_depth_for_all_trials(self, monkeypatch):
+        calls, grid_cuts = [], sanitizer._grid_cuts
+
+        def counted(bases, levels, low, high, lv, trial):
+            calls.append(sorted(set(trial.tolist())))
+            return grid_cuts(bases, levels, low, high, lv, trial)
+
+        monkeypatch.setattr(sanitizer, "_grid_cuts", counted)
+        data, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 300, seed=76)
+        measure_diameters(data, t=2, trials=6, seed=77, method="grid", max_depth=6)
+        assert len(calls) <= 6 + 1  # the roots, then at most one call per depth below
+        assert calls[0] == calls[1] == list(range(6))
+
+    def test_grid_trial_memory_is_bounded_by_the_group(self):
+        import tracemalloc
+
+        data = Dataset(substream(78, "grid-memory").uniform(-1.0, 1.0, (2000, 2)))
+        assert metrics.GRID_GROUP_ROWS // data.n >= 10  # ten trials fill one group
+        measure_diameters(data, t=2, trials=1, method="grid")  # imports outside the trace
+        peaks = {}
+        for trials in (10, 200):
+            tracemalloc.start()
+            try:
+                measure_diameters(data, t=2, trials=trials, seed=79, method="grid", max_depth=8)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 2 * peaks[10]
 
     @pytest.mark.parametrize("method,depth", [("grid", 8), ("voronoi-uniform", 3)])
     def test_max_depth_defaults_to_the_method_default(self, method, depth):
@@ -394,6 +472,28 @@ class TestMstCompare:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_prim_keeps_the_tie_order_of_a_masked_scan(self):
+        # the lattice's many equal distances: the key array picks each
+        # vertex and edge as a scan of all keys with the tree masked does
+        def masked_scan(n, weights):
+            in_tree = np.zeros(n, dtype=bool)
+            in_tree[0] = True
+            best, best_from, cost, edges = weights(0), np.zeros(n, dtype=int), 0.0, []
+            for _ in range(n - 1):
+                masked = np.where(in_tree, np.inf, best)
+                j = int(np.argmin(masked))
+                cost += float(masked[j])
+                edges.append((int(best_from[j]), j))
+                in_tree[j] = True
+                row = weights(j)
+                best_from[row < best] = j
+                best = np.minimum(best, row)
+            return cost, edges
+
+        pts = substream(23, "prim-ties").integers(0, 4, (120, 2)).astype(float)
+        weights = lambda j: np.linalg.norm(pts - pts[j], axis=1)  # noqa: E731
+        assert metrics._prim(len(pts), weights) == masked_scan(len(pts), weights)
 
     def test_needs_two_points(self):
         hist = _tiny_hist(np.array([[0.1, 0.1]]), t=2, depth=2)

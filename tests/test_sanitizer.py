@@ -206,8 +206,8 @@ class TestShiftedGridStrips:
         assert (kept is None) == (bounds.size == 2)
         expected = bounds[a:b + 1].tolist()
         tables, ncuts, child, splits = _grid_cuts(
-            [base], [(level, w, [kept])], np.array([[bounds[a]]]), np.array([[bounds[b]]]),
-            np.array([0]))
+            np.array([[base]]), [(level, w, np.array([[kept or (1, 0)]]))],
+            np.array([[bounds[a]]]), np.array([[bounds[b]]]), np.array([0]), np.array([0]))
         assert splits.tolist() == [len(expected) > 2]
         if splits[0]:
             assert child.tolist() == [level]
@@ -261,7 +261,7 @@ class TestShiftedGrid:
         assert 40 < max(levels) < 60
         doc = histogram_to_doc(hist)
         assert histogram_to_doc(histogram_from_doc(doc)) == doc
-        *_, low, high = _shifted_grid(data, t=1, max_depth=2000, seed=1)
+        *_, low, high = _shifted_grid(data, t=1, max_depth=2000, seeds=[1])
         assert np.all(low <= data.points) and np.all(data.points < high)
         assert np.all(high - low < 1e-12)
 

@@ -559,8 +559,10 @@ class TestNodesOnDemand:
         monkeypatch.setattr(sanitizer, "_grow_mesh", recording)
         monkeypatch.setattr(MeshSplit, "__init__", counted)
         measure_diameters(self._data(d), t=2, trials=3, seed=d, method="grid", max_depth=6)
-        assert len(grown) == 3
-        assert all(len(depths) > 1 for depths, _, _ in grown)  # every trial split below the root
+        assert len(grown) == 1  # the three trials grow as one frontier
+        depths, _, _ = grown[0]
+        assert depths[1].trial.tolist() == sorted(depths[1].trial.tolist())
+        assert set(depths[1].trial.tolist()) == {0, 1, 2}  # every trial split below the root
         assert made[0] == 0
         assert splits[0] == 0
 
@@ -583,9 +585,9 @@ class TestNodesOnDemand:
         grow = sanitizer._grow_mesh
 
         def counting(dataset, root, t, budget, next_cuts):
-            def counted(low, high, levels):
+            def counted(low, high, levels, trial):
                 calls.append(len(levels))
-                return next_cuts(low, high, levels)
+                return next_cuts(low, high, levels, trial)
 
             return grow(dataset, root, t, budget, counted)
 
@@ -808,7 +810,9 @@ def test_grid_cuts_of_a_mixed_level_frontier_equal_the_per_box_reference():
     low = np.array([node.region.low for node in nodes])
     high = np.array([node.region.high for node in nodes])
     lv = np.array([node.level for node in nodes])
-    tables, ncuts, child, splits = sanitizer._grid_cuts(bases, levels, low, high, lv)
+    one_trial = [(level, w, np.array([[ks or (1, 0) for ks in kept]])) for level, w, kept in levels]
+    tables, ncuts, child, splits = sanitizer._grid_cuts(np.array([bases]), one_trial, low, high, lv,
+                                                        np.zeros(lv.size, dtype=np.intp))
     reference = _reference_next_mesh(bases, levels)
     assert 0 < splits.sum() < splits.size  # level-5 boxes have no finer level
     for f, node in enumerate(nodes):
