@@ -11,6 +11,7 @@ goes to stderr so reruns stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -67,14 +68,20 @@ def _floats(text: str) -> list[float]:
             f"not a comma-separated list of numbers: {text!r}") from None
 
 
+@functools.cache
+def _number_list_flags(parser: argparse.ArgumentParser) -> frozenset:
+    """The options of ``parser``'s subcommands whose type is ``_floats``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(flag for p in sub.choices.values() for a in p._actions
+                     if a.type is _floats for flag in a.option_strings)
+
+
 def _attach_number_lists(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """``--x -0.5,0.2`` as ``--x=-0.5,0.2``.  argparse reads a value that
     starts with ``-`` and is not one plain number as an option, so a number
     list that starts with a negative number is attached to its option.  The
-    options are those of ``parser``'s subcommands whose type is ``_floats``."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    lists = {flag for p in sub.choices.values() for a in p._actions if a.type is _floats
-             for flag in a.option_strings}
+    options are ``_number_list_flags(parser)``."""
+    lists = _number_list_flags(parser)
     out = []
     for arg in argv:
         if out and out[-1] in lists and arg.startswith("-"):
@@ -231,7 +238,10 @@ def _cmd_repro(args, argv):
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every
+    ``main`` call in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="privhist",
         description="Privacy-preserving spatial histograms: sanitize, certify, attack, measure.",

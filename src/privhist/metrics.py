@@ -143,11 +143,20 @@ def hist_distance_with_diameters(hist: SanitizedHistogram, X, Y):
 GRID_GROUP_ROWS = 1 << 15  # dataset rows, summed over its trials, that one grid frontier holds
 
 
-def grid_diameter_bound(d: int, t: int, r: float) -> float:
-    """Per-point diameter bound 2 * min(d^1.5, t*d) * r * log2(1/r), with the
-    level factor clamped to at least one level."""
-    levels = max(math.log2(1.0 / r), 1.0) if r > 0 else 1.0
-    return 2.0 * min(d**1.5, t * d) * r * levels
+def grid_diameter_bounds(d: int, t: int, radii: np.ndarray) -> np.ndarray:
+    """Per-point diameter bound 2 * min(d^1.5, t*d) * r * log2(1/r) of each
+    of the radii, with the level factor clamped to at least one level (and
+    one level at r = 0).  Each double is that of the one-point formula
+    ``2.0 * min(d**1.5, t * d) * r * max(math.log2(1.0 / r), 1.0)``: the
+    same operations in the same order, with ``math.log2`` per element
+    (numpy's log2 may differ from it in the last bit)."""
+    levels = np.ones(radii.size)
+    positive = np.flatnonzero(radii > 0)
+    with np.errstate(over="ignore"):  # 1 / r is inf below 2^-1024, as in Python
+        inverse = 1.0 / radii[positive]
+    logs = np.fromiter(map(math.log2, inverse.tolist()), dtype=float, count=positive.size)
+    levels[positive] = np.maximum(logs, 1.0)
+    return 2.0 * min(d**1.5, t * d) * radii * levels
 
 
 @dataclass
@@ -225,7 +234,7 @@ def measure_diameters(
 
     fitted = None
     if method == "grid":
-        bounds = [grid_diameter_bound(d, t, r) for r in radii.tolist()]
+        bounds = grid_diameter_bounds(d, t, radii).tolist()
     else:
         basis = max_depth * d * radii + 2.0 ** (-max_depth)
         fitted = float((means @ basis) / (basis @ basis))

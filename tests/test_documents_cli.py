@@ -711,6 +711,56 @@ def test_repro_refuses_suite_options_with_a_manifest(workspace, capsys, extra):
     assert not os.path.exists("g.json") and not os.path.exists("r.json")
 
 
+def test_main_builds_the_parser_once_and_matches_fresh_processes(workspace, capsys, monkeypatch):
+    # one parser per process, shared by every main() call: a sanitize, a
+    # cut-prob with a negative number list, a refused number list and a
+    # certify to standard output give the codes and bytes of fresh processes
+    import argparse
+
+    import privhist.cli
+
+    assert main(["generate", "--dist", "spec.json", "--n", "60", "--seed", "4",
+                 "--out", "d.json"]) == 0
+    runs = [["sanitize", "--method", "grid", "--t", "2", "--max-depth", "4", "--seed", "5",
+             "--in", "d.json", "--out", "h.json"],
+            ["cut-prob", "--support", "unit-ball", "--x", "-0.5,0.2", "--r-list", "0.01,0.03",
+             "--m", "16", "--trials", "5", "--seed", "6", "--out", "cut.json"],
+            ["cut-prob", "--support", "unit-ball", "--x", "0,abc", "--r-list", "0.01",
+             "--m", "16", "--trials", "5", "--out", "bad.json"],
+            ["certify", "--in", "h.json"]]
+    privhist.cli._build_parser.cache_clear()
+    privhist.cli._number_list_flags.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    codes, stdout = [], []
+    for argv in runs:
+        codes.append(main(argv))
+        stdout.append(capsys.readouterr().out)
+    assert codes == [0, 0, 1, 0] and built.count("privhist") == 1
+    assert privhist.cli._number_list_flags.cache_info().misses == 1
+
+    fresh = workspace / "fresh"
+    fresh.mkdir()
+    for name in ("spec.json", "d.json"):
+        (fresh / name).write_bytes((workspace / name).read_bytes())
+    src = os.path.dirname(os.path.dirname(privhist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from privhist.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, rc, out in zip(runs, codes, stdout):
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (rc, out)
+    for name in ("h.json", "cut.json"):
+        assert (fresh / name).read_bytes() == (workspace / name).read_bytes()
+    assert not (fresh / "bad.json").exists() and not (workspace / "bad.json").exists()
+
+
 def _fresh_output(code):
     """Standard output of ``code`` run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(privhist.__file__))

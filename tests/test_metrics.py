@@ -18,7 +18,7 @@ from privhist.metrics import (
     _leaf_geometry,
     _pair_matrix,
     cut_probability,
-    grid_diameter_bound,
+    grid_diameter_bounds,
     hist_distance,
     hist_distance_with_diameters,
     locate_leaves,
@@ -33,6 +33,12 @@ from privhist.sanitizer import (build_recursive_cube, build_shifted_grid, build_
 def _tiny_hist(points, t=2, depth=4):
     return build_recursive_cube(Dataset(points), t=t, max_depth=depth)
 
+
+
+def grid_diameter_bound(d, t, r):
+    """One point's grid bound, the reference ``grid_diameter_bounds`` equals."""
+    levels = max(math.log2(1.0 / r), 1.0) if r > 0 else 1.0
+    return 2.0 * min(d**1.5, t * d) * r * levels
 
 class TestHistDistance:
     def test_separated_box_pair_exact(self):
@@ -293,13 +299,22 @@ class TestMeasureDiameters:
         assert stats[0] == stats[1] != stats[2]
 
     def test_grid_bound_formula(self):
-        assert grid_diameter_bound(2, 2, 0.25) == pytest.approx(
-            2.0 * min(2**1.5, 4) * 0.25 * 2.0
-        )
         # the level factor clamps at one level for large radii
-        assert grid_diameter_bound(2, 2, 0.9) == pytest.approx(
-            2.0 * min(2**1.5, 4) * 0.9 * 1.0
+        assert grid_diameter_bounds(2, 2, np.array([0.25, 0.9])).tolist() == pytest.approx(
+            [2.0 * min(2**1.5, 4) * 0.25 * 2.0, 2.0 * min(2**1.5, 4) * 0.9 * 1.0]
         )
+
+    @pytest.mark.parametrize("d,t", [(1, 1), (2, 2), (3, 1), (4, 2), (8, 5)])
+    def test_grid_bounds_equal_the_per_point_bound_bit_for_bit(self, d, t):
+        # r >= 0.5 clamps to one level; tiny and subnormal r, whose inverse
+        # overflows, and r = 0 take the same path as one point at a time
+        rng = np.random.default_rng(d * 10 + t)
+        radii = np.concatenate([[0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.5, np.nextafter(0.5, 0),
+                                 0.75, 1.0, 3.0], 10.0 ** rng.uniform(-8, 0.5, 2_000)])
+        expected = [grid_diameter_bound(d, t, r) for r in radii.tolist()]
+        got = grid_diameter_bounds(d, t, radii).tolist()
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+        assert grid_diameter_bounds(d, t, np.empty(0)).size == 0
 
 
 def _probe_cut_probability(region, x, r_values, m, trials, seed=0, random_probes=100):

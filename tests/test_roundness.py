@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -251,6 +251,19 @@ def _count_probes(monkeypatch):
     return calls
 
 
+def _membership_rows(monkeypatch):
+    """Record the row count of every ``VoronoiClip.contains_many`` call."""
+    tested = []
+    membership = VoronoiClip.contains_many
+
+    def counted(self, X):
+        tested.append(len(X))
+        return membership(self, X)
+
+    monkeypatch.setattr(VoronoiClip, "contains_many", counted)
+    return tested
+
+
 def _far_witness_check(monkeypatch):
     """A split of the unit disc into 8 cells whose certificates put every
     witness far outside it, and the parent's radius small enough that
@@ -493,20 +506,65 @@ class TestPrivacyCondition:
         hist, c, seed = _privacy_tree(tree)
         kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=3_000, seed=seed,
                       max_cells=40)
-        tested = []
-        membership = VoronoiClip.contains_many
-
-        def counted(self, X):
-            tested.append(len(X))
-            return membership(self, X)
-
-        monkeypatch.setattr(VoronoiClip, "contains_many", counted)
+        tested = _membership_rows(monkeypatch)
         report = check_privacy_condition(hist.root, **kwargs)
         shortcut_rows = sum(tested)
         tested.clear()
         _without_margin_shortcuts(monkeypatch)
         assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
         assert shortcut_rows < 0.9 * sum(tested)
+
+    def test_outer_ball_halves_the_membership_rows(self, monkeypatch):
+        # counted, not timed: rows that reach the membership test with the
+        # outer ball, and with only the margin rule
+        hist, c, seed = _privacy_tree("greedy-disc")
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=3_000, seed=seed,
+                      max_cells=40)
+        tested = _membership_rows(monkeypatch)
+        report = check_privacy_condition(hist.root, **kwargs)
+        outer_rows = sum(tested)
+        tested.clear()
+        monkeypatch.setattr(privhist.roundness, "_outer_ball", lambda *args: None)
+        assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
+        assert 0 < outer_rows <= 0.5 * sum(tested)
+
+    def test_outer_ball_is_read_once_per_sampled_leaf_up_to_four_dimensions(self, monkeypatch):
+        # from the leaf's own kernel, on the caller; none above d = 4
+        balls = []
+        outer_ball = privhist.roundness._outer_ball
+
+        def recorded(kernel, witness, slack):
+            balls.append((kernel, threading.current_thread() is threading.main_thread()))
+            return outer_ball(kernel, witness, slack)
+
+        monkeypatch.setattr(privhist.roundness, "_outer_ball", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        calls = _count_probes(monkeypatch)
+        hist, c, seed = _privacy_tree("greedy-disc")
+        check_privacy_condition(hist.root, c=c, q_probes=4, r_grid_size=6,
+                                volume_samples=1_000, seed=seed, max_cells=8)
+        assert 0 < len(balls) <= 8 and all(on_caller for _, on_caller in balls)
+        assert all(kernel.rows.size == 4 for kernel, _ in balls) and calls
+        balls.clear()
+        calls.clear()
+        data, _ = sample(single(UniformBall(np.zeros(5), 1.0)), 200, seed=31)
+        hist = build_voronoi(data, Ball(np.zeros(5), 1.0), t=4, max_depth=1,
+                             method="uniform", override_m=12, seed=32)
+        check_privacy_condition(hist.root, c=16.0, q_probes=4, r_grid_size=6,
+                                volume_samples=500, seed=33, max_cells=4)
+        assert calls and balls == []
+
+    def test_a_cell_qhull_cannot_bound_keeps_the_margin_path(self, monkeypatch):
+        hist, c, seed = _privacy_tree("greedy-disc")
+        kwargs = dict(c=c, q_probes=4, r_grid_size=6, volume_samples=1_000, seed=seed,
+                      max_cells=8)
+        report = check_privacy_condition(hist.root, **kwargs)
+
+        def fail(kernel, b, around):
+            raise DegenerateGeometryError("qhull cannot bound the cell")
+
+        monkeypatch.setattr(CellKernel, "vertices", fail)
+        assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
 
     def test_containment_is_decided_before_separation(self, monkeypatch):
         # witnesses far from every cell, and a parent certificate small
@@ -910,6 +968,64 @@ def test_margin_decided_samples_agree_with_membership(kind, d, snap, offset, see
                                                              samples=2_000, seed=seed + i))
                 except DegenerateGeometryError:
                     results.append("degenerate")
+        assert results[0] == results[1]
+
+
+@given(st.sampled_from(["ball", "box"]), st.sampled_from([2, 3]), st.booleans(),
+       st.sampled_from([1, 2]), st.sampled_from([0.0, 1e4, 1e7]), st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_outer_ball_rules_out_only_samples_membership_rejects(kind, d, snap, levels, offset,
+                                                               seed):
+    # samples on rays from the own center through each vertex of the cell's
+    # polytope and along random directions, from the reach to just past the
+    # outer ball, straddle both the cell's farthest points and the ball:
+    # every sample the ball rules out must be rejected by membership.  At
+    # 1e7 membership blurs across more than a cell and no ball is given
+    root, cell, centers, rng = _two_level_split(kind, d, snap, seed)
+    leaf = VoronoiClip(centers, int(rng.integers(centers.shape[0])),
+                       cell if levels == 2 else root)
+    if offset:
+        try:
+            leaf = _shifted(leaf, offset)
+        except InputError:  # the shifted outer cell lost its own center
+            assume(False)
+    o, n = leaf.own_center, 6
+    kernel = CellKernel.of(leaf, n)
+    qs = o + rng.uniform(-1.5, 1.5, (n, d))
+    slack = float(probe_margins(kernel, qs, np.array([4.0]))[1].max())
+    for witness in (o, certify_roundness(leaf).witness):
+        outer = privhist.roundness._outer_ball(kernel, witness, slack)
+        if offset == 1e7:
+            assert outer is None
+        if witness is not o and outer is None and offset < 1e7:
+            # only a center on the root's boundary, where qhull fails
+            with pytest.raises(DegenerateGeometryError):
+                privhist.roundness._cell_reach(kernel, 0, o)
+        if outer is None:
+            continue
+        center, bound = outer
+        assert np.array_equal(center, o)
+        reach = privhist.roundness._cell_reach(kernel, 0, o)
+        assert reach < bound
+        V = kernel.vertices(0, o) - o
+        dirs = np.concatenate([V, rng.standard_normal((16, d))])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        steps = np.concatenate([[reach, bound * (1 - 1e-12), bound, bound * (1 + 1e-12)],
+                                reach + (bound - reach) * rng.random(4),
+                                rng.uniform(0.0, 2.0 * bound, 4)])
+        S = (o + steps[:, None, None] * dirs).reshape(-1, d)
+        out = row_norms(S, o) > bound
+        assert not leaf.contains_many(S[out]).any()
+        # the estimator's counts are those of testing every sample
+        m, e = probe_margins(kernel, qs, np.array([bound]))
+        results = []
+        for ball in (outer, None):
+            try:
+                results.append(intersection_volume_ratio(qs[0], bound / 4.0, 4.0, leaf,
+                                                         samples=2_000, seed=seed,
+                                                         margin=(m[0], e[0, 0], ball)))
+            except DegenerateGeometryError:
+                results.append("degenerate")
         assert results[0] == results[1]
 
 
