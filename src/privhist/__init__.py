@@ -48,7 +48,6 @@ from .sanitizer import (
     pick_centers_greedy,
     pick_centers_uniform,
     sanitize,
-    sanitize_mixture,
     strip_to_sanitized,
 )
 
@@ -65,5 +64,5 @@ __all__ = [
     "check_privacy_condition", "cover_check", "well_spread_check",
     "HistogramNode", "MeshSplit", "SanitizedHistogram", "VoronoiSplit", "build_recursive_cube",
     "build_shifted_grid", "build_voronoi", "pick_centers_greedy",
-    "pick_centers_uniform", "sanitize", "sanitize_mixture", "strip_to_sanitized",
+    "pick_centers_uniform", "sanitize", "strip_to_sanitized",
 ]

@@ -116,12 +116,8 @@ def _cmd_generate(args, argv):
     spec = spec_from_doc(read_json(args.dist))
     if args.d is not None and args.d != spec.d:
         raise InputError(f"--d {args.d} does not match the distribution dimension {spec.d}")
-    data, labels = sample(spec, args.n, args.seed)
-    doc = dataset_to_doc(data)
-    _emit(doc, args.out, argv, args.seed, [args.dist])
-    if args.labels_out:
-        _emit(report_doc("labels", {"labels": labels.tolist()}), args.labels_out,
-              argv, args.seed, [args.dist])
+    data, _ = sample(spec, args.n, args.seed)
+    _emit(dataset_to_doc(data), args.out, argv, args.seed, [args.dist])
     return 0
 
 
@@ -255,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="expected dimension (validated)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--labels-out", default=None, help="write mixture labels here")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("sanitize", help="build a sanitized histogram")

@@ -1,9 +1,9 @@
 """Seeded samplers for mixtures of bounded "nice" distributions.
 
 Every component has a bounded support region (cube, ball, or truncation ball
-of a Gaussian) so a sanitizer can be handed the support directly.  Mixture
-labels are produced for component-wise sanitization but are never part of any
-sanitized output.
+of a Gaussian).  A sample from a mixture is sanitized as one dataset, over a
+support that holds every component; ``sample`` also returns each row's
+component label, which only checks of the sampler read.
 """
 
 from __future__ import annotations

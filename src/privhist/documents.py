@@ -254,9 +254,12 @@ def _split_from_doc(doc: dict, d: int, box):
 def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     """Attach the split and children of ``doc`` to ``node``; ``box`` is as
     for ``_split_from_doc``, and only needed when the node has a split.  The
-    children of one split share one level, and only those with a split of
-    their own get a node."""
+    children of one split share one level, their counts are at least 0 and
+    sum to the node's count, and only those with a split of their own get a
+    node."""
     kids = doc["children"]
+    if node.count < 0:
+        raise InputError(f"a node's count is {node.count}, below 0")
     if "split" not in doc:
         if kids:
             raise InputError("a node with children needs a split")
@@ -267,7 +270,11 @@ def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     levels = {int(kid["level"]) for kid in kids}
     if len(levels) != 1:
         raise InputError(f"the children of one split carry levels {sorted(levels)}, not one")
-    node.divide(split, [int(kid["count"]) for kid in kids], levels.pop())
+    counts = [int(kid["count"]) for kid in kids]
+    if min(counts) < 0 or sum(counts) != node.count:
+        raise InputError(f"a node of count {node.count} has child counts below 0 "
+                         f"or summing to {sum(counts)}")
+    node.divide(split, counts, levels.pop())
     mesh = isinstance(split, MeshSplit)
     for k, kid in enumerate(kids):
         if "split" in kid:
@@ -286,7 +293,6 @@ def histogram_to_doc(hist: SanitizedHistogram) -> dict:
             "max_depth": hist.max_depth,
             "seed_commitment": hist.seed_commitment,
         },
-        "component_index": hist.component_index,
         "extra": hist.extra,
         "root": {"region": _region_to_doc(hist.root.region), **_node_to_doc(hist.root)},
     }
@@ -308,7 +314,6 @@ def histogram_from_doc(doc: dict) -> SanitizedHistogram:
             t=int(params["t"]),
             max_depth=int(params["max_depth"]),
             seed_commitment=params["seed_commitment"],
-            component_index=doc.get("component_index"),
             extra=doc.get("extra", {}),
         )
 

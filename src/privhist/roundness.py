@@ -281,8 +281,12 @@ class CellKernel:
 
 
 def _polytope_vertices(halfspaces: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Vertices of {x : A x + c <= 0}, rows [A, c], by qhull from a point
-    strictly inside (an interval in 1-D); a failure names that point."""
+    """Vertices of {x : A x + c <= 0}, rows [A, c], by qhull (an interval in
+    1-D).  qhull starts from ``inside``; where it refuses that point (a
+    center on the root's boundary is not strictly inside), it retries once
+    from the Chebyshev centre of these halfspaces, the x of largest r with
+    A x + r |A_i| <= -c, found by linear programming.  A failure of both, or
+    r <= 0, names ``inside``."""
     A, c = halfspaces[:, :-1], halfspaces[:, -1]
     if A.shape[1] == 1:
         ends = -c / A[:, 0]
@@ -292,8 +296,19 @@ def _polytope_vertices(halfspaces: np.ndarray, inside: np.ndarray) -> np.ndarray
     try:
         return HalfspaceIntersection(halfspaces, inside).intersections
     except QhullError as exc:
-        raise DegenerateGeometryError(f"qhull cannot bound the cell of center {inside.tolist()}: "
-                                      f"{str(exc).splitlines()[0]}") from None
+        reason = str(exc).splitlines()[0]
+    from scipy.optimize import linprog
+
+    d = A.shape[1]
+    lp = linprog(-np.eye(d + 1)[d], A_ub=np.hstack([A, row_norms(A)[:, None]]), b_ub=-c,
+                 bounds=[(None, None)] * d + [(0.0, None)], method="highs")
+    if lp.status == 0 and lp.x[d] > 0:
+        try:
+            return HalfspaceIntersection(halfspaces, lp.x[:d]).intersections
+        except QhullError as exc:
+            reason = str(exc).splitlines()[0]
+    raise DegenerateGeometryError(f"qhull cannot bound the cell of center {inside.tolist()}: "
+                                  f"{reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +438,9 @@ def cover_check(centers, region: Region, r1: float) -> tuple[bool, float]:
     of its Voronoi cell in ``region`` (``CellKernel.vertices``), each capped
     at |c - c0| + radius on a ball.  It is exact on a box and high by at
     most the Kelley tolerance on a ball, so a covered verdict is sound.
-    Centers outside ``region`` or repeated raise ``InputError``.
+    A center may lie on the region's boundary: qhull then starts from its
+    cell's Chebyshev centre.  Centers outside ``region`` or repeated raise
+    ``InputError``.
     """
     pts = np.asarray(centers, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != region.dim:

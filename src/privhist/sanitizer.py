@@ -273,7 +273,6 @@ class SanitizedHistogram:
     t: int
     max_depth: int
     seed_commitment: str
-    component_index: int | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -1117,13 +1116,7 @@ def strip_to_sanitized(
 
 
 # ---------------------------------------------------------------------------
-# mixtures
-
-
-def component_seed(seed: int, index: int) -> int:
-    """Seed used for one mixture component; exposed so that single-component
-    sanitizations can be reproduced exactly."""
-    return child_seed(seed, "mixture", index)
+# published methods
 
 
 def resolve_method(dataset: Dataset, method: str, max_depth: int | None = None,
@@ -1197,28 +1190,3 @@ def sanitize(
                          "(--override-m)")
     return build_voronoi(dataset, support, t, max_depth, method=method[8:],
                          override_m=override_m, probe_samples=probe_samples, seed=seed)
-
-
-def sanitize_mixture(
-    dataset: Dataset,
-    labels: np.ndarray,
-    supports: list[Region],
-    t: int,
-    max_depth: int | None = None,
-    method: str = "voronoi-greedy",
-    seed: int = 0,
-    **kwargs,
-) -> list[SanitizedHistogram]:
-    """``sanitize`` each component over its own support at its
-    ``component_seed``.  Component membership (generator labels) is assumed
-    known to the sanitizer; labels never appear in the output."""
-    labels = np.asarray(labels)
-    if labels.shape != (dataset.n,):
-        raise InputError("labels must align with the dataset")
-    out = []
-    for index, support in enumerate(supports):
-        hist = sanitize(Dataset(dataset.points[labels == index].copy()), method, t, max_depth,
-                        seed=component_seed(seed, index), support=support, **kwargs)
-        hist.component_index = index
-        out.append(hist)
-    return out

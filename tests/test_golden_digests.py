@@ -169,6 +169,22 @@ def test_cli_documents_match_the_fixture(tmp_path):
     assert not moved, f"these histograms do not re-encode to their own bytes: {moved}"
 
 
+def test_older_histograms_with_a_component_index_read_to_the_pinned_bytes(tmp_path):
+    # histograms once carried "component_index": null; such a document reads
+    # and writes again as the pinned one, without the key
+    expected = load_fixture()["documents"]
+    spec, data = tmp_path / "spec.json", tmp_path / "data.json"
+    write_json_atomic(str(spec), spec_to_doc(single(UniformBall(np.zeros(2), 1.0))))
+    _run("generate", "--dist", spec, "--n", 150, "--seed", 42, "--out", data)  # as data2
+    for name, seed in (("cube", 52), ("voronoi-greedy", 61)):  # as sanitize-{name}-d2
+        out = tmp_path / f"{name}.json"
+        _run("sanitize", *HISTOGRAMS[name], "--seed", seed, "--in", data, "--out", out)
+        older = {**json.loads(out.read_text()), "component_index": None}
+        again = histogram_to_doc(histogram_from_doc(older))
+        assert "component_index" not in again
+        assert digest(again, "manifest") == expected[f"sanitize-{name}-d2"]
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -207,10 +207,29 @@ class TestCoverCheck:
         with pytest.raises(InputError, match="distinct"):
             cover_check(np.array([[0.1, 0.0], [0.2, 0.3], [0.1, 0.0]]), disc, 1.0)
 
-    def test_a_center_on_the_boundary_is_named(self):
-        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(DegenerateGeometryError, match=r"\[-1\.0, 0\.25\]"):
-            cover_check(np.array([[0.5, 0.5], [-1.0, 0.25]]), box, 1.0)
+    @pytest.mark.parametrize("centers,closed", [
+        ([[0.5, 0.5], [-1.0, 0.25]], False),
+        ([[-1.0, -0.75], [0.3, 0.2], [0.5, -0.6], [-0.2, 0.7]], True),
+    ])
+    def test_a_center_on_the_box_boundary_gets_the_exact_radius(self, centers, closed):
+        # qhull refuses a center on a face as its interior point and starts
+        # from the cell's Chebyshev centre instead
+        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                  closed_high=np.array([closed, closed]))
+        covered, r1 = cover_check(np.array(centers), box, 10.0)
+        grid = _grid_cover(np.array(centers), box)
+        assert covered and r1 >= grid
+        assert r1 == pytest.approx(grid, abs=1e-3)
+        if closed:  # the farthest vertex is a grid point
+            assert r1 == grid == 1.063014581273465
+
+    def test_a_center_on_the_ball_boundary_gets_a_sound_radius(self):
+        centers = np.array([[1.0, 0.0], [0.0, 0.3], [-0.5, -0.2]])
+        disc = Ball(np.zeros(2), 1.0)
+        covered, r1 = cover_check(centers, disc, 10.0)
+        grid = _grid_cover(centers, disc)
+        assert covered and r1 >= grid
+        assert r1 == pytest.approx(grid, abs=1e-3)
 
 
 def _privacy_tree(tree):
@@ -565,6 +584,32 @@ class TestPrivacyCondition:
 
         monkeypatch.setattr(CellKernel, "vertices", fail)
         assert check_privacy_condition(hist.root, **kwargs).to_dict() == report.to_dict()
+
+    def test_a_leaf_whose_center_is_on_the_root_boundary_gets_an_outer_ball(self, monkeypatch):
+        # the leaf of [-1, -0.75], on the box's low face: qhull refuses that
+        # center and bounds the cell from its Chebyshev centre, and the ball
+        # moves no count of the report
+        root, cell, centers, _ = _two_level_split("box", 2, True, 0)
+        assert centers[0].tolist() == [-1.0, -0.75]
+        node = HistogramNode(region=root, count=cell.centers.shape[0] - 1 + centers.shape[0])
+        node.divide(VoronoiSplit(cell.centers),
+                    [centers.shape[0] if k == cell.own_index else 1
+                     for k in range(cell.centers.shape[0])])
+        node.child(cell.own_index).divide(VoronoiSplit(centers), [1] * centers.shape[0])
+        balls = {}
+        outer_ball = privhist.roundness._outer_ball
+
+        def recorded(kernel, witness, slack):
+            own = kernel.levels[0][0][kernel.levels[0][1][0]]
+            balls[tuple(own)] = outer_ball(kernel, witness, slack)
+            return balls[tuple(own)]
+
+        monkeypatch.setattr(privhist.roundness, "_outer_ball", recorded)
+        kwargs = dict(c=8.0, q_probes=4, r_grid_size=6, volume_samples=2_000, seed=5)
+        report = check_privacy_condition(node, **kwargs)
+        assert balls[(-1.0, -0.75)] is not None
+        monkeypatch.setattr(privhist.roundness, "_outer_ball", lambda *args: None)
+        assert check_privacy_condition(node, **kwargs).to_dict() == report.to_dict()
 
     def test_containment_is_decided_before_separation(self, monkeypatch):
         # witnesses far from every cell, and a parent certificate small
@@ -997,10 +1042,8 @@ def test_outer_ball_rules_out_only_samples_membership_rejects(kind, d, snap, lev
         outer = privhist.roundness._outer_ball(kernel, witness, slack)
         if offset == 1e7:
             assert outer is None
-        if witness is not o and outer is None and offset < 1e7:
-            # only a center on the root's boundary, where qhull fails
-            with pytest.raises(DegenerateGeometryError):
-                privhist.roundness._cell_reach(kernel, 0, o)
+        if witness is not o and offset < 1e7:
+            assert outer is not None  # a center on the root's boundary too
         if outer is None:
             continue
         center, bound = outer

@@ -24,13 +24,11 @@ from privhist.sanitizer import (
     build_shifted_grid,
     build_voronoi,
     certify_nodes,
-    component_seed,
     method2_center_count,
     method_name,
     pick_centers_greedy,
     pick_centers_uniform,
     sanitize,
-    sanitize_mixture,
     strip_to_sanitized,
 )
 from privhist.roundness import (certify_children, certify_roundness, check_privacy_condition,
@@ -631,32 +629,3 @@ class TestSanitize:
         with pytest.raises(ResourceError, match="node budget exceeded"):
             sanitize(data, "voronoi-greedy", 2, 2, support=support, probe_samples=2_000,
                      seed=1)
-
-
-class TestMixtures:
-    def test_mixture_equals_component_sanitizations(self):
-        from privhist.datagen import DistributionSpec
-
-        spec = DistributionSpec(components=(
-            (0.5, UniformBall(np.array([3.0, 0.0]), 1.0)),
-            (0.5, UniformBall(np.array([-3.0, 0.0]), 1.0)),
-        ))
-        data, labels = sample(spec, 160, seed=18)
-        supports = spec.supports()
-        mix = sanitize_mixture(data, labels, supports, t=6, max_depth=1,
-                               method="voronoi-greedy", seed=33,
-                               probe_samples=5_000)
-        assert [h.component_index for h in mix] == [0, 1]
-        for idx in (0, 1):
-            sub = Dataset(data.points[labels == idx].copy())
-            solo = build_voronoi(sub, supports[idx], t=6, max_depth=1,
-                                 method="greedy", probe_samples=5_000,
-                                 seed=component_seed(33, idx))
-            solo.component_index = idx
-            assert histogram_to_doc(solo) == histogram_to_doc(mix[idx])
-
-    def test_cube_method_requires_box_support(self):
-        data, labels = sample(single(UniformBall(np.zeros(2), 1.0)), 50, seed=19)
-        with pytest.raises(InputError):
-            sanitize_mixture(data, labels, [Ball(np.zeros(2), 1.0)], t=2,
-                             max_depth=3, method="cube", seed=0)

@@ -388,12 +388,19 @@ def _mutate(doc, defect):
         node["children"][0]["level"] += 1
     elif defect == "count_overflow":
         node["children"][0]["count"] = 2**64
+    elif defect == "negative_count":  # the children's counts still sum to their node's
+        other = next(kid for kid in node["children"][1:] if "split" not in kid)
+        other["count"] += node["children"][0]["count"] + 3
+        node["children"][0]["count"] = -3
+    elif defect == "counts_off_sum":
+        node["children"][0]["count"] = 10**6
     else:
         del node["split"]
 
 
 @pytest.mark.parametrize("defect", ["schema_v1", "missing_child", "cuts_off_box",
                                     "unknown_split", "sibling_levels", "count_overflow",
+                                    "negative_count", "counts_off_sum",
                                     "children_without_split"])
 def test_malformed_histogram_documents_rejected(defect):
     data = Dataset(np.random.default_rng(7).uniform(-1.0, 1.0, (80, 2)))
