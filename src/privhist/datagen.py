@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .geometry import Ball, Box, Dataset, Region, as_point, uniform_in_ball, uniform_in_box
+from .geometry import Dataset, as_point, uniform_in_ball, uniform_in_box
 from .rng import substream
 
 DEFAULT_TRUNCATION_SIGMAS = 4.0  # truncation radius = 4 * stdev * sqrt(d)
@@ -34,13 +34,6 @@ class UniformCube:
     def dim(self) -> int:
         return self.center.size
 
-    def support(self) -> Region:
-        return Box(
-            self.center - self.half_side,
-            self.center + self.half_side,
-            closed_high=np.ones(self.dim, dtype=bool),
-        )
-
 
 @dataclass(frozen=True)
 class UniformBall:
@@ -55,9 +48,6 @@ class UniformBall:
     @property
     def dim(self) -> int:
         return self.center.size
-
-    def support(self) -> Region:
-        return Ball(self.center, self.radius)
 
 
 @dataclass(frozen=True)
@@ -80,9 +70,6 @@ class TruncatedGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def support(self) -> Region:
-        return Ball(self.mean, self.truncation_radius)
 
 
 Shape = UniformCube | UniformBall | TruncatedGaussian
@@ -115,9 +102,6 @@ class DistributionSpec:
     @property
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.components])
-
-    def supports(self) -> list[Region]:
-        return [shape.support() for _, shape in self.components]
 
 
 def single(shape: Shape) -> DistributionSpec:

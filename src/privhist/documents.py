@@ -251,6 +251,14 @@ def _split_from_doc(doc: dict, d: int, box):
     raise InputError(f"unknown split kind {kind!r}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer: a bool, a float or a string that
+    ``int()`` would convert is refused, not truncated."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, found {value!r}")
+    return value
+
+
 def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     """Attach the split and children of ``doc`` to ``node``; ``box`` is as
     for ``_split_from_doc``, and only needed when the node has a split.  The
@@ -267,10 +275,10 @@ def _read_subtree(doc: dict, node: HistogramNode, d: int, box):
     split = _split_from_doc(doc["split"], d, box)
     if len(kids) != split.size:
         raise InputError(f"a split into {split.size} cells has {len(kids)} children")
-    levels = {int(kid["level"]) for kid in kids}
+    levels = {_integer(kid["level"], "level") for kid in kids}
     if len(levels) != 1:
         raise InputError(f"the children of one split carry levels {sorted(levels)}, not one")
-    counts = [int(kid["count"]) for kid in kids]
+    counts = [_integer(kid["count"], "count") for kid in kids]
     if min(counts) < 0 or sum(counts) != node.count:
         raise InputError(f"a node of count {node.count} has child counts below 0 "
                          f"or summing to {sum(counts)}")
@@ -303,16 +311,16 @@ def histogram_from_doc(doc: dict) -> SanitizedHistogram:
     with _reading("sanitized_histogram"):
         root_doc = doc["root"]
         region = region_from_doc(root_doc["region"])
-        root = HistogramNode(region=region, count=int(root_doc["count"]),
-                             level=int(root_doc["level"]))
+        root = HistogramNode(region=region, count=_integer(root_doc["count"], "count"),
+                             level=_integer(root_doc["level"], "level"))
         box = (region.low, region.high) if isinstance(region, Box) else None
         _read_subtree(root_doc, root, region.dim, box)
         params = doc["parameters"]
         return SanitizedHistogram(
             root=root,
             method=doc["method"],
-            t=int(params["t"]),
-            max_depth=int(params["max_depth"]),
+            t=_integer(params["t"], "t"),
+            max_depth=_integer(params["max_depth"], "max_depth"),
             seed_commitment=params["seed_commitment"],
             extra=doc.get("extra", {}),
         )

@@ -286,13 +286,15 @@ class VoronoiClip(Region):
     is byte-identical to the full argmin over all rows, given a BLAS that
     computes each row of a matrix product the same way in any batch of two
     or more rows.  Where ``VoronoiNeighbours`` gives no columns, only stage
-    2 runs.  ``VoronoiSplit.child_region`` hands every child the split's
-    table; a clip built directly computes its own on first use.
+    2 runs.  ``neighbours`` is the Delaunay table given at construction,
+    or a new one over ``centers``; ``VoronoiSplit.child_region`` hands every
+    child the split's.  A table computes nothing until ``columns()``.
     """
 
     __slots__ = ("centers", "own_index", "parent", "neighbours")
 
-    def __init__(self, centers, own_index: int, parent: Region):
+    def __init__(self, centers, own_index: int, parent: Region,
+                 neighbours: VoronoiNeighbours | None = None):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise InputError("centers must form an (m, d) array")
@@ -308,7 +310,7 @@ class VoronoiClip(Region):
         self.centers.setflags(write=False)
         self.own_index = int(own_index)
         self.parent = parent
-        self.neighbours = None
+        self.neighbours = VoronoiNeighbours(self.centers) if neighbours is None else neighbours
 
     @property
     def dim(self) -> int:
@@ -320,8 +322,6 @@ class VoronoiClip(Region):
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.neighbours is None:
-            self.neighbours = VoronoiNeighbours(self.centers)
         cols = self.neighbours.columns(self.own_index)
         if cols is None or X.shape[0] < 2:
             return self._full_test(X)

@@ -646,8 +646,6 @@ def _build_tables(region: Region):
     """Build the Delaunay table of a Voronoi cell and of every clip above
     it, which membership builds on first use, so that threads only read them."""
     while isinstance(region, VoronoiClip):
-        if region.neighbours is None:
-            region.neighbours = VoronoiNeighbours(region.centers)
         region.neighbours.columns(region.own_index)
         region = region.parent
 

@@ -24,7 +24,9 @@ construction artifacts (mesh lines, centers); a final scan over the same
 walk aborts if any dataset coordinate vector appears in it, except that a
 grid whose mesh has a row on a cell corner draws its offset again instead
 (a scan of each draw's arrays, before any node is made), and a Voronoi
-split whose centers hit one of its node's rows draws them again.
+split whose centers hit one of its node's rows draws them again.  Mesh
+corners are checked split by split (``_mesh_corners``), and only for the
+rows each of whose coordinates is a cut value.
 
 No node keeps a roundness certificate.  ``certify_nodes`` computes them on
 request, one ``certify_children`` batch per Voronoi split, and the Voronoi
@@ -132,9 +134,7 @@ class VoronoiSplit:
         return voronoi_assign(self.centers, X)
 
     def child_region(self, parent: Region, k: int) -> VoronoiClip:
-        clip = VoronoiClip(self.centers, k, parent)
-        clip.neighbours = self.neighbours
-        return clip
+        return VoronoiClip(self.centers, k, parent, self.neighbours)
 
 
 Split = MeshSplit | VoronoiSplit
@@ -804,7 +804,7 @@ def _shifted_grid(
     # (about level 50 on [-1, 1]^d, where each axis holds 2^49 lines)
     finest = _finest(float(np.abs([root.low, root.high]).max()) + 2.0 * side)
     n, X, bounds = dataset.n, dataset.points, (root.low.tolist(), root.high.tolist())
-    fixed = _on_published(X, [root.low, root.high], [])
+    fixed = _on_published(X, [root.low, root.high])
     centers, errors = np.empty((len(seeds), root.dim)), [None] * len(seeds)
     drawing = list(range(len(seeds)))
     for draw in range(GRID_OFFSET_DRAWS):
@@ -962,7 +962,7 @@ def build_voronoi(
                 centers = pick_centers_greedy(region, cert, probe_samples, seed=draw_seed)
             else:
                 centers = pick_centers_uniform(region, m, seed=draw_seed, envelope=cert.envelope)
-            if not _on_published(rows, centers, []).any():
+            if not _on_published(rows, centers).any():
                 break
         if method == "greedy":
             budget.charge(len(centers))
@@ -993,34 +993,28 @@ def build_voronoi(
 # sanitized output
 
 
-CORNER_BLOCK = 1 << 20  # row x cut comparisons per block of the mesh-corner scan
-
-
-def _on_published(points: np.ndarray, vectors: list | np.ndarray, meshes: list) -> np.ndarray:
-    """Which rows of ``points`` equal one of ``vectors`` or the low or high
-    corner of a child of a mesh split.  ``meshes`` holds one ``(tables,
-    ncuts)`` per depth, as ``_mesh_digits`` reads them, and is scanned by
-    ``_mesh_corners`` as one trial's."""
-    hits = np.zeros(len(points), dtype=bool)
-    if len(vectors):
-        # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
-        row = np.dtype((np.void, 8 * points.shape[1]))
-        hits = np.isin((points + 0.0).view(row).ravel(),
-                       (np.array(vectors, dtype=float) + 0.0).view(row).ravel())
-    if meshes:
-        hits |= _mesh_corners(points, [(tables, ncuts, np.zeros(len(ncuts), dtype=np.intp))
-                                       for tables, ncuts in meshes], 1)[0]
-    return hits
+def _on_published(points: np.ndarray, vectors: list | np.ndarray) -> np.ndarray:
+    """Which rows of ``points`` equal one of ``vectors``."""
+    if not len(vectors):
+        return np.zeros(len(points), dtype=bool)
+    # + 0.0 maps -0.0 to 0.0, so equality of the rows' bytes is value equality
+    row = np.dtype((np.void, 8 * points.shape[1]))
+    return np.isin((points + 0.0).view(row).ravel(),
+                   (np.array(vectors, dtype=float) + 0.0).view(row).ravel())
 
 
 def _mesh_corners(points: np.ndarray, meshes: list, trials: int) -> np.ndarray:
     """(trials, n): which rows of ``points`` are the low or high corner of a
     child of a mesh split of each trial.  ``meshes`` holds one ``(tables,
     ncuts, trial)`` per depth: the cut tables as ``_mesh_digits`` reads
-    them and each split's trial, ascending.  A row can only be a corner of
-    a mesh split when each of its coordinates is a cut value on that axis,
-    so only those rows are compared, each with its trial's splits of each
-    depth, in blocks of about ``CORNER_BLOCK`` comparisons."""
+    them and each split's trial.  A row is a low corner of a child of split
+    f when each of its coordinates is one of f's cuts on that axis but the
+    last, and a high corner when each is one of them but the first.
+
+    Only suspects are compared: rows each of whose coordinates is a cut
+    value on that axis in some split of any depth.  The benchmark's mesh
+    builds (the box-query and grid-rebuild inputs at seeds 1-3) hold none,
+    so there the scan ends at the prefilter."""
     hits = np.zeros((trials, len(points)), dtype=bool)
     if not meshes:
         return hits
@@ -1029,25 +1023,13 @@ def _mesh_corners(points: np.ndarray, meshes: list, trials: int) -> np.ndarray:
     suspects = np.flatnonzero(np.logical_and.reduce(on_cuts))
     if not suspects.size:
         return hits
+    rows = points[suspects]
     for tables, ncuts, trial in meshes:
-        first = np.searchsorted(trial, np.arange(trials + 1))  # trial i: first[i]:first[i + 1]
-        grown = np.flatnonzero(np.diff(first))
-        rows, owner = np.repeat(suspects, grown.size), np.tile(grown, suspects.size)
-        split = first[owner, None] + np.arange(int(np.diff(first).max()))  # (pairs, splits)
-        mine = split < first[owner + 1, None]
-        split = np.minimum(split, trial.size - 1)
-        step = max(1, CORNER_BLOCK // (split.shape[1] * sum(table.shape[1] for table in tables)))
-        for a in range(0, rows.size, step):
-            block = slice(a, a + step)
-            low = high = True  # per (row, split): a low, a high corner of one of its children
-            for j, table in enumerate(tables):
-                # (rows, splits, W_j), never on the padding
-                on = points[rows[block], j, None, None] == table[split[block]]
-                low = low & (on & (np.arange(table.shape[1]) < ncuts[split[block], j, None] - 1)
-                             ).any(axis=2)
-                high = high & on[:, :, 1:].any(axis=2)
-            hit = ((low | high) & mine[block]).any(axis=1)
-            hits[owner[block][hit], rows[block][hit]] = True
+        for f, counts in enumerate(ncuts):
+            cuts = [table[f, :count] for table, count in zip(tables, counts)]
+            low = np.logical_and.reduce([np.isin(rows[:, j], c[:-1]) for j, c in enumerate(cuts)])
+            high = np.logical_and.reduce([np.isin(rows[:, j], c[1:]) for j, c in enumerate(cuts)])
+            hits[trial[f], suspects[low | high]] = True
     return hits
 
 
@@ -1072,17 +1054,6 @@ def _published_error(fixed: np.ndarray, drawn: np.ndarray, total: int):
     return None
 
 
-def _check_published(points: np.ndarray, fixed: list, centers, meshes: list, cube: bool,
-                     total: int):
-    """Raise ``_published_error`` of a tree whose fixed vectors are
-    ``fixed`` (and its meshes, for a cube) and whose random ones are
-    ``centers`` (and its meshes, for a grid)."""
-    error = _published_error(_on_published(points, fixed, meshes if cube else []),
-                             _on_published(points, centers, [] if cube else meshes), total)
-    if error is not None:
-        raise error
-
-
 def strip_to_sanitized(
     tree: HistogramNode,
     dataset: Dataset,
@@ -1093,18 +1064,31 @@ def strip_to_sanitized(
     extra: dict | None = None,
 ) -> SanitizedHistogram:
     """Publish a built tree (regions, splits, counts and levels only) once
-    ``_check_published`` has passed it.  Only the nodes that have a split
-    are visited, one depth at a time; a mesh depth's cuts are read as its
+    its publication checks (``_published_error``) have passed it.  No row
+    may lie on the root's corners or center, a Voronoi center or a mesh
+    corner (``_mesh_corners``); a cube's mesh corners are published at
+    every seed, a grid's are drawn.  Only the nodes that have a split are
+    visited, one depth at a time; a mesh depth's cuts are read as its
     ``_mesh_tables``."""
     layers = _layers(tree)
-    root = tree.region
+    root, points = tree.region, dataset.points
     splits = [[node.split for node in nodes] for nodes, _ in layers]
-    mesh = isinstance(tree.split, MeshSplit)
-    centers = [] if mesh else [c for depth in splits for split in depth for c in split.centers]
-    _check_published(dataset.points, [root.low, root.high] if isinstance(root, Box)
-                     else [root.center], centers,
-                     [_mesh_tables(depth) for depth in splits] if mesh else [],
-                     method == "cube", _leaf_total(tree, layers))
+    fixed = _on_published(points, [root.low, root.high] if isinstance(root, Box)
+                          else [root.center])
+    if isinstance(tree.split, MeshSplit):
+        corners = _mesh_corners(points, [(*_mesh_tables(depth), np.zeros(len(depth), dtype=np.intp))
+                                         for depth in splits], 1)[0]
+        drawn = np.zeros(len(points), dtype=bool)
+        if method == "cube":
+            fixed |= corners
+        else:
+            drawn = corners
+    else:
+        drawn = _on_published(points, [c for depth in splits for split in depth
+                                       for c in split.centers])
+    error = _published_error(fixed, drawn, _leaf_total(tree, layers))
+    if error is not None:
+        raise error
     return SanitizedHistogram(
         root=tree,
         method=method,

@@ -6,8 +6,10 @@ deletion or rename in privhist would break traced benchmark runs, which only
 ``pytest perfbench`` exercises; this test catches it in the tier-1 suite.
 Every workload step must also parse as a ``privhist`` command line, so that
 deleting an option the benchmark passes fails here and not in a benchmark
-run.  The perfbench files are loaded read-only, without writing bytecode
-next to them.  The benchmark's ``setup_s`` times a fresh ``import
+run.  Each work count the tracer computes is applied to one small real call
+of its function, so that a deletion the count reads (``HistogramNode.walk``,
+a report field) fails here too.  The perfbench files are loaded read-only,
+without writing bytecode next to them.  The benchmark's ``setup_s`` times a fresh ``import
 privhist.cli``, so that import must load no scipy.
 """
 
@@ -43,6 +45,65 @@ TRACER = _load("tracer")
 def test_traced_function_resolves(target):
     module, name = target
     assert callable(getattr(importlib.import_module(f"privhist.{module}"), name, None))
+
+
+@pytest.fixture(scope="module")
+def count_calls(tmp_path_factory):
+    """(args, kwargs) of one small real call of each function whose ``TRACED``
+    entry counts work; ``strip_to_sanitized`` publishes a built tree and the
+    same tree read back from its document."""
+    import numpy as np
+
+    from privhist.adversary import IsolationParams
+    from privhist.documents import histogram_from_doc, histogram_to_doc, write_json_atomic
+    from privhist.geometry import Ball, Dataset
+    from privhist.roundness import certify_roundness
+    from privhist.sanitizer import build_voronoi
+
+    data = Dataset(np.random.default_rng(3).uniform(-0.6, 0.6, (60, 2)))
+    support = Ball(np.zeros(2), 1.0)
+    hist = build_voronoi(data, support, t=4, max_depth=2, seed=1)
+    back = histogram_from_doc(histogram_to_doc(hist))
+    centers = hist.root.split.centers
+    path = str(tmp_path_factory.mktemp("hooks") / "hist.json")
+    write_json_atomic(path, histogram_to_doc(hist))  # read_json may run first
+    published = ("voronoi-greedy", 4, 2, 1)
+    return {
+        ("sanitizer", "pick_centers_greedy"): [
+            ((support, certify_roundness(support), 2_000), {"seed": 1})],
+        ("sanitizer", "pick_centers_uniform"): [((support, 16), {"seed": 1})],
+        ("sanitizer", "strip_to_sanitized"): [((hist.root, data, *published), {}),
+                                              ((back.root, data, *published), {})],
+        ("geometry", "voronoi_assign"): [((centers, data.points), {})],
+        ("geometry", "uniform_in_region"): [
+            ((hist.root.child(0).region, 10, np.random.default_rng(4)), {})],
+        ("roundness", "certify_children"): [((support, centers), {})],
+        ("roundness", "check_privacy_condition"): [
+            ((hist.root, 6.0), {"q_probes": 2, "r_grid_size": 2, "volume_samples": 500,
+                                "max_cells": 2})],
+        ("adversary", "attack"): [
+            ((hist, data, IsolationParams(c=4.0, t=2), "uniform-in-leaf"), {"queries": 50})],
+        ("metrics", "locate_leaves"): [((back, data.points), {})],
+        ("documents", "write_json_atomic"): [((path, histogram_to_doc(hist)), {})],
+        ("documents", "read_json"): [((path,), {})],
+    }
+
+
+def test_every_work_count_has_a_real_call(count_calls):
+    assert set(count_calls) == {target for target, count in TRACER.TRACED.items() if count}
+
+
+@pytest.mark.parametrize("target", sorted(t for t, count in TRACER.TRACED.items() if count),
+                         ids=".".join)
+def test_work_counts_read_a_real_call(target, count_calls):
+    module, name = target
+    fn = getattr(importlib.import_module(f"privhist.{module}"), name)
+    counts = []
+    for args, kwargs in count_calls[target]:
+        counts.append(TRACER.TRACED[target](args, kwargs, fn(*args, **kwargs)))
+        assert counts[-1] and all(type(v) in (int, bool) and v >= 0
+                                  for v in counts[-1].values()), counts[-1]
+    assert all(c == counts[0] for c in counts)  # a tree counts the same read back
 
 
 def test_traced_region_classes_have_membership():

@@ -13,6 +13,7 @@ from privhist.datagen import (
     single,
 )
 from privhist.errors import ConfigurationError, InputError
+from privhist.geometry import Ball, Box
 
 
 def test_cube_sample_mean_within_clt_band():
@@ -51,10 +52,14 @@ def test_every_point_in_component_support():
         (0.25, TruncatedGaussian(np.zeros(2), 0.4)),
     ))
     data, labels = sample(spec, 3_000, seed=3)
-    supports = spec.supports()
+    cube, ball, gaussian = (shape for _, shape in spec.components)
+    supports = [Box(cube.center - cube.half_side, cube.center + cube.half_side,
+                    closed_high=np.ones(2, dtype=bool)),
+                Ball(ball.center, ball.radius),
+                Ball(gaussian.mean, gaussian.truncation_radius)]
     for idx, support in enumerate(supports):
         rows = data.points[labels == idx]
-        assert support.contains_many(rows).all()
+        assert rows.size and support.contains_many(rows).all()
 
 
 def test_ball_radial_cdf_kolmogorov_smirnov():

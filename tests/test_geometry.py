@@ -472,6 +472,21 @@ def test_neighbour_table_is_marked_built_after_it_is_whole(monkeypatch):
     assert table._built and table.radius == np.linalg.norm(centers, axis=1).max()
 
 
+def test_a_clip_owns_its_table_from_construction_and_builds_it_on_first_use():
+    centers = np.random.default_rng(7).uniform(-0.5, 0.5, (64, 2))
+    parent = Box(np.full(2, -1.0), np.ones(2))
+    split = VoronoiSplit(centers)
+    given_table = VoronoiClip(centers, 3, parent, split.neighbours)
+    direct = VoronoiClip(centers, 3, parent)
+    assert given_table.neighbours is split.neighbours
+    assert split.child_region(parent, 3).neighbours is split.neighbours
+    assert direct.neighbours.centers is direct.centers
+    assert not split.neighbours._built and not direct.neighbours._built
+    X = np.random.default_rng(8).uniform(-1.0, 1.0, (50, 2))
+    assert np.array_equal(given_table.contains_many(X), direct.contains_many(X))
+    assert split.neighbours._built and direct.neighbours._built
+
+
 def _check_two_stage_membership(kind, d, layout, snap, two_levels, seed):
     rng = np.random.default_rng(seed)
     if kind == "ball":

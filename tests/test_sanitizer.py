@@ -499,11 +499,11 @@ class TestSanitizedOutput:
         points[[3, 40]] = vectors[0]
         points[90] = [-0.0, 0.0, 0.5]
         points[91] = [0.0, 0.0, 0.25]
-        hits = _on_published(points, vectors, [])
+        hits = _on_published(points, vectors)
         expected = [i for i, row in enumerate(points)
                     if any((row == vec).all() for vec in vectors)]
         assert np.flatnonzero(hits).tolist() == expected == [3, 7, 40, 90]
-        assert not _on_published(points, [], []).any()
+        assert not _on_published(points, []).any()
 
     def test_cube_regions_are_data_independent(self):
         d1, _ = sample(single(UniformCube(np.zeros(2), 1.0)), 200, seed=16)

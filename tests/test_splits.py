@@ -1,5 +1,6 @@
 """Split-level histograms: leaf location, schema-v2 documents, the leakage scan."""
 
+import itertools
 import json
 import math
 
@@ -394,6 +395,20 @@ def _mutate(doc, defect):
         node["children"][0]["count"] = -3
     elif defect == "counts_off_sum":
         node["children"][0]["count"] = 10**6
+    # values that int() would truncate or convert, leaving every sum intact
+    elif defect == "fractional_root_count":
+        doc["root"]["count"] += 0.5
+    elif defect == "fractional_child_count":
+        node["children"][0]["count"] += 0.2
+    elif defect == "bool_count":
+        leaf = next(kid for kid in node["children"] if kid["count"] == 1 and "split" not in kid)
+        leaf["count"] = True
+    elif defect == "float_level":
+        node["children"][0]["level"] = float(node["children"][0]["level"])
+    elif defect == "string_t":
+        doc["parameters"]["t"] = str(doc["parameters"]["t"])
+    elif defect == "fractional_max_depth":
+        doc["parameters"]["max_depth"] += 0.9
     else:
         del node["split"]
 
@@ -401,7 +416,9 @@ def _mutate(doc, defect):
 @pytest.mark.parametrize("defect", ["schema_v1", "missing_child", "cuts_off_box",
                                     "unknown_split", "sibling_levels", "count_overflow",
                                     "negative_count", "counts_off_sum",
-                                    "children_without_split"])
+                                    "fractional_root_count", "fractional_child_count",
+                                    "bool_count", "float_level", "string_t",
+                                    "fractional_max_depth", "children_without_split"])
 def test_malformed_histogram_documents_rejected(defect):
     data = Dataset(np.random.default_rng(7).uniform(-1.0, 1.0, (80, 2)))
     doc = histogram_to_doc(build_recursive_cube(data, t=2, max_depth=3))
@@ -454,31 +471,64 @@ class TestLeakageScan:
         else:
             self._strip(root, point)
 
-    @pytest.mark.parametrize("block", [1, 50, sanitizer.CORNER_BLOCK])
+    @staticmethod
+    def _depths(method, d, seed):
+        layers = sanitizer._layers(_mesh_hist(method, d, seed).root)
+        return [[node.split for node in nodes] for nodes, _ in layers]
+
+    @staticmethod
+    def _scan(X, depths, trials):
+        # one (tables, ncuts, trial) per depth; trials[k] tags depth k's splits
+        return sanitizer._mesh_corners(X, [(*sanitizer._mesh_tables(depth), np.asarray(tags))
+                                           for depth, tags in zip(depths, trials)],
+                                       max(max(tags) for tags in trials) + 1)
+
+    @pytest.mark.parametrize("share", [0.01, 0.8, 1.0])
     @pytest.mark.parametrize("method", ["cube", "grid"])
-    def test_mesh_corners_equal_the_per_split_reference(self, method, block, monkeypatch):
-        # rows whose coordinates are cut values, read from per-depth tables in
-        # blocks of any size, against each split's low and high corners
-        monkeypatch.setattr(sanitizer, "CORNER_BLOCK", block)
+    def test_mesh_corners_equal_the_per_split_reference(self, method, share):
+        # a share of rows whose every coordinate is a cut value (the scan's
+        # suspects), against each split's low and high corners
+        found = 0
         for seed in range(6):
             d = 2 + seed % 2
-            layers = sanitizer._layers(_mesh_hist(method, d, seed).root)
-            depths = [[node.split for node in nodes] for nodes, _ in layers]
+            depths = self._depths(method, d, seed)
             splits = [split for depth in depths for split in depth]
             rng = np.random.default_rng(seed)
-            X = rng.uniform(-1.0, 1.0, (300, d))
+            X = rng.uniform(-1.0, 1.0, (400, d))
+            suspects = round(share * len(X))
             for j in range(d):
                 values = np.concatenate([split.cuts[j] for split in splits])
-                X[:250, j] = rng.choice(values, 250)
+                X[:suspects, j] = rng.choice(values, suspects)
             expected = np.zeros(len(X), dtype=bool)
             for split in splits:
                 for ends in (slice(None, -1), slice(1, None)):
                     expected |= np.logical_and.reduce([np.isin(X[:, j], c[ends])
                                                        for j, c in enumerate(split.cuts)])
-            got = sanitizer._on_published(X, [], [sanitizer._mesh_tables(depth)
-                                                  for depth in depths])
-            assert 0 < expected.sum() < 250
-            assert got.tolist() == expected.tolist()
+            got = self._scan(X, depths, [[0] * len(depth) for depth in depths])
+            assert got.shape == (1, len(X))
+            assert got[0].tolist() == expected.tolist()
+            assert expected.sum() < len(X)
+            found += expected.sum()
+        assert found > 0
+
+    @pytest.mark.parametrize("method", ["cube", "grid"])
+    def test_a_two_trial_mesh_corner_scan_equals_two_one_trial_scans(self, method):
+        for seed in range(0, 6, 2):
+            a, b = self._depths(method, 2, seed), self._depths(method, 2, seed + 2)
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(-1.0, 1.0, (300, 2))
+            for j in range(2):
+                values = np.concatenate([split.cuts[j] for depth in a + b for split in depth])
+                X[:, j] = rng.choice(values, len(X))
+            pairs = list(itertools.zip_longest(a, b, fillvalue=[]))  # one per depth
+            got = self._scan(X, [x + y for x, y in pairs],
+                             [[0] * len(x) + [1] * len(y) for x, y in pairs])
+            one = [self._scan(X, depths, [[0] * len(depth) for depth in depths])[0]
+                   for depths in (a, b)]
+            assert got.shape == (2, len(X))
+            assert got[0].tolist() == one[0].tolist()
+            assert got[1].tolist() == one[1].tolist()
+            assert one[0].any() and one[1].any() and (one[0] != one[1]).any()
 
     def test_data_point_on_a_dyadic_corner_aborts_the_cube_build(self):
         data = Dataset([[0.0, 0.0], [0.5, 0.3], [-0.4, 0.7], [0.2, -0.9]])
